@@ -13,7 +13,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Protocol
 
@@ -46,10 +46,23 @@ CONSOLIDATE_PURPOSES = {
 
 @dataclass(frozen=True)
 class ChatRequest:
+    """One chat call.
+
+    `prompt` is the filled template that a real provider is sent.
+    `inputs` holds the unformatted values the template was filled from,
+    so that the mock providers never parse prompt text. Keys per purpose:
+
+    - consolidate_l1: `history` (texts), `user_text`, `assistant_text`;
+    - consolidate_l2 to consolidate_l5: `history`, `children` (texts);
+    - plan: `question`;
+    - gate: `question`, `complexity` (wire code 0/1/2) and `candidates`
+      (candidate texts in ordinal order).
+    """
     prompt: str
     purpose: Purpose
     temperature: float = 0.0
     max_output: int = 512
+    inputs: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.temperature < 0:
@@ -166,51 +179,19 @@ def _split_sentences(text: str) -> list[str]:
     return [s.strip() for s in _SENTENCE_SPLIT.split(text.strip()) if s.strip()]
 
 
-def _section(prompt: str, start_marker: str, end_marker: str | None) -> str:
-    start = prompt.rfind(start_marker)
-    if start < 0:
-        return ""
-    start += len(start_marker)
-    if end_marker is None:
-        return prompt[start:]
-    end = prompt.find(end_marker, start)
-    return prompt[start:end] if end >= 0 else prompt[start:]
-
-
-def _last_question(prompt: str) -> str:
-    matches = re.findall(r"^Question:\s*(.+)$", prompt, flags=re.MULTILINE)
-    return matches[-1].strip() if matches else ""
-
-
 def _mock_consolidate(req: ChatRequest) -> str:
     """Extractive merge: sentences of the children, third person, in
     order, deduplicated, minus any sentence already in the history."""
+    inputs = req.inputs
     if req.purpose == Purpose.CONSOLIDATE_L1:
-        history = _section(req.prompt, "Historical memories (do not repeat):",
-                           "- Current conversation:")
-        dialogue = _section(req.prompt, "Current conversation:",
-                            "\n\nPlease generate")
-        sentences: list[str] = []
-        for line in dialogue.strip().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            lowered = line.lower()
-            if lowered.startswith("user:"):
-                body, table = line[5:], _USER_PRONOUNS
-            elif lowered.startswith("assistant:"):
-                body, table = line[10:], _ASSISTANT_PRONOUNS
-            else:
-                body, table = line, _USER_PRONOUNS
-            for sent in _split_sentences(body):
-                sentences.append(_rewrite_person(sent, table))
+        sentences = [_rewrite_person(sent, table)
+                     for text, table in ((inputs["user_text"], _USER_PRONOUNS),
+                                         (inputs["assistant_text"], _ASSISTANT_PRONOUNS))
+                     for sent in _split_sentences(text)]
     else:
-        history = _section(req.prompt, "do not repeat):", "\n\nChild memories:")
-        children = _section(req.prompt, "Child memories:",
-                            "\n\nWrite the consolidated memory now.")
-        sentences = _split_sentences(children)
+        sentences = _split_sentences("\n\n".join(inputs["children"]))
 
-    seen = set(_split_sentences(history))
+    seen = set(_split_sentences("\n\n".join(inputs["history"])))
     merged = []
     for sent in sentences:
         if sent and sent not in seen:
@@ -222,37 +203,35 @@ def _mock_consolidate(req: ChatRequest) -> str:
 
 
 def _mock_plan(req: ChatRequest) -> str:
-    question = _last_question(req.prompt)
+    question = req.inputs["question"]
     return json.dumps({
         "complexity": classify_question(question),
         "keywords": extract_keywords(question),
     })
 
 
-_CANDIDATE_RE = re.compile(r"^\s*(\d+)\.\s+(.*)$", flags=re.MULTILINE)
 _GATE_CAPS = {0: 8, 1: 15, 2: 25}
 
 
 def _mock_gate(req: ChatRequest) -> str:
-    question = _last_question(req.prompt)
-    keywords = set(extract_keywords(question))
-    m = re.search(r"\(Complexity (\d)\)", req.prompt)
-    cap = _GATE_CAPS.get(int(m.group(1)) if m else 1, 15)
-    # numbered rule lines precede the candidate list; parse only the list
-    listing = _section(req.prompt, "Candidate memories", "Return IDs to keep")
+    keywords = set(extract_keywords(req.inputs["question"]))
+    cap = _GATE_CAPS[req.inputs["complexity"]]
     matches: list[tuple[int, int]] = []  # (-overlap, ordinal)
-    for ordinal, text in _CANDIDATE_RE.findall(listing):
+    for ordinal, text in enumerate(req.inputs["candidates"], start=1):
         overlap = len(keywords & set(tokenize(text)))
         if overlap:
-            matches.append((-overlap, int(ordinal)))
+            matches.append((-overlap, ordinal))
     matches.sort()
     kept = sorted(ordinal for _, ordinal in matches[:cap])
     return json.dumps({"relevant_ids": kept})
 
 
 def mock_dispatch(req: ChatRequest) -> str:
-    """Route a request to the deterministic rule for its purpose."""
-    if req.purpose in (Purpose.PLAN,):
+    """Route a request to the deterministic rule for its purpose.
+
+    The rules read only `req.inputs`; a missing input raises KeyError.
+    """
+    if req.purpose == Purpose.PLAN:
         return _mock_plan(req)
     if req.purpose == Purpose.GATE:
         return _mock_gate(req)
@@ -260,13 +239,9 @@ def mock_dispatch(req: ChatRequest) -> str:
 
 
 class MockChatBackend:
-    """Deterministic chat provider; records every request it serves."""
-
-    def __init__(self):
-        self.calls: list[ChatRequest] = []
+    """Deterministic chat provider serving the mock rules."""
 
     def chat_complete(self, req: ChatRequest) -> str:
-        self.calls.append(req)
         return mock_dispatch(req)
 
 

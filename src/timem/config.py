@@ -27,6 +27,9 @@ DEFAULT_CAPS = {
     "cap_complex_l5": 1,
 }
 
+# Settings the engine does not vary: any value but the default is rejected.
+_FIXED = {"segment_turns": 1, "level_count": 5, "profile_period": "month"}
+
 
 @dataclass
 class EngineConfig:
@@ -57,6 +60,12 @@ class EngineConfig:
     # misc
     prompt_dir: str = ""                # empty = packaged prompt templates
     caps: dict = field(default_factory=lambda: dict(DEFAULT_CAPS))
+
+    def __post_init__(self):
+        for name, supported in _FIXED.items():
+            value = getattr(self, name)
+            if value != supported:
+                raise ValueError(f"{name}={value!r} is not supported; only {supported!r} is")
 
     def to_dict(self) -> dict:
         d = asdict(self)

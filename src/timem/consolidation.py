@@ -53,18 +53,6 @@ class TemporalGroup:
     member_ids: list[int] = field(default_factory=list)
 
 
-@dataclass
-class ConsolidationRequest:
-    level: Level
-    child_texts: list[str]
-    history_texts: list[str]
-    instruction_id: str
-
-    def __post_init__(self):
-        if not self.child_texts:
-            raise ValueError("child_texts must be non-empty")
-
-
 _CALENDAR_LEVELS = (Level.DAY, Level.WEEK, Level.PROFILE)
 
 _KEY_FUNCS = {
@@ -95,8 +83,6 @@ class Consolidator:
         self.embedder = embedder
         self.config = config or EngineConfig()
         self.prompts = prompts or PromptLibrary(self.config.prompt_dir or None)
-        if self.config.segment_turns != 1:
-            raise ValueError("only single-turn base segments are supported")
         self._state: dict[str, _UserState] = {}
 
     def state(self, user_id: str) -> _UserState:
@@ -171,85 +157,64 @@ class Consolidator:
                     if n.parent_id is None]
         if not children:
             return None
-        history = self.history_window(user_id, group.level, self.config.history_window)
-        request = ConsolidationRequest(
-            level=group.level,
-            child_texts=[n.text for n in children],
-            history_texts=[n.text for n in history],
-            instruction_id=f"l{int(group.level)}",
-        )
-        text = self._consolidate_text(request)
-        embedding = self._embed(text, int(group.level))
-        interval = interval_hull([n.interval for n in children])
-        node = MemoryNode(
-            id=self.tree.allocate_id(user_id),
-            user_id=user_id,
-            level=group.level,
-            interval=interval,
-            text=text,
-            embedding=embedding,
-            created_at=interval.end,
-        )
-        self.tree.insert_node(node)
+        text = self._consolidate_text(user_id, group.level,
+                                      children=[n.text for n in children])
+        node = self._add_node(user_id, group.level, text,
+                              interval_hull([n.interval for n in children]))
         self.tree.adopt(user_id, node.id, [n.id for n in children])
         return node
 
     # -- internals ----------------------------------------------------------
 
-    def _embed(self, text: str, level: int):
-        try:
-            return self.embedder.embed_text(text)
-        except Exception as exc:
-            raise BackendFailure(f"embedding at level {level} failed: {exc}") from exc
+    def _consolidate_text(self, user_id: str, level: Level, **inputs) -> str:
+        """One consolidation call at `level` over the level's history window.
 
-    def _consolidate_text(self, request: ConsolidationRequest) -> str:
-        history_block = "\n\n".join(request.history_texts) or "(none)"
-        children_block = "\n\n".join(request.child_texts)
-        prompt = self.prompts.fill(
-            f"consolidate_{request.instruction_id}",
-            history=history_block,
-            child_memories=children_block,
-        )
+        `inputs` are the turn's `user_text` and `assistant_text` for a
+        segment, else the `children` texts.
+        """
+        history = [n.text for n in self.history_window(
+            user_id, level, self.config.history_window)]
+        history_block = "\n\n".join(history) or "(none)"
+        if level == Level.SEGMENT:
+            prompt = self.prompts.fill(
+                "consolidate_l1", previous_summary=history_block,
+                new_dialogue=(f"user: {inputs['user_text']}\n"
+                              f"assistant: {inputs['assistant_text']}"))
+        else:
+            prompt = self.prompts.fill(
+                f"consolidate_l{int(level)}", history=history_block,
+                child_memories="\n\n".join(inputs["children"]))
         req = ChatRequest(
             prompt=prompt,
-            purpose=CONSOLIDATE_PURPOSES[int(request.level)],
+            purpose=CONSOLIDATE_PURPOSES[int(level)],
             temperature=self.config.temperature_consolidate,
             max_output=self.config.max_output_tokens,
+            inputs={"history": history, **inputs},
         )
         try:
             return self.chat.chat_complete(req)
         except Exception as exc:
-            raise BackendFailure(f"consolidation at level {int(request.level)} failed: {exc}") from exc
+            raise BackendFailure(f"consolidation at level {int(level)} failed: {exc}") from exc
 
-    def _make_segment(self, user_id: str, turn: DialogTurn) -> MemoryNode:
-        history = self.history_window(user_id, Level.SEGMENT, self.config.history_window)
-        previous = "\n\n".join(n.text for n in history) or "(none)"
-        dialogue = f"user: {turn.user_text}\nassistant: {turn.assistant_text}"
-        prompt = self.prompts.fill(
-            "consolidate_l1", previous_summary=previous, new_dialogue=dialogue)
-        req = ChatRequest(
-            prompt=prompt,
-            purpose=CONSOLIDATE_PURPOSES[1],
-            temperature=self.config.temperature_consolidate,
-            max_output=self.config.max_output_tokens,
-        )
+    def _add_node(self, user_id: str, level: Level, text: str, interval: TemporalInterval,
+                  source_turn_ids: list[str] | None = None) -> MemoryNode:
+        """Embed `text` and insert it as a new node ending at `interval.end`."""
         try:
-            text = self.chat.chat_complete(req)
+            embedding = self.embedder.embed_text(text)
         except Exception as exc:
-            raise BackendFailure(f"segment consolidation failed: {exc}") from exc
-        embedding = self._embed(text, 1)
-        node = MemoryNode(
-            id=self.tree.allocate_id(user_id),
-            user_id=user_id,
-            level=Level.SEGMENT,
-            interval=TemporalInterval(turn.timestamp, turn.timestamp),
-            text=text,
-            embedding=embedding,
-            source_turn_ids=[turn.turn_id],
-            created_at=turn.timestamp,
-        )
+            raise BackendFailure(f"embedding at level {int(level)} failed: {exc}") from exc
+        node = MemoryNode(id=self.tree.allocate_id(user_id), user_id=user_id, level=level,
+                          interval=interval, text=text, embedding=embedding,
+                          source_turn_ids=source_turn_ids or [], created_at=interval.end)
         self.tree.insert_node(node)
         return node
+
+    def _make_segment(self, user_id: str, turn: DialogTurn) -> MemoryNode:
+        text = self._consolidate_text(user_id, Level.SEGMENT, user_text=turn.user_text,
+                                      assistant_text=turn.assistant_text)
+        return self._add_node(user_id, Level.SEGMENT, text,
+                              TemporalInterval(turn.timestamp, turn.timestamp),
+                              source_turn_ids=[turn.turn_id])
 
     def _extend_session(self, user_id: str, turn: DialogTurn, node: MemoryNode) -> None:
         st = self.state(user_id)

@@ -12,6 +12,7 @@ two chat calls per query.
 from __future__ import annotations
 
 import json
+import logging
 import re
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -26,6 +27,8 @@ from .prompts import PromptLibrary
 from .timeutil import format_ts
 from .tree import Level, MemoryNode, MemoryTree, TemporalInterval
 
+logger = logging.getLogger(__name__)
+
 
 class Complexity(str, Enum):
     SIMPLE = "simple"
@@ -34,6 +37,7 @@ class Complexity(str, Enum):
 
 
 WIRE_CODES = {0: Complexity.SIMPLE, 1: Complexity.HYBRID, 2: Complexity.COMPLEX}
+_CODE_OF = {complexity: code for code, complexity in WIRE_CODES.items()}
 GATE_TEMPLATES = {
     Complexity.SIMPLE: "gate_simple",
     Complexity.HYBRID: "gate_hybrid",
@@ -155,10 +159,12 @@ class RecallPipeline:
         prompt = self.prompts.fill("planner", question=query)
         req = ChatRequest(prompt=prompt, purpose=Purpose.PLAN,
                           temperature=self.config.temperature_plan,
-                          max_output=self.config.max_output_tokens)
+                          max_output=self.config.max_output_tokens,
+                          inputs={"question": query})
         try:
             reply = self.chat.chat_complete(req)
-        except Exception:
+        except Exception as exc:
+            logger.debug("planner call failed: %s", type(exc).__name__)
             reply = None
         data = _parse_json_reply(reply) if reply is not None else None
         if data is not None:
@@ -242,10 +248,13 @@ class RecallPipeline:
             numbered_memories="\n".join(lines))
         req = ChatRequest(prompt=prompt, purpose=Purpose.GATE,
                           temperature=self.config.temperature_gate,
-                          max_output=self.config.max_output_tokens)
+                          max_output=self.config.max_output_tokens,
+                          inputs={"question": query, "complexity": _CODE_OF[complexity],
+                                  "candidates": [c.node.text for c in ordered]})
         try:
             reply = self.chat.chat_complete(req)
-        except Exception:
+        except Exception as exc:
+            logger.debug("gate call failed: %s", type(exc).__name__)
             reply = None
         data = _parse_json_reply(reply) if reply is not None else None
         if data is None or not isinstance(data.get("relevant_ids"), list):

@@ -5,8 +5,20 @@ from datetime import timedelta
 
 import pytest
 
-from timem import DialogTurn, EngineConfig, MemoryEngine
+from timem import DialogTurn, EngineConfig, MemoryEngine, MockChatBackend
 from timem.timeutil import parse_ts
+
+
+class RecordingChat:
+    """The mock chat backend, keeping every request it serves."""
+
+    def __init__(self):
+        self.mock = MockChatBackend()
+        self.calls = []
+
+    def chat_complete(self, req):
+        self.calls.append(req)
+        return self.mock.chat_complete(req)
 
 
 @pytest.fixture

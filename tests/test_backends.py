@@ -24,22 +24,20 @@ from timem.backends import (
 from timem.errors import ProviderError
 from timem.prompts import PromptLibrary
 
-
-@pytest.fixture(scope="module")
-def lib() -> PromptLibrary:
-    return PromptLibrary()
+from conftest import RecordingChat
 
 
-def chat(prompt: str, purpose: Purpose) -> str:
-    return mock_dispatch(ChatRequest(prompt=prompt, purpose=purpose))
+def chat(purpose: Purpose, **inputs) -> str:
+    # the mock rules read only `inputs`; the prompt is what a real provider gets
+    return mock_dispatch(ChatRequest(prompt="(prompt)", purpose=purpose, inputs=inputs))
 
 
 # --- mock determinism ---------------------------------------------------------
 
-def test_mock_chat_same_prompt_same_output(lib):
-    prompt = lib.fill("planner", question="Where did Erin go?")
-    req = ChatRequest(prompt=prompt, purpose=Purpose.PLAN)
-    backend = MockChatBackend()
+def test_mock_chat_same_prompt_same_output():
+    req = ChatRequest(prompt="(prompt)", purpose=Purpose.PLAN,
+                      inputs={"question": "Where did Erin go?"})
+    backend = RecordingChat()
     assert backend.chat_complete(req) == backend.chat_complete(req)
     assert len(backend.calls) == 2
 
@@ -51,9 +49,16 @@ def test_chat_request_validation():
         ChatRequest(prompt="x", purpose=Purpose.PLAN, temperature=-1.0)
 
 
+def test_mock_rules_need_inputs():
+    # no fallback to parsing the prompt text
+    for purpose in (Purpose.PLAN, Purpose.GATE, Purpose.CONSOLIDATE_L1, Purpose.CONSOLIDATE_L3):
+        with pytest.raises(KeyError):
+            mock_dispatch(ChatRequest(prompt="Question: Where did Erin go?", purpose=purpose))
+
+
 # --- mock planner rule table ----------------------------------------------------
 
-def test_mock_plan_goldens(lib):
+def test_mock_plan_goldens():
     cases = {
         "When did X go to Paris?": {"complexity": 0, "keywords": ["go", "paris"]},
         "Would she enjoy hiking?": {"complexity": 2, "keywords": ["enjoy", "hiking"]},
@@ -62,8 +67,7 @@ def test_mock_plan_goldens(lib):
             {"complexity": 1, "keywords": ["activities", "part", "take"]},
     }
     for question, expected in cases.items():
-        prompt = lib.fill("planner", question=question)
-        assert json.loads(chat(prompt, Purpose.PLAN)) == expected
+        assert json.loads(chat(Purpose.PLAN, question=question)) == expected
 
 
 def test_classify_rule_order():
@@ -86,76 +90,62 @@ def test_extract_keywords_rules():
 
 # --- mock consolidation rule ------------------------------------------------------
 
-def test_mock_consolidation_merges_third_person(lib):
-    dialogue = ("user: I visited Paris with Omar. It was my first trip abroad.\n"
-                "assistant: You must have loved the Louvre!")
-    prompt = lib.fill("consolidate_l1", previous_summary="(none)", new_dialogue=dialogue)
-    out = chat(prompt, Purpose.CONSOLIDATE_L1)
+def test_mock_consolidation_merges_third_person():
+    out = chat(Purpose.CONSOLIDATE_L1, history=[],
+               user_text="I visited Paris with Omar. It was my first trip abroad.",
+               assistant_text="You must have loved the Louvre!")
     assert out == ("The user visited Paris with Omar. It was the user's first trip abroad. "
                    "The user must have loved the Louvre!")
     assert "Paris" in out and "Omar" in out and "Louvre" in out
     assert " I " not in f" {out} " and not out.startswith("I ")
 
 
-def test_mock_consolidation_two_children_keep_proper_nouns(lib):
-    prompt = lib.fill("consolidate_l2", history="(none)",
-                      child_memories="The user visited Paris with Omar.\n\n"
-                                     "The user met Felipe at the museum.")
-    out = chat(prompt, Purpose.CONSOLIDATE_L2)
+def test_mock_consolidation_two_children_keep_proper_nouns():
+    out = chat(Purpose.CONSOLIDATE_L2, history=[],
+               children=["The user visited Paris with Omar.",
+                         "The user met Felipe at the museum."])
     assert out == "The user visited Paris with Omar. The user met Felipe at the museum."
 
 
-def test_mock_consolidation_skips_history_sentences(lib):
-    prompt = lib.fill("consolidate_l2", history="The user visited Paris with Omar.",
-                      child_memories="The user visited Paris with Omar.\n\n"
-                                     "The user met Felipe at the museum.")
-    assert chat(prompt, Purpose.CONSOLIDATE_L2) == "The user met Felipe at the museum."
+def test_mock_consolidation_skips_history_sentences():
+    out = chat(Purpose.CONSOLIDATE_L2, history=["The user visited Paris with Omar."],
+               children=["The user visited Paris with Omar.",
+                         "The user met Felipe at the museum."])
+    assert out == "The user met Felipe at the museum."
 
 
-def test_mock_consolidation_never_empty(lib):
-    prompt = lib.fill("consolidate_l2", history="The user said hi.",
-                      child_memories="The user said hi.")
-    out = chat(prompt, Purpose.CONSOLIDATE_L2)
+def test_mock_consolidation_never_empty():
+    out = chat(Purpose.CONSOLIDATE_L2, history=["The user said hi."],
+               children=["The user said hi."])
     assert out.strip()
 
 
 # --- mock gate rule -----------------------------------------------------------------
 
-def gate_prompt(lib, question: str, memories: list[str], template="gate_simple") -> str:
-    numbered = "\n".join(f"{i}. [L1 | t] {m}" for i, m in enumerate(memories, 1))
-    return lib.fill(template, question=question, total_count=str(len(memories)),
-                    numbered_memories=numbered)
+def gate(question: str, memories: list[str], complexity: int = 0) -> dict:
+    return json.loads(chat(Purpose.GATE, question=question, complexity=complexity,
+                           candidates=memories))
 
 
-def test_mock_gate_keyword_overlap(lib):
-    prompt = gate_prompt(lib, "Where did Alice go kayaking?", [
+def test_mock_gate_keyword_overlap():
+    assert gate("Where did Alice go kayaking?", [
         "The user went kayaking at Lake Verano.",
         "The user cooked paella.",
         "The user practiced cello.",
-    ])
-    assert json.loads(chat(prompt, Purpose.GATE)) == {"relevant_ids": [1]}
+    ]) == {"relevant_ids": [1]}
 
 
-def test_mock_gate_zero_overlap_empty(lib):
-    prompt = gate_prompt(lib, "Where did Alice go kayaking?", ["Nothing relevant here."])
-    assert json.loads(chat(prompt, Purpose.GATE)) == {"relevant_ids": []}
+def test_mock_gate_zero_overlap_empty():
+    assert gate("Where did Alice go kayaking?", ["Nothing relevant here."]) == \
+        {"relevant_ids": []}
 
 
-def test_mock_gate_cap_by_complexity(lib):
+def test_mock_gate_cap_by_complexity():
     memories = [f"The user went kayaking trip number {i}." for i in range(30)]
-    simple = json.loads(chat(gate_prompt(lib, "Where did Alice go kayaking?", memories),
-                             Purpose.GATE))
-    complex_ = json.loads(chat(
-        gate_prompt(lib, "Where did Alice go kayaking?", memories, "gate_complex"),
-        Purpose.GATE))
+    simple = gate("Where did Alice go kayaking?", memories)
+    complex_ = gate("Where did Alice go kayaking?", memories, complexity=2)
     assert len(simple["relevant_ids"]) == 8
     assert len(complex_["relevant_ids"]) == 25
-
-
-def test_mock_gate_ignores_rule_lines(lib):
-    # the numbered filtering rules inside the template are not candidates
-    prompt = gate_prompt(lib, "What does the user keep?", ["Unrelated text."])
-    assert json.loads(chat(prompt, Purpose.GATE)) == {"relevant_ids": []}
 
 
 # --- mock embedder --------------------------------------------------------------------
@@ -199,23 +189,22 @@ def test_embedder_norm_property(text):
 
 # --- closed loop: mock outputs parse under the pipeline parsers ----------------------
 
-def test_mock_outputs_parse_closed_loop(lib):
+def test_mock_outputs_parse_closed_loop():
     from timem.recall import _parse_json_reply
 
-    plan_reply = chat(lib.fill("planner", question="Where did Erin go?"), Purpose.PLAN)
-    data = _parse_json_reply(plan_reply)
+    data = _parse_json_reply(chat(Purpose.PLAN, question="Where did Erin go?"))
     assert data is not None and data["complexity"] in (0, 1, 2)
     assert isinstance(data["keywords"], list)
 
-    gate_reply = chat(gate_prompt(lib, "Where did Erin go?", ["The user went to Oslo."]),
-                      Purpose.GATE)
+    gate_reply = chat(Purpose.GATE, question="Where did Erin go?", complexity=0,
+                      candidates=["The user went to Oslo."])
     data = _parse_json_reply(gate_reply)
     assert data is not None and isinstance(data["relevant_ids"], list)
 
 
 # --- per-purpose routing -------------------------------------------------------------
 
-def test_routing_backend_mixes_providers(lib):
+def test_routing_backend_mixes_providers():
     from timem.backends import RoutingChatBackend
 
     class CannedPlanner:
@@ -225,14 +214,14 @@ def test_routing_backend_mixes_providers(lib):
     backend = RoutingChatBackend(MockChatBackend(),
                                  overrides={Purpose.PLAN: CannedPlanner()})
     plan_reply = backend.chat_complete(ChatRequest(
-        prompt=lib.fill("planner", question="Where does Erin work?"),
-        purpose=Purpose.PLAN))
+        prompt="(prompt)", purpose=Purpose.PLAN,
+        inputs={"question": "Where does Erin work?"}))
     assert json.loads(plan_reply)["keywords"] == ["canned"]
     # other purposes still hit the default mock
     gate_reply = backend.chat_complete(ChatRequest(
-        prompt=gate_prompt(lib, "Where did Erin go kayaking?",
-                           ["The user went kayaking."]),
-        purpose=Purpose.GATE))
+        prompt="(prompt)", purpose=Purpose.GATE,
+        inputs={"question": "Where did Erin go kayaking?", "complexity": 0,
+                "candidates": ["The user went kayaking."]}))
     assert json.loads(gate_reply) == {"relevant_ids": [1]}
 
 

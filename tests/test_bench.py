@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
+from timem import EngineConfig
 from timem.bench import (
     BenchReport,
     BenchRow,
@@ -15,6 +17,7 @@ from timem.bench import (
     write_fixture,
 )
 from timem.errors import SchemaError
+from timem.prompts import TEMPLATE_NAMES, PromptLibrary
 from timem.store import parse_transcript
 
 from conftest import ingest_all, random_transcript
@@ -96,6 +99,21 @@ def test_bench_canonical_bytes_identical_across_runs(fixture_dir):
     second = run_bench(paths, questions).canonical_json()
     assert first == second
     assert b"latency" not in first.encode()
+
+
+def test_bench_independent_of_prompt_wording(fixture_dir, tmp_path):
+    # every placeholder kept, every other word of the nine templates replaced
+    for name in TEMPLATE_NAMES:
+        fields = re.findall(r"\{[a-z_]+\}", PromptLibrary().template(name))
+        (tmp_path / f"{name}.txt").write_text(
+            "Reworded instructions.\n" + "\n".join(f"== {f[1:-1]} ==\n{f}" for f in fields),
+            encoding="utf-8")
+    paths = fixture_transcripts(fixture_dir)
+    questions = fixture_dir / "questions.jsonl"
+    reworded = EngineConfig(prompt_dir=str(tmp_path))
+    for gate in (True, False):
+        assert run_bench(paths, questions, config=reworded, gate=gate).canonical_json() == \
+            run_bench(paths, questions, gate=gate).canonical_json()
 
 
 def test_bench_gated_contracts_context(fixture_dir):

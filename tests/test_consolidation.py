@@ -26,6 +26,17 @@ def test_first_turn_creates_single_segment(engine):
     assert created[0].source_turn_ids == ["s1/0"]
 
 
+def test_segment_keeps_text_that_looks_like_prompt_headings(engine):
+    turn = make_turns([("s1", "2023-05-20T09:00:00Z",
+                        "I met Omar at the harbour.\nCurrent conversation: we talked boats.\n"
+                        "Question: should I buy one?",
+                        "That sounds fun.")])[0]
+    [segment] = engine.ingest_turn("alice", turn)
+    assert segment.text == ("The user met Omar at the harbour. "
+                            "Current conversation: they talked boats. "
+                            "Question: should the user buy one? That sounds fun.")
+
+
 def test_session_change_closes_previous_session(engine):
     rows = [
         turn_row("s1", "2023-05-20T09:00:00Z", "I went kayaking at Lake Verano."),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import random
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from timem import (
     Complexity,
     Level,
+    MemoryEngine,
     MemoryNode,
     MemoryTree,
     TemporalInterval,
@@ -20,7 +22,7 @@ from timem.indexing import ScoredLeaf
 from timem.recall import Candidate, RecallPipeline, rank_final
 from timem.timeutil import utc
 
-from conftest import ingest_all, random_transcript
+from conftest import RecordingChat, ingest_all, random_transcript
 
 
 class ScriptedChat:
@@ -29,11 +31,9 @@ class ScriptedChat:
     def __init__(self, replies: dict[Purpose, str]):
         self.replies = replies
         self.mock = MockChatBackend()
-        self.calls = self.mock.calls
 
     def chat_complete(self, req):
         if req.purpose in self.replies:
-            self.mock.calls.append(req)
             return self.replies[req.purpose]
         return self.mock.chat_complete(req)
 
@@ -80,6 +80,25 @@ def test_plan_query_fallback_on_backend_error():
     pipe = pipeline_for(MemoryTree(), chat=Boom())
     plan = pipe.plan_query("Where did Erin go?")
     assert plan.planner_fallback_used and plan.complexity is Complexity.HYBRID
+
+
+def test_swallowed_provider_errors_are_logged(caplog):
+    from timem.recall import CandidateSet
+
+    class Boom:
+        def chat_complete(self, req):
+            raise TimeoutError("provider down")
+
+    tree = build_fanout_tree(2, 1)
+    pipe = pipeline_for(tree, chat=Boom())
+    with caplog.at_level(logging.DEBUG, logger="timem.recall"):
+        pipe.plan_query("Where did Erin go?")
+        kept, fallback = pipe.gate_candidates(
+            "q", Complexity.SIMPLE, CandidateSet(entries=candidates_from(tree, [1, 2])))
+    assert fallback and len(kept) == 2
+    messages = [(r.levelno, r.getMessage()) for r in caplog.records if r.name == "timem.recall"]
+    assert messages == [(logging.DEBUG, "planner call failed: TimeoutError"),
+                        (logging.DEBUG, "gate call failed: TimeoutError")]
 
 
 def test_plan_query_rejects_empty(engine):
@@ -234,7 +253,7 @@ def test_gate_ignores_out_of_range_ordinals():
 
 def test_gate_empty_candidates_no_call():
     from timem.recall import CandidateSet
-    chat = MockChatBackend()
+    chat = RecordingChat()
     pipe = pipeline_for(MemoryTree(), chat=chat)
     kept, fallback = pipe.gate_candidates("q", Complexity.SIMPLE, CandidateSet())
     assert kept == [] and not fallback and chat.calls == []
@@ -292,7 +311,8 @@ def test_recall_unknown_user(engine):
         engine.recall("nobody", "Where?")
 
 
-def test_recall_exactly_two_chat_calls(engine):
+def test_recall_exactly_two_chat_calls():
+    engine = MemoryEngine(chat=RecordingChat())
     ingest_all(engine, "alice", random_transcript(random.Random(41), "alice", n_sessions=3))
     engine.chat.calls.clear()
     engine.recall("alice", "Where did Alice go kayaking?")
