@@ -7,8 +7,9 @@ lazily once a turn arrives past their window; closure is always
 triggered by the next ingested turn or by an explicit flush, never by
 wall-clock timers.
 
-A group is assigned its children by interval start; its stored window
-is the calendar (or session) window extended to the hull of the
+A group's children are the members assigned to it: a session's are its
+segments, a calendar group's the lower-level nodes whose interval starts
+in its period. The consolidated node's interval is the hull of its
 children, so a session straddling a boundary stays fully contained in
 its parent.
 """
@@ -46,11 +47,10 @@ class DialogTurn:
 class TemporalGroup:
     level: Level
     key: str                      # session id | calendar day | ISO week | month
-    window: TemporalInterval      # base window, hull-extended as members join
-    base_end: datetime            # closure boundary before any hull extension
     anchor: datetime              # first member's interval start
+    base_end: datetime | None = None  # calendar period end; sessions close on id change
     open: bool = True
-    member_ids: list[int] = field(default_factory=list)
+    member_ids: list[int] = field(default_factory=list)  # children, assigned by interval start
 
 
 _CALENDAR_LEVELS = (Level.DAY, Level.WEEK, Level.PROFILE)
@@ -87,9 +87,6 @@ class Consolidator:
 
     def state(self, user_id: str) -> _UserState:
         return self._state.setdefault(user_id, _UserState())
-
-    def last_timestamp(self, user_id: str) -> datetime | None:
-        return self.state(user_id).last_ts
 
     # -- public operations -------------------------------------------------
 
@@ -131,14 +128,11 @@ class Consolidator:
                 created += self._drain_pending(user_id)
         return created
 
-    def collect_children(self, user_id: str, level: Level | int,
-                         group: TemporalGroup) -> list[MemoryNode]:
-        """Level-(i-1) nodes whose interval lies inside the group window."""
-        level = Level(level)
-        below = self.tree.nodes_at_level(user_id, Level(level - 1))
-        inside = [n for n in below if group.window.contains(n.interval)]
-        inside.sort(key=lambda n: (n.interval.start, n.id))
-        return inside
+    def collect_children(self, user_id: str, group: TemporalGroup) -> list[MemoryNode]:
+        """The group's members, ordered by (interval start, id)."""
+        children = [self.tree.get(user_id, i) for i in group.member_ids]
+        children.sort(key=lambda n: (n.interval.start, n.id))
+        return children
 
     def history_window(self, user_id: str, level: Level | int,
                        window: int) -> list[MemoryNode]:
@@ -153,8 +147,7 @@ class Consolidator:
         """Consolidate one closed group into a node; None when empty."""
         if group.open:
             raise ValueError(f"group {group.key} is still open")
-        children = [n for n in self.collect_children(user_id, group.level, group)
-                    if n.parent_id is None]
+        children = self.collect_children(user_id, group)
         if not children:
             return None
         text = self._consolidate_text(user_id, group.level,
@@ -220,16 +213,7 @@ class Consolidator:
         st = self.state(user_id)
         if st.open_session is None:
             st.open_session = TemporalGroup(
-                level=Level.SESSION,
-                key=turn.session_id,
-                window=TemporalInterval(turn.timestamp, turn.timestamp),
-                base_end=turn.timestamp,
-                anchor=turn.timestamp,
-            )
-        else:
-            group = st.open_session
-            group.window = group.window.hull(node.interval)
-            group.base_end = group.window.end
+                level=Level.SESSION, key=turn.session_id, anchor=turn.timestamp)
         st.open_session.member_ids.append(node.id)
 
     def _close_session(self, user_id: str) -> list[MemoryNode]:
@@ -261,16 +245,10 @@ class Consolidator:
         key = key_func(node.interval.start)
         group = st.open_calendar[upper].get(key)
         if group is None:
-            start, end = window_func(node.interval.start)
             group = TemporalGroup(
-                level=upper,
-                key=key,
-                window=TemporalInterval(start, end),
-                base_end=end,
-                anchor=node.interval.start,
-            )
+                level=upper, key=key, anchor=node.interval.start,
+                base_end=window_func(node.interval.start)[1])
             st.open_calendar[upper][key] = group
-        group.window = group.window.hull(node.interval)
         group.member_ids.append(node.id)
 
     def _blocked(self, user_id: str, group: TemporalGroup) -> bool:
@@ -309,25 +287,21 @@ class Consolidator:
         """Rebuild the open-group scheduler state after a log replay.
 
         Every node without a parent belongs to a group that had not
-        closed when the log was written; group membership is recovered
-        from interval starts (and, for segments, the turn's session).
+        closed when the log was written; a segment rejoins its turn's
+        session, a higher node the calendar group of its interval start.
         """
-        st = _UserState(last_ts=last_ts)
+        st = self._state[user_id] = _UserState(last_ts=last_ts)
 
-        by_session: dict[str, list[MemoryNode]] = {}
+        sessions: dict[str, TemporalGroup] = {}
         for node in self.tree.nodes_at_level(user_id, Level.SEGMENT):
             if node.parent_id is not None:
                 continue
-            sid = turn_sessions.get(node.source_turn_ids[0]) if node.source_turn_ids else None
-            by_session.setdefault(sid or "unknown-session", []).append(node)
-        session_groups = []
-        for sid, members in by_session.items():
-            window = interval_hull([n.interval for n in members])
-            session_groups.append(TemporalGroup(
-                level=Level.SESSION, key=sid, window=window,
-                base_end=window.end, anchor=window.start,
-                member_ids=[n.id for n in members]))
-        session_groups.sort(key=lambda g: g.anchor)
+            turn_id = node.source_turn_ids[0] if node.source_turn_ids else None
+            sid = turn_sessions.get(turn_id) or "unknown-session"
+            group = sessions.setdefault(sid, TemporalGroup(
+                level=Level.SESSION, key=sid, anchor=node.interval.start))
+            group.member_ids.append(node.id)
+        session_groups = sorted(sessions.values(), key=lambda g: g.anchor)
         if session_groups:
             # only the latest session can still be streaming; earlier
             # unparented sessions were closed-pending when the log ended
@@ -336,20 +310,7 @@ class Consolidator:
                 group.open = False
                 st.pending.append(group)
 
-        for upper in _CALENDAR_LEVELS:
-            key_func, window_func = _KEY_FUNCS[upper]
-            for node in self.tree.nodes_at_level(user_id, Level(upper - 1)):
-                if node.parent_id is not None:
-                    continue
-                key = key_func(node.interval.start)
-                group = st.open_calendar[upper].get(key)
-                if group is None:
-                    start, end = window_func(node.interval.start)
-                    group = TemporalGroup(
-                        level=upper, key=key,
-                        window=TemporalInterval(start, end),
-                        base_end=end, anchor=node.interval.start)
-                    st.open_calendar[upper][key] = group
-                group.window = group.window.hull(node.interval)
-                group.member_ids.append(node.id)
-        self._state[user_id] = st
+        for level in (Level.SESSION, Level.DAY, Level.WEEK):
+            for node in self.tree.nodes_at_level(user_id, level):
+                if node.parent_id is None:
+                    self._assign_to_upper(user_id, node)

@@ -4,7 +4,8 @@ Each user owns one JSON-lines log at <root>/<user_id>/log.jsonl holding
 node and turn records in creation order. The log is append-only and
 tombstone-free (nodes are never deleted), so replaying it rebuilds the
 exact tree; embeddings are stored inline as base64 of little-endian
-float32 so records stay single-line.
+float32 so records stay single-line. A torn final record is cut off
+(into a sidecar) before a writer appends to the log.
 """
 
 from __future__ import annotations
@@ -170,6 +171,41 @@ class ReplayResult:
     corrupt: CorruptRecord | None = None
 
 
+def _cut_torn_tail(path: Path) -> None:
+    """Truncate a log that does not end in a newline back to its last
+    complete record, so new records never extend a torn write. The cut
+    bytes are kept in a `log.corrupt.<offset>` sidecar beside the log."""
+    if not path.exists():
+        return
+    with open(path, "r+b") as f:
+        size = f.seek(0, os.SEEK_END)
+        if size == 0:
+            return
+        f.seek(size - 1)
+        if f.read(1) == b"\n":
+            return
+        cut, end = 0, size
+        while end > 0:  # scan back block by block to the last newline
+            start = max(0, end - (1 << 16))
+            f.seek(start)
+            newline = f.read(end - start).rfind(b"\n")
+            if newline >= 0:
+                cut = start + newline + 1
+                break
+            end = start
+        f.seek(cut)
+        torn = f.read()
+        sidecar = path.with_name(f"log.corrupt.{cut}")
+        with open(sidecar, "ab") as out:
+            out.write(torn)
+            out.flush()
+            os.fsync(out.fileno())
+        f.truncate(cut)
+        os.fsync(f.fileno())
+    logger.warning("cut a torn record of %d bytes at offset %d from %s; kept in %s",
+                   len(torn), cut, path, sidecar)
+
+
 class LogStore:
     """One append-only JSON-lines log per user under a root directory."""
 
@@ -209,7 +245,9 @@ class LogStore:
                     raise StoreIoError(
                         f"log for {user_id!r} is locked by another writer") from exc
                 self._locks[user_id] = lock_file
-            handle = open(self.log_path(user_id), "ab")
+            path = self.log_path(user_id)
+            _cut_torn_tail(path)
+            handle = open(path, "ab")
             self._handles[user_id] = handle
         return handle
 

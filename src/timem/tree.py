@@ -44,9 +44,6 @@ class TemporalInterval:
     def contains(self, other: "TemporalInterval") -> bool:
         return self.start <= other.start and other.end <= self.end
 
-    def hull(self, other: "TemporalInterval") -> "TemporalInterval":
-        return TemporalInterval(min(self.start, other.start), max(self.end, other.end))
-
 
 def interval_hull(intervals: list[TemporalInterval]) -> TemporalInterval:
     if not intervals:

@@ -81,7 +81,7 @@ def test_boundary_cascade_golden_trace(engine):
     assert engine.validate("alice").violations == []
 
 
-def test_collect_children_window_filter(engine):
+def test_collect_children_returns_members(engine):
     turns = make_turns([
         turn_row("s1", "2023-05-20T09:00:00Z"),
         turn_row("s1", "2023-05-20T09:05:00Z"),
@@ -89,21 +89,13 @@ def test_collect_children_window_filter(engine):
         turn_row("s2", "2023-05-20T15:00:00Z"),
     ])
     ingest_all(engine, "alice", turns, flush=False)
-    group = TemporalGroup(
-        level=Level.SESSION, key="w",
-        window=TemporalInterval(parse_ts("2023-05-20T09:00:00Z"),
-                                parse_ts("2023-05-20T09:10:00Z")),
-        base_end=parse_ts("2023-05-20T09:10:00Z"),
-        anchor=parse_ts("2023-05-20T09:00:00Z"))
-    children = engine.consolidator.collect_children("alice", Level.SESSION, group)
-    assert [n.id for n in children] == [1, 2, 3]  # the 15:00 segment is outside
-    empty = TemporalGroup(
-        level=Level.SESSION, key="e",
-        window=TemporalInterval(parse_ts("2023-01-01T00:00:00Z"),
-                                parse_ts("2023-01-02T00:00:00Z")),
-        base_end=parse_ts("2023-01-02T00:00:00Z"),
-        anchor=parse_ts("2023-01-01T00:00:00Z"))
-    assert engine.consolidator.collect_children("alice", Level.SESSION, empty) == []
+    # members recorded out of order; the 09:05 segment (id 2) is no member
+    group = TemporalGroup(level=Level.SESSION, key="m",
+                          anchor=parse_ts("2023-05-20T09:00:00Z"), member_ids=[5, 3, 1])
+    children = engine.consolidator.collect_children("alice", group)
+    assert [n.id for n in children] == [1, 3, 5]
+    empty = TemporalGroup(level=Level.SESSION, key="e", anchor=parse_ts("2023-01-01T00:00:00Z"))
+    assert engine.consolidator.collect_children("alice", empty) == []
 
 
 def test_day_group_collects_both_sessions(engine):
@@ -136,10 +128,7 @@ def test_history_window_contract(engine):
 
 def test_consolidate_group_requires_closed_and_skips_empty(engine):
     engine.ensure_user("alice")
-    group = TemporalGroup(
-        level=Level.SESSION, key="g",
-        window=TemporalInterval(utc(2023, 5, 1), utc(2023, 5, 2)),
-        base_end=utc(2023, 5, 2), anchor=utc(2023, 5, 1))
+    group = TemporalGroup(level=Level.SESSION, key="g", anchor=utc(2023, 5, 1))
     with pytest.raises(ValueError):
         engine.consolidator.consolidate_group("alice", group)
     group.open = False

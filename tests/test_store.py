@@ -177,9 +177,19 @@ def test_recall_identical_after_reload(tmp_path):
     assert original.context_token_count == reloaded.context_token_count
 
 
-def test_ingestion_continues_after_reload(tmp_path):
-    turns = random_transcript(random.Random(79), "alice", n_sessions=5)
-    split = len(turns) // 2
+def node_rows(engine: MemoryEngine) -> list[tuple]:
+    return [(n.id, int(n.level), n.text, n.interval, n.parent_id, tuple(n.child_ids))
+            for n in engine.tree.all_nodes("alice")]
+
+
+# 181 turns in 10 sessions; each split leaves different groups open
+RESUME_TURNS = random_transcript(random.Random(79), "alice", n_sessions=10)
+
+
+@pytest.mark.parametrize("split", [1, 24, 60, len(RESUME_TURNS) // 2, 135], ids=[
+    "first-turn", "open-week", "open-week-and-month", "half", "open-day-and-month"])
+def test_ingestion_continues_after_reload(tmp_path, split):
+    turns = RESUME_TURNS
     engine = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
     for turn in turns[:split]:
         engine.ingest_turn("alice", turn)
@@ -195,10 +205,57 @@ def test_ingestion_continues_after_reload(tmp_path):
     # reference: one uninterrupted run over the same turns
     reference = MemoryEngine()
     ingest_all(reference, "alice", turns)
-    ref_nodes = reference.tree.all_nodes("alice")
-    got_nodes = resumed.tree.all_nodes("alice")
-    assert [(n.id, int(n.level), n.text) for n in ref_nodes] == \
-           [(n.id, int(n.level), n.text) for n in got_nodes]
+    assert node_rows(resumed) == node_rows(reference)
+
+
+def test_resume_after_torn_tail_keeps_new_records(tmp_path):
+    turns = RESUME_TURNS[:100]
+    engine = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
+    for turn in turns[:50]:
+        engine.ingest_turn("alice", turn)
+    engine.store.close()
+    path = tmp_path / "data" / "alice" / "log.jsonl"
+    torn_log = path.read_bytes()[:-40]  # a torn write of the final record
+    path.write_bytes(torn_log)
+
+    resumed = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
+    first = resumed.load_user("alice")
+    assert first.corrupt is not None
+    for turn in turns[50:]:
+        resumed.ingest_turn("alice", turn)
+    resumed.store.close()
+
+    reloaded = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
+    replay = reloaded.load_user("alice")
+    assert replay.corrupt is None
+    assert node_rows(reloaded) == node_rows(resumed)
+    replayed = {t.turn_id for t in replay.turns}
+    assert all(t.turn_id in replayed for t in turns[50:])
+    sidecar = path.with_name(f"log.corrupt.{first.corrupt.offset}")
+    assert sidecar.read_bytes() == torn_log[first.corrupt.offset:]
+
+
+def test_torn_tail_longer_than_scan_block(tmp_path):
+    def turn(turn_id):
+        return {"record_type": "turn", "turn_id": turn_id, "session_id": "s",
+                "timestamp": "2023-05-20T09:00:00Z", "user_text": "", "assistant_text": ""}
+
+    with LogStore(tmp_path) as store:
+        store.persist_append("alice", turn("a"))
+    path = tmp_path / "alice" / "log.jsonl"
+    good = path.read_bytes()
+    torn = b'{"record_type":"turn","user_text":"' + b"x" * 200_000
+    path.write_bytes(good + torn)
+    with LogStore(tmp_path) as store:
+        store.persist_append("alice", turn("b"))
+    with LogStore(tmp_path) as store:  # an intact log is left alone
+        store.persist_append("alice", turn("c"))
+
+    replay = LogStore(tmp_path).load_replay("alice", MemoryTree())
+    assert replay.corrupt is None
+    assert [t.turn_id for t in replay.turns] == ["a", "b", "c"]
+    assert [p.name for p in path.parent.glob("log.corrupt.*")] == [f"log.corrupt.{len(good)}"]
+    assert path.with_name(f"log.corrupt.{len(good)}").read_bytes() == torn
 
 
 def test_truncated_log_loads_prefix(tmp_path):
