@@ -184,22 +184,20 @@ def _cut_torn_tail(path: Path) -> None:
         f.seek(size - 1)
         if f.read(1) == b"\n":
             return
-        cut, end = 0, size
-        while end > 0:  # scan back block by block to the last newline
-            start = max(0, end - (1 << 16))
-            f.seek(start)
-            newline = f.read(end - start).rfind(b"\n")
-            if newline >= 0:
-                cut = start + newline + 1
-                break
-            end = start
-        f.seek(cut)
-        torn = f.read()
+        f.seek(0)
+        data = f.read()
+        cut = data.rfind(b"\n") + 1
+        torn = data[cut:]
         sidecar = path.with_name(f"log.corrupt.{cut}")
         with open(sidecar, "ab") as out:
             out.write(torn)
             out.flush()
             os.fsync(out.fileno())
+        directory = os.open(path.parent, os.O_RDONLY)
+        try:  # the sidecar's entry must be durable before the bytes leave the log
+            os.fsync(directory)
+        finally:
+            os.close(directory)
         f.truncate(cut)
         os.fsync(f.fileno())
     logger.warning("cut a torn record of %d bytes at offset %d from %s; kept in %s",
@@ -287,7 +285,8 @@ class LogStore:
         """Replay a user's log into the tree.
 
         A corrupt record stops the replay at its offset: everything
-        before it is loaded, the rest is ignored with a warning.
+        before it is loaded, the rest is ignored with a warning. A record
+        is complete only with its newline, the last byte of each write.
         """
         path = self.log_path(user_id)
         tree.ensure_user(user_id)  # register user even when the log is empty
@@ -305,6 +304,8 @@ class LogStore:
                 if not stripped:
                     continue
                 try:
+                    if not raw_line.endswith(b"\n"):
+                        raise ValueError("torn write: the record has no newline")
                     record = json.loads(stripped.decode("utf-8"))
                     if not isinstance(record, dict):
                         raise ValueError("record is not an object")
