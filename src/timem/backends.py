@@ -312,14 +312,13 @@ _RETRIABLE_STATUS = {429, 500, 502, 503, 504}
 
 class _HttpBase:
     def __init__(self, endpoint: str, model: str, timeout: float = 30.0,
-                 max_retries: int = 3, max_concurrency: int = 4,
-                 session: requests.Session | None = None):
+                 max_retries: int = 3, max_concurrency: int = 4):
         self.endpoint = endpoint
         self.model = model
         self.timeout = timeout
         self.max_retries = max_retries
         self._gate = threading.Semaphore(max_concurrency)
-        self._session = session or requests.Session()
+        self._session = requests.Session()
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}

@@ -236,8 +236,7 @@ _TEMPLATES = [
 
 
 def generate_fixture(seed: int = 42, n_users: int = 3, total_turns: int = 120,
-                     n_questions: int = 30,
-                     start: str = "2023-05-20T09:00:00Z") -> tuple[list[dict], list[dict]]:
+                     n_questions: int = 30) -> tuple[list[dict], list[dict]]:
     """Deterministic transcripts plus questions with known evidence.
 
     Sessions step across day, ISO-week, and month boundaries so every
@@ -250,7 +249,7 @@ def generate_fixture(seed: int = 42, n_users: int = 3, total_turns: int = 120,
     transcripts = []
     facts: dict[str, list[dict]] = {u: [] for u in users}
     for user in users:
-        clock = parse_ts(start)
+        clock = parse_ts("2023-05-20T09:00:00Z")
         sessions = []
         session_idx = 0
         turns_left = per_user
@@ -424,9 +423,9 @@ class ManifoldReport:
         return "\n".join(lines) + "\n"
 
 
-def manifold_report(tree: MemoryTree, users: list[str] | None = None) -> ManifoldReport:
+def manifold_report(tree: MemoryTree) -> ManifoldReport:
     """Per-level geometry of node embeddings across users."""
-    users = users or tree.users()
+    users = tree.users()
     rows = []
     for level in Level:
         points, labels = [], []

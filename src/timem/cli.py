@@ -127,6 +127,8 @@ def _cmd_ingest(args) -> int:
     engine = _build_engine(args, config, need_store=True)
     for path in args.transcripts:
         transcript = parse_transcript(path)
+        if not engine.tree.has_user(transcript.user_id):
+            engine.load_user(transcript.user_id)  # resume the user's existing log
         created = 0
         for turn in transcript.turns:
             created += len(engine.ingest_turn(transcript.user_id, turn))

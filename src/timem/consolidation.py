@@ -76,13 +76,12 @@ class Consolidator:
     """Online segment creation plus scheduled multi-level consolidation."""
 
     def __init__(self, tree: MemoryTree, chat: ChatBackend, embedder: Embedder,
-                 prompts: PromptLibrary | None = None,
-                 config: EngineConfig | None = None):
+                 prompts: PromptLibrary, config: EngineConfig):
         self.tree = tree
         self.chat = chat
         self.embedder = embedder
-        self.config = config or EngineConfig()
-        self.prompts = prompts or PromptLibrary(self.config.prompt_dir or None)
+        self.config = config
+        self.prompts = prompts
         self._state: dict[str, _UserState] = {}
 
     def state(self, user_id: str) -> _UserState:
@@ -119,14 +118,7 @@ class Consolidator:
         created = self._drain_pending(user_id)
         if st.open_session is not None:
             created += self._close_session(user_id)
-        for level in _CALENDAR_LEVELS:
-            groups = sorted(st.open_calendar[level].values(), key=lambda g: g.anchor)
-            for group in groups:
-                del st.open_calendar[level][group.key]
-                group.open = False
-                st.pending.append(group)
-                created += self._drain_pending(user_id)
-        return created
+        return created + self._close_due_calendar(user_id, None)
 
     def collect_children(self, user_id: str, group: TemporalGroup) -> list[MemoryNode]:
         """The group's members, ordered by (interval start, id)."""
@@ -139,9 +131,8 @@ class Consolidator:
         """Up to `window` most recent nodes of a level, newest first."""
         if window < 0:
             raise ValueError("window must be >= 0")
-        nodes = self.tree.nodes_at_level(user_id, Level(level))
-        nodes.sort(key=lambda n: (n.interval.end, n.id), reverse=True)
-        return nodes[:window]
+        nodes = self.tree.nodes_at_level(user_id, Level(level))  # (end, id) order
+        return nodes[::-1][:window]
 
     def consolidate_group(self, user_id: str, group: TemporalGroup) -> MemoryNode | None:
         """Consolidate one closed group into a node; None when empty."""
@@ -198,7 +189,7 @@ class Consolidator:
             raise BackendFailure(f"embedding at level {int(level)} failed: {exc}") from exc
         node = MemoryNode(id=self.tree.allocate_id(user_id), user_id=user_id, level=level,
                           interval=interval, text=text, embedding=embedding,
-                          source_turn_ids=source_turn_ids or [], created_at=interval.end)
+                          source_turn_ids=source_turn_ids or [])
         self.tree.insert_node(node)
         return node
 
@@ -267,12 +258,14 @@ class Consolidator:
                     return True
         return False
 
-    def _close_due_calendar(self, user_id: str, now: datetime) -> list[MemoryNode]:
+    def _close_due_calendar(self, user_id: str, now: datetime | None) -> list[MemoryNode]:
+        """Close the calendar groups whose period ended by `now`, lower
+        levels first; `now=None` makes every group due."""
         st = self.state(user_id)
         created = []
         for level in _CALENDAR_LEVELS:
             due = [g for g in st.open_calendar[level].values()
-                   if g.base_end <= now and not self._blocked(user_id, g)]
+                   if (now is None or g.base_end <= now) and not self._blocked(user_id, g)]
             for group in sorted(due, key=lambda g: g.anchor):
                 del st.open_calendar[level][group.key]
                 group.open = False

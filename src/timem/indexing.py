@@ -1,16 +1,16 @@
 """Dual-channel scoring over base segments.
 
 Semantic channel: cosine similarity of embeddings, mapped to [0, 1].
-Lexical channel: Okapi BM25 over extracted keywords, min-max normalized
-per query across the leaf pool. The two are fused with a configurable
-weight and the top-k leaves are activated.
+Lexical channel: Okapi BM25, computed over the query's keyword terms
+only (no corpus-wide index), min-max normalized per query across the
+leaf pool. The two are fused with a configurable weight and the top-k
+leaves are activated.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,40 +38,26 @@ class Bm25Params:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
 
 
-class Bm25Index:
-    """Okapi BM25 statistics over a fixed corpus of token lists."""
-
-    def __init__(self, corpus: list[list[str]], params: Bm25Params | None = None):
-        if not corpus:
-            raise ValueError("corpus must be non-empty")
-        self.params = params or Bm25Params()
-        self.corpus = corpus
-        self.doc_len = [len(doc) for doc in corpus]
-        self.avgdl = sum(self.doc_len) / len(corpus)
-        df: Counter[str] = Counter()
-        for doc in corpus:
-            df.update(set(doc))
-        n = len(corpus)
+def bm25_scores(corpus: list[list[str]], terms: list[str],
+                params: Bm25Params | None = None) -> list[float]:
+    """Okapi BM25 of every document, summed over the query terms in order,
+    once per occurrence; no other term of the corpus is counted."""
+    params = params or Bm25Params()
+    k1, b = params.k1, params.b
+    n = len(corpus)
+    scores = [0.0] * n
+    for term in terms:
+        freqs = [doc.count(term) for doc in corpus]
+        containing = n - freqs.count(0)
+        if not containing:
+            continue
+        avgdl = sum(len(doc) for doc in corpus) / n
         # idf = ln((N - n_t + 0.5) / (n_t + 0.5) + 1)
-        self.idf = {t: math.log((n - c + 0.5) / (c + 0.5) + 1.0) for t, c in df.items()}
-        self._freqs = [Counter(doc) for doc in corpus]
-
-    def score(self, doc_index: int, keywords: list[str]) -> float:
-        if not 0 <= doc_index < len(self.corpus):
-            raise IndexOutOfRange(f"doc index {doc_index} outside corpus of {len(self.corpus)}")
-        k1, b = self.params.k1, self.params.b
-        dl = self.doc_len[doc_index]
-        freqs = self._freqs[doc_index]
-        total = 0.0
-        for term in keywords:
-            idf = self.idf.get(term)
-            if idf is None:
-                continue  # term absent from the whole corpus
-            f = freqs.get(term, 0)
-            denom = f + k1 * (1 - b + b * dl / self.avgdl) if self.avgdl > 0 else f + k1
-            if denom > 0:
-                total += idf * f * (k1 + 1) / denom
-        return total
+        idf = math.log((n - containing + 0.5) / (containing + 0.5) + 1.0)
+        for i, (doc, f) in enumerate(zip(corpus, freqs)):
+            if f:
+                scores[i] += idf * f * (k1 + 1) / (f + k1 * (1 - b + b * len(doc) / avgdl))
+    return scores
 
 
 def bm25_score(
@@ -80,8 +66,10 @@ def bm25_score(
     keywords: list[str],
     params: Bm25Params | None = None,
 ) -> float:
-    """One-shot BM25 score; builds corpus statistics on the fly."""
-    return Bm25Index(corpus, params).score(doc_index, keywords)
+    """BM25 of one document of the corpus for the keyword tokens."""
+    if not 0 <= doc_index < len(corpus):
+        raise IndexOutOfRange(f"doc index {doc_index} outside corpus of {len(corpus)}")
+    return bm25_scores(corpus, keywords, params)[doc_index]
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
@@ -135,8 +123,7 @@ def fused_top_k(
 
     terms = _keyword_terms(keywords)
     corpus = [tokenize(leaf.text) for leaf in leaves]
-    index = Bm25Index(corpus, params)
-    raw_lex = [index.score(i, terms) for i in range(len(leaves))]
+    raw_lex = bm25_scores(corpus, terms, params)
     lo, hi = min(raw_lex), max(raw_lex)
     if hi > lo:
         s_lex = [(x - lo) / (hi - lo) for x in raw_lex]

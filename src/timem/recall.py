@@ -83,9 +83,6 @@ class Candidate:
 class CandidateSet:
     entries: list[Candidate] = field(default_factory=list)
 
-    def node_ids(self) -> list[int]:
-        return [c.node.id for c in self.entries]
-
 
 @dataclass
 class RecalledMemory:

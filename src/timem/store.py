@@ -4,8 +4,9 @@ Each user owns one JSON-lines log at <root>/<user_id>/log.jsonl holding
 node and turn records in creation order. The log is append-only and
 tombstone-free (nodes are never deleted), so replaying it rebuilds the
 exact tree; embeddings are stored inline as base64 of little-endian
-float32 so records stay single-line. A torn final record is cut off
-(into a sidecar) before a writer appends to the log.
+float32 so records stay single-line. A store appends to a log only after
+replaying it, and cuts what replay did not accept (a torn or corrupt
+record and all after it) into a sidecar before its first append.
 """
 
 from __future__ import annotations
@@ -149,7 +150,6 @@ def node_record(node: MemoryNode) -> dict:
         "embedding": encode_embedding(node.embedding) if node.embedding is not None else None,
         "child_ids": list(node.child_ids),
         "source_turn_ids": list(node.source_turn_ids),
-        "created_at": format_ts(node.created_at) if node.created_at else None,
     }
 
 
@@ -171,26 +171,16 @@ class ReplayResult:
     corrupt: CorruptRecord | None = None
 
 
-def _cut_torn_tail(path: Path) -> None:
-    """Truncate a log that does not end in a newline back to its last
-    complete record, so new records never extend a torn write. The cut
+def _cut_log(path: Path, offset: int) -> None:
+    """Truncate a log to `offset`, the end of the records replay
+    accepted, so new records never follow a torn or corrupt one. The cut
     bytes are kept in a `log.corrupt.<offset>` sidecar beside the log."""
-    if not path.exists():
-        return
     with open(path, "r+b") as f:
-        size = f.seek(0, os.SEEK_END)
-        if size == 0:
-            return
-        f.seek(size - 1)
-        if f.read(1) == b"\n":
-            return
-        f.seek(0)
-        data = f.read()
-        cut = data.rfind(b"\n") + 1
-        torn = data[cut:]
-        sidecar = path.with_name(f"log.corrupt.{cut}")
+        f.seek(offset)
+        cut = f.read()
+        sidecar = path.with_name(f"log.corrupt.{offset}")
         with open(sidecar, "ab") as out:
-            out.write(torn)
+            out.write(cut)
             out.flush()
             os.fsync(out.fileno())
         directory = os.open(path.parent, os.O_RDONLY)
@@ -198,20 +188,21 @@ def _cut_torn_tail(path: Path) -> None:
             os.fsync(directory)
         finally:
             os.close(directory)
-        f.truncate(cut)
+        f.truncate(offset)
         os.fsync(f.fileno())
-    logger.warning("cut a torn record of %d bytes at offset %d from %s; kept in %s",
-                   len(torn), cut, path, sidecar)
+    logger.warning("cut %d bytes that replay did not accept at offset %d from %s; kept in %s",
+                   len(cut), offset, path, sidecar)
 
 
 class LogStore:
     """One append-only JSON-lines log per user under a root directory."""
 
-    def __init__(self, root: str | Path, readonly: bool = False):
+    def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.readonly = readonly
         self._handles: dict[str, object] = {}
         self._locks: dict[str, object] = {}
+        # user -> offset where the records this store replayed or wrote end
+        self._records_end: dict[str, int] = {}
 
     def _user_dir(self, user_id: str) -> Path:
         if "/" in user_id or "\\" in user_id or user_id in ("", ".", ".."):
@@ -228,8 +219,6 @@ class LogStore:
                       if (p / "log.jsonl").exists())
 
     def _writer(self, user_id: str):
-        if self.readonly:
-            raise StoreIoError("store opened read-only")
         handle = self._handles.get(user_id)
         if handle is None:
             directory = self._user_dir(user_id)
@@ -244,7 +233,15 @@ class LogStore:
                         f"log for {user_id!r} is locked by another writer") from exc
                 self._locks[user_id] = lock_file
             path = self.log_path(user_id)
-            _cut_torn_tail(path)
+            size = path.stat().st_size if path.exists() else 0
+            if size:
+                end = self._records_end.get(user_id)
+                if end is None:
+                    self._unlock(user_id)
+                    raise StoreIoError(
+                        f"replay the log of {user_id!r} before appending to it")
+                if end < size:
+                    _cut_log(path, end)
             handle = open(path, "ab")
             self._handles[user_id] = handle
         return handle
@@ -265,15 +262,19 @@ class LogStore:
     def append_turn(self, user_id: str, turn: DialogTurn) -> int:
         return self.persist_append(user_id, turn_record(turn))
 
-    def close(self) -> None:
-        for handle in self._handles.values():
-            handle.close()
-        for lock_file in self._locks.values():
-            if fcntl is not None:
-                fcntl.flock(lock_file, fcntl.LOCK_UN)
+    def _unlock(self, user_id: str) -> None:
+        lock_file = self._locks.pop(user_id, None)
+        if lock_file is not None:
+            fcntl.flock(lock_file, fcntl.LOCK_UN)
             lock_file.close()
+
+    def close(self) -> None:
+        for user_id, handle in self._handles.items():
+            self._records_end[user_id] = handle.tell()
+            handle.close()
         self._handles.clear()
-        self._locks.clear()
+        for user_id in list(self._locks):
+            self._unlock(user_id)
 
     def __enter__(self):
         return self
@@ -287,6 +288,7 @@ class LogStore:
         A corrupt record stops the replay at its offset: everything
         before it is loaded, the rest is ignored with a warning. A record
         is complete only with its newline, the last byte of each write.
+        This store's next append to the log follows the accepted records.
         """
         path = self.log_path(user_id)
         tree.ensure_user(user_id)  # register user even when the log is empty
@@ -314,6 +316,7 @@ class LogStore:
                         f"corrupt record at offset {line_offset} in {path}: {exc}",
                         offset=line_offset)
                     logger.warning("%s; ignoring the rest of the log", corrupt)
+                    offset = line_offset
                     break
                 kind = record.get("record_type")
                 if kind == "node":
@@ -328,6 +331,7 @@ class LogStore:
                         assistant_text=record.get("assistant_text", "")))
                 else:
                     logger.warning("unknown record type %r at offset %d", kind, line_offset)
+        self._records_end[user_id] = offset
         return ReplayResult(nodes_loaded=nodes_loaded, turns=turns, corrupt=corrupt)
 
     @staticmethod
@@ -341,7 +345,6 @@ class LogStore:
             text=record["text"],
             embedding=decode_embedding(embedding) if embedding else None,
             source_turn_ids=list(record.get("source_turn_ids") or []),
-            created_at=parse_ts(record["created_at"]) if record.get("created_at") else None,
         )
         tree.insert_node(node)
         child_ids = [int(c) for c in record.get("child_ids") or []]

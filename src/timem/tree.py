@@ -64,7 +64,6 @@ class MemoryNode:
     parent_id: int | None = None
     child_ids: list[int] = field(default_factory=list)
     source_turn_ids: list[str] = field(default_factory=list)
-    created_at: datetime | None = None
 
 
 @dataclass

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import re
@@ -99,6 +100,28 @@ def test_bench_canonical_bytes_identical_across_runs(fixture_dir):
     second = run_bench(paths, questions).canonical_json()
     assert first == second
     assert b"latency" not in first.encode()
+
+
+# sha256 of canonical_json() for write_fixture(seed) with its defaults. Change
+# these only together with a CHANGES.md line explaining the intended change
+# of the bench output.
+CANONICAL_SHA256 = {
+    (42, True): "f97be337ce829990c86361d7c0fbdc677b5efd774a9b0172065c6c2b428f4488",
+    (42, False): "e23c866d1c6680ea66bc3b30e2ce1f26606880a702a5da83ce96cdb734d776a7",
+    (1, True): "2ca60daf9a166976c6bb64f96ff97aed87f459bbe5b3b47b22a0f087f5de5fec",
+    (1, False): "94142b4238966b712262308a99989b8b7321b509c67011b959c2581c0adc84fd",
+    (7, True): "cc856c317663ad7cc303dc58203f1e3cc896eb9f8ebcc26704f83670a8ea233d",
+    (7, False): "496606cc5901a85ff6a328c7e383335b90f0a56116ad03c0b71c997ac6ee8340",
+}
+
+
+@pytest.mark.parametrize("seed,gate", list(CANONICAL_SHA256),
+                         ids=[f"seed{s}-{'gated' if g else 'ungated'}" for s, g in CANONICAL_SHA256])
+def test_canonical_report_golden(tmp_path, seed, gate):
+    *transcripts, questions = write_fixture(tmp_path, seed=seed)
+    report = run_bench([str(p) for p in transcripts], questions, gate=gate)
+    digest = hashlib.sha256(report.canonical_json().encode("utf-8")).hexdigest()
+    assert digest == CANONICAL_SHA256[(seed, gate)]
 
 
 def test_bench_independent_of_prompt_wording(fixture_dir, tmp_path):

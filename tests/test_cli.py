@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from timem import MemoryEngine, parse_transcript
 from timem.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 
 
@@ -60,6 +61,40 @@ def test_ingest_validate_recall_roundtrip(fixture_dir, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["plan"]["complexity"] in ("simple", "hybrid", "complex")
     assert isinstance(payload["memories"], list)
+
+
+def test_ingest_resumes_an_existing_log(fixture_dir, tmp_path, capsys):
+    data = json.loads((fixture_dir / "transcript_alice.json").read_text(encoding="utf-8"))
+    middle = len(data["sessions"]) // 2
+    halves = []
+    for name, sessions in (("a.json", data["sessions"][:middle]),
+                           ("b.json", data["sessions"][middle:])):
+        halves.append(tmp_path / name)
+        halves[-1].write_text(json.dumps({**data, "sessions": sessions}), encoding="utf-8")
+    data_dir = str(tmp_path / "data")
+    for half in halves:
+        assert main(["ingest", "--data-dir", data_dir, str(half)]) == EXIT_OK
+    assert main(["validate", "--data-dir", data_dir]) == EXIT_OK
+
+    def rows(engine):
+        return [(n.id, int(n.level), n.text, n.interval, n.parent_id, tuple(n.child_ids))
+                for n in engine.tree.all_nodes("alice")]
+
+    stored = MemoryEngine.with_mock_backends(data_dir=data_dir)
+    stored.load_user("alice")
+    reference = MemoryEngine()
+    for half in halves:
+        for turn in parse_transcript(half).turns:
+            reference.ingest_turn("alice", turn)
+        reference.flush("alice")
+    assert rows(stored) == rows(reference)
+
+    # the second half again would go back in time: refused, the log intact
+    log = tmp_path / "data" / "alice" / "log.jsonl"
+    before = log.read_bytes()
+    assert main(["ingest", "--data-dir", data_dir, str(halves[1])]) == EXIT_DATA
+    assert log.read_bytes() == before
+    assert main(["validate", "--data-dir", data_dir]) == EXIT_OK
 
 
 def test_ingest_requires_data_dir(fixture_dir, monkeypatch, capsys):

@@ -122,6 +122,7 @@ def test_history_window_contract(engine):
     assert ends == sorted(ends, reverse=True) and len(recent) == 3
     assert recent[0].interval.end == sessions[-1].interval.end
     assert len(engine.consolidator.history_window("alice", Level.SESSION, 9)) == 5
+    assert engine.consolidator.history_window("alice", Level.SESSION, 0) == []
     with pytest.raises(ValueError):
         engine.consolidator.history_window("alice", Level.SESSION, -1)
 

@@ -110,12 +110,6 @@ def test_persist_append_offsets_increase(tmp_path):
     assert o1 < o2
 
 
-def test_append_readonly_store_errors(tmp_path):
-    store = LogStore(tmp_path, readonly=True)
-    with pytest.raises(StoreIoError):
-        store.persist_append("alice", {"record_type": "turn"})
-
-
 def test_append_survives_reopen(tmp_path):
     store = LogStore(tmp_path)
     store.persist_append("alice", {"record_type": "turn", "turn_id": "a",
@@ -124,6 +118,32 @@ def test_append_survives_reopen(tmp_path):
     store.close()  # simulated crash boundary: data was fsynced per append
     replay = LogStore(tmp_path).load_replay("alice", MemoryTree())
     assert len(replay.turns) == 1 and replay.turns[0].user_text == "hello"
+    # the store that wrote the log may reopen it without a replay
+    store.persist_append("alice", {"record_type": "turn", "turn_id": "b",
+                                   "session_id": "s", "timestamp": "2023-05-20T09:01:00Z",
+                                   "user_text": "again", "assistant_text": "hi"})
+    store.close()
+    replay = LogStore(tmp_path).load_replay("alice", MemoryTree())
+    assert [t.user_text for t in replay.turns] == ["hello", "again"]
+
+
+def test_append_without_replay_errors(tmp_path):
+    record = {"record_type": "turn", "turn_id": "a", "session_id": "s",
+              "timestamp": "2023-05-20T09:00:00Z", "user_text": "", "assistant_text": ""}
+    with LogStore(tmp_path) as store:
+        store.persist_append("alice", record)
+    path = tmp_path / "alice" / "log.jsonl"
+    before = path.read_bytes()
+
+    store = LogStore(tmp_path)
+    with pytest.raises(StoreIoError):
+        store.persist_append("alice", record)
+    assert path.read_bytes() == before
+    store.load_replay("alice", MemoryTree())  # now the append follows the replayed records
+    store.persist_append("alice", {**record, "turn_id": "b"})
+    store.close()
+    assert path.read_bytes().startswith(before)
+    assert len(LogStore(tmp_path).load_replay("alice", MemoryTree()).turns) == 2
 
 
 def test_writer_lock_is_exclusive(tmp_path):
@@ -150,6 +170,13 @@ def test_roundtrip_counts_and_validation(tmp_path):
     ingest_all(engine, "alice", turns)
     engine.store.close()
     before = {lvl: len(engine.tree.nodes_at_level("alice", lvl)) for lvl in Level}
+    # logs written before node records lost their "created_at" key still replay
+    path = tmp_path / "data" / "alice" / "log.jsonl"
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    for record in records:
+        if record["record_type"] == "node":
+            record["created_at"] = record["end"]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
 
     fresh = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
     fresh.load_user("alice")
@@ -208,16 +235,24 @@ def test_ingestion_continues_after_reload(tmp_path, split):
     assert node_rows(resumed) == node_rows(reference)
 
 
-@pytest.mark.parametrize("cut", [1, 40], ids=["only-the-newline", "into-the-record"])
-def test_resume_after_torn_tail_keeps_new_records(tmp_path, cut):
+def _garbage_fifth_last_line(log: bytes) -> bytes:
+    lines = log.splitlines(keepends=True)
+    lines[-5] = b'{"broken": \n'
+    return b"".join(lines)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda log: log[:-1], lambda log: log[:-40], _garbage_fifth_last_line,
+], ids=["only-the-newline", "into-the-record", "garbage-mid-log"])
+def test_resume_after_torn_tail_keeps_new_records(tmp_path, damage):
     turns = RESUME_TURNS[:100]
     engine = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
     for turn in turns[:50]:
         engine.ingest_turn("alice", turn)
     engine.store.close()
     path = tmp_path / "data" / "alice" / "log.jsonl"
-    torn_log = path.read_bytes()[:-cut]  # a torn write of the final record
-    path.write_bytes(torn_log)
+    damaged = damage(path.read_bytes())  # a torn final write or a corrupt line
+    path.write_bytes(damaged)
 
     resumed = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
     first = resumed.load_user("alice")
@@ -233,7 +268,7 @@ def test_resume_after_torn_tail_keeps_new_records(tmp_path, cut):
     replayed = {t.turn_id for t in replay.turns}
     assert all(t.turn_id in replayed for t in turns[50:])
     sidecar = path.with_name(f"log.corrupt.{first.corrupt.offset}")
-    assert sidecar.read_bytes() == torn_log[first.corrupt.offset:]
+    assert sidecar.read_bytes() == damaged[first.corrupt.offset:]
     assert list(path.parent.glob("log.corrupt.*")) == [sidecar]
 
 
