@@ -161,7 +161,7 @@ def _cmd_recall(args) -> int:
             "memories": [{
                 "node_id": m.node_id, "level": m.level,
                 "start": format_ts(m.interval.start), "end": format_ts(m.interval.end),
-                "fused": m.fused, "text": m.text,
+                "fused": m.fused, "s_sem": m.s_sem, "s_lex": m.s_lex, "text": m.text,
             } for m in result.memories],
         }
         print(json.dumps(payload, indent=2))
@@ -195,6 +195,12 @@ def _cmd_validate(args) -> int:
 def _cmd_bench(args) -> int:
     config = _load_config(args)
     engine = _build_engine(args, config)
+    if engine.store is not None and engine.store.users():
+        # bench ingests its transcripts from the first turn, which would
+        # follow the turns already logged; refuse before touching a log
+        raise StoreIoError(
+            f"data directory {engine.store.root} already holds the logs of "
+            f"{', '.join(engine.store.users())}; bench needs one without logs")
     override = Complexity(args.complexity_override) if args.complexity_override else None
     report = run_bench(args.transcripts, args.questions, config=config,
                        engine=engine, gate=not args.no_gate,

@@ -131,8 +131,7 @@ class Consolidator:
         """Up to `window` most recent nodes of a level, newest first."""
         if window < 0:
             raise ValueError("window must be >= 0")
-        nodes = self.tree.nodes_at_level(user_id, Level(level))  # (end, id) order
-        return nodes[::-1][:window]
+        return self.tree.recent_at_level(user_id, Level(level), window)
 
     def consolidate_group(self, user_id: str, group: TemporalGroup) -> MemoryNode | None:
         """Consolidate one closed group into a node; None when empty."""

@@ -5,18 +5,31 @@ Lexical channel: Okapi BM25, computed over the query's keyword terms
 only (no corpus-wide index), min-max normalized per query across the
 leaf pool. The two are fused with a configurable weight and the top-k
 leaves are activated.
+
+Leaves are scored from a `LeafIndex`, the columns of a leaf pool that
+scoring reads: float32 embedding rows in fixed-size blocks, float64
+norms, end times, ids and interned token lists. The tree keeps one per
+user, in (end, id) order, so a recall scores the prefix ending by t_q
+in one vectorised pass instead of a Python loop per leaf.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import re
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
+from datetime import datetime
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, ZeroVector
-from .tree import MemoryNode
+
+if TYPE_CHECKING:
+    from .tree import MemoryNode
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -92,6 +105,117 @@ class ScoredLeaf:
     fused: float
 
 
+# The embedding bytes of one LeafIndex block. It stays under the 128 KiB
+# from which glibc's malloc maps fresh pages for an allocation, so blocks
+# reuse the heap memory that the replaced per-node embeddings and freed
+# trees leave behind. With 512 KiB blocks, each mapped afresh, peak RSS of
+# the deep_durable benchmark (a replayed 1000-leaf tree) rose by 5%.
+BLOCK_BYTES = 124 * 1024
+
+
+def block_rows(dimension: int) -> int:
+    """Rows of a LeafIndex block for float32 embeddings of `dimension`."""
+    return max(1, BLOCK_BYTES // (4 * dimension))
+
+
+class _Block:
+    """The columns of `block_rows` leaves; rows past the index's end are unset."""
+
+    __slots__ = ("rows", "norms", "stamps", "ids")
+
+    def __init__(self, size: int, dimension: int):
+        self.rows = np.empty((size, dimension), dtype=np.float32)
+        self.norms = np.empty(size)                 # float64 norm of each row
+        self.stamps = np.empty(size)                # interval end, POSIX seconds
+        self.ids = np.empty(size, dtype=np.int64)
+
+
+class LeafIndex:
+    """The columns of a leaf pool that scoring reads, in the order added.
+
+    Embeddings are float32 rows of fixed-size blocks: adding a leaf never
+    moves the rows already held, so a tree can rebind each leaf's
+    `node.embedding` to a view of its row instead of keeping a second
+    copy. Beside each row: its float64 norm, the leaf's id, its interval
+    end (a datetime for `upto`, a timestamp for the recency tie-break)
+    and its interned tokens, so no recall tokenizes a leaf again.
+
+    Rows are only ever appended, so a view from `upto` stays valid while
+    the index it came from grows.
+    """
+
+    def __init__(self):
+        self.blocks: list[_Block] = []
+        self.dimension = 0   # set by the first leaf, as is block_rows
+        self.block_rows = 0
+        self._size = 0
+        self.ends: list[datetime] = []
+        self.tokens: list[list[str]] = []
+
+    @classmethod
+    def of(cls, leaves: list[MemoryNode]) -> LeafIndex:
+        index = cls()
+        for leaf in leaves:
+            index.add(leaf)
+        return index
+
+    def __len__(self) -> int:
+        return self._size
+
+    def add(self, leaf: MemoryNode) -> np.ndarray:
+        """Append a leaf's columns; returns its embedding row."""
+        if leaf.embedding is None:
+            raise ValueError(f"leaf {leaf.id} has no embedding")
+        vector = np.asarray(leaf.embedding)
+        if not self.blocks:
+            self.dimension = vector.shape[0]
+            self.block_rows = block_rows(self.dimension)
+        elif vector.shape != (self.dimension,):
+            raise DimensionMismatch(
+                f"leaf {leaf.id} has embedding shape {vector.shape}, the pool ({self.dimension},)")
+        number, i = divmod(self._size, self.block_rows)
+        if number == len(self.blocks):
+            self.blocks.append(_Block(self.block_rows, self.dimension))
+        block = self.blocks[number]
+        block.rows[i] = vector
+        row = block.rows[i]
+        block.norms[i] = np.linalg.norm(row.astype(np.float64))
+        block.stamps[i] = leaf.interval.end.timestamp()
+        block.ids[i] = leaf.id
+        self.ends.append(leaf.interval.end)
+        self.tokens.append([sys.intern(t) for t in tokenize(leaf.text)])
+        self._size += 1
+        return row
+
+    def upto(self, t_q: datetime | None) -> LeafIndex:
+        """A view of the leaves ending at or before `t_q` (every leaf for
+        None); the leaves must have been added in (end, id) order."""
+        view = copy.copy(self)
+        if t_q is not None:
+            view._size = bisect_right(self.ends, t_q, 0, self._size)
+        return view
+
+    def columns(self, query: np.ndarray) -> list[np.ndarray]:
+        """Each leaf's dot product with a float64 `query`, its norm, end
+        timestamp and id.
+
+        The dot products come from `einsum` per block, not from the gemv
+        of `rows @ query`: OpenBLAS gemv can give two equal rows results
+        that differ in the last bits depending on where they sit, which
+        would break the recency and id tie rule; `einsum` computes every
+        row the same way, and for the mock embeddings bit for bit as the
+        per-leaf `np.dot` of `cosine_similarity`.
+        """
+        if query.shape != (self.dimension,):
+            raise DimensionMismatch(f"shapes {query.shape} and {(self.dimension,)} differ")
+        parts = []
+        for start, block in zip(range(0, self._size, self.block_rows), self.blocks):
+            m = min(self.block_rows, self._size - start)
+            parts.append((np.einsum("ij,j->i", block.rows[:m], query),
+                          block.norms[:m], block.stamps[:m], block.ids[:m]))
+        return [np.concatenate(column) for column in zip(*parts)]
+
+
 def _keyword_terms(keywords: list[str]) -> list[str]:
     """Flatten keywords to tokens (a multiword keyword scores per token)."""
     terms: list[str] = []
@@ -103,7 +227,7 @@ def _keyword_terms(keywords: list[str]) -> list[str]:
 def fused_top_k(
     query_embedding: np.ndarray,
     keywords: list[str],
-    leaves: list[MemoryNode],
+    leaves: list[MemoryNode] | LeafIndex,
     fusion_weight: float = 0.9,
     k: int = 20,
     params: Bm25Params | None = None,
@@ -112,32 +236,35 @@ def fused_top_k(
 
     s_sem = (1 + cosine) / 2; s_lex = min-max normalized BM25 over the
     whole leaf pool (all scores equal -> 0 for all). Ties break toward
-    the more recent interval end, then the smaller id.
+    the more recent interval end, then the smaller id. `leaves` is a
+    list of nodes or a `LeafIndex`; a list is scored through a LeafIndex
+    built for the call, with the same arithmetic.
     """
     if not 0 <= fusion_weight <= 1:
         raise ValueError(f"fusion weight must be in [0, 1], got {fusion_weight}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not leaves:
+    if not len(leaves):
         return []
+    index = leaves if isinstance(leaves, LeafIndex) else LeafIndex.of(leaves)
 
-    terms = _keyword_terms(keywords)
-    corpus = [tokenize(leaf.text) for leaf in leaves]
-    raw_lex = bm25_scores(corpus, terms, params)
-    lo, hi = min(raw_lex), max(raw_lex)
+    query = np.asarray(query_embedding, dtype=np.float64)
+    dots, norms, stamps, ids = index.columns(query)
+    query_norm = float(np.linalg.norm(query))
+    if query_norm == 0.0 or not norms.all():
+        raise ZeroVector("cosine similarity undefined for zero vectors")
+    s_sem = (1.0 + dots / (query_norm * norms)) / 2.0
+
+    terms = [sys.intern(t) for t in _keyword_terms(keywords)]
+    raw_lex = np.array(bm25_scores(index.tokens[:len(index)], terms, params))
+    lo, hi = raw_lex.min(), raw_lex.max()
     if hi > lo:
-        s_lex = [(x - lo) / (hi - lo) for x in raw_lex]
+        s_lex = (raw_lex - lo) / (hi - lo)
     else:
-        s_lex = [0.0] * len(leaves)  # no discriminative lexical signal
+        s_lex = np.zeros(len(index))  # no discriminative lexical signal
 
-    scored = []
-    for i, leaf in enumerate(leaves):
-        if leaf.embedding is None:
-            raise ValueError(f"leaf {leaf.id} has no embedding")
-        sem = (1.0 + cosine_similarity(query_embedding, leaf.embedding)) / 2.0
-        fused = fusion_weight * sem + (1.0 - fusion_weight) * s_lex[i]
-        scored.append((fused, leaf.interval.end, leaf.id, ScoredLeaf(leaf.id, sem, s_lex[i], fused)))
-
+    fused = fusion_weight * s_sem + (1.0 - fusion_weight) * s_lex
     # fused descending, then recency descending, then id ascending
-    scored.sort(key=lambda item: (-item[0], -item[1].timestamp(), item[2]))
-    return [item[3] for item in scored[:k]]
+    top = np.lexsort((ids, -stamps, -fused))[:k]
+    return [ScoredLeaf(int(ids[i]), float(s_sem[i]), float(s_lex[i]), float(fused[i]))
+            for i in top]

@@ -75,8 +75,10 @@ def strategy_levels(complexity: Complexity,
 @dataclass
 class Candidate:
     node: MemoryNode
-    fused: float | None = None   # set for activated leaves
+    fused: float | None = None   # set for activated leaves, as are s_sem and s_lex
     via_leaf: int | None = None  # best-scoring leaf that reached an ancestor
+    s_sem: float | None = None
+    s_lex: float | None = None
 
 
 @dataclass
@@ -92,6 +94,8 @@ class RecalledMemory:
     interval: TemporalInterval
     fused: float | None
     via_leaf: int | None
+    s_sem: float | None = None  # a leaf's channel scores; None for an ancestor
+    s_lex: float | None = None
 
 
 @dataclass
@@ -195,7 +199,8 @@ class RecallPipeline:
         leaf_cap = caps.get(Level.SEGMENT, len(leaves))
         for leaf in leaves[:leaf_cap]:
             node = self.tree.get(user_id, leaf.node_id)
-            entries.append(Candidate(node=node, fused=leaf.fused))
+            entries.append(Candidate(node=node, fused=leaf.fused,
+                                     s_sem=leaf.s_sem, s_lex=leaf.s_lex))
             seen.add(node.id)
             counts[Level.SEGMENT] += 1
 
@@ -278,12 +283,11 @@ class RecallPipeline:
             plan = RecallPlan(complexity=complexity_override, keywords=plan.keywords,
                               planner_fallback_used=plan.planner_fallback_used)
 
-        pool = self.tree.nodes_at_level(user_id, Level.SEGMENT)
         t_ref = t_q
-        if t_ref is None and pool:
-            t_ref = max(n.interval.end for n in pool)
-        if t_q is not None:
-            pool = [n for n in pool if n.interval.end <= t_q]
+        if t_ref is None:
+            latest = self.tree.latest_at_level(user_id, Level.SEGMENT)
+            t_ref = latest.interval.end if latest is not None else None
+        pool = self.tree.leaf_index(user_id).upto(t_q)
 
         query_embedding = self.embedder.embed_text(query)
         leaves = fused_top_k(
@@ -301,6 +305,7 @@ class RecallPipeline:
         memories = [RecalledMemory(
             node_id=c.node.id, level=int(c.node.level), text=c.node.text,
             interval=c.node.interval, fused=c.fused, via_leaf=c.via_leaf,
+            s_sem=c.s_sem, s_lex=c.s_lex,
         ) for c in ranked]
         return RecallResult(
             memories=memories,

@@ -4,11 +4,26 @@ Nodes live on levels Segment(1) < Session(2) < Day(3) < Week(4) <
 Profile(5). Every parent-child edge must step exactly one level and the
 parent's time interval must cover the child's. Each user owns a fully
 isolated tree; node ids are monotonically increasing per user.
+
+Besides the nodes by id, a tree keeps two indexes per user:
+
+- one list per level in (interval end, id) order. An insert appends
+  when the node sorts last (every insert of the benchmark workloads
+  does) and `bisect.insort`s it otherwise, so listing a level copies a
+  list, and the latest node of a level is its last element.
+- a `LeafIndex` of the segments, the columns recall scores. It is not
+  kept up at insert time: `leaf_index` catches up with the segments
+  inserted since its last call, so ingest and replay never pay for it.
+  Each segment's `embedding` then is a view of its float32 row in one of
+  the index's fixed-size blocks, not a second copy. A segment inserted
+  before the end of its level's order drops the index, and the next
+  call rebuilds it.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import insort
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import IntEnum
@@ -22,6 +37,7 @@ from .errors import (
     MissingParent,
     UnknownNode,
 )
+from .indexing import LeafIndex
 
 
 class Level(IntEnum):
@@ -86,6 +102,10 @@ class TreeReport:
 _EMBED_NORM_TOL = 1e-6
 
 
+def _end_order(node: MemoryNode) -> tuple:
+    return node.interval.end, node.id
+
+
 class MemoryTree:
     """Per-user node store enforcing the structural rules on every edge.
 
@@ -96,6 +116,9 @@ class MemoryTree:
     def __init__(self):
         self._nodes: dict[str, dict[int, MemoryNode]] = {}
         self._next_id: dict[str, int] = {}
+        # user -> level -> nodes in (interval end, id) order
+        self._levels: dict[str, dict[Level, list[MemoryNode]]] = {}
+        self._leaves: dict[str, LeafIndex] = {}  # user -> caught up by leaf_index
         self._locks: dict[str, threading.RLock] = {}
         self._registry_lock = threading.Lock()
 
@@ -106,6 +129,7 @@ class MemoryTree:
                 lock = self._locks[user_id] = threading.RLock()
                 self._nodes.setdefault(user_id, {})
                 self._next_id.setdefault(user_id, 1)
+                self._levels.setdefault(user_id, {level: [] for level in Level})
             return lock
 
     def ensure_user(self, user_id: str) -> None:
@@ -148,6 +172,7 @@ class MemoryTree:
                     raise MissingParent(f"parent {node.parent_id} not found")
                 self._check_edge(parent, node)
             nodes[node.id] = node
+            self._add_to_level(node)
             if parent is not None and node.id not in parent.child_ids:
                 parent.child_ids.append(node.id)
                 self._sort_children(node.user_id, parent)
@@ -179,16 +204,42 @@ class MemoryTree:
                 f"parent [{parent.interval.start}, {parent.interval.end}]"
             )
 
+    def _add_to_level(self, node: MemoryNode) -> None:
+        ordered = self._levels[node.user_id][node.level]
+        if not ordered or _end_order(ordered[-1]) < _end_order(node):
+            ordered.append(node)
+            return
+        insort(ordered, node, key=_end_order)
+        if node.level == Level.SEGMENT:
+            self._leaves.pop(node.user_id, None)
+
     def _sort_children(self, user_id: str, parent: MemoryNode) -> None:
         nodes = self._nodes[user_id]
         parent.child_ids.sort(key=lambda cid: (nodes[cid].interval.start, cid))
 
+    def _ordered(self, user_id: str, level: Level) -> list[MemoryNode]:
+        levels = self._levels.get(user_id)
+        return levels[level] if levels else []
+
     def nodes_at_level(self, user_id: str, level: Level) -> list[MemoryNode]:
-        """Nodes of one level, ordered by interval end (ties by id)."""
-        nodes = list(self._nodes.get(user_id, {}).values())
-        selected = [n for n in nodes if n.level == level]
-        selected.sort(key=lambda n: (n.interval.end, n.id))
-        return selected
+        """A copy of the nodes of one level, ordered by interval end (ties by id)."""
+        return list(self._ordered(user_id, level))
+
+    def recent_at_level(self, user_id: str, level: Level, count: int) -> list[MemoryNode]:
+        """Up to `count` nodes of a level, the latest (end, id) first."""
+        ordered = self._ordered(user_id, level)
+        return ordered[max(len(ordered) - count, 0):][::-1]
+
+    def leaf_index(self, user_id: str) -> LeafIndex:
+        """The user's segments in (end, id) order as a LeafIndex, after
+        adding the segments inserted since the last call."""
+        with self._user_lock(user_id):
+            index = self._leaves.get(user_id)
+            if index is None:
+                index = self._leaves[user_id] = LeafIndex()
+            for node in self._levels[user_id][Level.SEGMENT][len(index):]:
+                node.embedding = index.add(node)
+            return index
 
     def all_nodes(self, user_id: str) -> list[MemoryNode]:
         return sorted(self._nodes.get(user_id, {}).values(), key=lambda n: n.id)
@@ -205,8 +256,8 @@ class MemoryTree:
         return found
 
     def latest_at_level(self, user_id: str, level: Level) -> MemoryNode | None:
-        nodes = self.nodes_at_level(user_id, level)
-        return nodes[-1] if nodes else None
+        ordered = self._ordered(user_id, level)
+        return ordered[-1] if ordered else None
 
     def validate_tree(self, user_id: str) -> TreeReport:
         nodes = self._nodes.get(user_id, {})

@@ -62,6 +62,16 @@ def test_ingest_validate_recall_roundtrip(fixture_dir, tmp_path, capsys):
     assert payload["plan"]["complexity"] in ("simple", "hybrid", "complex")
     assert isinstance(payload["memories"], list)
 
+    assert main(["recall", "--data-dir", data_dir, "--user", "alice", "--no-gate",
+                 "--output", "json", "Where did Alice go kayaking?"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert {1, 2} <= {m["level"] for m in payload["memories"]}
+    for m in payload["memories"]:  # a leaf's channel scores; none for an ancestor
+        if m["level"] == 1:
+            assert 0.0 <= m["s_sem"] <= 1.0 and 0.0 <= m["s_lex"] <= 1.0
+        else:
+            assert m["s_sem"] is None and m["s_lex"] is None
+
 
 def test_ingest_resumes_an_existing_log(fixture_dir, tmp_path, capsys):
     data = json.loads((fixture_dir / "transcript_alice.json").read_text(encoding="utf-8"))
@@ -117,6 +127,25 @@ def test_bench_json_output(fixture_dir, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 5  # 4 queries + aggregates
     assert all("query_id" in json.loads(l) or "aggregates" in json.loads(l) for l in lines)
+
+
+def test_bench_refuses_a_data_dir_with_logs(fixture_dir, tmp_path, capsys):
+    transcripts = sorted(str(p) for p in fixture_dir.glob("transcript_*.json"))
+    args = ["bench", "--transcripts", *transcripts,
+            "--questions", str(fixture_dir / "questions.jsonl"), "--output", "json"]
+    data_dir = tmp_path / "data"
+    assert main([*args, "--data-dir", str(data_dir)]) == EXIT_OK
+    logs = sorted(data_dir.glob("*/log.jsonl"))
+    assert [p.parent.name for p in logs] == ["alice", "bob"]
+    before = [p.read_bytes() for p in logs]
+    capsys.readouterr()
+
+    assert main([*args, "--data-dir", str(data_dir)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(data_dir) in captured.err and "alice, bob" in captured.err
+    assert [p.read_bytes() for p in logs] == before
+    assert main(["validate", "--data-dir", str(data_dir)]) == EXIT_OK
 
 
 def test_bench_no_gate_flag(fixture_dir, capsys):

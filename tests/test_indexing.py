@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from timem import (
     Bm25Params,
     Level,
     MemoryNode,
+    MemoryTree,
+    ScoredLeaf,
     TemporalInterval,
     bm25_score,
     cosine_similarity,
@@ -20,6 +23,7 @@ from timem import (
 )
 from timem.backends import MockEmbedder
 from timem.errors import DimensionMismatch, IndexOutOfRange, ZeroVector
+from timem.indexing import block_rows, bm25_scores
 from timem.timeutil import utc
 
 
@@ -249,3 +253,85 @@ def test_fused_deterministic(seed_pool, seed_kw):
     first = fused_top_k(query, keywords, leaves, 0.9, 10)
     second = fused_top_k(query, keywords, leaves, 0.9, 10)
     assert first == second
+
+
+# --- the vectorised scorer, bit for bit ------------------------------------------
+
+def per_leaf_reference(query_emb, keywords, leaves, lam, dot):
+    """fused_top_k leaf by leaf in Python floats: `dot(q, e)` per leaf, the
+    min-max and fusion per element, then one sort; returns every leaf."""
+    terms = []
+    for kw in keywords:
+        terms.extend(tokenize(kw))
+    raw = bm25_scores([tokenize(leaf.text) for leaf in leaves], terms)
+    lo, hi = min(raw), max(raw)
+    q = np.asarray(query_emb, dtype=np.float64)
+    rows = []
+    for leaf, x in zip(leaves, raw):
+        e = np.asarray(leaf.embedding, dtype=np.float64)
+        cos = float(dot(q, e) / (float(np.linalg.norm(q)) * float(np.linalg.norm(e))))
+        s_sem = (1.0 + cos) / 2.0
+        s_lex = (x - lo) / (hi - lo) if hi > lo else 0.0
+        fused = lam * s_sem + (1.0 - lam) * s_lex
+        rows.append((fused, leaf.interval.end, leaf.id, ScoredLeaf(leaf.id, s_sem, s_lex, fused)))
+    rows.sort(key=lambda r: (-r[0], -r[1].timestamp(), r[2]))
+    return [r[3] for r in rows]
+
+
+DIM = 1024
+ROWS = block_rows(DIM)  # leaves per block of the index
+
+
+def dense_pool(rng: np.random.Generator, size: int) -> list[MemoryNode]:
+    """Unit float32 rows in (end, id) order. Leaves ROWS and ROWS + 1
+    repeat leaf 4's text and embedding at one end, as the last row of the
+    first block and the first row of the second; the last leaf repeats it
+    at the latest end."""
+    vocab = ["kayak", "lake", "paella", "cello", "trip", "park", "dinner"]
+    leaves = []
+    for i in range(size):
+        vec = rng.standard_normal(DIM).astype(np.float32)
+        vec /= np.linalg.norm(vec.astype(np.float64))
+        text = " ".join(rng.choice(vocab, size=int(rng.integers(2, 8))))
+        leaves.append(make_leaf(i + 1, text, vec, i))
+    for i, end in ((ROWS - 1, ROWS - 1), (ROWS, ROWS - 1), (size - 1, size - 1)):
+        leaves[i] = make_leaf(i + 1, leaves[3].text, leaves[3].embedding.copy(), end)
+    return leaves
+
+
+@pytest.mark.parametrize("kind", ["mock", "dense"])
+@pytest.mark.parametrize("cutoff", ["none", "at-end", "just-before"])
+def test_vectorised_scorer_matches_per_leaf_reference(kind, cutoff):
+    size = 2 * ROWS + 40
+    if kind == "mock":
+        embedder = MockEmbedder(dimension=DIM)
+        leaves = sorted(random_pool(random.Random(17), size, embedder),
+                        key=lambda leaf: (leaf.interval.end, leaf.id))
+        query = embedder.embed_text("kayak trip to the lake")
+        dot = np.dot  # what cosine_similarity computes
+    else:
+        leaves = dense_pool(np.random.default_rng(17), size)
+        query = leaves[3].embedding  # the twins tie on every channel
+        dot = lambda q, e: np.einsum("j,j->", e, q)  # noqa: E731
+    tree = MemoryTree()
+    for leaf in leaves:
+        tree.insert_node(leaf)
+    pivot = leaves[size // 2].interval.end
+    t_q = {"none": None, "at-end": pivot,
+           "just-before": pivot - timedelta(microseconds=1)}[cutoff]
+    pool = [leaf for leaf in leaves if t_q is None or leaf.interval.end <= t_q]
+
+    index = tree.leaf_index("u").upto(t_q)
+    assert len(index) == len(pool) and index.block_rows == ROWS
+    for keywords in ([], ["lake"], ["kayak", "lake paella"]):
+        got = fused_top_k(query, keywords, index, 0.9, size)
+        want = per_leaf_reference(query, keywords, pool, 0.9, dot)
+        assert got == want  # ids and every float, bit for bit
+    if kind == "dense":  # equal rows score equal, then the later end, then the smaller id wins
+        blocks = tree.leaf_index("u").blocks
+        assert np.shares_memory(tree.get("u", ROWS).embedding, blocks[0].rows)
+        assert np.shares_memory(tree.get("u", ROWS + 1).embedding, blocks[1].rows)
+        twins = [s for s in got if s.node_id in (4, ROWS, ROWS + 1, size)]
+        assert len({(s.s_sem, s.s_lex, s.fused) for s in twins}) == 1
+        expected = [ROWS, ROWS + 1, 4]
+        assert [s.node_id for s in twins] == ([size] + expected if t_q is None else expected)

@@ -359,3 +359,45 @@ def test_recall_result_ordering_law(engine):
     keys = [(m.level, abs(result.query_time - m.interval.end), m.node_id)
             for m in result.memories]
     assert keys == sorted(keys)
+
+
+def test_recall_keeps_leaf_channel_scores(engine):
+    from timem.indexing import fused_top_k
+
+    ingest_all(engine, "alice", random_transcript(random.Random(67), "alice"))
+    query = "Where did Alice go kayaking?"
+    result = engine.recall("alice", query, gate=False)
+    plan = engine.pipeline.plan_query(query)
+    scored = {s.node_id: s for s in fused_top_k(
+        engine.embedder.embed_text(query), plan.keywords,
+        engine.tree.nodes_at_level("alice", Level.SEGMENT))}
+    assert any(m.level > 1 for m in result.memories)
+    for m in result.memories:
+        if m.level == 1:
+            leaf = scored[m.node_id]
+            assert (m.s_sem, m.s_lex, m.fused) == (leaf.s_sem, leaf.s_lex, leaf.fused)
+        else:
+            assert m.s_sem is None and m.s_lex is None
+
+
+@pytest.mark.parametrize("cut", [None, 1 / 3, 2 / 3])
+def test_recall_scores_leaves_through_one_fused_top_k_call(engine, monkeypatch, cut):
+    """The hook the benchmark's tracer wraps: `timem.recall.fused_top_k`,
+    called once per recall with the leaves ending by t_q as its third
+    positional argument."""
+    import timem.recall
+
+    turns = random_transcript(random.Random(71), "alice", n_sessions=6)
+    ingest_all(engine, "alice", turns)
+    t_q = None if cut is None else turns[int(len(turns) * cut)].timestamp
+    calls = []
+    original = timem.recall.fused_top_k
+
+    def spy(*args, **kwargs):
+        calls.append(len(args[2]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(timem.recall, "fused_top_k", spy)
+    engine.recall("alice", "Where did Alice go kayaking?", t_q=t_q)
+    segments = engine.tree.nodes_at_level("alice", Level.SEGMENT)
+    assert calls == [sum(1 for n in segments if t_q is None or n.interval.end <= t_q)]

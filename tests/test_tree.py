@@ -205,3 +205,88 @@ def test_insert_roundtrip_appears_once(engine):
             assert n.id not in seen
             seen.add(n.id)
     assert len(seen) == len(engine.tree.all_nodes("alice"))
+
+
+# --- level lists and the leaf index ----------------------------------------------
+
+def end_order(nodes):
+    return [(n.interval.end, n.id) for n in nodes]
+
+
+def test_nodes_at_level_ordered_after_out_of_order_inserts():
+    tree = MemoryTree()
+    rng = random.Random(5)
+    minutes = list(range(40)) + [7, 7, 20]
+    rng.shuffle(minutes)
+    for i, minute in enumerate(minutes, start=1):
+        level = 1 + i % 2
+        ts = utc(2023, 5, 1, 10, minute)
+        tree.insert_node(node(tree, i, level, ts, ts))
+    for level in (Level.SEGMENT, Level.SESSION):
+        listed = tree.nodes_at_level("u", level)
+        assert end_order(listed) == sorted(end_order(listed))
+        assert len(listed) == sum(1 for i in range(1, len(minutes) + 1) if 1 + i % 2 == level)
+        assert tree.latest_at_level("u", level) is listed[-1]
+
+
+def test_nodes_at_level_ordered_after_replay(tmp_path):
+    from timem import LogStore, MemoryEngine
+
+    live = MemoryEngine(store=LogStore(tmp_path))
+    ingest_all(live, "alice", random_transcript(random.Random(21), "alice"))
+    live.store.close()
+    replayed = MemoryEngine(store=LogStore(tmp_path))
+    replayed.load_user("alice")
+    for level in Level:
+        want = sorted((n for n in replayed.tree.all_nodes("alice") if n.level == level),
+                      key=lambda n: (n.interval.end, n.id))
+        assert [n.id for n in replayed.tree.nodes_at_level("alice", level)] == [n.id for n in want]
+        assert ([n.id for n in replayed.tree.nodes_at_level("alice", level)]
+                == [n.id for n in live.tree.nodes_at_level("alice", level)])
+
+
+def test_nodes_at_level_returns_a_copy():
+    tree = MemoryTree()
+    tree.insert_node(node(tree, 1, 1, utc(2023, 5, 1), utc(2023, 5, 1)))
+    listed = tree.nodes_at_level("u", Level.SEGMENT)
+    listed.clear()
+    assert [n.id for n in tree.nodes_at_level("u", Level.SEGMENT)] == [1]
+
+
+def test_leaf_inserted_out_of_order_is_scored():
+    from timem.backends import MockEmbedder
+    from timem.indexing import fused_top_k
+
+    embedder = MockEmbedder(32)
+    tree = MemoryTree()
+
+    def segment(node_id, minute, text):
+        ts = utc(2023, 5, 1, 10, minute)
+        tree.insert_node(MemoryNode(id=node_id, user_id="u", level=Level.SEGMENT,
+                                    interval=TemporalInterval(ts, ts), text=text,
+                                    embedding=embedder.embed_text(text)))
+
+    for i in range(1, 6):
+        segment(i, 10 * i, f"walk in the park number {i}")
+    query = embedder.embed_text("kayak on the lake")
+    assert len(tree.leaf_index("u")) == 5  # caught up before the late insert
+    segment(6, 15, "kayak on the lake")    # ends before four leaves already indexed
+
+    index = tree.leaf_index("u")
+    assert list(index.ends) == [n.interval.end for n in tree.nodes_at_level("u", Level.SEGMENT)]
+    got = fused_top_k(query, ["kayak"], index, 0.9, 6)
+    assert got[0].node_id == 6
+    assert got == fused_top_k(query, ["kayak"], tree.nodes_at_level("u", Level.SEGMENT), 0.9, 6)
+    assert [s.node_id for s in fused_top_k(query, ["kayak"], index.upto(utc(2023, 5, 1, 10, 15)),
+                                           0.9, 6)] == [6, 1]
+
+
+def test_leaf_embedding_is_a_view_of_its_block(engine):
+    ingest_all(engine, "alice", random_transcript(random.Random(8), "alice", n_sessions=3))
+    segments = engine.tree.nodes_at_level("alice", Level.SEGMENT)
+    index = engine.tree.leaf_index("alice")
+    assert len(index.blocks) > 1
+    for row, leaf in enumerate(segments):
+        block = index.blocks[row // index.block_rows].rows
+        assert np.shares_memory(leaf.embedding, block)  # no second copy of the embedding
+        assert leaf.embedding.base is block
