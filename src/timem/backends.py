@@ -8,18 +8,19 @@ speaking chat-completions / embeddings style JSON.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
 import re
 import threading
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Protocol
 
 import numpy as np
-
-import requests
 
 from .errors import ProviderError, ProviderTimeout, RateLimited
 from .indexing import tokenize
@@ -318,14 +319,19 @@ class _HttpBase:
         self.timeout = timeout
         self.max_retries = max_retries
         self._gate = threading.Semaphore(max_concurrency)
-        self._session = requests.Session()
 
-    def _headers(self) -> dict[str, str]:
+    def _send(self, payload: dict) -> tuple[int, bytes]:
+        """One POST; returns the status and body of any HTTP reply."""
         headers = {"Content-Type": "application/json"}
-        key = os.environ.get(API_KEY_ENV)
-        if key:
+        if key := os.environ.get(API_KEY_ENV):
             headers["Authorization"] = f"Bearer {key}"
-        return headers
+        req = urllib.request.Request(self.endpoint, json.dumps(payload).encode(), headers)
+        try:
+            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
+                return resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            with exc:
+                return exc.code, exc.read()
 
     def _post(self, payload: dict) -> dict:
         last_status = None
@@ -334,19 +340,22 @@ class _HttpBase:
                 if attempt:
                     time.sleep(0.25 * 2 ** (attempt - 1))
                 try:
-                    resp = self._session.post(
-                        self.endpoint, json=payload,
-                        headers=self._headers(), timeout=self.timeout)
-                except requests.Timeout:
-                    last_status = "timeout"
-                    continue
-                except requests.RequestException as exc:
+                    status, data = self._send(payload)
+                except (OSError, http.client.HTTPException) as exc:
+                    # a timeout, raised as is or as the reason of a URLError
+                    if isinstance(getattr(exc, "reason", exc), TimeoutError):
+                        last_status = "timeout"
+                        continue
                     raise ProviderError(f"request failed: {exc}") from exc
-                if resp.status_code == 200:
-                    return resp.json()
-                last_status = resp.status_code
-                if resp.status_code not in _RETRIABLE_STATUS:
-                    raise ProviderError(f"provider returned {resp.status_code}: {resp.text[:200]}")
+                if status == 200:
+                    try:
+                        return json.loads(data)
+                    except ValueError as exc:
+                        raise ProviderError(f"provider returned invalid JSON: {exc}") from exc
+                last_status = status
+                if status not in _RETRIABLE_STATUS:
+                    raise ProviderError(
+                        f"provider returned {status}: {data[:200].decode(errors='replace')}")
         if last_status == "timeout":
             raise ProviderTimeout(f"no response after {self.max_retries} retries")
         if last_status == 429:

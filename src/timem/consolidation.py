@@ -70,6 +70,7 @@ class _UserState:
     open_calendar: dict[Level, dict[str, TemporalGroup]] = field(
         default_factory=lambda: {lvl: {} for lvl in _CALENDAR_LEVELS})
     pending: list[TemporalGroup] = field(default_factory=list)
+    created: list[MemoryNode] = field(default_factory=list)  # inserted, not yet handed out
 
 
 class Consolidator:
@@ -92,33 +93,37 @@ class Consolidator:
     def ingest_turn(self, user_id: str, turn: DialogTurn) -> list[MemoryNode]:
         """Close any due groups, then create this turn's base segment.
 
-        Returns every node created by the call, closures first. On
-        BackendFailure nothing about the turn is recorded; re-ingesting
-        the same turn resumes where the failure happened.
+        Returns the nodes created since the last call that returned,
+        closures first, so a failed call's nodes come back from the next.
+        On BackendFailure the turn is not recorded; re-ingesting the same
+        turn resumes where the failure happened.
         """
         st = self.state(user_id)
         if st.last_ts is not None and turn.timestamp < st.last_ts:
             raise NonMonotonicTimestamp(
                 f"turn {turn.turn_id} at {turn.timestamp} precedes {st.last_ts}")
-        created = self._drain_pending(user_id)
+        self._drain_pending(user_id)
         if st.open_session is not None and st.open_session.key != turn.session_id:
-            created += self._close_session(user_id)
-        created += self._close_due_calendar(user_id, turn.timestamp)
+            group, st.open_session = st.open_session, None
+            self._close(user_id, group)
+        self._close_due_calendar(user_id, turn.timestamp)
         node = self._make_segment(user_id, turn)
-        created.append(node)
+        st.created.append(node)
         self._extend_session(user_id, turn, node)
         st.last_ts = turn.timestamp
+        created, st.created = st.created, []
         return created
 
-    def flush(self, user_id: str, now: datetime | None = None) -> list[MemoryNode]:
+    def flush(self, user_id: str) -> list[MemoryNode]:
         """Close and consolidate every open group, bottom-up."""
         st = self.state(user_id)
-        if now is not None and st.last_ts is not None and now < st.last_ts:
-            raise NonMonotonicTimestamp(f"flush time {now} precedes {st.last_ts}")
-        created = self._drain_pending(user_id)
+        self._drain_pending(user_id)
         if st.open_session is not None:
-            created += self._close_session(user_id)
-        return created + self._close_due_calendar(user_id, None)
+            group, st.open_session = st.open_session, None
+            self._close(user_id, group)
+        self._close_due_calendar(user_id, None)
+        created, st.created = st.created, []
+        return created
 
     def collect_children(self, user_id: str, group: TemporalGroup) -> list[MemoryNode]:
         """The group's members, ordered by (interval start, id)."""
@@ -206,27 +211,23 @@ class Consolidator:
                 level=Level.SESSION, key=turn.session_id, anchor=turn.timestamp)
         st.open_session.member_ids.append(node.id)
 
-    def _close_session(self, user_id: str) -> list[MemoryNode]:
-        st = self.state(user_id)
-        group = st.open_session
-        st.open_session = None
+    def _close(self, user_id: str, group: TemporalGroup) -> None:
+        """Queue a group that closed, then consolidate every queued group."""
         group.open = False
-        st.pending.append(group)
-        return self._drain_pending(user_id)
+        self.state(user_id).pending.append(group)
+        self._drain_pending(user_id)
 
-    def _drain_pending(self, user_id: str) -> list[MemoryNode]:
+    def _drain_pending(self, user_id: str) -> None:
         """Consolidate closed groups in closure order; route new nodes up."""
         st = self.state(user_id)
-        created = []
         while st.pending:
             group = st.pending[0]
             node = self.consolidate_group(user_id, group)  # BackendFailure keeps it queued
             st.pending.pop(0)
             if node is not None:
-                created.append(node)
+                st.created.append(node)
                 if group.level < Level.PROFILE:
                     self._assign_to_upper(user_id, node)
-        return created
 
     def _assign_to_upper(self, user_id: str, node: MemoryNode) -> None:
         st = self.state(user_id)
@@ -257,20 +258,16 @@ class Consolidator:
                     return True
         return False
 
-    def _close_due_calendar(self, user_id: str, now: datetime | None) -> list[MemoryNode]:
+    def _close_due_calendar(self, user_id: str, now: datetime | None) -> None:
         """Close the calendar groups whose period ended by `now`, lower
         levels first; `now=None` makes every group due."""
         st = self.state(user_id)
-        created = []
         for level in _CALENDAR_LEVELS:
             due = [g for g in st.open_calendar[level].values()
                    if (now is None or g.base_end <= now) and not self._blocked(user_id, g)]
             for group in sorted(due, key=lambda g: g.anchor):
                 del st.open_calendar[level][group.key]
-                group.open = False
-                st.pending.append(group)
-                created += self._drain_pending(user_id)
-        return created
+                self._close(user_id, group)
 
     # -- replay support -------------------------------------------------------
 

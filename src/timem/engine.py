@@ -10,7 +10,7 @@ from .config import EngineConfig
 from .consolidation import Consolidator, DialogTurn
 from .prompts import PromptLibrary
 from .recall import Complexity, RecallPipeline, RecallResult
-from .store import LogStore, ReplayResult
+from .store import LogStore, ReplayResult, node_record, turn_record
 from .tree import MemoryNode, MemoryTree, TreeReport
 
 
@@ -19,7 +19,8 @@ class MemoryEngine:
 
     When a store is attached, every successfully ingested turn and every
     created node is appended to the user's log before the call returns,
-    so a crash never loses acknowledged work.
+    in one write and fsync, so a crash never loses acknowledged work.
+    Nodes inserted by a call that failed are logged by the next call.
     """
 
     def __init__(self, config: EngineConfig | None = None,
@@ -40,9 +41,7 @@ class MemoryEngine:
     @classmethod
     def with_mock_backends(cls, config: EngineConfig | None = None,
                            data_dir: str | Path | None = None) -> "MemoryEngine":
-        config = config or EngineConfig()
-        store = LogStore(data_dir) if data_dir else None
-        return cls(config=config, store=store)
+        return cls(config=config, store=LogStore(data_dir) if data_dir else None)
 
     def ensure_user(self, user_id: str) -> None:
         self.tree.ensure_user(user_id)
@@ -50,16 +49,13 @@ class MemoryEngine:
     def ingest_turn(self, user_id: str, turn: DialogTurn) -> list[MemoryNode]:
         created = self.consolidator.ingest_turn(user_id, turn)
         if self.store is not None:
-            for node in created:
-                self.store.append_node(user_id, node)
-            self.store.append_turn(user_id, turn)
+            self.store.persist_append(user_id, *map(node_record, created), turn_record(turn))
         return created
 
-    def flush(self, user_id: str, now: datetime | None = None) -> list[MemoryNode]:
-        created = self.consolidator.flush(user_id, now)
-        if self.store is not None:
-            for node in created:
-                self.store.append_node(user_id, node)
+    def flush(self, user_id: str) -> list[MemoryNode]:
+        created = self.consolidator.flush(user_id)
+        if self.store is not None and created:
+            self.store.persist_append(user_id, *map(node_record, created))
         return created
 
     def recall(self, user_id: str, query: str, t_q: datetime | None = None,

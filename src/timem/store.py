@@ -246,21 +246,17 @@ class LogStore:
             self._handles[user_id] = handle
         return handle
 
-    def persist_append(self, user_id: str, record: dict) -> int:
-        """Durably append one record; returns its byte offset."""
+    def persist_append(self, user_id: str, *records: dict) -> int:
+        """Durably append records, one line each, with one write and one
+        fsync; returns the byte offset of the first."""
         handle = self._writer(user_id)
         offset = handle.tell()
-        line = json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
-        handle.write(line.encode("utf-8"))
+        lines = "".join(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
+                        for record in records)
+        handle.write(lines.encode("utf-8"))
         handle.flush()
         os.fsync(handle.fileno())
         return offset
-
-    def append_node(self, user_id: str, node: MemoryNode) -> int:
-        return self.persist_append(user_id, node_record(node))
-
-    def append_turn(self, user_id: str, turn: DialogTurn) -> int:
-        return self.persist_append(user_id, turn_record(turn))
 
     def _unlock(self, user_id: str) -> None:
         lock_file = self._locks.pop(user_id, None)

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -21,7 +25,7 @@ from timem.backends import (
     extract_keywords,
     mock_dispatch,
 )
-from timem.errors import ProviderError
+from timem.errors import ProviderError, ProviderTimeout, RateLimited
 from timem.prompts import PromptLibrary
 
 from conftest import RecordingChat
@@ -242,13 +246,26 @@ def test_prompt_dir_override(tmp_path):
 
 class _StubHandler(BaseHTTPRequestHandler):
     failures = 0
-    seen_auth: list[str | None] = []
+    seen_auth: list[str | None] = []  # one entry per request received
+    reply: tuple[int, bytes] | None = None  # a fixed (status, body) for every request
+    hang = False  # never answer; waits for `release` instead of sleeping
+    release = threading.Event()
 
     def do_POST(self):
         cls = type(self)
         cls.seen_auth.append(self.headers.get("Authorization"))
         length = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(length))
+        if cls.hang:
+            cls.release.wait(10)
+            return
+        if cls.reply is not None:
+            status, data = cls.reply
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+            return
         if cls.failures > 0:
             cls.failures -= 1
             self.send_response(500)
@@ -278,8 +295,13 @@ def stub_server():
     thread.start()
     _StubHandler.failures = 0
     _StubHandler.seen_auth = []
+    _StubHandler.reply = None
+    _StubHandler.hang = False
+    _StubHandler.release = threading.Event()
     yield f"http://127.0.0.1:{server.server_port}"
+    _StubHandler.release.set()
     server.shutdown()
+    server.server_close()
 
 
 def test_http_chat_success_after_two_500s(stub_server, monkeypatch):
@@ -304,3 +326,57 @@ def test_http_embedder_normalizes_and_sends_bearer(stub_server, monkeypatch):
     vec = embedder.embed_text("hi")
     assert abs(float(np.linalg.norm(vec)) - 1.0) < 1e-6
     assert "Bearer sekrit" in _StubHandler.seen_auth
+
+
+def test_http_read_timeout_retries_then_raises(stub_server, monkeypatch):
+    monkeypatch.setattr("timem.backends.time.sleep", lambda s: None)
+    _StubHandler.hang = True
+    backend = HttpChatBackend(f"{stub_server}/v1/chat/completions", "m",
+                              timeout=0.2, max_retries=2)
+    with pytest.raises(ProviderTimeout):
+        backend.chat_complete(ChatRequest(prompt="hello", purpose=Purpose.PLAN))
+    assert len(_StubHandler.seen_auth) == 3
+
+
+def test_http_429_raises_rate_limited(stub_server, monkeypatch):
+    monkeypatch.setattr("timem.backends.time.sleep", lambda s: None)
+    _StubHandler.reply = (429, b"slow down")
+    backend = HttpChatBackend(f"{stub_server}/v1/chat/completions", "m", max_retries=1)
+    with pytest.raises(RateLimited):
+        backend.chat_complete(ChatRequest(prompt="hello", purpose=Purpose.PLAN))
+    assert len(_StubHandler.seen_auth) == 2
+
+
+def test_http_400_is_not_retried(stub_server, monkeypatch):
+    monkeypatch.setattr("timem.backends.time.sleep", lambda s: None)
+    _StubHandler.reply = (400, b"bad request")
+    backend = HttpChatBackend(f"{stub_server}/v1/chat/completions", "m", max_retries=3)
+    with pytest.raises(ProviderError, match="400") as info:
+        backend.chat_complete(ChatRequest(prompt="hello", purpose=Purpose.PLAN))
+    assert type(info.value) is ProviderError
+    assert len(_StubHandler.seen_auth) == 1
+
+
+def test_http_refused_connection_is_provider_error(monkeypatch):
+    monkeypatch.setattr("timem.backends.time.sleep", lambda s: None)
+    with socket.socket() as sock:  # a port that nothing listens on once closed
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    backend = HttpChatBackend(f"http://127.0.0.1:{port}/v1/chat/completions", "m")
+    with pytest.raises(ProviderError) as info:
+        backend.chat_complete(ChatRequest(prompt="hello", purpose=Purpose.PLAN))
+    assert type(info.value) is ProviderError
+
+
+def test_http_reply_that_is_not_json_is_provider_error(stub_server):
+    _StubHandler.reply = (200, b"<html>not json</html>")
+    embedder = HttpEmbedder(f"{stub_server}/v1/embeddings", "m", dimension=8)
+    with pytest.raises(ProviderError):
+        embedder.embed_text("hi")
+
+
+def test_timem_imports_without_requests():
+    code = "import sys; sys.modules['requests'] = None; import timem, timem.backends, timem.cli"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__import__("timem").__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

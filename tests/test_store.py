@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 
 import pytest
 
 from timem import Level, LogStore, MemoryEngine, MemoryTree, parse_transcript
-from timem.errors import NonMonotonicTimestamp, SchemaError, StoreIoError
-from timem.store import decode_embedding, encode_embedding
+from timem.backends import FlakyChatBackend, MockChatBackend, Purpose, RoutingChatBackend
+from timem.bench import generate_fixture
+from timem.errors import BackendFailure, NonMonotonicTimestamp, SchemaError, StoreIoError
+from timem.store import decode_embedding, encode_embedding, node_record, turn_record
 from timem.timeutil import parse_ts
 
 from conftest import ingest_all, random_transcript
@@ -306,3 +309,104 @@ def test_mid_log_corruption_names_offset(tmp_path):
     assert replay.corrupt is not None
     assert replay.corrupt.offset == offset  # the corrupt line took b's place
     assert len(replay.turns) == 1  # record after the corruption is ignored
+
+
+def fixture_turns(tmp_path, count: int) -> list:
+    """The first `count` turns of alice in `generate_fixture(seed=1)`."""
+    transcripts, _ = generate_fixture(seed=1, n_users=1)
+    return parse_transcript(write_transcript(tmp_path, transcripts[0])).turns[:count]
+
+
+def log_line(record: dict) -> bytes:
+    return (json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def test_persist_append_writes_every_record_of_a_call(tmp_path):
+    a, b, c = ({"record_type": "turn", "turn_id": t, "session_id": "s",
+                "timestamp": "2023-05-20T09:00:00Z", "user_text": "", "assistant_text": ""}
+               for t in "abc")
+    with LogStore(tmp_path) as store:
+        assert store.persist_append("alice", a, b) == 0
+        assert store.persist_append("alice", c) == len(log_line(a) + log_line(b))
+    assert (tmp_path / "alice" / "log.jsonl").read_bytes() == log_line(a) + log_line(b) + log_line(c)
+
+
+def test_nodes_of_a_failed_call_reach_the_log(tmp_path):
+    # the first day (L3) consolidation fails when the session (L2) node
+    # closed just before it is already in the tree
+    flaky = FlakyChatBackend(failures=1)
+    chat = RoutingChatBackend(MockChatBackend(), {Purpose.CONSOLIDATE_L3: flaky})
+    engine = MemoryEngine(chat=chat, store=LogStore(tmp_path / "data"))
+    for turn in fixture_turns(tmp_path, 60):
+        try:
+            engine.ingest_turn("alice", turn)
+        except BackendFailure:
+            engine.ingest_turn("alice", turn)  # the retry succeeds
+    assert flaky.remaining_failures == 0
+    engine.flush("alice")
+    engine.store.close()
+
+    reloaded = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
+    reloaded.load_user("alice")
+    assert node_rows(reloaded) == node_rows(engine)
+    assert reloaded.validate("alice").violations == []
+
+
+def test_one_fsync_per_call_and_the_same_log_bytes(tmp_path, monkeypatch):
+    fsync = os.fsync
+    fsyncs = []
+
+    def counting_fsync(fd):
+        fsyncs.append(fd)
+        fsync(fd)
+
+    monkeypatch.setattr("timem.store.os.fsync", counting_fsync)
+    engine = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
+    expected = []
+    most_nodes = 0
+    for turn in fixture_turns(tmp_path, 60):
+        before = len(fsyncs)
+        created = engine.ingest_turn("alice", turn)
+        assert len(fsyncs) == before + 1
+        most_nodes = max(most_nodes, len(created))
+        expected += [node_record(n) for n in created] + [turn_record(turn)]
+    assert most_nodes > 2  # some calls closed groups
+    for has_nodes in (True, False):  # the second flush has nothing to close
+        before = len(fsyncs)
+        created = engine.flush("alice")
+        assert bool(created) == has_nodes
+        assert len(fsyncs) == before + has_nodes
+        expected += [node_record(n) for n in created]
+    engine.store.close()
+    log = (tmp_path / "data" / "alice" / "log.jsonl").read_bytes()
+    assert log == b"".join(map(log_line, expected))
+
+
+def test_every_line_prefix_replays_and_resumes(tmp_path):
+    turns = fixture_turns(tmp_path, 30)
+    engine = MemoryEngine.with_mock_backends(data_dir=tmp_path / "full")
+    for turn in turns:
+        engine.ingest_turn("alice", turn)
+    engine.store.close()
+    lines = (tmp_path / "full" / "alice" / "log.jsonl").read_bytes().splitlines(keepends=True)
+
+    for cut in range(len(lines) + 1):  # a crash after any complete record
+        data = tmp_path / f"cut{cut}"
+        (data / "alice").mkdir(parents=True)
+        (data / "alice" / "log.jsonl").write_bytes(b"".join(lines[:cut]))
+        resumed = MemoryEngine.with_mock_backends(data_dir=data)
+        replay = resumed.load_user("alice")
+        assert replay.corrupt is None
+        assert resumed.validate("alice").violations == [], cut
+        logged = {t.turn_id for t in replay.turns}
+        for turn in turns:
+            if turn.turn_id not in logged:
+                resumed.ingest_turn("alice", turn)
+        resumed.flush("alice")
+        resumed.store.close()
+        assert resumed.validate("alice").violations == [], cut
+        segments = resumed.tree.nodes_at_level("alice", Level.SEGMENT)
+        assert {t.turn_id for t in turns} == {n.source_turn_ids[0] for n in segments}, cut
+        reloaded = MemoryEngine.with_mock_backends(data_dir=data)
+        reloaded.load_user("alice")
+        assert node_rows(reloaded) == node_rows(resumed), cut
