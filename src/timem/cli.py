@@ -6,9 +6,11 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 backend error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+from collections.abc import Iterator
 
 from .backends import HttpChatBackend, HttpEmbedder, MockChatBackend, MockEmbedder
 from .bench import manifold_report, run_bench, write_fixture
@@ -51,11 +53,12 @@ def _load_config(args) -> EngineConfig:
     return EngineConfig()
 
 
-def _build_engine(args, config: EngineConfig, need_store: bool = False) -> MemoryEngine:
+@contextlib.contextmanager
+def _open_engine(args, config: EngineConfig, need_store: bool = False) -> Iterator[MemoryEngine]:
+    """The command's engine; its store, if it has one, is closed on exit."""
     data_dir = args.data_dir or os.environ.get(DATA_DIR_ENV)
     if need_store and not data_dir:
         raise SchemaError("a data directory is required (--data-dir or TIMEM_DATA_DIR)")
-    store = LogStore(data_dir) if data_dir else None
     if args.backend == "http":
         chat = HttpChatBackend(
             config.chat_endpoint, config.chat_model, timeout=config.request_timeout,
@@ -67,7 +70,8 @@ def _build_engine(args, config: EngineConfig, need_store: bool = False) -> Memor
     else:
         chat = MockChatBackend()
         embedder = MockEmbedder(config.embedding_dim)
-    return MemoryEngine(config=config, chat=chat, embedder=embedder, store=store)
+    with LogStore(data_dir) if data_dir else contextlib.nullcontext() as store:
+        yield MemoryEngine(config=config, chat=chat, embedder=embedder, store=store)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -124,98 +128,98 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_ingest(args) -> int:
     config = _load_config(args)
-    engine = _build_engine(args, config, need_store=True)
-    for path in args.transcripts:
-        transcript = parse_transcript(path)
-        if not engine.tree.has_user(transcript.user_id):
-            engine.load_user(transcript.user_id)  # resume the user's existing log
-        created = 0
-        for turn in transcript.turns:
-            created += len(engine.ingest_turn(transcript.user_id, turn))
-        if not args.no_flush:
-            created += len(engine.flush(transcript.user_id))
-        report = engine.validate(transcript.user_id)
-        counts = {f"L{int(lvl)}": c for lvl, c in report.node_count_per_level.items()}
-        print(f"{transcript.user_id}: {len(transcript.turns)} turns, "
-              f"{created} nodes created, counts {counts}")
-    return EXIT_OK
+    with _open_engine(args, config, need_store=True) as engine:
+        for path in args.transcripts:
+            transcript = parse_transcript(path)
+            if not engine.tree.has_user(transcript.user_id):
+                engine.load_user(transcript.user_id)  # resume the user's existing log
+            created = 0
+            for turn in transcript.turns:
+                created += len(engine.ingest_turn(transcript.user_id, turn))
+            if not args.no_flush:
+                created += len(engine.flush(transcript.user_id))
+            report = engine.validate(transcript.user_id)
+            counts = {f"L{int(lvl)}": c for lvl, c in report.node_count_per_level.items()}
+            print(f"{transcript.user_id}: {len(transcript.turns)} turns, "
+                  f"{created} nodes created, counts {counts}")
+        return EXIT_OK
 
 
 def _cmd_recall(args) -> int:
     config = _load_config(args)
-    engine = _build_engine(args, config, need_store=True)
-    engine.load_user(args.user)
-    override = Complexity(args.complexity_override) if args.complexity_override else None
-    result = engine.recall(
-        args.user, args.query,
-        t_q=parse_ts(args.time) if args.time else None,
-        gate=not args.no_gate,
-        complexity_override=override)
-    if args.output == "json":
-        payload = {
-            "plan": {"complexity": result.plan.complexity.value,
-                     "keywords": result.plan.keywords,
-                     "fallback": result.plan.planner_fallback_used},
-            "counts": result.counts,
-            "context_token_count": result.context_token_count,
-            "memories": [{
-                "node_id": m.node_id, "level": m.level,
-                "start": format_ts(m.interval.start), "end": format_ts(m.interval.end),
-                "fused": m.fused, "s_sem": m.s_sem, "s_lex": m.s_lex, "text": m.text,
-            } for m in result.memories],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"complexity={result.plan.complexity.value} "
-              f"keywords={result.plan.keywords} counts={result.counts} "
-              f"tokens={result.context_token_count}")
-        for m in result.memories:
-            print(f"  [L{m.level} #{m.node_id} {format_ts(m.interval.end)}] {m.text}")
-    return EXIT_OK
+    with _open_engine(args, config, need_store=True) as engine:
+        engine.load_user(args.user)
+        override = Complexity(args.complexity_override) if args.complexity_override else None
+        result = engine.recall(
+            args.user, args.query,
+            t_q=parse_ts(args.time) if args.time else None,
+            gate=not args.no_gate,
+            complexity_override=override)
+        if args.output == "json":
+            payload = {
+                "plan": {"complexity": result.plan.complexity.value,
+                         "keywords": result.plan.keywords,
+                         "fallback": result.plan.planner_fallback_used},
+                "counts": result.counts,
+                "context_token_count": result.context_token_count,
+                "memories": [{
+                    "node_id": m.node_id, "level": m.level,
+                    "start": format_ts(m.interval.start), "end": format_ts(m.interval.end),
+                    "fused": m.fused, "s_sem": m.s_sem, "s_lex": m.s_lex, "text": m.text,
+                } for m in result.memories],
+            }
+            print(json.dumps(payload, indent=2))
+        else:
+            print(f"complexity={result.plan.complexity.value} "
+                  f"keywords={result.plan.keywords} counts={result.counts} "
+                  f"tokens={result.context_token_count}")
+            for m in result.memories:
+                print(f"  [L{m.level} #{m.node_id} {format_ts(m.interval.end)}] {m.text}")
+        return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
     config = _load_config(args)
-    engine = _build_engine(args, config, need_store=True)
-    users = [args.user] if args.user else engine.load_all() or engine.store.users()
-    if args.user:
-        engine.load_user(args.user)
-    bad = 0
-    for user in users:
-        report = engine.validate(user)
-        counts = {f"L{int(lvl)}": c for lvl, c in report.node_count_per_level.items()}
-        status = "ok" if report.ok else f"{len(report.violations)} violations"
-        print(f"{user}: {status} {counts}")
-        for v in report.violations:
-            print(f"  node {v.node_id}: {v.rule}: {v.detail}")
-        bad += len(report.violations)
-    return EXIT_DATA if bad else EXIT_OK
+    with _open_engine(args, config, need_store=True) as engine:
+        users = [args.user] if args.user else engine.load_all() or engine.store.users()
+        if args.user:
+            engine.load_user(args.user)
+        bad = 0
+        for user in users:
+            report = engine.validate(user)
+            counts = {f"L{int(lvl)}": c for lvl, c in report.node_count_per_level.items()}
+            status = "ok" if report.ok else f"{len(report.violations)} violations"
+            print(f"{user}: {status} {counts}")
+            for v in report.violations:
+                print(f"  node {v.node_id}: {v.rule}: {v.detail}")
+            bad += len(report.violations)
+        return EXIT_DATA if bad else EXIT_OK
 
 
 def _cmd_bench(args) -> int:
     config = _load_config(args)
-    engine = _build_engine(args, config)
-    if engine.store is not None and engine.store.users():
-        # bench ingests its transcripts from the first turn, which would
-        # follow the turns already logged; refuse before touching a log
-        raise StoreIoError(
-            f"data directory {engine.store.root} already holds the logs of "
-            f"{', '.join(engine.store.users())}; bench needs one without logs")
-    override = Complexity(args.complexity_override) if args.complexity_override else None
-    report = run_bench(args.transcripts, args.questions, config=config,
-                       engine=engine, gate=not args.no_gate,
-                       complexity_override=override)
-    print(report.to_jsonl() if args.output == "json" else report.table(), end="")
-    return EXIT_OK
+    with _open_engine(args, config) as engine:
+        if engine.store is not None and engine.store.users():
+            # bench ingests its transcripts from the first turn, which would
+            # follow the turns already logged; refuse before touching a log
+            raise StoreIoError(
+                f"data directory {engine.store.root} already holds the logs of "
+                f"{', '.join(engine.store.users())}; bench needs one without logs")
+        override = Complexity(args.complexity_override) if args.complexity_override else None
+        report = run_bench(args.transcripts, args.questions, config=config,
+                           engine=engine, gate=not args.no_gate,
+                           complexity_override=override)
+        print(report.to_jsonl() if args.output == "json" else report.table(), end="")
+        return EXIT_OK
 
 
 def _cmd_analyze(args) -> int:
     config = _load_config(args)
-    engine = _build_engine(args, config, need_store=True)
-    engine.load_all()
-    report = manifold_report(engine.tree)
-    print(report.to_json() if args.output == "json" else report.table(), end="")
-    return EXIT_OK
+    with _open_engine(args, config, need_store=True) as engine:
+        engine.load_all()
+        report = manifold_report(engine.tree)
+        print(report.to_json() if args.output == "json" else report.table(), end="")
+        return EXIT_OK
 
 
 def _cmd_gen_fixture(args) -> int:

@@ -1,16 +1,17 @@
 """Dual-channel scoring over base segments.
 
 Semantic channel: cosine similarity of embeddings, mapped to [0, 1].
-Lexical channel: Okapi BM25, computed over the query's keyword terms
-only (no corpus-wide index), min-max normalized per query across the
-leaf pool. The two are fused with a configurable weight and the top-k
-leaves are activated.
+Lexical channel: Okapi BM25 of the query's keyword terms, min-max
+normalized per query across the leaf pool. The two are fused with a
+configurable weight and the top-k leaves are activated.
 
 Leaves are scored from a `LeafIndex`, the columns of a leaf pool that
 scoring reads: float32 embedding rows in fixed-size blocks, float64
-norms, end times, ids and interned token lists. The tree keeps one per
-user, in (end, id) order, so a recall scores the prefix ending by t_q
-in one vectorised pass instead of a Python loop per leaf.
+norms, end times and ids, plus BM25's `Postings`: for each term the
+ascending rows that hold it with its count in each, and a running sum
+of token lengths. The tree keeps one index per user, in (end, id)
+order, so a recall scores the prefix ending by t_q in one vectorised
+pass, and BM25 touches only the leaves that hold a keyword.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from __future__ import annotations
 import copy
 import math
 import re
-import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
 from typing import TYPE_CHECKING
@@ -51,26 +52,74 @@ class Bm25Params:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
 
 
+class Postings:
+    """BM25's inputs for a list of documents that only grows: for each
+    term, the ascending rows that hold it and its count in each, and the
+    running sum of token lengths, `length_sums[n]` over the first n.
+
+    `scores` reads any prefix of the rows, so an index can score the
+    leaves ending by t_q while it keeps growing.
+    """
+
+    __slots__ = ("terms", "length_sums")
+
+    def __init__(self):
+        self.terms: dict[str, tuple[list[int], list[int]]] = {}
+        self.length_sums = [0]
+
+    @classmethod
+    def of(cls, corpus: list[list[str]]) -> Postings:
+        postings = cls()
+        for doc in corpus:
+            postings.add(doc)
+        return postings
+
+    def add(self, tokens: list[str]) -> None:
+        """Post the next row's tokens."""
+        row = len(self.length_sums) - 1
+        for term, count in Counter(tokens).items():
+            posting = self.terms.get(term)
+            if posting is None:
+                posting = self.terms[term] = ([], [])
+            posting[0].append(row)
+            posting[1].append(count)
+        self.length_sums.append(self.length_sums[-1] + len(tokens))
+
+    def scores(self, terms: list[str], n: int, params: Bm25Params | None = None) -> np.ndarray:
+        """Okapi BM25 of each of the first `n` rows, summed over the query
+        terms in order, once per occurrence.
+
+        Only the rows that hold a term are visited. Each contribution is
+        the expression a per-document loop computes, in Python floats
+        from the same int counts and lengths, and is added to its row in
+        the same order, so every score is the same float.
+        """
+        params = params or Bm25Params()
+        k1, b = params.k1, params.b
+        scores = np.zeros(n)
+        sums = self.length_sums
+        for term in terms:
+            rows, counts = self.terms.get(term, ((), ()))
+            containing = bisect_left(rows, n)
+            if not containing:
+                continue
+            rows, counts = rows[:containing], counts[:containing]
+            avgdl = sums[n] / n
+            # idf = ln((N - n_t + 0.5) / (n_t + 0.5) + 1)
+            idf = math.log((n - containing + 0.5) / (containing + 0.5) + 1.0)
+            contributions = []
+            for row, f in zip(rows, counts):
+                dl = sums[row + 1] - sums[row]
+                contributions.append(idf * f * (k1 + 1) / (f + k1 * (1 - b + b * dl / avgdl)))
+            scores[rows] += contributions
+        return scores
+
+
 def bm25_scores(corpus: list[list[str]], terms: list[str],
                 params: Bm25Params | None = None) -> list[float]:
     """Okapi BM25 of every document, summed over the query terms in order,
     once per occurrence; no other term of the corpus is counted."""
-    params = params or Bm25Params()
-    k1, b = params.k1, params.b
-    n = len(corpus)
-    scores = [0.0] * n
-    for term in terms:
-        freqs = [doc.count(term) for doc in corpus]
-        containing = n - freqs.count(0)
-        if not containing:
-            continue
-        avgdl = sum(len(doc) for doc in corpus) / n
-        # idf = ln((N - n_t + 0.5) / (n_t + 0.5) + 1)
-        idf = math.log((n - containing + 0.5) / (containing + 0.5) + 1.0)
-        for i, (doc, f) in enumerate(zip(corpus, freqs)):
-            if f:
-                scores[i] += idf * f * (k1 + 1) / (f + k1 * (1 - b + b * len(doc) / avgdl))
-    return scores
+    return Postings.of(corpus).scores(terms, len(corpus), params).tolist()
 
 
 def bm25_score(
@@ -136,9 +185,12 @@ class LeafIndex:
     Embeddings are float32 rows of fixed-size blocks: adding a leaf never
     moves the rows already held, so a tree can rebind each leaf's
     `node.embedding` to a view of its row instead of keeping a second
-    copy. Beside each row: its float64 norm, the leaf's id, its interval
-    end (a datetime for `upto`, a timestamp for the recency tie-break)
-    and its interned tokens, so no recall tokenizes a leaf again.
+    copy. Beside each row: its float64 norm, the leaf's id and its
+    interval end (a datetime for `upto`, a timestamp for the recency
+    tie-break). The leaf's tokens are posted once, when it is added, to
+    `postings`: per term the rows that hold it and its count in each,
+    and the running sum of token lengths. So no recall tokenizes a leaf
+    again, and BM25 over a prefix reads only the rows of its terms.
 
     Rows are only ever appended, so a view from `upto` stays valid while
     the index it came from grows.
@@ -150,7 +202,7 @@ class LeafIndex:
         self.block_rows = 0
         self._size = 0
         self.ends: list[datetime] = []
-        self.tokens: list[list[str]] = []
+        self.postings = Postings()
 
     @classmethod
     def of(cls, leaves: list[MemoryNode]) -> LeafIndex:
@@ -183,7 +235,7 @@ class LeafIndex:
         block.stamps[i] = leaf.interval.end.timestamp()
         block.ids[i] = leaf.id
         self.ends.append(leaf.interval.end)
-        self.tokens.append([sys.intern(t) for t in tokenize(leaf.text)])
+        self.postings.add(tokenize(leaf.text))
         self._size += 1
         return row
 
@@ -255,8 +307,7 @@ def fused_top_k(
         raise ZeroVector("cosine similarity undefined for zero vectors")
     s_sem = (1.0 + dots / (query_norm * norms)) / 2.0
 
-    terms = [sys.intern(t) for t in _keyword_terms(keywords)]
-    raw_lex = np.array(bm25_scores(index.tokens[:len(index)], terms, params))
+    raw_lex = index.postings.scores(_keyword_terms(keywords), len(index), params)
     lo, hi = raw_lex.min(), raw_lex.max()
     if hi > lo:
         s_lex = (raw_lex - lo) / (hi - lo)

@@ -183,12 +183,16 @@ class RecallPipeline:
     # -- stage 2: hierarchical retrieval --------------------------------------
 
     def propagate_ancestors(self, user_id: str, leaves: list[ScoredLeaf],
-                            complexity: Complexity) -> CandidateSet:
+                            complexity: Complexity,
+                            t_q: datetime | None = None) -> CandidateSet:
         """Leaves plus their ancestors at strategy levels, budget-capped.
 
         Ancestors reached via higher-scoring leaves win cap slots; a
         level stops accepting once its cap fills. The latest profile is
         injected when the strategy includes it but no leaf reached one.
+        With `t_q`, only memories ending at or before it are visible: an
+        ancestor ending later is skipped, and the profile injected is
+        the latest one ending by `t_q`.
         """
         levels, budget = strategy_levels(complexity, self.config)
         caps = dict(budget.caps)
@@ -213,6 +217,8 @@ class RecallPipeline:
                 lvl = ancestor.level
                 if lvl not in open_levels or ancestor.id in seen:
                     continue
+                if t_q is not None and ancestor.interval.end > t_q:
+                    continue  # it summarises turns after t_q
                 entries.append(Candidate(node=ancestor, via_leaf=leaf.node_id))
                 seen.add(ancestor.id)
                 counts[lvl] += 1
@@ -220,7 +226,7 @@ class RecallPipeline:
                     open_levels.discard(lvl)
 
         if Level.PROFILE in levels and counts.get(Level.PROFILE, 0) == 0:
-            profile = self.tree.latest_at_level(user_id, Level.PROFILE)
+            profile = self.tree.latest_at_level(user_id, Level.PROFILE, t_q)
             if profile is not None and profile.id not in seen:
                 entries.append(Candidate(node=profile))
         return CandidateSet(entries=entries)
@@ -295,7 +301,7 @@ class RecallPipeline:
             fusion_weight=self.config.fusion_weight,
             k=self.config.leaf_budget,
             params=Bm25Params(self.config.bm25_k1, self.config.bm25_b))
-        candidates = self.propagate_ancestors(user_id, leaves, plan.complexity)
+        candidates = self.propagate_ancestors(user_id, leaves, plan.complexity, t_q)
         if gate:
             retained, gate_fallback = self.gate_candidates(query, plan.complexity, candidates)
         else:

@@ -23,7 +23,7 @@ Besides the nodes by id, a tree keeps two indexes per user:
 from __future__ import annotations
 
 import threading
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import IntEnum
@@ -255,9 +255,14 @@ class MemoryTree:
                 found.append(current)
         return found
 
-    def latest_at_level(self, user_id: str, level: Level) -> MemoryNode | None:
+    def latest_at_level(self, user_id: str, level: Level,
+                        t_q: datetime | None = None) -> MemoryNode | None:
+        """The node of a level with the latest (end, id), among those
+        ending at or before `t_q` when it is given."""
         ordered = self._ordered(user_id, level)
-        return ordered[-1] if ordered else None
+        end = len(ordered) if t_q is None else bisect_right(
+            ordered, t_q, key=lambda node: node.interval.end)
+        return ordered[end - 1] if end else None
 
     def validate_tree(self, user_id: str) -> TreeReport:
         nodes = self._nodes.get(user_id, {})

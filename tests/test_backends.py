@@ -291,7 +291,9 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def stub_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval lets shutdown() return without waiting out the 0.5 s default
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     _StubHandler.failures = 0
     _StubHandler.seen_auth = []

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import gc
 import json
+import sys
+import warnings
 
 import pytest
 
@@ -44,6 +47,22 @@ def test_gen_fixture_lists_files(fixture_dir, capsys):
     files = sorted(p.name for p in fixture_dir.iterdir())
     assert "questions.jsonl" in files
     assert any(name.startswith("transcript_") for name in files)
+
+
+def test_commands_close_their_store(fixture_dir, tmp_path, capsys, monkeypatch):
+    """No command leaves its log or lock file to the garbage collector."""
+    data_dir = str(tmp_path / "data")
+    transcripts = sorted(str(p) for p in fixture_dir.glob("transcript_*.json"))
+    unraisable = []  # a warning raised while a leaked file is finalized lands here
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        assert main(["ingest", "--data-dir", data_dir, *transcripts]) == EXIT_OK
+        assert main(["recall", "--data-dir", data_dir, "--user", "alice",
+                     "Where did Alice go kayaking?"]) == EXIT_OK
+        assert main(["validate", "--data-dir", data_dir]) == EXIT_OK
+        gc.collect()
+    assert [repr(u.exc_value) for u in unraisable] == []
 
 
 def test_ingest_validate_recall_roundtrip(fixture_dir, tmp_path, capsys):

@@ -23,7 +23,7 @@ from timem import (
 )
 from timem.backends import MockEmbedder
 from timem.errors import DimensionMismatch, IndexOutOfRange, ZeroVector
-from timem.indexing import block_rows, bm25_scores
+from timem.indexing import LeafIndex, Postings, block_rows, bm25_scores
 from timem.timeutil import utc
 
 
@@ -93,6 +93,72 @@ def test_bm25_params_validation():
         Bm25Params(k1=-0.1)
     with pytest.raises(ValueError):
         Bm25Params(b=1.5)
+
+
+# --- BM25 from postings, bit for bit --------------------------------------------
+
+def per_document_bm25(corpus: list[list[str]], terms: list[str], params: Bm25Params) -> list[float]:
+    """Okapi BM25 document by document, the oracle for the postings: each
+    query term is counted in every document, in query order."""
+    k1, b = params.k1, params.b
+    n = len(corpus)
+    scores = [0.0] * n
+    for term in terms:
+        freqs = [doc.count(term) for doc in corpus]
+        containing = n - freqs.count(0)
+        if not containing:
+            continue
+        avgdl = sum(len(doc) for doc in corpus) / n
+        idf = math.log((n - containing + 0.5) / (containing + 0.5) + 1.0)
+        for i, (doc, f) in enumerate(zip(corpus, freqs)):
+            if f:
+                scores[i] += idf * f * (k1 + 1) / (f + k1 * (1 - b + b * len(doc) / avgdl))
+    return scores
+
+
+WORDS = ["lake", "kayak", "paella", "cello", "trip", "go"]
+corpora = st.lists(st.lists(st.sampled_from(WORDS), max_size=12), max_size=30)
+# multiword and repeated keywords, and "zebra", which no document holds
+keyword_lists = st.lists(st.lists(st.sampled_from(WORDS[:3] + ["zebra"]), min_size=1, max_size=3)
+                         .map(" ".join), max_size=4)
+bm25_params = st.builds(Bm25Params, st.sampled_from([0.0, 0.5, 1.2, 2.0]),
+                        st.sampled_from([0.0, 0.75, 1.0]))
+
+
+def terms_of(keywords: list[str]) -> list[str]:
+    return [t for kw in keywords for t in tokenize(kw)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpora, keyword_lists, bm25_params, st.data())
+def test_postings_scores_equal_the_per_document_loop(corpus, keywords, params, data):
+    cut = data.draw(st.integers(0, len(corpus)), label="cut")
+    terms = terms_of(keywords)
+    want = per_document_bm25(corpus[:cut], terms, params)
+    assert Postings.of(corpus).scores(terms, cut, params).tolist() == want  # every float
+    assert bm25_scores(corpus[:cut], terms, params) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpora.filter(bool), st.lists(st.integers(1, 10), max_size=5), keyword_lists, st.data())
+def test_postings_grown_in_catch_ups_equal_one_pass(corpus, steps, keywords, data):
+    embedder = MockEmbedder(dimension=8)
+    leaves = [make_leaf(i + 1, " ".join(doc), embedder.embed_text(f"leaf {i} {doc}"), i)
+              for i, doc in enumerate(corpus)]
+    tree = MemoryTree()
+    inserted = 0
+    for step in steps + [len(leaves)]:  # a catch-up after each step of inserts
+        for leaf in leaves[inserted:inserted + step]:
+            tree.insert_node(leaf)
+        inserted = min(inserted + step, len(leaves))
+        grown = tree.leaf_index("u")
+    whole = LeafIndex.of(leaves).postings
+    assert grown.postings.terms == whole.terms
+    assert grown.postings.length_sums == whole.length_sums
+    cut = data.draw(st.integers(0, len(corpus)), label="cut")
+    terms = terms_of(keywords)
+    assert (grown.postings.scores(terms, cut).tolist() == whole.scores(terms, cut).tolist()
+            == per_document_bm25(corpus[:cut], terms, Bm25Params()))
 
 
 # --- cosine -------------------------------------------------------------------

@@ -194,6 +194,20 @@ def test_propagate_empty_leaves_injects_latest_profile():
     assert pipeline_for(tree2).propagate_ancestors("u", [], Complexity.SIMPLE).entries == []
 
 
+def test_propagate_injects_the_latest_profile_ending_by_t_q():
+    tree = MemoryTree()
+    for i, month in enumerate((5, 6)):
+        tree.insert_node(MemoryNode(
+            id=1 + i, user_id="u", level=Level.PROFILE,
+            interval=TemporalInterval(utc(2023, month, 1), utc(2023, month, 28)),
+            text=f"profile {month}", embedding=unit(8, i)))
+    pipe = pipeline_for(tree)
+    for t_q, want in ((utc(2023, 6, 28), [2]), (utc(2023, 6, 27), [1]),
+                      (utc(2023, 5, 28), [1]), (utc(2023, 5, 27), [])):
+        cand = pipe.propagate_ancestors("u", [], Complexity.SIMPLE, t_q)
+        assert [c.node.id for c in cand.entries] == want, t_q
+
+
 def test_propagate_forbidden_levels_never_appear(engine):
     ingest_all(engine, "alice", random_transcript(random.Random(31), "alice"))
     pool = engine.tree.nodes_at_level("alice", Level.SEGMENT)
@@ -336,6 +350,24 @@ def test_recall_temporal_filter(engine):
     for m in result.memories:
         if m.level == 1:
             assert m.interval.end <= cutoff
+
+
+def test_as_of_recall_returns_nothing_ending_after_t_q(engine):
+    """Asked at a turn's own time, a recall sees only memories whose turns
+    had all happened: no ancestor or profile that ends later."""
+    turns = random_transcript(random.Random(7), "alice", n_sessions=12)
+    ingest_all(engine, "alice", turns)
+    later = ancestors = 0
+    for turn in turns[::7]:
+        t_q = turn.timestamp
+        result = engine.recall("alice", "Where did Alice go kayaking at Lake Verano?",
+                               t_q=t_q, gate=False, complexity_override=Complexity.COMPLEX)
+        assert [m.node_id for m in result.memories if m.interval.end > t_q] == [], t_q
+        ancestors += any(m.level > 1 for m in result.memories)
+        later += any(n.interval.end > t_q for n in engine.tree.all_nodes("alice") if n.level > 1)
+    # the tree does hold memories ending after most of these t_q, and
+    # the recalls still reach ancestors that end before it
+    assert later > 5 and ancestors > 5
 
 
 def test_recall_deterministic(engine):
