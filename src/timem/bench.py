@@ -155,15 +155,20 @@ def run_bench(transcript_paths: list[str | Path], questions_path: str | Path,
     turns whose segment node appears in the final memory set.
     """
     config = config or EngineConfig()
-    if engine is None:
+    own_engine = engine is None
+    if own_engine:
         engine = MemoryEngine.with_mock_backends(config=config, data_dir=data_dir)
 
-    if not skip_ingest:
-        for path in transcript_paths:
-            transcript = parse_transcript(path)
-            for turn in transcript.turns:
-                engine.ingest_turn(transcript.user_id, turn)
-            engine.flush(transcript.user_id)
+    try:
+        if not skip_ingest:
+            for path in transcript_paths:
+                transcript = parse_transcript(path)
+                for turn in transcript.turns:
+                    engine.ingest_turn(transcript.user_id, turn)
+                engine.flush(transcript.user_id)
+    finally:  # recall reads only the tree; close the store this call opened
+        if own_engine and engine.store is not None:
+            engine.store.close()
 
     # ground-truth lookup: turn id -> its segment node id, per user
     turn_to_node: dict[str, dict[str, int]] = {}

@@ -159,7 +159,8 @@ def _cmd_recall(args) -> int:
             payload = {
                 "plan": {"complexity": result.plan.complexity.value,
                          "keywords": result.plan.keywords,
-                         "fallback": result.plan.planner_fallback_used},
+                         "fallback": result.plan.planner_fallback_used,
+                         "gate_fallback": result.gate_fallback_used},
                 "counts": result.counts,
                 "context_token_count": result.context_token_count,
                 "memories": [{
@@ -181,11 +182,9 @@ def _cmd_recall(args) -> int:
 def _cmd_validate(args) -> int:
     config = _load_config(args)
     with _open_engine(args, config, need_store=True) as engine:
-        users = [args.user] if args.user else engine.load_all() or engine.store.users()
-        if args.user:
-            engine.load_user(args.user)
         bad = 0
-        for user in users:
+        for user in [args.user] if args.user else engine.store.users():
+            engine.load_user(user)
             report = engine.validate(user)
             counts = {f"L{int(lvl)}": c for lvl, c in report.node_count_per_level.items()}
             status = "ok" if report.ok else f"{len(report.violations)} violations"

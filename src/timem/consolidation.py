@@ -5,7 +5,9 @@ are consolidated when their temporal group closes: a session closes
 when the session id changes, calendar groups (day, week, month) close
 lazily once a turn arrives past their window; closure is always
 triggered by the next ingested turn or by an explicit flush, never by
-wall-clock timers.
+wall-clock timers. Every group without a node yet, session or calendar,
+waits in one per-user table; a group whose consolidation failed stays
+there, closed, and is consolidated first by the user's next call.
 
 A group's children are the members assigned to it: a session's are its
 segments, a calendar group's the lower-level nodes whose interval starts
@@ -49,11 +51,11 @@ class TemporalGroup:
     key: str                      # session id | calendar day | ISO week | month
     anchor: datetime              # first member's interval start
     base_end: datetime | None = None  # calendar period end; sessions close on id change
-    open: bool = True
+    open: bool = True             # False once closed; it stays in the table until its node exists
     member_ids: list[int] = field(default_factory=list)  # children, assigned by interval start
 
 
-_CALENDAR_LEVELS = (Level.DAY, Level.WEEK, Level.PROFILE)
+_GROUP_LEVELS = (Level.SESSION, Level.DAY, Level.WEEK, Level.PROFILE)
 
 _KEY_FUNCS = {
     Level.DAY: (day_key, day_window),
@@ -65,11 +67,9 @@ _KEY_FUNCS = {
 @dataclass
 class _UserState:
     last_ts: datetime | None = None
-    open_session: TemporalGroup | None = None
-    # level -> group key -> open group
-    open_calendar: dict[Level, dict[str, TemporalGroup]] = field(
-        default_factory=lambda: {lvl: {} for lvl in _CALENDAR_LEVELS})
-    pending: list[TemporalGroup] = field(default_factory=list)
+    # level -> group key -> group without a node yet (open, or closed and waiting)
+    open: dict[Level, dict[str, TemporalGroup]] = field(
+        default_factory=lambda: {lvl: {} for lvl in _GROUP_LEVELS})
     created: list[MemoryNode] = field(default_factory=list)  # inserted, not yet handed out
 
 
@@ -102,26 +102,18 @@ class Consolidator:
         if st.last_ts is not None and turn.timestamp < st.last_ts:
             raise NonMonotonicTimestamp(
                 f"turn {turn.turn_id} at {turn.timestamp} precedes {st.last_ts}")
-        self._drain_pending(user_id)
-        if st.open_session is not None and st.open_session.key != turn.session_id:
-            group, st.open_session = st.open_session, None
-            self._close(user_id, group)
-        self._close_due_calendar(user_id, turn.timestamp)
+        self._close_due(user_id, turn)
         node = self._make_segment(user_id, turn)
         st.created.append(node)
-        self._extend_session(user_id, turn, node)
+        self._join(user_id, node, turn.session_id)
         st.last_ts = turn.timestamp
         created, st.created = st.created, []
         return created
 
     def flush(self, user_id: str) -> list[MemoryNode]:
         """Close and consolidate every open group, bottom-up."""
+        self._close_due(user_id, None)
         st = self.state(user_id)
-        self._drain_pending(user_id)
-        if st.open_session is not None:
-            group, st.open_session = st.open_session, None
-            self._close(user_id, group)
-        self._close_due_calendar(user_id, None)
         created, st.created = st.created, []
         return created
 
@@ -204,102 +196,80 @@ class Consolidator:
                               TemporalInterval(turn.timestamp, turn.timestamp),
                               source_turn_ids=[turn.turn_id])
 
-    def _extend_session(self, user_id: str, turn: DialogTurn, node: MemoryNode) -> None:
-        st = self.state(user_id)
-        if st.open_session is None:
-            st.open_session = TemporalGroup(
-                level=Level.SESSION, key=turn.session_id, anchor=turn.timestamp)
-        st.open_session.member_ids.append(node.id)
-
-    def _close(self, user_id: str, group: TemporalGroup) -> None:
-        """Queue a group that closed, then consolidate every queued group."""
-        group.open = False
-        self.state(user_id).pending.append(group)
-        self._drain_pending(user_id)
-
-    def _drain_pending(self, user_id: str) -> None:
-        """Consolidate closed groups in closure order; route new nodes up."""
-        st = self.state(user_id)
-        while st.pending:
-            group = st.pending[0]
-            node = self.consolidate_group(user_id, group)  # BackendFailure keeps it queued
-            st.pending.pop(0)
-            if node is not None:
-                st.created.append(node)
-                if group.level < Level.PROFILE:
-                    self._assign_to_upper(user_id, node)
-
-    def _assign_to_upper(self, user_id: str, node: MemoryNode) -> None:
-        st = self.state(user_id)
-        upper = Level(node.level + 1)
-        key_func, window_func = _KEY_FUNCS[upper]
-        key = key_func(node.interval.start)
-        group = st.open_calendar[upper].get(key)
-        if group is None:
-            group = TemporalGroup(
-                level=upper, key=key, anchor=node.interval.start,
-                base_end=window_func(node.interval.start)[1])
-            st.open_calendar[upper][key] = group
-        group.member_ids.append(node.id)
+    def _join(self, user_id: str, node: MemoryNode, session_id: str | None = None) -> None:
+        """Make `node` a member of its group one level up, opened (anchored
+        at the node's start) when the table has none: a segment's session
+        `session_id`, a higher node the calendar group of its start."""
+        level, start = Level(node.level + 1), node.interval.start
+        key, base_end = session_id, None
+        if level > Level.SESSION:
+            key_func, window_func = _KEY_FUNCS[level]
+            key, base_end = key_func(start), window_func(start)[1]
+        groups = self.state(user_id).open[level]
+        if key not in groups:
+            groups[key] = TemporalGroup(level=level, key=key, anchor=start, base_end=base_end)
+        groups[key].member_ids.append(node.id)
 
     def _blocked(self, user_id: str, group: TemporalGroup) -> bool:
         """A calendar group must wait for open lower groups anchored in
         its period: their consolidation node would still join it (or a
         group feeding it), and a key must never close twice."""
-        st = self.state(user_id)
+        groups = self.state(user_id).open
         key_func = _KEY_FUNCS[group.level][0]
-        if st.open_session is not None and key_func(st.open_session.anchor) == group.key:
-            return True
-        for lower in _CALENDAR_LEVELS:
-            if lower >= group.level:
-                break
-            for other in st.open_calendar[lower].values():
-                if key_func(other.anchor) == group.key:
-                    return True
-        return False
+        return any(key_func(other.anchor) == group.key
+                   for lower in _GROUP_LEVELS if lower < group.level
+                   for other in groups[lower].values())
 
-    def _close_due_calendar(self, user_id: str, now: datetime | None) -> None:
-        """Close the calendar groups whose period ended by `now`, lower
-        levels first; `now=None` makes every group due."""
+    def _due(self, user_id: str, group: TemporalGroup, turn: DialogTurn | None) -> bool:
+        """Whether `group` closes before `turn` (every group at a flush): a
+        closed group always, a session on a new session id, a calendar
+        group once the turn is past its period and no lower group feeds it."""
+        if not group.open or turn is None:
+            return True
+        if group.level == Level.SESSION:
+            return group.key != turn.session_id
+        return group.base_end <= turn.timestamp and not self._blocked(user_id, group)
+
+    def _close_due(self, user_id: str, turn: DialogTurn | None) -> None:
+        """Close and consolidate the due groups, lower levels first and in
+        anchor order within a level; route each new node to its parent
+        group. A group leaves the table only once its node exists, so on
+        BackendFailure it stays, closed, and the next call retries it."""
         st = self.state(user_id)
-        for level in _CALENDAR_LEVELS:
-            due = [g for g in st.open_calendar[level].values()
-                   if (now is None or g.base_end <= now) and not self._blocked(user_id, g)]
+        for level in _GROUP_LEVELS:
+            groups = st.open[level]
+            due = [g for g in groups.values() if self._due(user_id, g, turn)]
             for group in sorted(due, key=lambda g: g.anchor):
-                del st.open_calendar[level][group.key]
-                self._close(user_id, group)
+                group.open = False
+                node = self.consolidate_group(user_id, group)
+                del groups[group.key]
+                if node is not None:
+                    st.created.append(node)
+                    if level < Level.PROFILE:
+                        self._join(user_id, node)
 
     # -- replay support -------------------------------------------------------
 
-    def restore_state(self, user_id: str, turn_sessions: dict[str, str],
-                      last_ts: datetime | None) -> None:
-        """Rebuild the open-group scheduler state after a log replay.
+    def restore_state(self, user_id: str, turns: list[DialogTurn]) -> None:
+        """Rebuild the group table from the replayed tree and turns.
 
-        Every node without a parent belongs to a group that had not
-        closed when the log was written; a segment rejoins its turn's
-        session, a higher node the calendar group of its interval start.
+        Every node without a parent belongs to a group that had no node
+        when the log was written: a segment rejoins its turn's session, a
+        higher node the calendar group of its interval start. Only the
+        latest session can still be streaming; the earlier ones had
+        closed, so they are marked closed and consolidate first.
         """
-        st = self._state[user_id] = _UserState(last_ts=last_ts)
-
-        sessions: dict[str, TemporalGroup] = {}
+        st = self._state[user_id] = _UserState(
+            last_ts=max((t.timestamp for t in turns), default=None))
+        turn_sessions = {t.turn_id: t.session_id for t in turns}
         for node in self.tree.nodes_at_level(user_id, Level.SEGMENT):
-            if node.parent_id is not None:
-                continue
-            turn_id = node.source_turn_ids[0] if node.source_turn_ids else None
-            sid = turn_sessions.get(turn_id) or "unknown-session"
-            group = sessions.setdefault(sid, TemporalGroup(
-                level=Level.SESSION, key=sid, anchor=node.interval.start))
-            group.member_ids.append(node.id)
-        session_groups = sorted(sessions.values(), key=lambda g: g.anchor)
-        if session_groups:
-            # only the latest session can still be streaming; earlier
-            # unparented sessions were closed-pending when the log ended
-            st.open_session = session_groups[-1]
-            for group in session_groups[:-1]:
-                group.open = False
-                st.pending.append(group)
-
+            if node.parent_id is None:
+                turn_id = node.source_turn_ids[0] if node.source_turn_ids else None
+                self._join(user_id, node, turn_sessions.get(turn_id) or "unknown-session")
+        sessions = sorted(st.open[Level.SESSION].values(), key=lambda g: g.anchor)
+        for group in sessions[:-1]:
+            group.open = False
         for level in (Level.SESSION, Level.DAY, Level.WEEK):
             for node in self.tree.nodes_at_level(user_id, level):
                 if node.parent_id is None:
-                    self._assign_to_upper(user_id, node)
+                    self._join(user_id, node)

@@ -72,9 +72,7 @@ class MemoryEngine:
         if self.store is None:
             raise ValueError("engine has no store attached")
         result = self.store.load_replay(user_id, self.tree)
-        turn_sessions = {t.turn_id: t.session_id for t in result.turns}
-        last_ts = max((t.timestamp for t in result.turns), default=None)
-        self.consolidator.restore_state(user_id, turn_sessions, last_ts)
+        self.consolidator.restore_state(user_id, result.turns)
         return result
 
     def load_all(self) -> list[str]:

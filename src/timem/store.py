@@ -142,7 +142,6 @@ def node_record(node: MemoryNode) -> dict:
     return {
         "record_type": "node",
         "id": node.id,
-        "user_id": node.user_id,
         "level": int(node.level),
         "start": format_ts(node.interval.start),
         "end": format_ts(node.interval.end),

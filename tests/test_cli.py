@@ -74,6 +74,9 @@ def test_ingest_validate_recall_roundtrip(fixture_dir, tmp_path, capsys):
     assert main(["validate", "--data-dir", data_dir]) == EXIT_OK
     out = capsys.readouterr().out
     assert "ok" in out
+    assert main(["validate", "--data-dir", data_dir, "--user", "alice"]) == EXIT_OK
+    [line] = capsys.readouterr().out.splitlines()
+    assert line.startswith("alice: ok ") and "'L1': 0" not in line
 
     assert main(["recall", "--data-dir", data_dir, "--user", "alice",
                  "--output", "json", "Where did Alice go kayaking?"]) == EXIT_OK
@@ -90,6 +93,27 @@ def test_ingest_validate_recall_roundtrip(fixture_dir, tmp_path, capsys):
             assert 0.0 <= m["s_sem"] <= 1.0 and 0.0 <= m["s_lex"] <= 1.0
         else:
             assert m["s_sem"] is None and m["s_lex"] is None
+
+
+def test_recall_json_shows_gate_fallback(fixture_dir, tmp_path, capsys, monkeypatch):
+    data_dir = str(tmp_path / "data")
+    transcripts = sorted(str(p) for p in fixture_dir.glob("transcript_*.json"))
+    assert main(["ingest", "--data-dir", data_dir, *transcripts]) == EXIT_OK
+    query = ["recall", "--data-dir", data_dir, "--user", "alice", "--output", "json",
+             "Where did Alice go kayaking?"]
+    capsys.readouterr()
+    assert main(query) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["plan"]["gate_fallback"] is False
+
+    def gate_down(req):
+        raise RuntimeError("gate provider down")
+
+    monkeypatch.setattr("timem.backends._mock_gate", gate_down)
+    assert main(query) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["plan"]["gate_fallback"] is True
+    assert payload["counts"]["retained"] == payload["counts"]["candidates"] > 0
+    assert len(payload["memories"]) == payload["counts"]["candidates"]
 
 
 def test_ingest_resumes_an_existing_log(fixture_dir, tmp_path, capsys):

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from timem import Level, MemoryEngine
-from timem.backends import FlakyChatBackend
+from timem.backends import CONSOLIDATE_PURPOSES, FlakyChatBackend, MockChatBackend
 from timem.consolidation import TemporalGroup
-from timem.errors import BackendFailure, NonMonotonicTimestamp
+from timem.errors import BackendFailure, NonMonotonicTimestamp, ProviderError
 from timem.timeutil import parse_ts, utc
 from timem.tree import TemporalInterval
 
@@ -267,6 +267,54 @@ def test_backend_failure_during_closure_keeps_group_pending():
     created = engine.ingest_turn("alice", turns[2])
     assert [int(n.level) for n in created] == [2, 1]
     assert engine.validate("alice").violations == []
+
+
+class FailOnceChat:
+    """The mock chat backend, failing the `nth` level 2-5 consolidation
+    call once (`nth=0` never fails); counts those calls."""
+
+    GROUP_PURPOSES = {CONSOLIDATE_PURPOSES[level] for level in range(2, 6)}
+
+    def __init__(self, nth: int = 0):
+        self.mock = MockChatBackend()
+        self.nth = nth
+        self.group_calls = 0
+
+    def chat_complete(self, req):
+        if req.purpose in self.GROUP_PURPOSES:
+            self.group_calls += 1
+            if self.group_calls == self.nth:
+                raise ProviderError("simulated transient failure")
+        return self.mock.chat_complete(req)
+
+
+def retrying_run(engine: MemoryEngine, turns) -> tuple[list, list[int]]:
+    """Ingest and flush, retrying a call once on BackendFailure; returns
+    the tree's nodes and the ids in the order the calls handed them out."""
+    handed_out = []
+    calls = [lambda turn=turn: engine.ingest_turn("alice", turn) for turn in turns]
+    for call in calls + [lambda: engine.flush("alice")]:
+        try:
+            created = call()
+        except BackendFailure:
+            created = call()
+        handed_out += [n.id for n in created]
+    rows = [(n.id, int(n.level), n.text, n.interval, n.parent_id, tuple(n.child_ids))
+            for n in engine.tree.all_nodes("alice")]
+    return rows, handed_out
+
+
+def test_each_group_consolidation_failure_retries_to_the_same_tree():
+    turns = random_transcript(random.Random(5), "alice", n_sessions=14)
+    clean_chat = FailOnceChat()
+    expected = retrying_run(MemoryEngine(chat=clean_chat), turns)
+    assert clean_chat.group_calls == 39
+    assert sorted(expected[1]) == [row[0] for row in expected[0]]
+    for nth in range(1, clean_chat.group_calls + 1):
+        chat = FailOnceChat(nth)
+        engine = MemoryEngine(chat=chat)
+        assert retrying_run(engine, turns) == expected, nth
+        assert chat.group_calls == 40, nth  # one failed call, retried once
 
 
 def test_embedder_failure_is_backend_failure():
