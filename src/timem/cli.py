@@ -166,7 +166,8 @@ def _cmd_recall(args) -> int:
                 "memories": [{
                     "node_id": m.node_id, "level": m.level,
                     "start": format_ts(m.interval.start), "end": format_ts(m.interval.end),
-                    "fused": m.fused, "s_sem": m.s_sem, "s_lex": m.s_lex, "text": m.text,
+                    "fused": m.fused, "s_sem": m.s_sem, "s_lex": m.s_lex,
+                    "via_leaf": m.via_leaf, "text": m.text,
                 } for m in result.memories],
             }
             print(json.dumps(payload, indent=2))

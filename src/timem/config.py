@@ -30,6 +30,18 @@ DEFAULT_CAPS = {
 # Settings the engine does not vary: any value but the default is rejected.
 _FIXED = {"segment_turns": 1, "level_count": 5, "profile_period": "month"}
 
+# The accepted values of each numeric setting, as a named rule.
+_RULES = {"in [0, 1]": lambda v: 0 <= v <= 1, ">= 0": lambda v: v >= 0,
+          ">= 1": lambda v: v >= 1, "> 0": lambda v: v > 0}
+_RANGES = {
+    **dict.fromkeys(("fusion_weight", "bm25_b"), "in [0, 1]"),
+    **dict.fromkeys(("bm25_k1", "history_window", "max_retries", "temperature_consolidate",
+                     "temperature_plan", "temperature_gate", *DEFAULT_CAPS), ">= 0"),
+    **dict.fromkeys(("leaf_budget", "embedding_dim", "max_concurrency",
+                     "max_output_tokens"), ">= 1"),
+    "request_timeout": "> 0",
+}
+
 
 @dataclass
 class EngineConfig:
@@ -66,6 +78,10 @@ class EngineConfig:
             value = getattr(self, name)
             if value != supported:
                 raise ValueError(f"{name}={value!r} is not supported; only {supported!r} is")
+        for name, value in {**vars(self), **self.caps}.items():
+            rule = _RANGES.get(name)
+            if rule and not (isinstance(value, (int, float)) and _RULES[rule](value)):
+                raise ValueError(f"{name}={value!r} is out of range: it must be {rule}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

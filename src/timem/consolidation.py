@@ -25,14 +25,7 @@ from .backends import CONSOLIDATE_PURPOSES, ChatBackend, ChatRequest, Embedder
 from .config import EngineConfig
 from .errors import BackendFailure, NonMonotonicTimestamp
 from .prompts import PromptLibrary
-from .timeutil import (
-    day_key,
-    day_window,
-    month_key,
-    month_window,
-    week_key,
-    week_window,
-)
+from .timeutil import day_window, month_window, week_window
 from .tree import Level, MemoryNode, MemoryTree, TemporalInterval, interval_hull
 
 
@@ -48,7 +41,7 @@ class DialogTurn:
 @dataclass
 class TemporalGroup:
     level: Level
-    key: str                      # session id | calendar day | ISO week | month
+    key: str | datetime           # session id | start of the calendar period
     anchor: datetime              # first member's interval start
     base_end: datetime | None = None  # calendar period end; sessions close on id change
     open: bool = True             # False once closed; it stays in the table until its node exists
@@ -57,18 +50,14 @@ class TemporalGroup:
 
 _GROUP_LEVELS = (Level.SESSION, Level.DAY, Level.WEEK, Level.PROFILE)
 
-_KEY_FUNCS = {
-    Level.DAY: (day_key, day_window),
-    Level.WEEK: (week_key, week_window),
-    Level.PROFILE: (month_key, month_window),
-}
+_WINDOWS = {Level.DAY: day_window, Level.WEEK: week_window, Level.PROFILE: month_window}
 
 
 @dataclass
 class _UserState:
     last_ts: datetime | None = None
     # level -> group key -> group without a node yet (open, or closed and waiting)
-    open: dict[Level, dict[str, TemporalGroup]] = field(
+    open: dict[Level, dict[str | datetime, TemporalGroup]] = field(
         default_factory=lambda: {lvl: {} for lvl in _GROUP_LEVELS})
     created: list[MemoryNode] = field(default_factory=list)  # inserted, not yet handed out
 
@@ -203,8 +192,7 @@ class Consolidator:
         level, start = Level(node.level + 1), node.interval.start
         key, base_end = session_id, None
         if level > Level.SESSION:
-            key_func, window_func = _KEY_FUNCS[level]
-            key, base_end = key_func(start), window_func(start)[1]
+            key, base_end = _WINDOWS[level](start)
         groups = self.state(user_id).open[level]
         if key not in groups:
             groups[key] = TemporalGroup(level=level, key=key, anchor=start, base_end=base_end)
@@ -215,8 +203,8 @@ class Consolidator:
         its period: their consolidation node would still join it (or a
         group feeding it), and a key must never close twice."""
         groups = self.state(user_id).open
-        key_func = _KEY_FUNCS[group.level][0]
-        return any(key_func(other.anchor) == group.key
+        window = _WINDOWS[group.level]
+        return any(window(other.anchor)[0] == group.key
                    for lower in _GROUP_LEVELS if lower < group.level
                    for other in groups[lower].values())
 

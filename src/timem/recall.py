@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime
 from enum import Enum
 
@@ -38,11 +38,6 @@ class Complexity(str, Enum):
 
 WIRE_CODES = {0: Complexity.SIMPLE, 1: Complexity.HYBRID, 2: Complexity.COMPLEX}
 _CODE_OF = {complexity: code for code, complexity in WIRE_CODES.items()}
-GATE_TEMPLATES = {
-    Complexity.SIMPLE: "gate_simple",
-    Complexity.HYBRID: "gate_hybrid",
-    Complexity.COMPLEX: "gate_complex",
-}
 
 
 @dataclass
@@ -121,18 +116,19 @@ def _fallback_keywords(query: str, limit: int = 3) -> list[str]:
 _JSON_BLOCK = re.compile(r"\{.*\}", re.DOTALL)
 
 
-def _parse_json_reply(text: str) -> dict | None:
+def _parse_json_reply(text: str | None) -> dict | None:
+    """The reply as a JSON object, else its outermost {...} span; else None."""
+    if text is None:
+        return None
     try:
-        return json.loads(text)
-    except (json.JSONDecodeError, TypeError):
-        pass
-    m = _JSON_BLOCK.search(text or "")
-    if m:
+        data = json.loads(text)
+    except json.JSONDecodeError:
+        m = _JSON_BLOCK.search(text)
         try:
-            return json.loads(m.group(0))
+            data = json.loads(m.group(0)) if m else None
         except json.JSONDecodeError:
-            return None
-    return None
+            data = None
+    return data if isinstance(data, dict) else None
 
 
 def rank_final(candidates: list[Candidate], t_q: datetime) -> list[Candidate]:
@@ -167,7 +163,7 @@ class RecallPipeline:
         except Exception as exc:
             logger.debug("planner call failed: %s", type(exc).__name__)
             reply = None
-        data = _parse_json_reply(reply) if reply is not None else None
+        data = _parse_json_reply(reply)
         if data is not None:
             try:
                 complexity = WIRE_CODES[int(data["complexity"])]
@@ -187,47 +183,35 @@ class RecallPipeline:
                             t_q: datetime | None = None) -> CandidateSet:
         """Leaves plus their ancestors at strategy levels, budget-capped.
 
-        Ancestors reached via higher-scoring leaves win cap slots; a
-        level stops accepting once its cap fills. The latest profile is
-        injected when the strategy includes it but no leaf reached one.
-        With `t_q`, only memories ending at or before it are visible: an
-        ancestor ending later is skipped, and the profile injected is
-        the latest one ending by `t_q`.
+        The first `caps[SEGMENT]` leaves are kept. Each level above has a
+        budget of its cap, spent on the ancestors reached via the
+        higher-scoring leaves first; a cap of 0 admits nothing. The
+        latest profile is injected when the profile budget is positive
+        and no leaf reached one. With `t_q`, only memories ending at or
+        before it are visible: an ancestor ending later is skipped, and
+        the profile injected is the latest one ending by `t_q`.
         """
-        levels, budget = strategy_levels(complexity, self.config)
-        caps = dict(budget.caps)
-        counts: dict[Level, int] = {lvl: 0 for lvl in caps}
+        _, budget = strategy_levels(complexity, self.config)
+        leaves = leaves[:budget.caps.get(Level.SEGMENT, len(leaves))]
+        entries = [Candidate(node=self.tree.get(user_id, leaf.node_id), fused=leaf.fused,
+                             s_sem=leaf.s_sem, s_lex=leaf.s_lex) for leaf in leaves]
+        left = {lvl: cap for lvl, cap in budget.caps.items() if lvl != Level.SEGMENT and cap > 0}
         seen: set[int] = set()
-        entries: list[Candidate] = []
-
-        leaf_cap = caps.get(Level.SEGMENT, len(leaves))
-        for leaf in leaves[:leaf_cap]:
-            node = self.tree.get(user_id, leaf.node_id)
-            entries.append(Candidate(node=node, fused=leaf.fused,
-                                     s_sem=leaf.s_sem, s_lex=leaf.s_lex))
-            seen.add(node.id)
-            counts[Level.SEGMENT] += 1
-
-        ancestor_levels = {lvl for lvl in levels if lvl != Level.SEGMENT}
-        open_levels = set(ancestor_levels)
-        for leaf in leaves[:leaf_cap]:
-            if not open_levels:
-                break  # every ancestor budget is full
-            for ancestor in self.tree.ancestors(user_id, leaf.node_id, ancestor_levels):
-                lvl = ancestor.level
-                if lvl not in open_levels or ancestor.id in seen:
+        for leaf in leaves:
+            if not any(left.values()):
+                break  # every ancestor budget is spent
+            for ancestor in self.tree.ancestors(user_id, leaf.node_id, left.keys()):
+                if not left[ancestor.level] or ancestor.id in seen:
                     continue
                 if t_q is not None and ancestor.interval.end > t_q:
                     continue  # it summarises turns after t_q
                 entries.append(Candidate(node=ancestor, via_leaf=leaf.node_id))
                 seen.add(ancestor.id)
-                counts[lvl] += 1
-                if counts[lvl] >= caps[lvl]:
-                    open_levels.discard(lvl)
+                left[ancestor.level] -= 1
 
-        if Level.PROFILE in levels and counts.get(Level.PROFILE, 0) == 0:
+        if 0 < left.get(Level.PROFILE, 0) == budget.caps[Level.PROFILE]:  # none reached
             profile = self.tree.latest_at_level(user_id, Level.PROFILE, t_q)
-            if profile is not None and profile.id not in seen:
+            if profile is not None:
                 entries.append(Candidate(node=profile))
         return CandidateSet(entries=entries)
 
@@ -250,7 +234,7 @@ class RecallPipeline:
                 f"{i}. [L{int(cand.node.level)} | {format_ts(cand.node.interval.start)}"
                 f" to {format_ts(cand.node.interval.end)}] {text}")
         prompt = self.prompts.fill(
-            GATE_TEMPLATES[complexity],
+            f"gate_{complexity.value}",
             question=query,
             total_count=str(len(ordered)),
             numbered_memories="\n".join(lines))
@@ -264,7 +248,7 @@ class RecallPipeline:
         except Exception as exc:
             logger.debug("gate call failed: %s", type(exc).__name__)
             reply = None
-        data = _parse_json_reply(reply) if reply is not None else None
+        data = _parse_json_reply(reply)
         if data is None or not isinstance(data.get("relevant_ids"), list):
             return list(candidates.entries), True
         keep: set[int] = set()
@@ -286,8 +270,7 @@ class RecallPipeline:
             raise UnknownUser(f"no memory tree for user {user_id!r}")
         plan = self.plan_query(query)
         if complexity_override is not None:
-            plan = RecallPlan(complexity=complexity_override, keywords=plan.keywords,
-                              planner_fallback_used=plan.planner_fallback_used)
+            plan = replace(plan, complexity=complexity_override)
 
         t_ref = t_q
         if t_ref is None:

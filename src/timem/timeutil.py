@@ -46,15 +46,3 @@ def month_window(dt: datetime) -> tuple[datetime, datetime]:
         end = datetime(dt.year, dt.month + 1, 1, tzinfo=timezone.utc)
     return start, end
 
-
-def day_key(dt: datetime) -> str:
-    return dt.strftime("%Y-%m-%d")
-
-
-def week_key(dt: datetime) -> str:
-    iso = dt.date().isocalendar()
-    return f"{iso[0]}-W{iso[1]:02d}"
-
-
-def month_key(dt: datetime) -> str:
-    return dt.strftime("%Y-%m")

@@ -93,6 +93,12 @@ def test_ingest_validate_recall_roundtrip(fixture_dir, tmp_path, capsys):
             assert 0.0 <= m["s_sem"] <= 1.0 and 0.0 <= m["s_lex"] <= 1.0
         else:
             assert m["s_sem"] is None and m["s_lex"] is None
+    leaf_ids = {m["node_id"] for m in payload["memories"] if m["level"] == 1}
+    for m in payload["memories"]:  # the leaf that reached an ancestor; none for a leaf
+        if m["level"] == 1:
+            assert m["via_leaf"] is None
+        else:
+            assert m["via_leaf"] in leaf_ids
 
 
 def test_recall_json_shows_gate_fallback(fixture_dir, tmp_path, capsys, monkeypatch):

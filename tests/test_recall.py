@@ -9,6 +9,7 @@ import pytest
 
 from timem import (
     Complexity,
+    EngineConfig,
     Level,
     MemoryEngine,
     MemoryNode,
@@ -17,6 +18,7 @@ from timem import (
     strategy_levels,
 )
 from timem.backends import MockChatBackend, MockEmbedder, Purpose
+from timem.config import DEFAULT_CAPS
 from timem.errors import UnknownUser
 from timem.indexing import ScoredLeaf
 from timem.recall import Candidate, RecallPipeline, rank_final
@@ -178,6 +180,51 @@ def test_propagate_caps_match_bruteforce_oracle():
     assert got_sessions == expected_sessions
     assert len([c for c in cand.entries if c.node.level == Level.SEGMENT]) == 20
 
+    # seeded random caps of 0-3 per level on a full five-level tree
+    engine = MemoryEngine()
+    ingest_all(engine, "u", random_transcript(random.Random(12), "u", n_sessions=14))
+    segments = engine.tree.nodes_at_level("u", Level.SEGMENT)
+    profiles = engine.tree.nodes_at_level("u", Level.PROFILE)
+    assert len(profiles) > 1
+    for trial in range(40):
+        caps = {lvl: rng.randint(0, 3) for lvl in Level}
+        config = EngineConfig(caps=dict(
+            DEFAULT_CAPS, **{f"cap_complex_l{int(lvl)}": cap for lvl, cap in caps.items()}))
+        leaves = sorted((ScoredLeaf(n.id, 0.0, 0.0, rng.random()) for n in segments),
+                        key=lambda s: -s.fused)
+        pipe = RecallPipeline(engine.tree, MockChatBackend(), engine.embedder, config=config)
+        cand = pipe.propagate_ancestors("u", leaves, Complexity.COMPLEX)
+
+        # oracle: walk each kept leaf's whole parent chain in score order
+        expected = [leaf.node_id for leaf in leaves[:caps[Level.SEGMENT]]]
+        for leaf_id in list(expected):
+            node = engine.tree.get("u", leaf_id)
+            while node.parent_id is not None:
+                node = engine.tree.get("u", node.parent_id)
+                taken = sum(engine.tree.get("u", i).level == node.level for i in expected)
+                if node.id not in expected and taken < caps[node.level]:
+                    expected.append(node.id)
+        if caps[Level.PROFILE] and not any(engine.tree.get("u", i).level == Level.PROFILE
+                                           for i in expected):
+            expected.append(max(profiles, key=lambda n: (n.interval.end, n.id)).id)
+        assert [c.node.id for c in cand.entries] == expected, (trial, caps)
+        for lvl in Level:
+            assert sum(c.node.level == lvl for c in cand.entries) <= caps[lvl]
+        assert any(c.node.level == Level.PROFILE for c in cand.entries) == (
+            caps[Level.PROFILE] > 0)
+
+
+def test_zero_caps_admit_nothing_and_inject_no_profile():
+    caps = dict(DEFAULT_CAPS, cap_complex_l2=0, cap_complex_l4=0, cap_complex_l5=0)
+    engine = MemoryEngine(config=EngineConfig(caps=caps))
+    ingest_all(engine, "u", random_transcript(random.Random(12), "u", n_sessions=14))
+    assert engine.tree.nodes_at_level("u", Level.PROFILE)
+    result = engine.recall("u", "Where did I go kayaking?", gate=False,
+                           complexity_override=Complexity.COMPLEX)
+    levels = [m.level for m in result.memories]
+    assert levels.count(1) == 20 and levels.count(3) == 4
+    assert set(levels) == {1, 3}
+
 
 def test_propagate_empty_leaves_injects_latest_profile():
     tree = MemoryTree()
@@ -250,9 +297,10 @@ def test_gate_fail_open_on_malformed():
     tree = build_fanout_tree(3, 1)
     from timem.recall import CandidateSet
     cand = CandidateSet(entries=candidates_from(tree, [1, 2, 3]))
-    pipe = pipeline_for(tree, chat=ScriptedChat({Purpose.GATE: "garbled"}))
-    kept, fallback = pipe.gate_candidates("q", Complexity.SIMPLE, cand)
-    assert len(kept) == 3 and fallback
+    for reply in ("garbled", "[1, 2]", '"keep all"', "3"):  # not a JSON object
+        pipe = pipeline_for(tree, chat=ScriptedChat({Purpose.GATE: reply}))
+        kept, fallback = pipe.gate_candidates("q", Complexity.SIMPLE, cand)
+        assert len(kept) == 3 and fallback, reply
 
 
 def test_gate_ignores_out_of_range_ordinals():
