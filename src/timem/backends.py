@@ -395,6 +395,8 @@ class HttpEmbedder(_HttpBase):
         if values.shape != (self.dimension,):
             raise ProviderError(
                 f"embedding dimension {values.shape} != ({self.dimension},)")
+        if not np.isfinite(values).all():
+            raise ProviderError("provider returned a non-finite embedding")
         norm = float(np.linalg.norm(values))
         if norm == 0.0:
             raise ProviderError("provider returned a zero embedding")

@@ -77,6 +77,10 @@ class Consolidator:
     def state(self, user_id: str) -> _UserState:
         return self._state.setdefault(user_id, _UserState())
 
+    def drop_user(self, user_id: str) -> None:
+        """Forget a user's group table and unreturned nodes."""
+        self._state.pop(user_id, None)
+
     # -- public operations -------------------------------------------------
 
     def ingest_turn(self, user_id: str, turn: DialogTurn) -> list[MemoryNode]:

@@ -8,6 +8,7 @@ from pathlib import Path
 from .backends import ChatBackend, Embedder, MockChatBackend, MockEmbedder
 from .config import EngineConfig
 from .consolidation import Consolidator, DialogTurn
+from .errors import StoreIoError
 from .prompts import PromptLibrary
 from .recall import Complexity, RecallPipeline, RecallResult
 from .store import LogStore, ReplayResult, node_record, turn_record
@@ -20,7 +21,14 @@ class MemoryEngine:
     When a store is attached, every successfully ingested turn and every
     created node is appended to the user's log before the call returns,
     in one write and fsync, so a crash never loses acknowledged work.
-    Nodes inserted by a call that failed are logged by the next call.
+    Nodes inserted by a call whose provider failed are logged by the
+    next call.
+
+    When the append itself fails (`StoreIoError`), the engine drops the
+    user's tree and group table and re-raises: what reached the log is
+    unknown until it is read back. The caller then resumes as after a
+    crash: `load_user` replays the log, and the turns in its
+    `ReplayResult.turns` reached it and are not ingested again.
     """
 
     def __init__(self, config: EngineConfig | None = None,
@@ -49,14 +57,22 @@ class MemoryEngine:
     def ingest_turn(self, user_id: str, turn: DialogTurn) -> list[MemoryNode]:
         created = self.consolidator.ingest_turn(user_id, turn)
         if self.store is not None:
-            self.store.persist_append(user_id, *map(node_record, created), turn_record(turn))
+            self._persist(user_id, *map(node_record, created), turn_record(turn))
         return created
 
     def flush(self, user_id: str) -> list[MemoryNode]:
         created = self.consolidator.flush(user_id)
         if self.store is not None and created:
-            self.store.persist_append(user_id, *map(node_record, created))
+            self._persist(user_id, *map(node_record, created))
         return created
+
+    def _persist(self, user_id: str, *records: dict) -> None:
+        try:
+            self.store.persist_append(user_id, *records)
+        except StoreIoError:
+            self.tree.drop_user(user_id)
+            self.consolidator.drop_user(user_id)
+            raise
 
     def recall(self, user_id: str, query: str, t_q: datetime | None = None,
                gate: bool = True,

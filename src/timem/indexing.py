@@ -6,12 +6,21 @@ normalized per query across the leaf pool. The two are fused with a
 configurable weight and the top-k leaves are activated.
 
 Leaves are scored from a `LeafIndex`, the columns of a leaf pool that
-scoring reads: float32 embedding rows in fixed-size blocks, float64
-norms, end times and ids, plus BM25's `Postings`: for each term the
-ascending rows that hold it with its count in each, and a running sum
-of token lengths. The tree keeps one index per user, in (end, id)
-order, so a recall scores the prefix ending by t_q in one vectorised
-pass, and BM25 touches only the leaves that hold a keyword.
+scoring reads: float32 embedding rows in fixed-size blocks, flat arrays
+of float64 norms, end times and ids, plus BM25's `Postings`: for each
+term the ascending rows that hold it with its count in each, and a
+running sum of token lengths. The tree keeps one index per user, in
+(end, id) order, so a recall scores the prefix ending by t_q in one
+vectorised pass, and BM25 touches only the leaves that hold a keyword.
+
+The semantic channel is scored in two passes. A float32 screen takes
+every row's dot product with the unit query, one gemv per block, and
+forms a rough fused score. Its error has a proven bound, delta, so only
+the leaves whose rough score is within 2 * delta of the k-th largest
+can be in the top k (see `_screen`). The exact pass runs the float64
+`einsum` on those leaves alone and orders them with the same
+expressions as a pass over every leaf, so the result is the same, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -168,15 +177,12 @@ def block_rows(dimension: int) -> int:
 
 
 class _Block:
-    """The columns of `block_rows` leaves; rows past the index's end are unset."""
+    """`block_rows` embedding rows; rows past the index's end are unset."""
 
-    __slots__ = ("rows", "norms", "stamps", "ids")
+    __slots__ = ("rows",)
 
     def __init__(self, size: int, dimension: int):
         self.rows = np.empty((size, dimension), dtype=np.float32)
-        self.norms = np.empty(size)                 # float64 norm of each row
-        self.stamps = np.empty(size)                # interval end, POSIX seconds
-        self.ids = np.empty(size, dtype=np.int64)
 
 
 class LeafIndex:
@@ -185,15 +191,18 @@ class LeafIndex:
     Embeddings are float32 rows of fixed-size blocks: adding a leaf never
     moves the rows already held, so a tree can rebind each leaf's
     `node.embedding` to a view of its row instead of keeping a second
-    copy. Beside each row: its float64 norm, the leaf's id and its
-    interval end (a datetime for `upto`, a timestamp for the recency
-    tie-break). The leaf's tokens are posted once, when it is added, to
-    `postings`: per term the rows that hold it and its count in each,
-    and the running sum of token lengths. So no recall tokenizes a leaf
-    again, and BM25 over a prefix reads only the rows of its terms.
+    copy. Beside the rows, flat arrays grown by doubling hold each
+    leaf's float64 norm, its interval end as a timestamp (the recency
+    tie-break) and its id, so scoring slices them and joins nothing;
+    `ends` holds the interval ends as datetimes, for `upto`. The leaf's
+    tokens are posted once, when it is added, to `postings`: per term
+    the rows that hold it and its count in each, and the running sum of
+    token lengths. So no recall tokenizes a leaf again, and BM25 over a
+    prefix reads only the rows of its terms.
 
     Rows are only ever appended, so a view from `upto` stays valid while
-    the index it came from grows.
+    the index it came from grows: a grown column is a new array, and the
+    view keeps the old one.
     """
 
     def __init__(self):
@@ -201,6 +210,9 @@ class LeafIndex:
         self.dimension = 0   # set by the first leaf, as is block_rows
         self.block_rows = 0
         self._size = 0
+        self.norms = np.empty(0)                 # float64 norm of each row
+        self.stamps = np.empty(0)                # interval end, POSIX seconds
+        self.ids = np.empty(0, dtype=np.int64)
         self.ends: list[datetime] = []
         self.postings = Postings()
 
@@ -225,15 +237,19 @@ class LeafIndex:
         elif vector.shape != (self.dimension,):
             raise DimensionMismatch(
                 f"leaf {leaf.id} has embedding shape {vector.shape}, the pool ({self.dimension},)")
-        number, i = divmod(self._size, self.block_rows)
+        size = self._size
+        number, i = divmod(size, self.block_rows)
         if number == len(self.blocks):
             self.blocks.append(_Block(self.block_rows, self.dimension))
-        block = self.blocks[number]
-        block.rows[i] = vector
-        row = block.rows[i]
-        block.norms[i] = np.linalg.norm(row.astype(np.float64))
-        block.stamps[i] = leaf.interval.end.timestamp()
-        block.ids[i] = leaf.id
+        if size == len(self.ids):  # entries past the index's end are unset
+            capacity = max(2 * size, self.block_rows)
+            self.norms, self.stamps, self.ids = (
+                np.resize(column, capacity) for column in (self.norms, self.stamps, self.ids))
+        row = self.blocks[number].rows[i]
+        row[:] = vector
+        self.norms[size] = np.linalg.norm(row.astype(np.float64))
+        self.stamps[size] = leaf.interval.end.timestamp()
+        self.ids[size] = leaf.id
         self.ends.append(leaf.interval.end)
         self.postings.add(tokenize(leaf.text))
         self._size += 1
@@ -247,25 +263,91 @@ class LeafIndex:
             view._size = bisect_right(self.ends, t_q, 0, self._size)
         return view
 
-    def columns(self, query: np.ndarray) -> list[np.ndarray]:
-        """Each leaf's dot product with a float64 `query`, its norm, end
-        timestamp and id.
-
-        The dot products come from `einsum` per block, not from the gemv
-        of `rows @ query`: OpenBLAS gemv can give two equal rows results
-        that differ in the last bits depending on where they sit, which
-        would break the recency and id tie rule; `einsum` computes every
-        row the same way, and for the mock embeddings bit for bit as the
-        per-leaf `np.dot` of `cosine_similarity`.
-        """
-        if query.shape != (self.dimension,):
-            raise DimensionMismatch(f"shapes {query.shape} and {(self.dimension,)} differ")
-        parts = []
+    def rough_dots(self, unit_query: np.ndarray) -> np.ndarray:
+        """Each leaf's float32 dot product with a float32 `unit_query`,
+        one matrix-vector product per block."""
+        approx = np.empty(self._size, dtype=np.float32)
         for start, block in zip(range(0, self._size, self.block_rows), self.blocks):
             m = min(self.block_rows, self._size - start)
-            parts.append((np.einsum("ij,j->i", block.rows[:m], query),
-                          block.norms[:m], block.stamps[:m], block.ids[:m]))
-        return [np.concatenate(column) for column in zip(*parts)]
+            np.dot(block.rows[:m], unit_query, out=approx[start:start + m])
+        return approx
+
+    def dots(self, query: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The float64 dot products with `query` of the given ascending
+        rows.
+
+        They come from `einsum`, not from the gemv of `rows @ query`:
+        OpenBLAS gemv can give two equal rows results that differ in the
+        last bits depending on where they sit. `einsum` computes every
+        row the same way, whichever rows it is given with, and for the
+        mock embeddings bit for bit as the per-leaf `np.dot` of
+        `cosine_similarity`. A block whose every row is given is
+        multiplied in place; the other rows are gathered, a block's worth
+        (under the 128 KiB of `BLOCK_BYTES`) at a time.
+        """
+        size, count = self.block_rows, -(-self._size // self.block_rows)
+        starts = np.arange(count + 1) * size
+        bounds = np.searchsorted(rows, starts)  # rows[bounds[b]:bounds[b + 1]] lie in block b
+        held = np.minimum(starts[1:], self._size) - starts[:-1]
+        products, done = [], 0
+        for number in np.flatnonzero(np.diff(bounds) == held).tolist():
+            if done < bounds[number]:
+                products += self._gathered_dots(query, rows[done:bounds[number]])
+            products.append(np.einsum("ij,j->i", self.blocks[number].rows[:held[number]], query))
+            done = bounds[number + 1]
+        products += self._gathered_dots(query, rows[done:])
+        return np.concatenate(products)
+
+    def _gathered_dots(self, query: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
+        size = self.block_rows
+        rows = rows.tolist()
+        return [np.einsum("ij,j->i", np.array([self.blocks[row // size].rows[row % size]
+                                               for row in rows[start:start + size]]), query)
+                for start in range(0, len(rows), size)]
+
+
+# Unit roundoff of float32, and the norm below which a row's screened
+# score is not trusted: float32 underflow, or a flush to zero, errs by an
+# absolute amount (at most d * 2**-126), not one relative to the norm.
+_U32 = 2.0 ** -24
+_TINY_NORM = 2.0 ** -60
+
+
+def _screen(index: LeafIndex, query: np.ndarray, query_norm: float, s_lex: np.ndarray,
+            fusion_weight: float, k: int) -> np.ndarray:
+    """The rows that can be among the top k fused leaves, ascending.
+
+    A rough fused score comes from float32 dot products with the unit
+    query. For d < 2**24 dimensions, with g = d*u/(1 - d*u) and u = 2**-24,
+    any float32 summation order (FMA and blocking included) puts a rough
+    cosine within g*(1 + u) + u of the exact one, so a rough fused score
+    is within delta = w/2 * (g*(1 + u) + u), plus a slack for the float64
+    arithmetic, of the fused score the exact pass computes. The k leaves
+    whose rough score is at least the k-th largest, theta, have fused
+    scores of at least theta - delta, and a leaf whose rough score is
+    below theta - 2*delta has a fused score below that: it cannot be in
+    the top k under any tie rule. Leaves whose rough score or norm is not
+    finite, or whose norm is tiny, are always kept, and every leaf is kept
+    for a query whose norm is not finite.
+    """
+    n = len(index)
+    if n <= k or not math.isfinite(query_norm):
+        return np.arange(n)
+    norms = index.norms[:n]
+    trusted = np.isfinite(norms) & (norms >= _TINY_NORM)
+    d = index.dimension
+    gamma = d * _U32 / (1.0 - d * _U32)
+    # the float64 slack bounds einsum's own error, the norms' and a few
+    # roundings of the fusion expression, each at most d * 2**-53
+    delta = fusion_weight / 2.0 * (gamma * (1.0 + _U32) + _U32) + d * 2.0 ** -50 + 1e-12
+    approx = index.rough_dots((query / query_norm).astype(np.float32))
+    rough = fusion_weight * ((1.0 + approx / norms) / 2.0) + (1.0 - fusion_weight) * s_lex
+    trusted &= np.isfinite(rough)
+    candidates = rough[trusted]
+    if len(candidates) <= k:
+        return np.arange(n)
+    theta = np.partition(candidates, len(candidates) - k)[len(candidates) - k]
+    return np.flatnonzero(~trusted | (rough >= theta - 2.0 * delta))
 
 
 def _keyword_terms(keywords: list[str]) -> list[str]:
@@ -290,7 +372,9 @@ def fused_top_k(
     whole leaf pool (all scores equal -> 0 for all). Ties break toward
     the more recent interval end, then the smaller id. `leaves` is a
     list of nodes or a `LeafIndex`; a list is scored through a LeafIndex
-    built for the call, with the same arithmetic.
+    built for the call, with the same arithmetic. Only the leaves that
+    the float32 screen cannot rule out (`_screen`) get the exact float64
+    dot product, the fusion and the order.
     """
     if not 0 <= fusion_weight <= 1:
         raise ValueError(f"fusion weight must be in [0, 1], got {fusion_weight}")
@@ -301,19 +385,24 @@ def fused_top_k(
     index = leaves if isinstance(leaves, LeafIndex) else LeafIndex.of(leaves)
 
     query = np.asarray(query_embedding, dtype=np.float64)
-    dots, norms, stamps, ids = index.columns(query)
+    if query.shape != (index.dimension,):
+        raise DimensionMismatch(f"shapes {query.shape} and {(index.dimension,)} differ")
+    n = len(index)
+    norms = index.norms[:n]
     query_norm = float(np.linalg.norm(query))
     if query_norm == 0.0 or not norms.all():
         raise ZeroVector("cosine similarity undefined for zero vectors")
-    s_sem = (1.0 + dots / (query_norm * norms)) / 2.0
 
-    raw_lex = index.postings.scores(_keyword_terms(keywords), len(index), params)
+    raw_lex = index.postings.scores(_keyword_terms(keywords), n, params)
     lo, hi = raw_lex.min(), raw_lex.max()
     if hi > lo:
         s_lex = (raw_lex - lo) / (hi - lo)
     else:
-        s_lex = np.zeros(len(index))  # no discriminative lexical signal
+        s_lex = np.zeros(n)  # no discriminative lexical signal
 
+    kept = _screen(index, query, query_norm, s_lex, fusion_weight, k)
+    ids, stamps, s_lex = index.ids[kept], index.stamps[kept], s_lex[kept]
+    s_sem = (1.0 + index.dots(query, kept) / (query_norm * norms[kept])) / 2.0
     fused = fusion_weight * s_sem + (1.0 - fusion_weight) * s_lex
     # fused descending, then recency descending, then id ascending
     top = np.lexsort((ids, -stamps, -fused))[:k]

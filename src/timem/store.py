@@ -12,6 +12,7 @@ record and all after it) into a sidecar before its first append.
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
 import logging
 import os
@@ -247,14 +248,30 @@ class LogStore:
 
     def persist_append(self, user_id: str, *records: dict) -> int:
         """Durably append records, one line each, with one write and one
-        fsync; returns the byte offset of the first."""
-        handle = self._writer(user_id)
-        offset = handle.tell()
+        fsync; returns the byte offset of the first.
+
+        When opening the log, cutting a torn tail from it, the write or
+        the fsync fails, the store closes the user's log, forgets where
+        its records end and raises `StoreIoError`. Its next append to that
+        log then needs a replay first, which cuts whatever part of the
+        failed write reached the log torn.
+        """
         lines = "".join(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
                         for record in records)
-        handle.write(lines.encode("utf-8"))
-        handle.flush()
-        os.fsync(handle.fileno())
+        try:
+            handle = self._writer(user_id)
+            offset = handle.tell()
+            handle.write(lines.encode("utf-8"))
+            handle.flush()
+            os.fsync(handle.fileno())
+        except OSError as exc:
+            handle = self._handles.pop(user_id, None)
+            self._records_end.pop(user_id, None)
+            if handle is not None:
+                with contextlib.suppress(OSError):  # flushing the rest of the failed write
+                    handle.close()
+            self._unlock(user_id)
+            raise StoreIoError(f"append to the log of {user_id!r} failed: {exc}") from exc
         return offset
 
     def _unlock(self, user_id: str) -> None:

@@ -11,13 +11,19 @@ Besides the nodes by id, a tree keeps two indexes per user:
   when the node sorts last (every insert of the benchmark workloads
   does) and `bisect.insort`s it otherwise, so listing a level copies a
   list, and the latest node of a level is its last element.
-- a `LeafIndex` of the segments, the columns recall scores. It is not
-  kept up at insert time: `leaf_index` catches up with the segments
-  inserted since its last call, so ingest and replay never pay for it.
-  Each segment's `embedding` then is a view of its float32 row in one of
-  the index's fixed-size blocks, not a second copy. A segment inserted
-  before the end of its level's order drops the index, and the next
-  call rebuilds it.
+- a `LeafIndex` of the segments, the columns recall scores: float32
+  embedding rows in fixed-size blocks, and flat arrays of norms, end
+  times and ids grown by doubling. Recall screens every row with a
+  float32 product and runs the exact float64 one only on the leaves
+  that can reach the top k. The index is not kept up at insert time:
+  `leaf_index` catches up with the segments inserted since its last
+  call, so ingest and replay never pay for it. Each segment's
+  `embedding` then is a view of its float32 row in one of the index's
+  blocks, not a second copy. A segment inserted before the end of its
+  level's order drops the index, and the next call rebuilds it.
+
+A user's tree can be dropped (`drop_user`) when it may have diverged
+from its log, after a failed append; a replay rebuilds it.
 """
 
 from __future__ import annotations
@@ -136,6 +142,12 @@ class MemoryTree:
         """Register a user namespace (idempotent)."""
         self._user_lock(user_id)
 
+    def drop_user(self, user_id: str) -> None:
+        """Forget a user's nodes and indexes; a replay can rebuild them."""
+        with self._user_lock(user_id), self._registry_lock:
+            for table in (self._nodes, self._next_id, self._levels, self._leaves, self._locks):
+                table.pop(user_id, None)
+
     def users(self) -> list[str]:
         with self._registry_lock:
             return sorted(self._nodes)
@@ -163,7 +175,7 @@ class MemoryTree:
                 raise DuplicateId(f"node id {node.id} already used for {node.user_id!r}")
             if node.embedding is not None:
                 norm = float(np.linalg.norm(node.embedding))
-                if abs(norm - 1.0) > _EMBED_NORM_TOL:
+                if not abs(norm - 1.0) <= _EMBED_NORM_TOL:  # a NaN norm fails too
                     raise ValueError(f"embedding norm {norm} not within {_EMBED_NORM_TOL} of 1")
             parent = None
             if node.parent_id is not None:

@@ -377,6 +377,14 @@ def test_http_reply_that_is_not_json_is_provider_error(stub_server):
         embedder.embed_text("hi")
 
 
+@pytest.mark.parametrize("value", [b"NaN", b"Infinity"])
+def test_http_embedder_rejects_a_non_finite_embedding(stub_server, value):
+    _StubHandler.reply = (200, b'{"data": [{"embedding": [1, 0, 0, %s, 0, 0, 0, 0]}]}' % value)
+    embedder = HttpEmbedder(f"{stub_server}/v1/embeddings", "m", dimension=8)
+    with pytest.raises(ProviderError, match="non-finite"):
+        embedder.embed_text("hi")
+
+
 def test_timem_imports_without_requests():
     code = "import sys; sys.modules['requests'] = None; import timem, timem.backends, timem.cli"
     src = os.path.dirname(os.path.dirname(os.path.abspath(__import__("timem").__file__)))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from datetime import timedelta
@@ -23,7 +24,7 @@ from timem import (
 )
 from timem.backends import MockEmbedder
 from timem.errors import DimensionMismatch, IndexOutOfRange, ZeroVector
-from timem.indexing import LeafIndex, Postings, block_rows, bm25_scores
+from timem.indexing import LeafIndex, Postings, _screen, block_rows, bm25_scores
 from timem.timeutil import utc
 
 
@@ -401,3 +402,157 @@ def test_vectorised_scorer_matches_per_leaf_reference(kind, cutoff):
         assert len({(s.s_sem, s.s_lex, s.fused) for s in twins}) == 1
         expected = [ROWS, ROWS + 1, 4]
         assert [s.node_id for s in twins] == ([size] + expected if t_q is None else expected)
+
+
+@pytest.mark.parametrize("cutoff", ["none", "at-end", "just-before"])
+def test_dense_twins_compete_for_fewer_places_than_they_are(cutoff):
+    """k = 3 with four leaves tied on every channel: the float32 screen
+    must keep every twin, and the exact pass picks by end, then id."""
+    size = 2 * ROWS + 40
+    leaves = dense_pool(np.random.default_rng(17), size)
+    query = leaves[3].embedding
+    index = LeafIndex.of(leaves)
+    pivot = leaves[size // 2].interval.end
+    t_q = {"none": None, "at-end": pivot, "just-before": pivot - timedelta(microseconds=1)}[cutoff]
+    pool = [leaf for leaf in leaves if t_q is None or leaf.interval.end <= t_q]
+    dot = lambda q, e: np.einsum("j,j->", e, q)  # noqa: E731
+    for keywords in ([], ["lake"], ["kayak", "lake paella"]):
+        got = fused_top_k(query, keywords, index.upto(t_q), 0.9, 3)
+        assert got == per_leaf_reference(query, keywords, pool, 0.9, dot)[:3]
+    assert [s.node_id for s in got] == ([size, ROWS, ROWS + 1] if t_q is None
+                                        else [ROWS, ROWS + 1, 4])
+
+
+# --- the float32 screen, bit for bit ------------------------------------------------
+
+def full_pass_reference(query_emb, keywords, index, lam, k):
+    """fused_top_k without the screen: the float64 `einsum` of every row,
+    block by block, then the fusion and the order over the whole pool."""
+    n = len(index)
+    q = np.asarray(query_emb, dtype=np.float64)
+    dots = np.concatenate([
+        np.einsum("ij,j->i", block.rows[:min(index.block_rows, n - start)], q)
+        for start, block in zip(range(0, n, index.block_rows), index.blocks)])
+    norms, stamps, ids = index.norms[:n], index.stamps[:n], index.ids[:n]
+    s_sem = (1.0 + dots / (float(np.linalg.norm(q)) * norms)) / 2.0
+    raw = index.postings.scores(terms_of(keywords), n)
+    lo, hi = raw.min(), raw.max()
+    s_lex = (raw - lo) / (hi - lo) if hi > lo else np.zeros(n)
+    fused = lam * s_sem + (1.0 - lam) * s_lex
+    top = np.lexsort((ids, -stamps, -fused))[:k]
+    return [ScoredLeaf(int(ids[i]), float(s_sem[i]), float(s_lex[i]), float(fused[i]))
+            for i in top]
+
+
+def unit32(vector: np.ndarray) -> np.ndarray:
+    vector = vector.astype(np.float32)
+    return vector / np.float32(np.linalg.norm(vector.astype(np.float64)))
+
+
+def screened_pool(rng: np.random.Generator, dim: int) -> tuple[list[MemoryNode], np.ndarray]:
+    """Dense unit rows over three blocks in (end, id) order, and a query.
+
+    Sixty leaves, at random places, lie near a target row: half within
+    1e-7 of it in random directions, half in steps of 1e-7 from it along
+    one direction. The query leans toward that direction, so the k-th
+    score falls among scores about 5e-8 apart, closer than float32 can
+    tell them. Two exact twins of the target sit on both sides of the
+    first block boundary, at one end and with one text."""
+    rows = block_rows(dim)
+    size = 2 * rows + 30
+    vocab = ["kayak", "lake", "paella", "cello", "trip", "park", "dinner"]
+    target = unit32(rng.standard_normal(dim))
+    step = unit32(rng.standard_normal(dim))
+    near = dict(zip(rng.choice(size, size=60, replace=False).tolist(), range(60)))
+    start = utc(2023, 5, 1, 10, 0)
+    leaves = []
+    for i in range(size):
+        if i not in near:
+            vec = rng.standard_normal(dim)
+        elif near[i] % 2:
+            vec = target + 1e-7 * rng.standard_normal(dim) / np.sqrt(dim)
+        else:
+            vec = target + 1e-7 * near[i] / 2 * step
+        text = " ".join(rng.choice(vocab, size=int(rng.integers(2, 8))))
+        end = start + timedelta(minutes=i)
+        leaves.append(MemoryNode(id=i + 1, user_id="u", level=Level.SEGMENT,
+                                 interval=TemporalInterval(end, end), text=text,
+                                 embedding=unit32(vec)))
+    for i in (rows - 1, rows):
+        end = start + timedelta(minutes=rows - 1)
+        leaves[i] = MemoryNode(id=i + 1, user_id="u", level=Level.SEGMENT,
+                               interval=TemporalInterval(end, end), text="kayak lake trip",
+                               embedding=target.copy())
+    query = target.astype(np.float64) + 0.5 * step
+    return leaves, query / np.linalg.norm(query)
+
+
+@pytest.mark.parametrize("dim", [16, 384, 1024])
+def test_screened_top_k_equals_the_full_pass(dim):
+    rng = np.random.default_rng(dim)
+    leaves, leaning = screened_pool(rng, dim)
+    index = LeafIndex.of(leaves)
+    rows = index.block_rows
+    target = leaves[rows].embedding.astype(np.float64)
+    queries = [leaning, target, target + 1e-3 * rng.standard_normal(dim),
+               rng.standard_normal(dim)]
+    cutoffs = [None, leaves[rows].interval.end,
+               leaves[len(leaves) // 2].interval.end - timedelta(microseconds=1)]
+    screened = 0
+    for query, t_q in itertools.product(queries, cutoffs):
+        view = index.upto(t_q)
+        for lam, k, keywords in itertools.product(
+                [0.0, 0.5, 0.9, 1.0], [1, 20], ([], ["lake"], ["kayak", "lake paella"])):
+            got = fused_top_k(query, keywords, view, lam, k)
+            assert got == full_pass_reference(query, keywords, view, lam, k), (t_q, lam, k)
+        no_lex = np.zeros(len(view))  # the screen on the semantic channel alone
+        kept = _screen(view, query, float(np.linalg.norm(query)), no_lex, 1.0, 20)
+        screened += len(kept) < len(view)
+    assert screened  # the screen dropped leaves, so the comparison tested it
+
+
+def test_screen_keeps_the_leaves_it_cannot_bound():
+    """A row holding NaN, a row of float32 subnormals (below the relative
+    error bound's range) and every leaf for a NaN query or a query whose
+    norm overflows are kept, and scored as the full pass scores them."""
+    embedder = MockEmbedder(dimension=32)
+    leaves = random_pool(random.Random(3), 60, embedder)
+    leaves.sort(key=lambda leaf: (leaf.interval.end, leaf.id))
+    for i in (10, 11):
+        leaves[i].embedding = leaves[i].embedding.copy()
+        leaves[i].embedding[5] = np.nan
+    leaves[20].embedding = (leaves[20].embedding * 1e-40).astype(np.float32)
+    query = embedder.embed_text("kayak trip to the lake")
+    nan_query = query.copy()
+    nan_query[0] = np.nan
+    # the lexical best leaf's product with this query overflows, so its
+    # fused score is NaN, while its rough score is the highest
+    huge_query = np.abs(query.astype(np.float64)) * 1e300
+    leaves[30].embedding = (np.abs(leaves[30].embedding) * 1e10).astype(np.float32)
+    leaves[30].text = "lake lake lake"
+    # in six leaves, two NaN rows must fill the top five
+    pools = [LeafIndex.of(leaves), LeafIndex.of(leaves[8:14])]
+    cases = itertools.product(pools, [query, nan_query, huge_query], [0.0, 0.5, 0.9], [1, 5])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for index, q, lam, k in cases:
+            got = fused_top_k(q, ["lake"], index, lam, k)
+            assert repr(got) == repr(full_pass_reference(q, ["lake"], index, lam, k)), (lam, k)
+
+
+@pytest.mark.parametrize("dim", [16, 384])
+def test_dots_of_any_rows_equal_the_per_block_einsum(dim):
+    """Whole blocks multiplied in place and rows gathered around them give
+    each row the bits of an `einsum` over its whole block."""
+    rng = np.random.default_rng(dim)
+    leaves, query = screened_pool(rng, dim)
+    index = LeafIndex.of(leaves)
+    rows = index.block_rows
+    for view in (index, index.upto(leaves[rows + 5].interval.end)):
+        n = len(view)
+        full = np.concatenate([
+            np.einsum("ij,j->i", block.rows[:min(rows, n - start)], query)
+            for start, block in zip(range(0, n, rows), view.blocks)])
+        for kept in (np.arange(n), np.delete(np.arange(n), [0, rows + 2]),
+                     np.r_[3, rows:n], np.sort(rng.choice(n, size=n // 3, replace=False)),
+                     np.array([n - 1])):
+            assert view.dots(query, kept).tobytes() == full[kept].tobytes()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -454,3 +455,98 @@ def test_resume_after_the_last_turn_record_is_lost(tmp_path):
                 for n in resumed.tree.all_nodes("alice")]
         digest.update(json.dumps(rows).encode("utf-8"))
     assert digest.hexdigest() == LOST_TURN_GOLDEN
+
+
+def test_failed_fsync_resumes_as_after_a_crash(tmp_path, monkeypatch):
+    turns = fixture_turns(tmp_path, 30)
+    fsync = os.fsync
+    calls = []
+
+    def failing_fsync(fd):
+        calls.append(fd)
+        if len(calls) == 6:  # the sixth turn's append
+            raise OSError(errno.EIO, "Input/output error")
+        fsync(fd)
+
+    monkeypatch.setattr("timem.store.os.fsync", failing_fsync)
+    engine = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
+    for turn in turns[:5]:
+        engine.ingest_turn("alice", turn)
+    with pytest.raises(StoreIoError, match="Input/output error"):
+        engine.ingest_turn("alice", turns[5])
+    assert not engine.tree.has_user("alice")  # dropped, not diverged from the log
+    with pytest.raises(StoreIoError, match="replay"):
+        engine.ingest_turn("alice", turns[6])  # the store needs a replay first
+
+    replay = engine.load_user("alice")
+    logged = {t.turn_id for t in replay.turns}
+    for turn in turns:
+        if turn.turn_id not in logged:
+            engine.ingest_turn("alice", turn)
+    engine.flush("alice")
+    engine.store.close()
+
+    records = [json.loads(line) for line in
+               (tmp_path / "data" / "alice" / "log.jsonl").read_bytes().splitlines()]
+    turn_ids = [r["turn_id"] for r in records if r["record_type"] == "turn"]
+    assert turn_ids == [t.turn_id for t in turns]  # each logged once, in order
+    segments = engine.tree.nodes_at_level("alice", Level.SEGMENT)
+    assert sorted(n.source_turn_ids[0] for n in segments) == sorted(turn_ids)
+    assert engine.validate("alice").ok
+    reloaded = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
+    reloaded.load_user("alice")
+    assert node_rows(reloaded) == node_rows(engine)
+
+
+def test_failed_cut_of_a_torn_tail_resumes_after_another_replay(tmp_path, monkeypatch):
+    """A failed append reached the log torn; the append after the replay
+    first cuts the torn tail, and when the cut's own fsync fails too, the
+    store raises `StoreIoError` and releases the log: another replay
+    resumes the user."""
+    turns = fixture_turns(tmp_path, 30)
+    fsync = os.fsync
+    failures = []  # what the next fsync calls raise, in order
+
+    def failing_fsync(fd):
+        if failures:
+            raise failures.pop(0)
+        fsync(fd)
+
+    monkeypatch.setattr("timem.store.os.fsync", failing_fsync)
+    engine = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
+    for turn in turns[:5]:
+        engine.ingest_turn("alice", turn)
+    log = tmp_path / "data" / "alice" / "log.jsonl"
+    accepted = log.stat().st_size
+    failures.append(OSError(errno.EIO, "Input/output error"))
+    with pytest.raises(StoreIoError, match="Input/output error"):
+        engine.ingest_turn("alice", turns[5])
+    with open(log, "r+b") as f:  # only the start of the failed write reached the disk
+        f.truncate(accepted + 10)
+    torn = log.read_bytes()[accepted:]
+
+    assert engine.load_user("alice").corrupt.offset == accepted
+    failures.append(OSError(errno.ENOSPC, "No space left on device"))  # the sidecar's fsync
+    with pytest.raises(StoreIoError, match="No space left on device"):
+        engine.ingest_turn("alice", turns[5])
+    assert not engine.tree.has_user("alice")
+    assert log.stat().st_size == accepted + 10  # the torn tail is not cut yet
+
+    replay = engine.load_user("alice")
+    logged = {t.turn_id for t in replay.turns}
+    for turn in turns:
+        if turn.turn_id not in logged:
+            engine.ingest_turn("alice", turn)  # the log is not left locked
+    engine.flush("alice")
+    engine.store.close()
+
+    records = [json.loads(line) for line in log.read_bytes().splitlines()]
+    turn_ids = [r["turn_id"] for r in records if r["record_type"] == "turn"]
+    assert turn_ids == [t.turn_id for t in turns]
+    segments = engine.tree.nodes_at_level("alice", Level.SEGMENT)
+    assert sorted(n.source_turn_ids[0] for n in segments) == sorted(turn_ids)
+    assert engine.validate("alice").ok
+    assert torn in (log.parent / f"log.corrupt.{accepted}").read_bytes()  # kept beside the log
+    reloaded = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
+    reloaded.load_user("alice")
+    assert node_rows(reloaded) == node_rows(engine)

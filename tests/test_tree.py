@@ -76,6 +76,16 @@ def test_insert_rejects_non_unit_embedding():
         tree.insert_node(bad)
 
 
+def test_insert_rejects_nan_embedding():
+    tree = MemoryTree()
+    bad = node(tree, 1, 1, utc(2023, 5, 1), utc(2023, 5, 1))
+    bad.embedding = unit_vec()
+    bad.embedding[3] = np.nan
+    with pytest.raises(ValueError, match="nan"):
+        tree.insert_node(bad)
+    assert tree.nodes_at_level("u", Level.SEGMENT) == []
+
+
 def test_nodes_at_level_empty_and_sorted():
     tree = MemoryTree()
     tree.ensure_user("u")
