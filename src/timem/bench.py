@@ -10,7 +10,6 @@ serialization.
 from __future__ import annotations
 
 import json
-import math
 import random
 import time
 from dataclasses import asdict, dataclass, field
@@ -20,7 +19,7 @@ from pathlib import Path
 from .config import EngineConfig
 from .engine import MemoryEngine
 from .errors import SchemaError, TimemError
-from .metrics import separation_ratio, silhouette, spread_metrics
+from .metrics import nearest_rank, separation_ratio, silhouette, spread_metrics
 from .recall import Complexity
 from .store import parse_transcript
 from .timeutil import format_ts, parse_ts
@@ -76,11 +75,6 @@ class BenchRow:
     latency_ms: float = 0.0
 
 
-def _nearest_rank(sorted_values: list[float], pct: float) -> float:
-    rank = max(1, math.ceil(pct * len(sorted_values)))
-    return sorted_values[rank - 1]
-
-
 @dataclass
 class BenchReport:
     rows: list[BenchRow] = field(default_factory=list)
@@ -95,8 +89,8 @@ class BenchReport:
             "ordering_ok": all(r.ordering_ok for r in self.rows),
         }
         latencies = sorted(r.latency_ms for r in self.rows)
-        agg["latency_p50_ms"] = _nearest_rank(latencies, 0.50)
-        agg["latency_p95_ms"] = _nearest_rank(latencies, 0.95)
+        agg["latency_p50_ms"] = nearest_rank(latencies, 0.50)
+        agg["latency_p95_ms"] = nearest_rank(latencies, 0.95)
         with_truth = [r.evidence_recall for r in self.rows if r.evidence_recall is not None]
         if with_truth:
             agg[f"evidence_recall_at_{self.recall_k}"] = sum(with_truth) / len(with_truth)

@@ -176,15 +176,6 @@ def block_rows(dimension: int) -> int:
     return max(1, BLOCK_BYTES // (4 * dimension))
 
 
-class _Block:
-    """`block_rows` embedding rows; rows past the index's end are unset."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, size: int, dimension: int):
-        self.rows = np.empty((size, dimension), dtype=np.float32)
-
-
 class LeafIndex:
     """The columns of a leaf pool that scoring reads, in the order added.
 
@@ -206,7 +197,7 @@ class LeafIndex:
     """
 
     def __init__(self):
-        self.blocks: list[_Block] = []
+        self.blocks: list[np.ndarray] = []  # rows past the end are unset
         self.dimension = 0   # set by the first leaf, as is block_rows
         self.block_rows = 0
         self._size = 0
@@ -240,12 +231,12 @@ class LeafIndex:
         size = self._size
         number, i = divmod(size, self.block_rows)
         if number == len(self.blocks):
-            self.blocks.append(_Block(self.block_rows, self.dimension))
+            self.blocks.append(np.empty((self.block_rows, self.dimension), dtype=np.float32))
         if size == len(self.ids):  # entries past the index's end are unset
             capacity = max(2 * size, self.block_rows)
             self.norms, self.stamps, self.ids = (
                 np.resize(column, capacity) for column in (self.norms, self.stamps, self.ids))
-        row = self.blocks[number].rows[i]
+        row = self.blocks[number][i]
         row[:] = vector
         self.norms[size] = np.linalg.norm(row.astype(np.float64))
         self.stamps[size] = leaf.interval.end.timestamp()
@@ -269,7 +260,7 @@ class LeafIndex:
         approx = np.empty(self._size, dtype=np.float32)
         for start, block in zip(range(0, self._size, self.block_rows), self.blocks):
             m = min(self.block_rows, self._size - start)
-            np.dot(block.rows[:m], unit_query, out=approx[start:start + m])
+            np.dot(block[:m], unit_query, out=approx[start:start + m])
         return approx
 
     def dots(self, query: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -293,7 +284,7 @@ class LeafIndex:
         for number in np.flatnonzero(np.diff(bounds) == held).tolist():
             if done < bounds[number]:
                 products += self._gathered_dots(query, rows[done:bounds[number]])
-            products.append(np.einsum("ij,j->i", self.blocks[number].rows[:held[number]], query))
+            products.append(np.einsum("ij,j->i", self.blocks[number][:held[number]], query))
             done = bounds[number + 1]
         products += self._gathered_dots(query, rows[done:])
         return np.concatenate(products)
@@ -301,7 +292,7 @@ class LeafIndex:
     def _gathered_dots(self, query: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
         size = self.block_rows
         rows = rows.tolist()
-        return [np.einsum("ij,j->i", np.array([self.blocks[row // size].rows[row % size]
+        return [np.einsum("ij,j->i", np.array([self.blocks[row // size][row % size]
                                                for row in rows[start:start + size]]), query)
                 for start in range(0, len(rows), size)]
 

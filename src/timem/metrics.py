@@ -10,6 +10,9 @@ ratios and orderings are. The geometry metrics all use cosine distance
   radius95          nearest-rank 95th percentile of those distances
   separation ratio  mean pairwise centroid distance divided by the mean
                     distance of points to their own centroid
+
+Each comes from the unit rows and per-label sums, never from pairwise
+distances: cost O(n·d·labels) and no n×n array.
 """
 
 from __future__ import annotations
@@ -26,6 +29,11 @@ def count_tokens(text: str) -> int:
     return len(text.split())
 
 
+def nearest_rank(sorted_values, pct: float) -> float:
+    """The nearest-rank `pct` percentile of ascending values."""
+    return sorted_values[max(1, math.ceil(pct * len(sorted_values))) - 1]
+
+
 def _as_matrix(points) -> np.ndarray:
     m = np.asarray(points, dtype=np.float64)
     if m.ndim != 2:
@@ -33,55 +41,59 @@ def _as_matrix(points) -> np.ndarray:
     return m
 
 
-def _cosine_distance_matrix(m: np.ndarray) -> np.ndarray:
+def _unit_rows(m: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(m, axis=1)
     if np.any(norms == 0):
         raise ValueError("zero vector in point set")
-    unit = m / norms[:, None]
-    d = 1.0 - unit @ unit.T
-    np.fill_diagonal(d, 0.0)
-    return d
+    return m / norms[:, None]
 
 
-def silhouette(points, labels) -> float:
-    """Mean silhouette with cosine distance."""
-    m = _as_matrix(points)
+def _indicator(labels, n: int, what: str) -> np.ndarray:
+    """n×labels 0/1 matrix: row i marks point i's label, the labels in
+    `str` order."""
     labels = list(labels)
-    if len(labels) != len(m):
+    if len(labels) != n:
         raise ValueError("points and labels length mismatch")
     unique = sorted(set(labels), key=str)
     if len(unique) < 2:
-        raise DegenerateInput("silhouette needs at least 2 labels")
-    dist = _cosine_distance_matrix(m)
-    members = {lab: [i for i, l in enumerate(labels) if l == lab] for lab in unique}
+        raise DegenerateInput(f"{what} needs at least 2 labels")
+    code = {label: k for k, label in enumerate(unique)}
+    codes = np.fromiter((code[label] for label in labels), dtype=np.int64, count=n)
+    return (codes[:, None] == np.arange(len(unique))).astype(np.float64)
 
-    scores = []
-    for i, lab in enumerate(labels):
-        own = members[lab]
-        if len(own) == 1:
-            scores.append(0.0)
-            continue
-        a = sum(dist[i][j] for j in own if j != i) / (len(own) - 1)
-        b = min(
-            sum(dist[i][j] for j in members[other]) / len(members[other])
-            for other in unique if other != lab)
-        denom = max(a, b)
-        scores.append(0.0 if denom == 0.0 else (b - a) / denom)
+
+def silhouette(points, labels) -> float:
+    """Mean silhouette with cosine distance.
+
+    For unit row u_i and a cluster C with row sum S_C, the mean distance
+    from u_i to C is 1 - u_i·S_C/|C|, and to the rest of its own cluster
+    ((|C|-1) - u_i·(S_C - u_i))/(|C|-1).
+    """
+    m = _as_matrix(points)
+    member = _indicator(labels, len(m), "silhouette")
+    unit = _unit_rows(m)
+    sizes = member.sum(axis=0)
+    dots = unit @ (member.T @ unit).T            # u_i·S_C
+    rest_dots = (dots * member).sum(axis=1) - np.einsum("ij,ij->i", unit, unit)
+    own = member @ sizes
+    rest = np.maximum(own - 1, 1)                # a singleton's a is unused
+    a = (rest - rest_dots) / rest
+    b = np.where(member == 1, np.inf, 1.0 - dots / sizes).min(axis=1)
+    denom = np.maximum(a, b)
+    scores = np.divide(b - a, denom, out=np.zeros(len(m)), where=(own > 1) & (denom != 0))
     return float(np.mean(scores))
+
+
+def _directions(centroids: np.ndarray) -> np.ndarray:
+    """Normalized centroids (the last axis). One that cancels, norm below
+    1e-12, has no direction: it becomes zero, at distance 1 from all."""
+    norms = np.linalg.norm(centroids, axis=-1, keepdims=True)
+    return np.divide(centroids, norms, out=np.zeros_like(centroids), where=norms >= 1e-12)
 
 
 def _centroid_distances(m: np.ndarray) -> np.ndarray:
     """Cosine distance of each point to the normalized centroid."""
-    centroid = m.mean(axis=0)
-    norm = float(np.linalg.norm(centroid))
-    if norm < 1e-12:
-        # antipodal cancellation: no direction to compare against
-        return np.ones(len(m), dtype=np.float64)
-    unit_centroid = centroid / norm
-    norms = np.linalg.norm(m, axis=1)
-    if np.any(norms == 0):
-        raise ValueError("zero vector in point set")
-    return 1.0 - (m / norms[:, None]) @ unit_centroid
+    return 1.0 - _unit_rows(m) @ _directions(m.mean(axis=0))
 
 
 def spread_metrics(points) -> tuple[float, float]:
@@ -90,10 +102,7 @@ def spread_metrics(points) -> tuple[float, float]:
     if len(m) == 0:
         raise ValueError("spread_metrics needs at least one point")
     distances = np.sort(_centroid_distances(m))
-    spread = float(distances.mean())
-    rank = max(1, math.ceil(0.95 * len(distances)))  # nearest-rank percentile
-    radius95 = float(distances[rank - 1])
-    return spread, radius95
+    return float(distances.mean()), float(nearest_rank(distances, 0.95))
 
 
 def separation_ratio(points, labels) -> float:
@@ -101,29 +110,15 @@ def separation_ratio(points, labels) -> float:
 
     Duplicating every cluster's points leaves the value unchanged.
     Returns 0 when centroids coincide, inf when clusters are perfectly
-    tight but apart.
+    tight but apart. A centroid that cancels to no direction (norm below
+    1e-12) is at distance 1 from everything.
     """
     m = _as_matrix(points)
-    labels = list(labels)
-    unique = sorted(set(labels), key=str)
-    if len(unique) < 2:
-        raise DegenerateInput("separation ratio needs at least 2 labels")
-    centroids = []
-    intra = []
-    for lab in unique:
-        idx = [i for i, l in enumerate(labels) if l == lab]
-        sub = m[idx]
-        centroids.append(sub.mean(axis=0))
-        intra.extend(_centroid_distances(sub).tolist())
-    cm = np.asarray(centroids)
-    inter = []
-    for i in range(len(cm)):
-        for j in range(i + 1, len(cm)):
-            ni, nj = np.linalg.norm(cm[i]), np.linalg.norm(cm[j])
-            if ni < 1e-12 or nj < 1e-12:
-                inter.append(1.0)
-            else:
-                inter.append(1.0 - float(cm[i] @ cm[j]) / (ni * nj))
+    member = _indicator(labels, len(m), "separation ratio")
+    unit = _unit_rows(m)
+    directions = _directions((member.T @ m) / member.sum(axis=0)[:, None])
+    intra = 1.0 - ((unit @ directions.T) * member).sum(axis=1)
+    inter = 1.0 - (directions @ directions.T)[np.triu_indices(len(directions), 1)]
     numerator = float(np.mean(inter))
     denominator = float(np.mean(intra))
     if denominator == 0.0:

@@ -396,8 +396,8 @@ def test_vectorised_scorer_matches_per_leaf_reference(kind, cutoff):
         assert got == want  # ids and every float, bit for bit
     if kind == "dense":  # equal rows score equal, then the later end, then the smaller id wins
         blocks = tree.leaf_index("u").blocks
-        assert np.shares_memory(tree.get("u", ROWS).embedding, blocks[0].rows)
-        assert np.shares_memory(tree.get("u", ROWS + 1).embedding, blocks[1].rows)
+        assert np.shares_memory(tree.get("u", ROWS).embedding, blocks[0])
+        assert np.shares_memory(tree.get("u", ROWS + 1).embedding, blocks[1])
         twins = [s for s in got if s.node_id in (4, ROWS, ROWS + 1, size)]
         assert len({(s.s_sem, s.s_lex, s.fused) for s in twins}) == 1
         expected = [ROWS, ROWS + 1, 4]
@@ -431,7 +431,7 @@ def full_pass_reference(query_emb, keywords, index, lam, k):
     n = len(index)
     q = np.asarray(query_emb, dtype=np.float64)
     dots = np.concatenate([
-        np.einsum("ij,j->i", block.rows[:min(index.block_rows, n - start)], q)
+        np.einsum("ij,j->i", block[:min(index.block_rows, n - start)], q)
         for start, block in zip(range(0, n, index.block_rows), index.blocks)])
     norms, stamps, ids = index.norms[:n], index.stamps[:n], index.ids[:n]
     s_sem = (1.0 + dots / (float(np.linalg.norm(q)) * norms)) / 2.0
@@ -550,7 +550,7 @@ def test_dots_of_any_rows_equal_the_per_block_einsum(dim):
     for view in (index, index.upto(leaves[rows + 5].interval.end)):
         n = len(view)
         full = np.concatenate([
-            np.einsum("ij,j->i", block.rows[:min(rows, n - start)], query)
+            np.einsum("ij,j->i", block[:min(rows, n - start)], query)
             for start, block in zip(range(0, n, rows), view.blocks)])
         for kept in (np.arange(n), np.delete(np.arange(n), [0, rows + 2]),
                      np.r_[3, rows:n], np.sort(rng.choice(n, size=n // 3, replace=False)),

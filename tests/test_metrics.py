@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,45 @@ def silhouette_oracle(points, labels) -> float:
             b = min(b, sum(cos_dist(p, q) for q in members) / len(members))
         scores.append(0.0 if max(a, b) == 0 else (b - a) / max(a, b))
     return sum(scores) / len(scores)
+
+
+def separation_oracle(points, labels) -> float:
+    """Per-label loops: mean pairwise centroid distance over the mean
+    distance of points to their own cluster's centroid; a centroid that
+    cancels (norm below 1e-12) is at distance 1."""
+    clusters: dict = {}
+    for p, lab in zip(points, labels):
+        clusters.setdefault(lab, []).append(np.asarray(p, dtype=np.float64))
+    centroids = {lab: sum(members) / len(members) for lab, members in clusters.items()}
+
+    def dist(u, v) -> float:
+        if np.linalg.norm(u) < 1e-12 or np.linalg.norm(v) < 1e-12:
+            return 1.0
+        return cos_dist(u, v)
+
+    names = list(clusters)
+    inter = [dist(centroids[names[i]], centroids[names[j]])
+             for i in range(len(names)) for j in range(i + 1, len(names))]
+    intra = [dist(p, centroids[lab]) for lab, members in clusters.items() for p in members]
+    numerator, denominator = sum(inter) / len(inter), sum(intra) / len(intra)
+    if denominator == 0.0:
+        return math.inf if numerator > 0 else 0.0
+    return numerator / denominator
+
+
+def silhouette_reference(points: np.ndarray, labels: list[str]) -> float:
+    """Silhouette from the full n×n cosine-distance matrix, vectorised."""
+    unit = points / np.linalg.norm(points, axis=1)[:, None]
+    dist = 1.0 - unit @ unit.T
+    np.fill_diagonal(dist, 0.0)
+    names = np.asarray(labels)
+    own = np.stack([names == name for name in sorted(set(labels))], axis=1)  # n×labels
+    sizes = own.sum(axis=0)
+    sums = np.stack([dist[:, column].sum(axis=1) for column in own.T], axis=1)
+    own_size = own @ sizes
+    a = sums[own] / np.maximum(own_size - 1, 1)
+    b = np.where(own, np.inf, sums / sizes).min(axis=1)
+    return float(np.mean(np.where(own_size > 1, (b - a) / np.maximum(a, b), 0.0)))
 
 
 def spread_oracle(points):
@@ -96,14 +136,31 @@ def test_silhouette_singletons_contribute_zero():
 
 def test_silhouette_matches_oracle_randomized():
     rng = random.Random(12)
-    for n_clusters in (2, 3, 4):
+    # the last input puts a singleton cluster beside large ones
+    for n_clusters, sizes in ((2, None), (3, None), (4, None), (3, (1, 40, 33))):
         points, labels = [], []
         for c in range(n_clusters):
-            size = rng.randint(2, 17)
+            size = sizes[c] if sizes else rng.randint(2, 17)
             points.extend(unit_cloud(rng, size, around=c))
             labels.extend([f"c{c}"] * size)
         assert silhouette(points, labels) == pytest.approx(
             silhouette_oracle(points, labels), abs=1e-9)
+
+
+def test_silhouette_at_scale_needs_no_distance_matrix():
+    n, dim = 3000, 16
+    rng = np.random.default_rng(8)
+    points = rng.normal(0.0, 0.5, (n, dim))
+    points[np.arange(n), np.arange(n) % 3] += 1.0
+    labels = [f"u{i % 3}" for i in range(n)]
+    tracemalloc.start()
+    try:
+        value = silhouette(points, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 10  # an n×n float64 matrix takes 72 MB
+    assert value == pytest.approx(silhouette_reference(points, labels), abs=1e-9)
 
 
 def test_silhouette_in_range_property():
@@ -171,6 +228,24 @@ def test_separation_ratio_tight_far_clusters_large():
     loose = unit_cloud(rng, 10, around=0) + unit_cloud(rng, 10, around=3)
     labels = ["a"] * 10 + ["b"] * 10
     assert separation_ratio(loose, labels) > 1.0
+
+
+def test_separation_ratio_matches_oracle_randomized():
+    rng = random.Random(19)
+    v = np.array([0.6, 0.0, 0.8, 0.0, 0.0, 0.0])
+    w = np.array([0.0, 0.6, 0.0, 0.8, 0.0, 0.0])
+    for _ in range(6):
+        # centroids that cancel: exactly, and to a norm below 1e-12
+        points = [v, -v, w, -(1 + 1e-13) * w]
+        labels = ["cancel", "cancel", "near", "near"]
+        points.append(unit_cloud(rng, 1, around=5)[0])
+        labels.append("single")
+        for c in range(rng.randint(1, 4)):
+            size = rng.randint(1, 20)
+            points.extend(unit_cloud(rng, size, around=c))
+            labels.extend([f"c{c}"] * size)
+        assert separation_ratio(points, labels) == pytest.approx(
+            separation_oracle(points, labels), rel=1e-9)
 
 
 def test_separation_ratio_single_label_degenerate():

@@ -297,6 +297,6 @@ def test_leaf_embedding_is_a_view_of_its_block(engine):
     index = engine.tree.leaf_index("alice")
     assert len(index.blocks) > 1
     for row, leaf in enumerate(segments):
-        block = index.blocks[row // index.block_rows].rows
+        block = index.blocks[row // index.block_rows]
         assert np.shares_memory(leaf.embedding, block)  # no second copy of the embedding
         assert leaf.embedding.base is block
