@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+from collections import defaultdict
 from datetime import datetime
 from pathlib import Path
 
@@ -29,6 +31,10 @@ class MemoryEngine:
     unknown until it is read back. The caller then resumes as after a
     crash: `load_user` replays the log, and the turns in its
     `ReplayResult.turns` reached it and are not ingested again.
+
+    Each call holds its user's lock throughout: one user's calls, recalls
+    included, run one at a time (an agent's loop for one user is
+    sequential anyway), different users' calls in parallel.
     """
 
     def __init__(self, config: EngineConfig | None = None,
@@ -45,6 +51,7 @@ class MemoryEngine:
             self.tree, self.chat, self.embedder, self.prompts, self.config)
         self.pipeline = RecallPipeline(
             self.tree, self.chat, self.embedder, self.prompts, self.config)
+        self._locks = defaultdict(threading.Lock)  # user -> lock, kept after drop_user
 
     @classmethod
     def with_mock_backends(cls, config: EngineConfig | None = None,
@@ -52,19 +59,22 @@ class MemoryEngine:
         return cls(config=config, store=LogStore(data_dir) if data_dir else None)
 
     def ensure_user(self, user_id: str) -> None:
-        self.tree.ensure_user(user_id)
+        with self._locks[user_id]:
+            self.tree.ensure_user(user_id)
 
     def ingest_turn(self, user_id: str, turn: DialogTurn) -> list[MemoryNode]:
-        created = self.consolidator.ingest_turn(user_id, turn)
-        if self.store is not None:
-            self._persist(user_id, *map(node_record, created), turn_record(turn))
-        return created
+        with self._locks[user_id]:
+            created = self.consolidator.ingest_turn(user_id, turn)
+            if self.store is not None:
+                self._persist(user_id, *map(node_record, created), turn_record(turn))
+            return created
 
     def flush(self, user_id: str) -> list[MemoryNode]:
-        created = self.consolidator.flush(user_id)
-        if self.store is not None and created:
-            self._persist(user_id, *map(node_record, created))
-        return created
+        with self._locks[user_id]:
+            created = self.consolidator.flush(user_id)
+            if self.store is not None and created:
+                self._persist(user_id, *map(node_record, created))
+            return created
 
     def _persist(self, user_id: str, *records: dict) -> None:
         try:
@@ -77,19 +87,22 @@ class MemoryEngine:
     def recall(self, user_id: str, query: str, t_q: datetime | None = None,
                gate: bool = True,
                complexity_override: Complexity | None = None) -> RecallResult:
-        return self.pipeline.recall(user_id, query, t_q=t_q, gate=gate,
-                                    complexity_override=complexity_override)
+        with self._locks[user_id]:  # catching up the leaf index mutates it
+            return self.pipeline.recall(user_id, query, t_q=t_q, gate=gate,
+                                        complexity_override=complexity_override)
 
     def validate(self, user_id: str) -> TreeReport:
-        return self.tree.validate_tree(user_id)
+        with self._locks[user_id]:
+            return self.tree.validate_tree(user_id)
 
     def load_user(self, user_id: str) -> ReplayResult:
         """Replay a user's log and rebuild the open-group state."""
         if self.store is None:
             raise ValueError("engine has no store attached")
-        result = self.store.load_replay(user_id, self.tree)
-        self.consolidator.restore_state(user_id, result.turns)
-        return result
+        with self._locks[user_id]:
+            result = self.store.load_replay(user_id, self.tree)
+            self.consolidator.restore_state(user_id, result.turns)
+            return result
 
     def load_all(self) -> list[str]:
         if self.store is None:

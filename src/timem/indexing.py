@@ -28,10 +28,10 @@ from __future__ import annotations
 import copy
 import math
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -42,6 +42,7 @@ if TYPE_CHECKING:
     from .tree import MemoryNode
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 def tokenize(text: str) -> list[str]:
@@ -184,12 +185,12 @@ class LeafIndex:
     `node.embedding` to a view of its row instead of keeping a second
     copy. Beside the rows, flat arrays grown by doubling hold each
     leaf's float64 norm, its interval end as a timestamp (the recency
-    tie-break) and its id, so scoring slices them and joins nothing;
-    `ends` holds the interval ends as datetimes, for `upto`. The leaf's
-    tokens are posted once, when it is added, to `postings`: per term
-    the rows that hold it and its count in each, and the running sum of
-    token lengths. So no recall tokenizes a leaf again, and BM25 over a
-    prefix reads only the rows of its terms.
+    tie-break, and the key `upto` searches) and its id, so scoring
+    slices them and joins nothing. The leaf's tokens are posted once,
+    when it is added, to `postings`: per term the rows that hold it and
+    its count in each, and the running sum of token lengths. So no
+    recall tokenizes a leaf again, and BM25 over a prefix reads only the
+    rows of its terms.
 
     Rows are only ever appended, so a view from `upto` stays valid while
     the index it came from grows: a grown column is a new array, and the
@@ -204,7 +205,6 @@ class LeafIndex:
         self.norms = np.empty(0)                 # float64 norm of each row
         self.stamps = np.empty(0)                # interval end, POSIX seconds
         self.ids = np.empty(0, dtype=np.int64)
-        self.ends: list[datetime] = []
         self.postings = Postings()
 
     @classmethod
@@ -241,17 +241,19 @@ class LeafIndex:
         self.norms[size] = np.linalg.norm(row.astype(np.float64))
         self.stamps[size] = leaf.interval.end.timestamp()
         self.ids[size] = leaf.id
-        self.ends.append(leaf.interval.end)
         self.postings.add(tokenize(leaf.text))
         self._size += 1
         return row
 
     def upto(self, t_q: datetime | None) -> LeafIndex:
-        """A view of the leaves ending at or before `t_q` (every leaf for
-        None); the leaves must have been added in (end, id) order."""
+        """A view of the leaves ending at or before an aware `t_q` (every
+        leaf for None); the leaves must have been added in (end, id) order.
+        `t_q`'s stamp is the float of `t_q.timestamp()`, and distinct
+        microseconds stay distinct floats until the year 2242."""
         view = copy.copy(self)
         if t_q is not None:
-            view._size = bisect_right(self.ends, t_q, 0, self._size)
+            stamp = (t_q - _EPOCH).total_seconds()  # a naive t_q raises TypeError
+            view._size = int(np.searchsorted(self.stamps[:self._size], stamp, side="right"))
         return view
 
     def rough_dots(self, unit_query: np.ndarray) -> np.ndarray:

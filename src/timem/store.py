@@ -171,6 +171,14 @@ class ReplayResult:
     corrupt: CorruptRecord | None = None
 
 
+def _fsync_dir(path: Path) -> None:
+    directory = os.open(path, os.O_RDONLY)
+    try:  # makes the directory's entries durable
+        os.fsync(directory)
+    finally:
+        os.close(directory)
+
+
 def _cut_log(path: Path, offset: int) -> None:
     """Truncate a log to `offset`, the end of the records replay
     accepted, so new records never follow a torn or corrupt one. The cut
@@ -183,11 +191,7 @@ def _cut_log(path: Path, offset: int) -> None:
             out.write(cut)
             out.flush()
             os.fsync(out.fileno())
-        directory = os.open(path.parent, os.O_RDONLY)
-        try:  # the sidecar's entry must be durable before the bytes leave the log
-            os.fsync(directory)
-        finally:
-            os.close(directory)
+        _fsync_dir(path.parent)  # the sidecar's entry must be durable before the bytes leave the log
         f.truncate(offset)
         os.fsync(f.fileno())
     logger.warning("cut %d bytes that replay did not accept at offset %d from %s; kept in %s",
@@ -244,11 +248,15 @@ class LogStore:
                     _cut_log(path, end)
             handle = open(path, "ab")
             self._handles[user_id] = handle
+            if not size:  # a new log's entry, and its directory's, must outlive a crash
+                _fsync_dir(directory)
+                _fsync_dir(self.root)
         return handle
 
     def persist_append(self, user_id: str, *records: dict) -> int:
         """Durably append records, one line each, with one write and one
-        fsync; returns the byte offset of the first.
+        fsync; returns the byte offset of the first. The first append to
+        an empty log fsyncs its directory and the root before writing.
 
         When opening the log, cutting a torn tail from it, the write or
         the fsync fails, the store closes the user's log, forgets where

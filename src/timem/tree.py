@@ -28,7 +28,6 @@ from its log, after a failed append; a replay rebuilds it.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -115,8 +114,8 @@ def _end_order(node: MemoryNode) -> tuple:
 class MemoryTree:
     """Per-user node store enforcing the structural rules on every edge.
 
-    Mutations are serialized by an internal per-user lock; readers see
-    either the pre- or post-insert state, never a half-linked node.
+    A tree holds no lock: one user's calls must not overlap, which
+    `MemoryEngine` ensures by holding a per-user lock around each call.
     """
 
     def __init__(self):
@@ -125,42 +124,30 @@ class MemoryTree:
         # user -> level -> nodes in (interval end, id) order
         self._levels: dict[str, dict[Level, list[MemoryNode]]] = {}
         self._leaves: dict[str, LeafIndex] = {}  # user -> caught up by leaf_index
-        self._locks: dict[str, threading.RLock] = {}
-        self._registry_lock = threading.Lock()
-
-    def _user_lock(self, user_id: str) -> threading.RLock:
-        with self._registry_lock:
-            lock = self._locks.get(user_id)
-            if lock is None:
-                lock = self._locks[user_id] = threading.RLock()
-                self._nodes.setdefault(user_id, {})
-                self._next_id.setdefault(user_id, 1)
-                self._levels.setdefault(user_id, {level: [] for level in Level})
-            return lock
 
     def ensure_user(self, user_id: str) -> None:
         """Register a user namespace (idempotent)."""
-        self._user_lock(user_id)
+        if user_id not in self._nodes:
+            self._next_id[user_id] = 1
+            self._levels[user_id] = {level: [] for level in Level}
+            self._nodes[user_id] = {}
 
     def drop_user(self, user_id: str) -> None:
         """Forget a user's nodes and indexes; a replay can rebuild them."""
-        with self._user_lock(user_id), self._registry_lock:
-            for table in (self._nodes, self._next_id, self._levels, self._leaves, self._locks):
-                table.pop(user_id, None)
+        for table in (self._nodes, self._next_id, self._levels, self._leaves):
+            table.pop(user_id, None)
 
     def users(self) -> list[str]:
-        with self._registry_lock:
-            return sorted(self._nodes)
+        return sorted(self._nodes)
 
     def has_user(self, user_id: str) -> bool:
-        with self._registry_lock:
-            return user_id in self._nodes
+        return user_id in self._nodes
 
     def allocate_id(self, user_id: str) -> int:
-        with self._user_lock(user_id):
-            node_id = self._next_id[user_id]
-            self._next_id[user_id] = node_id + 1
-            return node_id
+        self.ensure_user(user_id)
+        node_id = self._next_id[user_id]
+        self._next_id[user_id] = node_id + 1
+        return node_id
 
     def get(self, user_id: str, node_id: int) -> MemoryNode:
         node = self._nodes.get(user_id, {}).get(node_id)
@@ -169,40 +156,39 @@ class MemoryTree:
         return node
 
     def insert_node(self, node: MemoryNode) -> int:
-        with self._user_lock(node.user_id):
-            nodes = self._nodes[node.user_id]
-            if node.id in nodes:
-                raise DuplicateId(f"node id {node.id} already used for {node.user_id!r}")
-            if node.embedding is not None:
-                norm = float(np.linalg.norm(node.embedding))
-                if not abs(norm - 1.0) <= _EMBED_NORM_TOL:  # a NaN norm fails too
-                    raise ValueError(f"embedding norm {norm} not within {_EMBED_NORM_TOL} of 1")
-            parent = None
-            if node.parent_id is not None:
-                parent = nodes.get(node.parent_id)
-                if parent is None:
-                    raise MissingParent(f"parent {node.parent_id} not found")
-                self._check_edge(parent, node)
-            nodes[node.id] = node
-            self._add_to_level(node)
-            if parent is not None and node.id not in parent.child_ids:
-                parent.child_ids.append(node.id)
-                self._sort_children(node.user_id, parent)
-            if node.id >= self._next_id[node.user_id]:
-                self._next_id[node.user_id] = node.id + 1
-            return node.id
+        self.ensure_user(node.user_id)
+        nodes = self._nodes[node.user_id]
+        if node.id in nodes:
+            raise DuplicateId(f"node id {node.id} already used for {node.user_id!r}")
+        if node.embedding is not None:
+            norm = float(np.linalg.norm(node.embedding))
+            if not abs(norm - 1.0) <= _EMBED_NORM_TOL:  # a NaN norm fails too
+                raise ValueError(f"embedding norm {norm} not within {_EMBED_NORM_TOL} of 1")
+        parent = None
+        if node.parent_id is not None:
+            parent = nodes.get(node.parent_id)
+            if parent is None:
+                raise MissingParent(f"parent {node.parent_id} not found")
+            self._check_edge(parent, node)
+        nodes[node.id] = node
+        self._add_to_level(node)
+        if parent is not None and node.id not in parent.child_ids:
+            parent.child_ids.append(node.id)
+            self._sort_children(node.user_id, parent)
+        if node.id >= self._next_id[node.user_id]:
+            self._next_id[node.user_id] = node.id + 1
+        return node.id
 
     def adopt(self, user_id: str, parent_id: int, child_ids: list[int]) -> None:
         """Link existing nodes under a parent, validating each edge."""
-        with self._user_lock(user_id):
-            parent = self.get(user_id, parent_id)
-            for cid in child_ids:
-                child = self.get(user_id, cid)
-                self._check_edge(parent, child)
-                child.parent_id = parent_id
-                if cid not in parent.child_ids:
-                    parent.child_ids.append(cid)
-            self._sort_children(user_id, parent)
+        parent = self.get(user_id, parent_id)
+        for cid in child_ids:
+            child = self.get(user_id, cid)
+            self._check_edge(parent, child)
+            child.parent_id = parent_id
+            if cid not in parent.child_ids:
+                parent.child_ids.append(cid)
+        self._sort_children(user_id, parent)
 
     @staticmethod
     def _check_edge(parent: MemoryNode, child: MemoryNode) -> None:
@@ -245,13 +231,12 @@ class MemoryTree:
     def leaf_index(self, user_id: str) -> LeafIndex:
         """The user's segments in (end, id) order as a LeafIndex, after
         adding the segments inserted since the last call."""
-        with self._user_lock(user_id):
-            index = self._leaves.get(user_id)
-            if index is None:
-                index = self._leaves[user_id] = LeafIndex()
-            for node in self._levels[user_id][Level.SEGMENT][len(index):]:
-                node.embedding = index.add(node)
-            return index
+        index = self._leaves.get(user_id)
+        if index is None:
+            index = self._leaves[user_id] = LeafIndex()
+        for node in self._ordered(user_id, Level.SEGMENT)[len(index):]:
+            node.embedding = index.add(node)
+        return index
 
     def all_nodes(self, user_id: str) -> list[MemoryNode]:
         return sorted(self._nodes.get(user_id, {}).values(), key=lambda n: n.id)

@@ -423,6 +423,22 @@ def test_dense_twins_compete_for_fewer_places_than_they_are(cutoff):
                                         else [ROWS, ROWS + 1, 4])
 
 
+def test_upto_cuts_at_the_microsecond_and_rejects_a_naive_t_q():
+    """Leaves one microsecond apart: each cut keeps exactly the leaves
+    ending at or before it."""
+    vec = np.ones(DIM, dtype=np.float32) / np.sqrt(DIM)
+    leaves = [make_leaf(i + 1, "kayak", vec, 0) for i in range(12)]
+    for i, leaf in enumerate(leaves):
+        end = leaf.interval.end + timedelta(microseconds=i)
+        leaf.interval = TemporalInterval(end, end)
+    index = LeafIndex.of(leaves)
+    for i, leaf in enumerate(leaves):
+        assert len(index.upto(leaf.interval.end)) == i + 1
+        assert len(index.upto(leaf.interval.end - timedelta(microseconds=1))) == i
+    with pytest.raises(TypeError):
+        index.upto(leaves[3].interval.end.replace(tzinfo=None))
+
+
 # --- the float32 screen, bit for bit ------------------------------------------------
 
 def full_pass_reference(query_emb, keywords, index, lam, k):

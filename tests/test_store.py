@@ -5,6 +5,9 @@ import hashlib
 import json
 import os
 import random
+import stat
+import sys
+import threading
 
 import pytest
 
@@ -357,12 +360,18 @@ def test_nodes_of_a_failed_call_reach_the_log(tmp_path):
     assert reloaded.validate("alice").violations == []
 
 
+def is_file(fd: int) -> bool:
+    """Whether `fd` is a regular file, not a directory fsynced with a new log."""
+    return stat.S_ISREG(os.fstat(fd).st_mode)
+
+
 def test_one_fsync_per_call_and_the_same_log_bytes(tmp_path, monkeypatch):
     fsync = os.fsync
     fsyncs = []
 
     def counting_fsync(fd):
-        fsyncs.append(fd)
+        if is_file(fd):
+            fsyncs.append(fd)
         fsync(fd)
 
     monkeypatch.setattr("timem.store.os.fsync", counting_fsync)
@@ -463,7 +472,8 @@ def test_failed_fsync_resumes_as_after_a_crash(tmp_path, monkeypatch):
     calls = []
 
     def failing_fsync(fd):
-        calls.append(fd)
+        if is_file(fd):
+            calls.append(fd)
         if len(calls) == 6:  # the sixth turn's append
             raise OSError(errno.EIO, "Input/output error")
         fsync(fd)
@@ -550,3 +560,121 @@ def test_failed_cut_of_a_torn_tail_resumes_after_another_replay(tmp_path, monkey
     reloaded = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
     reloaded.load_user("alice")
     assert node_rows(reloaded) == node_rows(engine)
+
+
+def test_a_new_log_and_its_directory_are_fsynced_before_the_first_append_returns(
+        tmp_path, monkeypatch):
+    fsync = os.fsync
+    synced = []  # (st_dev, st_ino) of each fsynced fd, in order
+
+    def recording_fsync(fd):
+        info = os.fstat(fd)
+        synced.append((info.st_dev, info.st_ino))
+        fsync(fd)
+
+    def key(path):
+        info = path.stat()
+        return info.st_dev, info.st_ino
+
+    monkeypatch.setattr("timem.store.os.fsync", recording_fsync)
+    turns = fixture_turns(tmp_path, 3)
+    root = tmp_path / "data"
+    engine = MemoryEngine.with_mock_backends(data_dir=root)
+    engine.ingest_turn("alice", turns[0])
+    log = root / "alice" / "log.jsonl"
+    assert synced == [key(root / "alice"), key(root), key(log)]
+    engine.ingest_turn("alice", turns[1])
+    assert synced[3:] == [key(log)]  # a later append syncs the log alone
+    engine.store.close()
+
+    reopened = MemoryEngine.with_mock_backends(data_dir=root)
+    reopened.load_user("alice")
+    reopened.ingest_turn("alice", turns[2])
+    reopened.store.close()
+    assert synced[4:] == [key(log)]  # so does the first append after a replay
+
+
+def run_threads(*targets) -> list[BaseException]:
+    """Run each target in its own thread, switching threads often;
+    returns what they raised."""
+    errors = []
+
+    def guarded(target):
+        try:
+            target()
+        except BaseException as exc:  # surfaced to the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=guarded, args=(t,)) for t in targets]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    return errors
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_flush_beside_ingest_of_one_user_runs_each_call_whole(tmp_path, seed):
+    """A flush loop beside a user's ingest: each engine call holds the
+    user's lock, so no group closes twice, the tree validates, every turn
+    has one segment, and the log replays to the same tree."""
+    turns = random_transcript(random.Random(seed), "alice", n_sessions=8)
+    engine = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
+    ingested = threading.Event()
+
+    def ingest():
+        try:
+            for turn in turns:
+                engine.ingest_turn("alice", turn)
+        finally:
+            ingested.set()
+
+    def flush_loop():
+        while not ingested.is_set():
+            engine.flush("alice")
+
+    assert run_threads(ingest, flush_loop) == []
+    engine.flush("alice")
+    engine.store.close()
+    assert engine.validate("alice").ok
+    segments = engine.tree.nodes_at_level("alice", Level.SEGMENT)
+    assert sorted(n.source_turn_ids[0] for n in segments) == sorted(t.turn_id for t in turns)
+    reloaded = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
+    assert reloaded.load_all() == ["alice"]
+    assert node_rows(reloaded) == node_rows(engine)
+
+
+def test_recalls_and_validates_beside_ingest_of_one_user_never_raise():
+    """Each recall sees one state of the tree: no segment it returns ends
+    after the latest segment it took as the query time."""
+    turns = random_transcript(random.Random(5), "alice", n_sessions=8)
+    engine = MemoryEngine.with_mock_backends()
+    engine.ingest_turn("alice", turns[0])
+    ingested = threading.Event()
+    recalls = []
+    reports = []
+
+    def ingest():
+        try:
+            for turn in turns[1:]:
+                engine.ingest_turn("alice", turn)
+        finally:
+            ingested.set()
+
+    def recall_loop():
+        while not ingested.is_set():
+            recalls.append(engine.recall("alice", "Where did Alice go kayaking?", gate=False))
+
+    def validate_loop():
+        while not ingested.is_set():
+            reports.append(engine.validate("alice"))
+
+    assert run_threads(ingest, recall_loop, recall_loop, validate_loop) == []
+    assert recalls and reports and all(report.ok for report in reports)
+    for result in recalls:
+        assert all(m.interval.end <= result.query_time for m in result.memories if m.level == 1)

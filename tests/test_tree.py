@@ -283,7 +283,8 @@ def test_leaf_inserted_out_of_order_is_scored():
     segment(6, 15, "kayak on the lake")    # ends before four leaves already indexed
 
     index = tree.leaf_index("u")
-    assert list(index.ends) == [n.interval.end for n in tree.nodes_at_level("u", Level.SEGMENT)]
+    assert list(index.stamps[:len(index)]) == [
+        n.interval.end.timestamp() for n in tree.nodes_at_level("u", Level.SEGMENT)]
     got = fused_top_k(query, ["kayak"], index, 0.9, 6)
     assert got[0].node_id == 6
     assert got == fused_top_k(query, ["kayak"], tree.nodes_at_level("u", Level.SEGMENT), 0.9, 6)
