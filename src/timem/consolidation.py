@@ -55,7 +55,6 @@ _WINDOWS = {Level.DAY: day_window, Level.WEEK: week_window, Level.PROFILE: month
 
 @dataclass
 class _UserState:
-    last_ts: datetime | None = None
     # level -> group key -> group without a node yet (open, or closed and waiting)
     open: dict[Level, dict[str | datetime, TemporalGroup]] = field(
         default_factory=lambda: {lvl: {} for lvl in _GROUP_LEVELS})
@@ -92,14 +91,14 @@ class Consolidator:
         turn resumes where the failure happened.
         """
         st = self.state(user_id)
-        if st.last_ts is not None and turn.timestamp < st.last_ts:
+        latest = self.tree.latest_at_level(user_id, Level.SEGMENT)
+        if latest is not None and turn.timestamp < latest.interval.end:
             raise NonMonotonicTimestamp(
-                f"turn {turn.turn_id} at {turn.timestamp} precedes {st.last_ts}")
+                f"turn {turn.turn_id} at {turn.timestamp} precedes {latest.interval.end}")
         self._close_due(user_id, turn)
         node = self._make_segment(user_id, turn)
         st.created.append(node)
         self._join(user_id, node, turn.session_id)
-        st.last_ts = turn.timestamp
         created, st.created = st.created, []
         return created
 
@@ -243,24 +242,15 @@ class Consolidator:
     # -- replay support -------------------------------------------------------
 
     def restore_state(self, user_id: str, turns: list[DialogTurn]) -> None:
-        """Rebuild the group table from the replayed tree and turns.
-
-        Every node without a parent belongs to a group that had no node
-        when the log was written: a segment rejoins its turn's session, a
-        higher node the calendar group of its interval start. Only the
-        latest session can still be streaming; the earlier ones had
-        closed, so they are marked closed and consolidate first.
-        """
-        st = self._state[user_id] = _UserState(
-            last_ts=max((t.timestamp for t in turns), default=None))
-        turn_sessions = {t.turn_id: t.session_id for t in turns}
+        """Rebuild the group table from the replayed tree and turns. The
+        log holds whole calls, so each node without a parent rejoins the
+        group it was in: a segment its turn's session, a higher node the
+        calendar group of its interval start."""
+        self._state[user_id] = _UserState()
+        sessions = {t.turn_id: t.session_id for t in turns}
         for node in self.tree.nodes_at_level(user_id, Level.SEGMENT):
             if node.parent_id is None:
-                turn_id = node.source_turn_ids[0] if node.source_turn_ids else None
-                self._join(user_id, node, turn_sessions.get(turn_id) or "unknown-session")
-        sessions = sorted(st.open[Level.SESSION].values(), key=lambda g: g.anchor)
-        for group in sessions[:-1]:
-            group.open = False
+                self._join(user_id, node, sessions[node.source_turn_ids[0]])
         for level in (Level.SESSION, Level.DAY, Level.WEEK):
             for node in self.tree.nodes_at_level(user_id, level):
                 if node.parent_id is None:

@@ -22,7 +22,8 @@ class MemoryEngine:
 
     When a store is attached, every successfully ingested turn and every
     created node is appended to the user's log before the call returns,
-    in one write and fsync, so a crash never loses acknowledged work.
+    as one line with one write and fsync, so a crash never loses
+    acknowledged work and replay sees each call whole or not at all.
     Nodes inserted by a call whose provider failed are logged by the
     next call.
 
@@ -30,7 +31,8 @@ class MemoryEngine:
     user's tree and group table and re-raises: what reached the log is
     unknown until it is read back. The caller then resumes as after a
     crash: `load_user` replays the log, and the turns in its
-    `ReplayResult.turns` reached it and are not ingested again.
+    `ReplayResult.turns` reached it and are not ingested again. A replay
+    that fails on a record the tree rejects drops the user the same way.
 
     Each call holds its user's lock throughout: one user's calls, recalls
     included, run one at a time (an agent's loop for one user is
@@ -96,12 +98,20 @@ class MemoryEngine:
             return self.tree.validate_tree(user_id)
 
     def load_user(self, user_id: str) -> ReplayResult:
-        """Replay a user's log and rebuild the open-group state."""
+        """Rebuild a user's tree and open-group state from its log alone.
+        When a record does not fit the tree, the user's tree and group
+        table are dropped and the error is raised."""
         if self.store is None:
             raise ValueError("engine has no store attached")
         with self._locks[user_id]:
-            result = self.store.load_replay(user_id, self.tree)
-            self.consolidator.restore_state(user_id, result.turns)
+            self.tree.drop_user(user_id)
+            try:
+                result = self.store.load_replay(user_id, self.tree)
+                self.consolidator.restore_state(user_id, result.turns)
+            except Exception:  # a record the tree rejects leaves part of its line applied
+                self.tree.drop_user(user_id)
+                self.consolidator.drop_user(user_id)
+                raise
             return result
 
     def load_all(self) -> list[str]:

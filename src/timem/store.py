@@ -1,12 +1,14 @@
 """Transcript parsing and append-only per-user persistence.
 
-Each user owns one JSON-lines log at <root>/<user_id>/log.jsonl holding
-node and turn records in creation order. The log is append-only and
-tombstone-free (nodes are never deleted), so replaying it rebuilds the
-exact tree; embeddings are stored inline as base64 of little-endian
-float32 so records stay single-line. A store appends to a log only after
-replaying it, and cuts what replay did not accept (a torn or corrupt
-record and all after it) into a sidecar before its first append.
+Each user owns one JSON-lines log at <root>/<user_id>/log.jsonl, one
+line per engine call: a JSON array of the node and turn records it
+created. The log is append-only and tombstone-free (nodes are never
+deleted), so replaying it rebuilds the exact tree; embeddings are stored
+inline as base64 of little-endian float32 so records stay single-line.
+Replay sees whole calls, since a line is complete only with its newline;
+an older log's one-object lines replay as one-record calls. A store
+appends to a log only after replaying it, and cuts what replay did not
+accept (a torn or corrupt line and all after it) into a sidecar first.
 """
 
 from __future__ import annotations
@@ -226,6 +228,7 @@ class LogStore:
         handle = self._handles.get(user_id)
         if handle is None:
             directory = self._user_dir(user_id)
+            missing = [p for p in (directory, *directory.parents) if not p.exists()]
             directory.mkdir(parents=True, exist_ok=True)
             if fcntl is not None:
                 lock_file = open(directory / "log.lock", "w")
@@ -248,15 +251,16 @@ class LogStore:
                     _cut_log(path, end)
             handle = open(path, "ab")
             self._handles[user_id] = handle
-            if not size:  # a new log's entry, and its directory's, must outlive a crash
-                _fsync_dir(directory)
-                _fsync_dir(self.root)
+            if not size:  # a new log's entry, and each new directory's, must outlive a crash
+                for parent in dict.fromkeys([directory, self.root, *(p.parent for p in missing)]):
+                    _fsync_dir(parent)
         return handle
 
     def persist_append(self, user_id: str, *records: dict) -> int:
-        """Durably append records, one line each, with one write and one
-        fsync; returns the byte offset of the first. The first append to
-        an empty log fsyncs its directory and the root before writing.
+        """Durably append one call's records as one line, a JSON array,
+        with one write and one fsync; returns its byte offset. The first
+        append to an empty log fsyncs its directory, the root and the
+        parent of each directory the store created, before writing.
 
         When opening the log, cutting a torn tail from it, the write or
         the fsync fails, the store closes the user's log, forgets where
@@ -264,12 +268,11 @@ class LogStore:
         log then needs a replay first, which cuts whatever part of the
         failed write reached the log torn.
         """
-        lines = "".join(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
-                        for record in records)
+        line = json.dumps(records, ensure_ascii=False, separators=(",", ":")) + "\n"
         try:
             handle = self._writer(user_id)
             offset = handle.tell()
-            handle.write(lines.encode("utf-8"))
+            handle.write(line.encode("utf-8"))
             handle.flush()
             os.fsync(handle.fileno())
         except OSError as exc:
@@ -303,12 +306,15 @@ class LogStore:
         self.close()
 
     def load_replay(self, user_id: str, tree: MemoryTree) -> ReplayResult:
-        """Replay a user's log into the tree.
+        """Replay a user's log into the tree, one call (line) at a time.
 
-        A corrupt record stops the replay at its offset: everything
-        before it is loaded, the rest is ignored with a warning. A record
-        is complete only with its newline, the last byte of each write.
-        This store's next append to the log follows the accepted records.
+        A line is complete only with its newline, the last byte of each
+        write. All of a line's records are decoded before any is
+        applied, so a torn line, or one that does not decode, stops the
+        replay at its offset: every line before it is loaded, nothing of
+        it or after it, with a warning. A record the tree rejects raises
+        out of the replay, leaving part of the line applied. This store's
+        next append to the log follows the accepted lines.
         """
         path = self.log_path(user_id)
         tree.ensure_user(user_id)  # register user even when the log is empty
@@ -322,51 +328,59 @@ class LogStore:
             for raw_line in f:
                 line_offset = offset
                 offset += len(raw_line)
-                stripped = raw_line.strip()
-                if not stripped:
+                if not raw_line.strip():
                     continue
                 try:
                     if not raw_line.endswith(b"\n"):
-                        raise ValueError("torn write: the record has no newline")
-                    record = json.loads(stripped.decode("utf-8"))
-                    if not isinstance(record, dict):
-                        raise ValueError("record is not an object")
-                except (ValueError, UnicodeDecodeError) as exc:
+                        raise ValueError("torn write: the line has no newline")
+                    nodes, line_turns = self._decode_line(user_id, raw_line, line_offset)
+                except (KeyError, ValueError, TypeError) as exc:
                     corrupt = CorruptRecord(
-                        f"corrupt record at offset {line_offset} in {path}: {exc}",
+                        f"corrupt record at offset {line_offset} in {path}: {exc!r}",
                         offset=line_offset)
                     logger.warning("%s; ignoring the rest of the log", corrupt)
                     offset = line_offset
                     break
-                kind = record.get("record_type")
-                if kind == "node":
-                    self._replay_node(user_id, record, tree)
-                    nodes_loaded += 1
-                elif kind == "turn":
-                    turns.append(DialogTurn(
-                        turn_id=record["turn_id"],
-                        session_id=record["session_id"],
-                        timestamp=parse_ts(record["timestamp"]),
-                        user_text=record.get("user_text", ""),
-                        assistant_text=record.get("assistant_text", "")))
-                else:
-                    logger.warning("unknown record type %r at offset %d", kind, line_offset)
+                for node, child_ids in nodes:
+                    tree.insert_node(node)
+                    if child_ids:
+                        tree.adopt(user_id, node.id, child_ids)
+                nodes_loaded += len(nodes)
+                turns += line_turns
         self._records_end[user_id] = offset
         return ReplayResult(nodes_loaded=nodes_loaded, turns=turns, corrupt=corrupt)
 
     @staticmethod
-    def _replay_node(user_id: str, record: dict, tree: MemoryTree) -> None:
-        embedding = record.get("embedding")
-        node = MemoryNode(
-            id=int(record["id"]),
-            user_id=user_id,
-            level=Level(int(record["level"])),
-            interval=TemporalInterval(parse_ts(record["start"]), parse_ts(record["end"])),
-            text=record["text"],
-            embedding=decode_embedding(embedding) if embedding else None,
-            source_turn_ids=list(record.get("source_turn_ids") or []),
-        )
-        tree.insert_node(node)
-        child_ids = [int(c) for c in record.get("child_ids") or []]
-        if child_ids:
-            tree.adopt(user_id, node.id, child_ids)
+    def _decode_line(user_id: str, raw_line: bytes, offset: int) -> tuple[list, list[DialogTurn]]:
+        """A line's node records as (node, child ids) pairs, and its turn
+        records. A line holding one object is an older log's one-record
+        call."""
+        records = json.loads(raw_line)
+        if isinstance(records, dict):
+            records = [records]
+        if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+            raise ValueError("the line is neither a record nor an array of records")
+        nodes, turns = [], []
+        for record in records:
+            kind = record.get("record_type")
+            if kind == "node":
+                embedding = record.get("embedding")
+                nodes.append((MemoryNode(
+                    id=int(record["id"]),
+                    user_id=user_id,
+                    level=Level(int(record["level"])),
+                    interval=TemporalInterval(parse_ts(record["start"]), parse_ts(record["end"])),
+                    text=record["text"],
+                    embedding=decode_embedding(embedding) if embedding else None,
+                    source_turn_ids=list(record.get("source_turn_ids") or []),
+                ), [int(c) for c in record.get("child_ids") or []]))
+            elif kind == "turn":
+                turns.append(DialogTurn(
+                    turn_id=record["turn_id"],
+                    session_id=record["session_id"],
+                    timestamp=parse_ts(record["timestamp"]),
+                    user_text=record.get("user_text", ""),
+                    assistant_text=record.get("assistant_text", "")))
+            else:
+                logger.warning("unknown record type %r at offset %d", kind, offset)
+        return nodes, turns

@@ -106,6 +106,24 @@ class TreeReport:
 
 _EMBED_NORM_TOL = 1e-6
 
+_EDGE_ERRORS = {"missing-parent": MissingParent, "level-edge": LevelEdgeViolation,
+                "temporal-containment": ContainmentViolation}
+
+
+def _broken_edge(parent: MemoryNode | None, child: MemoryNode) -> Violation | None:
+    """The first rule the edge from `parent` (None when it is absent) to
+    `child` breaks, or None when the edge is sound."""
+    if parent is None:
+        return Violation(child.id, "missing-parent", f"parent {child.parent_id} not found")
+    if parent.level != child.level + 1:
+        return Violation(child.id, "level-edge",
+                         f"parent level {int(parent.level)} over child level {int(child.level)}")
+    if not parent.interval.contains(child.interval):
+        return Violation(child.id, "temporal-containment",
+                         f"child [{child.interval.start}, {child.interval.end}] outside "
+                         f"parent [{parent.interval.start}, {parent.interval.end}]")
+    return None
+
 
 def _end_order(node: MemoryNode) -> tuple:
     return node.interval.end, node.id
@@ -167,9 +185,8 @@ class MemoryTree:
         parent = None
         if node.parent_id is not None:
             parent = nodes.get(node.parent_id)
-            if parent is None:
-                raise MissingParent(f"parent {node.parent_id} not found")
-            self._check_edge(parent, node)
+            if broken := _broken_edge(parent, node):
+                raise _EDGE_ERRORS[broken.rule](broken.detail)
         nodes[node.id] = node
         self._add_to_level(node)
         if parent is not None and node.id not in parent.child_ids:
@@ -184,23 +201,12 @@ class MemoryTree:
         parent = self.get(user_id, parent_id)
         for cid in child_ids:
             child = self.get(user_id, cid)
-            self._check_edge(parent, child)
+            if broken := _broken_edge(parent, child):
+                raise _EDGE_ERRORS[broken.rule](broken.detail)
             child.parent_id = parent_id
             if cid not in parent.child_ids:
                 parent.child_ids.append(cid)
         self._sort_children(user_id, parent)
-
-    @staticmethod
-    def _check_edge(parent: MemoryNode, child: MemoryNode) -> None:
-        if parent.level != child.level + 1:
-            raise LevelEdgeViolation(
-                f"parent level {int(parent.level)} over child level {int(child.level)}"
-            )
-        if not parent.interval.contains(child.interval):
-            raise ContainmentViolation(
-                f"child [{child.interval.start}, {child.interval.end}] outside "
-                f"parent [{parent.interval.start}, {parent.interval.end}]"
-            )
 
     def _add_to_level(self, node: MemoryNode) -> None:
         ordered = self._levels[node.user_id][node.level]
@@ -267,20 +273,9 @@ class MemoryTree:
         violations: list[Violation] = []
         for node in nodes.values():
             counts[node.level] += 1
-            if node.parent_id is not None:
-                parent = nodes.get(node.parent_id)
-                if parent is None:
-                    violations.append(Violation(node.id, "missing-parent", f"parent {node.parent_id} absent"))
-                    continue
-                if parent.level != node.level + 1:
-                    violations.append(Violation(
-                        node.id, "level-edge",
-                        f"parent level {int(parent.level)}, child level {int(node.level)}"))
-                if not parent.interval.contains(node.interval):
-                    violations.append(Violation(
-                        node.id, "temporal-containment",
-                        f"child [{node.interval.start}, {node.interval.end}] outside parent "
-                        f"[{parent.interval.start}, {parent.interval.end}]"))
+            if node.parent_id is not None and (
+                    broken := _broken_edge(nodes.get(node.parent_id), node)):
+                violations.append(broken)
         for level in (Level.SESSION, Level.DAY, Level.WEEK, Level.PROFILE):
             below = counts[Level(level - 1)]
             if below > 0 and counts[level] > below:

@@ -1,22 +1,26 @@
 from __future__ import annotations
 
 import errno
-import hashlib
+import functools
 import json
 import os
 import random
 import stat
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timem import Level, LogStore, MemoryEngine, MemoryTree, parse_transcript
 from timem.backends import FlakyChatBackend, MockChatBackend, Purpose, RoutingChatBackend
 from timem.bench import generate_fixture
-from timem.errors import BackendFailure, NonMonotonicTimestamp, SchemaError, StoreIoError
-from timem.store import decode_embedding, encode_embedding, node_record, turn_record
-from timem.timeutil import format_ts, parse_ts
+from timem.errors import BackendFailure, DuplicateId, NonMonotonicTimestamp, SchemaError, StoreIoError
+from timem.store import ReplayResult, decode_embedding, encode_embedding, node_record, turn_record
+from timem.timeutil import parse_ts
 
 from conftest import ingest_all, random_transcript
 
@@ -178,10 +182,10 @@ def test_roundtrip_counts_and_validation(tmp_path):
     ingest_all(engine, "alice", turns)
     engine.store.close()
     before = {lvl: len(engine.tree.nodes_at_level("alice", lvl)) for lvl in Level}
-    # logs written before node records lost their "created_at" and
-    # "user_id" keys still replay
+    # older logs, one record per line, whose node records still have
+    # their "created_at" and "user_id" keys, replay
     path = tmp_path / "data" / "alice" / "log.jsonl"
-    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    records = log_records(path)
     for record in records:
         if record["record_type"] == "node":
             record["created_at"] = record["end"]
@@ -212,6 +216,11 @@ def test_recall_identical_after_reload(tmp_path):
     assert [m.node_id for m in original.memories] == [m.node_id for m in reloaded.memories]
     assert [m.fused for m in original.memories] == [m.fused for m in reloaded.memories]
     assert original.context_token_count == reloaded.context_token_count
+
+
+def log_records(path) -> list[dict]:
+    """Every record of a log, in order, from its one-array-per-call lines."""
+    return [r for line in path.read_bytes().splitlines() for r in json.loads(line)]
 
 
 def node_rows(engine: MemoryEngine) -> list[tuple]:
@@ -326,7 +335,13 @@ def fixture_turns(tmp_path, count: int) -> list:
 
 
 def log_line(record: dict) -> bytes:
-    return (json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
+    """A line of an older log: one record."""
+    return (json.dumps(record) + "\n").encode("utf-8")
+
+
+def call_line(*records: dict) -> bytes:
+    """The log line of one call: its records as one JSON array."""
+    return (json.dumps(records, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 def test_persist_append_writes_every_record_of_a_call(tmp_path):
@@ -335,8 +350,8 @@ def test_persist_append_writes_every_record_of_a_call(tmp_path):
                for t in "abc")
     with LogStore(tmp_path) as store:
         assert store.persist_append("alice", a, b) == 0
-        assert store.persist_append("alice", c) == len(log_line(a) + log_line(b))
-    assert (tmp_path / "alice" / "log.jsonl").read_bytes() == log_line(a) + log_line(b) + log_line(c)
+        assert store.persist_append("alice", c) == len(call_line(a, b))
+    assert (tmp_path / "alice" / "log.jsonl").read_bytes() == call_line(a, b) + call_line(c)
 
 
 def test_nodes_of_a_failed_call_reach_the_log(tmp_path):
@@ -358,6 +373,75 @@ def test_nodes_of_a_failed_call_reach_the_log(tmp_path):
     reloaded.load_user("alice")
     assert node_rows(reloaded) == node_rows(engine)
     assert reloaded.validate("alice").violations == []
+
+
+def log_of_three_turns(tmp_path) -> tuple[MemoryEngine, list]:
+    """An engine, its store closed, that logged the first three of four
+    fixture turns (three segments); returns it and the four turns."""
+    turns = fixture_turns(tmp_path, 4)
+    engine = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
+    for turn in turns[:3]:
+        engine.ingest_turn("alice", turn)
+    engine.store.close()
+    return engine, turns
+
+
+TURN_WITHOUT_SESSION = {"record_type": "turn", "turn_id": "x",
+                        "timestamp": "2023-05-20T09:00:00Z", "user_text": "", "assistant_text": ""}
+
+
+@pytest.mark.parametrize("bad", [{"record_type": "node"}, TURN_WITHOUT_SESSION],
+                         ids=["node-without-id", "turn-without-session-id"])
+@pytest.mark.parametrize("alone", [True, False], ids=["one-record-line", "after-a-valid-record"])
+def test_a_line_with_a_record_that_does_not_decode_is_corrupt(tmp_path, bad, alone):
+    engine, turns = log_of_three_turns(tmp_path)
+    log = tmp_path / "data" / "alice" / "log.jsonl"
+    good = log.read_bytes()
+    line = log_line(bad) if alone else call_line(turn_record(turns[3]), bad)
+    log.write_bytes(good + line)
+
+    resumed = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
+    replay = resumed.load_user("alice")
+    assert replay.corrupt.offset == len(good)
+    # nothing of the line is applied, not even its valid turn record
+    assert [t.turn_id for t in replay.turns] == [t.turn_id for t in turns[:3]]
+    assert node_rows(resumed) == node_rows(engine)
+    resumed.ingest_turn("alice", turns[3])  # cuts the line into the sidecar first
+    resumed.store.close()
+    assert (log.parent / f"log.corrupt.{len(good)}").read_bytes() == line
+    reloaded = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
+    assert reloaded.load_user("alice").corrupt is None
+    reloaded.store.close()
+    assert node_rows(reloaded) == node_rows(resumed)
+
+
+def test_a_record_the_tree_rejects_drops_the_user(tmp_path):
+    _, turns = log_of_three_turns(tmp_path)
+    log = tmp_path / "data" / "alice" / "log.jsonl"
+    node_1 = json.loads(log.read_bytes().splitlines()[0])[0]
+    log.write_bytes(log.read_bytes() + log_line(node_1))  # a duplicate of node 1
+
+    resumed = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
+    with pytest.raises(DuplicateId):
+        resumed.load_user("alice")
+    assert not resumed.tree.has_user("alice")  # no half-loaded tree
+    assert "alice" not in resumed.consolidator._state
+    with pytest.raises(StoreIoError, match="replay"):  # the log needs a replay that succeeds
+        resumed.ingest_turn("alice", turns[3])
+    resumed.store.close()
+
+
+def test_loading_a_loaded_user_again_rebuilds_it_from_the_log(tmp_path):
+    _, turns = log_of_three_turns(tmp_path)
+    engine = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
+    engine.load_user("alice")
+    engine.ingest_turn("alice", turns[3])
+    assert len(engine.load_user("alice").turns) == 4  # not a duplicate of the live nodes
+    engine.flush("alice")
+    engine.store.close()
+    reference = MemoryEngine()
+    ingest_all(reference, "alice", turns)
+    assert node_rows(engine) == node_rows(reference)
 
 
 def is_file(fd: int) -> bool:
@@ -383,17 +467,18 @@ def test_one_fsync_per_call_and_the_same_log_bytes(tmp_path, monkeypatch):
         created = engine.ingest_turn("alice", turn)
         assert len(fsyncs) == before + 1
         most_nodes = max(most_nodes, len(created))
-        expected += [node_record(n) for n in created] + [turn_record(turn)]
+        expected.append(call_line(*map(node_record, created), turn_record(turn)))
     assert most_nodes > 2  # some calls closed groups
     for has_nodes in (True, False):  # the second flush has nothing to close
         before = len(fsyncs)
         created = engine.flush("alice")
         assert bool(created) == has_nodes
         assert len(fsyncs) == before + has_nodes
-        expected += [node_record(n) for n in created]
+        if created:
+            expected.append(call_line(*map(node_record, created)))
     engine.store.close()
     log = (tmp_path / "data" / "alice" / "log.jsonl").read_bytes()
-    assert log == b"".join(map(log_line, expected))
+    assert log == b"".join(expected)
 
 
 def test_every_line_prefix_replays_and_resumes(tmp_path):
@@ -428,42 +513,86 @@ def test_every_line_prefix_replays_and_resumes(tmp_path):
 
 # 76 turns in 6 sessions over 6 days, 4 weeks and 3 months
 LOST_TURN_TURNS = random_transcript(random.Random(58), "alice", n_sessions=6)
-# sha256 of the resumed trees of every cut, pinned before the scheduler
-# kept its open groups in one table; change only with a reason. It pins
-# today's outcome of a lost turn record too: its segment replays into an
-# "unknown-session" group, and the re-ingested turn gets a second segment.
-LOST_TURN_GOLDEN = "d9d6cf9f4a2ab44fe993d90b7128ee5f223e98423b94431c6d6ea2040e4fd5c3"
+
+
+def resume(data, turns) -> tuple[MemoryEngine, ReplayResult]:
+    """Replay alice's log under `data`, ingest the turns it lacks, flush;
+    returns the resumed engine, its store closed, and the replay."""
+    with LogStore(data) as store:
+        resumed = MemoryEngine(store=store)
+        replay = resumed.load_user("alice")
+        logged = {t.turn_id for t in replay.turns}
+        for turn in turns:
+            if turn.turn_id not in logged:
+                resumed.ingest_turn("alice", turn)
+        resumed.flush("alice")
+    return resumed, replay
 
 
 def test_resume_after_the_last_turn_record_is_lost(tmp_path):
+    """A crash inside a call's write loses the whole call, its segment
+    with its turn record: the resumed user re-ingests that turn and ends
+    as the uninterrupted run."""
     turns = LOST_TURN_TURNS
+    reference = MemoryEngine()
+    ingest_all(reference, "alice", turns)
     engine = MemoryEngine.with_mock_backends(data_dir=tmp_path / "full")
-    logged, line_counts = 0, []  # log lines after each call
+    log = tmp_path / "full" / "alice" / "log.jsonl"
+    ends = []  # the log's size after each call
     for turn in turns:
-        logged += len(engine.ingest_turn("alice", turn)) + 1  # its nodes, then its turn
-        line_counts.append(logged)
+        engine.ingest_turn("alice", turn)
+        ends.append(log.stat().st_size)
     engine.store.close()
-    lines = (tmp_path / "full" / "alice" / "log.jsonl").read_bytes().splitlines(keepends=True)
-    assert len(lines) == line_counts[-1]
+    raw = log.read_bytes()
 
-    digest = hashlib.sha256()
-    for k in range(0, len(turns), 4):  # a crash lost call k's turn record
-        data = tmp_path / f"cut{k}"
-        (data / "alice").mkdir(parents=True)
-        (data / "alice" / "log.jsonl").write_bytes(b"".join(lines[:line_counts[k] - 1]))
-        with LogStore(data) as store:
-            resumed = MemoryEngine(store=store)
-            replay = resumed.load_user("alice")
-            assert turns[k].turn_id not in {t.turn_id for t in replay.turns}
-            for turn in turns[k:]:
-                resumed.ingest_turn("alice", turn)
-            resumed.flush("alice")
-        assert resumed.validate("alice").violations == [], k
-        rows = [(n.id, int(n.level), n.text, format_ts(n.interval.start),
-                 format_ts(n.interval.end), n.parent_id, n.child_ids)
-                for n in resumed.tree.all_nodes("alice")]
-        digest.update(json.dumps(rows).encode("utf-8"))
-    assert digest.hexdigest() == LOST_TURN_GOLDEN
+    for k in range(0, len(turns), 4):
+        start = ends[k - 1] if k else 0
+        for cut in (ends[k] - 1, (start + ends[k]) // 2):  # torn inside call k's write
+            data = tmp_path / f"cut{cut}"
+            (data / "alice").mkdir(parents=True)
+            (data / "alice" / "log.jsonl").write_bytes(raw[:cut])
+            resumed, replay = resume(data, turns)
+            assert replay.corrupt.offset == start
+            assert [t.turn_id for t in replay.turns] == [t.turn_id for t in turns[:k]]
+            assert node_rows(resumed) == node_rows(reference), (k, cut)
+
+
+@functools.cache
+def lost_turn_log() -> tuple[bytes, list[int], list[tuple]]:
+    """The log of LOST_TURN_TURNS ingested and flushed, its size after
+    each ingest call, and the node rows of that uninterrupted run."""
+    with tempfile.TemporaryDirectory() as tmp, LogStore(tmp) as store:
+        engine = MemoryEngine(store=store)
+        log = store.log_path("alice")
+        ends = []
+        for turn in LOST_TURN_TURNS:
+            engine.ingest_turn("alice", turn)
+            ends.append(log.stat().st_size)
+        engine.flush("alice")
+        return log.read_bytes(), ends, node_rows(engine)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_a_log_cut_at_any_byte_resumes_to_the_uninterrupted_tree(data):
+    """A crash at any byte of any write: every call whose line ends by the
+    cut replays, and resuming gives the tree of the uninterrupted run."""
+    raw, ends, rows = lost_turn_log()
+    cut = data.draw(st.integers(0, len(raw)), label="cut")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "alice").mkdir()
+        (root / "alice" / "log.jsonl").write_bytes(raw[:cut])
+        resumed, replay = resume(root, LOST_TURN_TURNS)
+        logged = {t.turn_id for t in replay.turns}
+        assert all(t.turn_id in logged for t, end in zip(LOST_TURN_TURNS, ends) if end <= cut)
+        assert resumed.validate("alice").ok
+        assert node_rows(resumed) == rows
+        with LogStore(root) as store:
+            reloaded = MemoryEngine(store=store)
+            assert reloaded.load_user("alice").corrupt is None
+        assert reloaded.validate("alice").ok
+        assert node_rows(reloaded) == rows
 
 
 def test_failed_fsync_resumes_as_after_a_crash(tmp_path, monkeypatch):
@@ -496,8 +625,7 @@ def test_failed_fsync_resumes_as_after_a_crash(tmp_path, monkeypatch):
     engine.flush("alice")
     engine.store.close()
 
-    records = [json.loads(line) for line in
-               (tmp_path / "data" / "alice" / "log.jsonl").read_bytes().splitlines()]
+    records = log_records(tmp_path / "data" / "alice" / "log.jsonl")
     turn_ids = [r["turn_id"] for r in records if r["record_type"] == "turn"]
     assert turn_ids == [t.turn_id for t in turns]  # each logged once, in order
     segments = engine.tree.nodes_at_level("alice", Level.SEGMENT)
@@ -550,7 +678,7 @@ def test_failed_cut_of_a_torn_tail_resumes_after_another_replay(tmp_path, monkey
     engine.flush("alice")
     engine.store.close()
 
-    records = [json.loads(line) for line in log.read_bytes().splitlines()]
+    records = log_records(log)
     turn_ids = [r["turn_id"] for r in records if r["record_type"] == "turn"]
     assert turn_ids == [t.turn_id for t in turns]
     segments = engine.tree.nodes_at_level("alice", Level.SEGMENT)
@@ -562,8 +690,9 @@ def test_failed_cut_of_a_torn_tail_resumes_after_another_replay(tmp_path, monkey
     assert node_rows(reloaded) == node_rows(engine)
 
 
-def test_a_new_log_and_its_directory_are_fsynced_before_the_first_append_returns(
-        tmp_path, monkeypatch):
+def check_first_append_fsyncs(tmp_path, monkeypatch, root_exists: bool) -> None:
+    """The fsyncs of a first append, a later one and the first after a
+    replay, in order, into a root the store creates or finds."""
     fsync = os.fsync
     synced = []  # (st_dev, st_ino) of each fsynced fd, in order
 
@@ -579,19 +708,33 @@ def test_a_new_log_and_its_directory_are_fsynced_before_the_first_append_returns
     monkeypatch.setattr("timem.store.os.fsync", recording_fsync)
     turns = fixture_turns(tmp_path, 3)
     root = tmp_path / "data"
+    if root_exists:
+        root.mkdir()
     engine = MemoryEngine.with_mock_backends(data_dir=root)
     engine.ingest_turn("alice", turns[0])
     log = root / "alice" / "log.jsonl"
-    assert synced == [key(root / "alice"), key(root), key(log)]
+    # each new directory's entry in its parent, then the log
+    created = [key(root / "alice"), key(root)] + ([] if root_exists else [key(tmp_path)])
+    assert synced == created + [key(log)]
     engine.ingest_turn("alice", turns[1])
-    assert synced[3:] == [key(log)]  # a later append syncs the log alone
+    first = len(created) + 1
+    assert synced[first:] == [key(log)]  # a later append syncs the log alone
     engine.store.close()
 
     reopened = MemoryEngine.with_mock_backends(data_dir=root)
     reopened.load_user("alice")
     reopened.ingest_turn("alice", turns[2])
     reopened.store.close()
-    assert synced[4:] == [key(log)]  # so does the first append after a replay
+    assert synced[first + 1:] == [key(log)]  # so does the first append after a replay
+
+
+def test_a_new_log_and_its_directory_are_fsynced_before_the_first_append_returns(
+        tmp_path, monkeypatch):
+    check_first_append_fsyncs(tmp_path, monkeypatch, root_exists=False)
+
+
+def test_an_existing_root_is_not_fsynced_again_for_its_parent(tmp_path, monkeypatch):
+    check_first_append_fsyncs(tmp_path, monkeypatch, root_exists=True)
 
 
 def run_threads(*targets) -> list[BaseException]:

@@ -153,6 +153,22 @@ def test_validate_flags_progressive_consolidation():
                for v in report.violations)
 
 
+@pytest.mark.parametrize("rule, mutate", [
+    ("missing-parent", lambda seg: setattr(seg, "parent_id", 404)),
+    ("level-edge", lambda seg: setattr(seg, "level", Level.DAY)),
+    ("temporal-containment", lambda seg: setattr(
+        seg, "interval", TemporalInterval(utc(2023, 5, 1, 9), utc(2023, 5, 1, 9)))),
+])
+def test_validate_flags_an_edge_broken_behind_the_trees_back(rule, mutate):
+    tree = MemoryTree()
+    tree.insert_node(node(tree, 1, 2, utc(2023, 5, 1, 10), utc(2023, 5, 1, 11)))
+    tree.insert_node(node(tree, 2, 1, utc(2023, 5, 1, 10), utc(2023, 5, 1, 10, 1), parent_id=1))
+    tree.insert_node(node(tree, 3, 1, utc(2023, 5, 1, 10, 30), utc(2023, 5, 1, 10, 31), parent_id=1))
+    assert tree.validate_tree("u").ok
+    mutate(tree.get("u", 3))
+    assert [(v.node_id, v.rule) for v in tree.validate_tree("u").violations] == [(3, rule)]
+
+
 def test_validate_clean_after_random_ingest(engine):
     rng = random.Random(7)
     turns = random_transcript(rng, "alice")
