@@ -266,37 +266,22 @@ class LeafIndex:
         return approx
 
     def dots(self, query: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The float64 dot products with `query` of the given ascending
-        rows.
+        """The float64 dot products with `query` of the given ascending,
+        distinct rows.
 
         They come from `einsum`, not from the gemv of `rows @ query`:
         OpenBLAS gemv can give two equal rows results that differ in the
         last bits depending on where they sit. `einsum` computes every
         row the same way, whichever rows it is given with, and for the
         mock embeddings bit for bit as the per-leaf `np.dot` of
-        `cosine_similarity`. A block whose every row is given is
-        multiplied in place; the other rows are gathered, a block's worth
+        `cosine_similarity`. The rows are gathered, a block's worth
         (under the 128 KiB of `BLOCK_BYTES`) at a time.
         """
-        size, count = self.block_rows, -(-self._size // self.block_rows)
-        starts = np.arange(count + 1) * size
-        bounds = np.searchsorted(rows, starts)  # rows[bounds[b]:bounds[b + 1]] lie in block b
-        held = np.minimum(starts[1:], self._size) - starts[:-1]
-        products, done = [], 0
-        for number in np.flatnonzero(np.diff(bounds) == held).tolist():
-            if done < bounds[number]:
-                products += self._gathered_dots(query, rows[done:bounds[number]])
-            products.append(np.einsum("ij,j->i", self.blocks[number][:held[number]], query))
-            done = bounds[number + 1]
-        products += self._gathered_dots(query, rows[done:])
-        return np.concatenate(products)
-
-    def _gathered_dots(self, query: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
-        size = self.block_rows
-        rows = rows.tolist()
-        return [np.einsum("ij,j->i", np.array([self.blocks[row // size][row % size]
-                                               for row in rows[start:start + size]]), query)
-                for start in range(0, len(rows), size)]
+        size, rows = self.block_rows, rows.tolist()
+        return np.concatenate([
+            np.einsum("ij,j->i", np.array([self.blocks[row // size][row % size]
+                                           for row in rows[start:start + size]]), query)
+            for start in range(0, len(rows), size)])
 
 
 # Unit roundoff of float32, and the norm below which a row's screened

@@ -24,7 +24,6 @@ from .errors import UnknownUser
 from .indexing import Bm25Params, ScoredLeaf, fused_top_k, tokenize
 from .metrics import count_tokens
 from .prompts import PromptLibrary
-from .timeutil import format_ts
 from .tree import Level, MemoryNode, MemoryTree, TemporalInterval
 
 logger = logging.getLogger(__name__)
@@ -227,12 +226,9 @@ class RecallPipeline:
         if not candidates.entries:
             return [], False
         ordered = sorted(candidates.entries, key=lambda c: (int(c.node.level), c.node.id))
-        lines = []
-        for i, cand in enumerate(ordered, start=1):
-            text = cand.node.text.replace("\n", " ")
-            lines.append(
-                f"{i}. [L{int(cand.node.level)} | {format_ts(cand.node.interval.start)}"
-                f" to {format_ts(cand.node.interval.end)}] {text}")
+        lines = [f"{i}. [L{int(c.node.level)} | {c.node.interval.text}] "
+                 + c.node.text.replace("\n", " ")
+                 for i, c in enumerate(ordered, start=1)]
         prompt = self.prompts.fill(
             f"gate_{complexity.value}",
             question=query,

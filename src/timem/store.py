@@ -18,7 +18,7 @@ import contextlib
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +171,14 @@ class ReplayResult:
     nodes_loaded: int
     turns: list[DialogTurn]
     corrupt: CorruptRecord | None = None
+    # turns a replayed segment names whose turn record the log lacks (an
+    # older log, one record per line, cut between the two by a crash)
+    orphan_turn_ids: list[str] = field(default_factory=list)
+
+    @property
+    def logged_turn_ids(self) -> set[str]:
+        """The turns the log holds, which a resume must not ingest again."""
+        return {t.turn_id for t in self.turns} | set(self.orphan_turn_ids)
 
 
 def _fsync_dir(path: Path) -> None:
@@ -322,6 +330,7 @@ class LogStore:
             return ReplayResult(nodes_loaded=0, turns=[])
         nodes_loaded = 0
         turns: list[DialogTurn] = []
+        segment_turn_ids: list[str] = []
         corrupt: CorruptRecord | None = None
         offset = 0
         with open(path, "rb") as f:
@@ -345,10 +354,14 @@ class LogStore:
                     tree.insert_node(node)
                     if child_ids:
                         tree.adopt(user_id, node.id, child_ids)
+                    if node.level is Level.SEGMENT:
+                        segment_turn_ids += node.source_turn_ids
                 nodes_loaded += len(nodes)
                 turns += line_turns
         self._records_end[user_id] = offset
-        return ReplayResult(nodes_loaded=nodes_loaded, turns=turns, corrupt=corrupt)
+        logged = {t.turn_id for t in turns}
+        return ReplayResult(nodes_loaded=nodes_loaded, turns=turns, corrupt=corrupt,
+                            orphan_turn_ids=[t for t in segment_turn_ids if t not in logged])
 
     @staticmethod
     def _decode_line(user_id: str, raw_line: bytes, offset: int) -> tuple[list, list[DialogTurn]]:

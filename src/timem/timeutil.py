@@ -6,17 +6,27 @@ from datetime import date, datetime, timedelta, timezone
 
 
 def parse_ts(text: str) -> datetime:
-    """Parse an ISO-8601 timestamp; naive values are taken as UTC."""
+    """Parse an ISO-8601 timestamp; naive values are taken as UTC.
+
+    The result is in `timezone.utc`, truncated to the second. Python 3.10's
+    `fromisoformat` does not read a "Z" suffix, hence the replace.
+    """
     dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc).replace(microsecond=0)
+    elif dt.tzinfo is not timezone.utc:
+        dt = dt.astimezone(timezone.utc)
+    return dt.replace(microsecond=0) if dt.microsecond else dt
 
 
 def format_ts(dt: datetime) -> str:
+    """`dt` in UTC as "YYYY-MM-DDTHH:MM:SSZ", the year zero-padded to four
+    digits as `parse_ts` requires; naive values are taken as UTC."""
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    dt = dt.astimezone(timezone.utc)
+    return (f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}"
+            f"T{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}Z")
 
 
 def utc(year: int, month: int, day: int, hour: int = 0, minute: int = 0, second: int = 0) -> datetime:

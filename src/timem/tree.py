@@ -32,6 +32,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .errors import (
     UnknownNode,
 )
 from .indexing import LeafIndex
+from .timeutil import format_ts
 
 
 class Level(IntEnum):
@@ -64,6 +66,13 @@ class TemporalInterval:
 
     def contains(self, other: "TemporalInterval") -> bool:
         return self.start <= other.start and other.end <= self.end
+
+    @cached_property
+    def text(self) -> str:
+        """The text "<start> to <end>", formatted on first use only: the
+        interval is frozen, so the text never goes stale, and the
+        intervals that ingest builds but nothing reads never pay for it."""
+        return f"{format_ts(self.start)} to {format_ts(self.end)}"
 
 
 def interval_hull(intervals: list[TemporalInterval]) -> TemporalInterval:

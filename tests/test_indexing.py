@@ -557,8 +557,8 @@ def test_screen_keeps_the_leaves_it_cannot_bound():
 
 @pytest.mark.parametrize("dim", [16, 384])
 def test_dots_of_any_rows_equal_the_per_block_einsum(dim):
-    """Whole blocks multiplied in place and rows gathered around them give
-    each row the bits of an `einsum` over its whole block."""
+    """Rows gathered a block's worth at a time, every row or only some,
+    give each row the bits of an `einsum` over its whole block."""
     rng = np.random.default_rng(dim)
     leaves, query = screened_pool(rng, dim)
     index = LeafIndex.of(leaves)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from timem.config import DEFAULT_CAPS
 from timem.errors import UnknownUser
 from timem.indexing import ScoredLeaf
 from timem.recall import Candidate, RecallPipeline, rank_final
-from timem.timeutil import utc
+from timem.timeutil import format_ts, parse_ts, utc
 
 from conftest import RecordingChat, ingest_all, random_transcript
 
@@ -319,6 +320,80 @@ def test_gate_empty_candidates_no_call():
     pipe = pipeline_for(MemoryTree(), chat=chat)
     kept, fallback = pipe.gate_candidates("q", Complexity.SIMPLE, CandidateSet())
     assert kept == [] and not fallback and chat.calls == []
+
+
+GATE_ROWS = [  # id, level, start, end, text
+    (7, 1, "2023-05-20T23:50:00Z", "2023-05-20T23:50:00Z", "I went kayaking\nat Lake Verano."),
+    (3, 1, "2023-05-20T09:00:00Z", "2023-05-20T09:00:00Z", "Erin works at the Old Copper Mill."),
+    (9, 2, "2023-05-20T23:50:00Z", "2023-05-21T00:10:00Z", "A late kayaking session."),
+    (11, 3, "2023-05-20T09:00:00Z", "2023-05-20T23:50:00Z", "Saturday: work talk, then kayaking."),
+    (12, 4, "2023-05-15T08:00:00Z", "2023-05-21T00:10:00Z", "A week of work and water."),
+    (13, 5, "2023-05-01T08:00:00Z", "2023-05-21T00:10:00Z", "Alice likes kayaking."),
+]
+
+GATE_PROMPT = """Filter memories for simple fact query (Complexity 0).
+
+Strategy: Aggressive filtering - Keep only direct answers
+Target: 3-8 memories
+
+## Filtering Rules
+1. KEEP if memory directly answers the question
+2. KEEP if memory provides essential context (time/location of the fact)
+3. EXCLUDE if related but does not contribute to answer
+4. EXCLUDE if different topic entirely
+
+## Instructions
+- Be strict: Only keep memories that help answer the specific question
+- Remove noise: Exclude tangentially related memories
+- Aim for 3-8 memories total
+
+Question: Where did Alice go kayaking?
+Candidate memories (6 total):
+1. [L1 | 2023-05-20T09:00:00Z to 2023-05-20T09:00:00Z] Erin works at the Old Copper Mill.
+2. [L1 | 2023-05-20T23:50:00Z to 2023-05-20T23:50:00Z] I went kayaking at Lake Verano.
+3. [L2 | 2023-05-20T23:50:00Z to 2023-05-21T00:10:00Z] A late kayaking session.
+4. [L3 | 2023-05-20T09:00:00Z to 2023-05-20T23:50:00Z] Saturday: work talk, then kayaking.
+5. [L4 | 2023-05-15T08:00:00Z to 2023-05-21T00:10:00Z] A week of work and water.
+6. [L5 | 2023-05-01T08:00:00Z to 2023-05-21T00:10:00Z] Alice likes kayaking.
+
+Return IDs to keep (JSON format):
+{"relevant_ids": [1, 2, 3, ...]}
+"""
+
+
+def test_gate_prompt_bytes_are_pinned():
+    """Lines in (level, id) order, each interval as "<start> to <end>" in
+    UTC, a text's newline as a space."""
+    from timem.recall import CandidateSet
+    entries = [Candidate(node=MemoryNode(
+        id=i, user_id="u", level=Level(level), text=text, embedding=None,
+        interval=TemporalInterval(parse_ts(start), parse_ts(end))))
+        for i, level, start, end, text in GATE_ROWS]
+    chat = RecordingChat()
+    pipeline_for(MemoryTree(), chat=chat).gate_candidates(
+        "Where did Alice go kayaking?", Complexity.SIMPLE, CandidateSet(entries=entries))
+    assert [req.prompt for req in chat.calls] == [GATE_PROMPT]
+
+
+def test_a_repeated_recall_formats_no_timestamp(monkeypatch):
+    engine = MemoryEngine(chat=RecordingChat())
+    ingest_all(engine, "alice", random_transcript(random.Random(5), "alice"))
+    query = "Where did Alice go kayaking?"
+    first = engine.recall("alice", query)
+    calls = []
+
+    def counting_format_ts(dt):
+        calls.append(dt)
+        return format_ts(dt)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("timem") and hasattr(module, "format_ts"):
+            monkeypatch.setattr(module, "format_ts", counting_format_ts)
+    again = engine.recall("alice", query)
+    assert [m.node_id for m in again.memories] == [m.node_id for m in first.memories]
+    gates = [req for req in engine.chat.calls if req.purpose is Purpose.GATE]
+    assert len(gates) == 2 and gates[0].prompt == gates[1].prompt
+    assert first.counts["candidates"] > 0 and calls == []
 
 
 # --- final ranking -----------------------------------------------------------------------

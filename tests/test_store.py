@@ -22,7 +22,7 @@ from timem.errors import BackendFailure, DuplicateId, NonMonotonicTimestamp, Sch
 from timem.store import ReplayResult, decode_embedding, encode_embedding, node_record, turn_record
 from timem.timeutil import parse_ts
 
-from conftest import ingest_all, random_transcript
+from conftest import ingest_all, make_turns, random_transcript
 
 import numpy as np
 
@@ -442,6 +442,78 @@ def test_loading_a_loaded_user_again_rebuilds_it_from_the_log(tmp_path):
     reference = MemoryEngine()
     ingest_all(reference, "alice", turns)
     assert node_rows(engine) == node_rows(reference)
+
+
+def test_turns_before_the_year_1000_load_back(tmp_path):
+    turns = make_turns([("s", f"0999-05-01T10:0{i}:00Z", f"kayak {i}", "nice") for i in range(3)])
+    engine = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
+    for turn in turns:
+        engine.ingest_turn("alice", turn)
+    engine.store.close()
+
+    reloaded = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
+    replay = reloaded.load_user("alice")
+    reloaded.store.close()
+    assert replay.corrupt is None and replay.nodes_loaded == 3
+    assert [t.timestamp for t in replay.turns] == [t.timestamp for t in turns]
+    assert node_rows(reloaded) == node_rows(engine)
+
+
+# one session of six turns, each a minute apart
+ONE_SESSION = make_turns([("s", f"2023-05-20T09:0{i}:00Z", f"I went kayaking, day {i}.", "Fun!")
+                          for i in range(6)])
+
+
+def older_log_losing_a_turn_record(data, lost: int) -> int:
+    """Log the first five turns of ONE_SESSION under `data` as an older
+    log, one record per line, without the turn record of turn `lost`, as
+    a crash between a segment's record and its turn's left it, followed
+    by later appends. Returns the log's size."""
+    engine = MemoryEngine.with_mock_backends(data_dir=data)
+    for turn in ONE_SESSION[:5]:
+        engine.ingest_turn("alice", turn)
+    engine.store.close()
+    log = data / "alice" / "log.jsonl"
+    lost_id = ONE_SESSION[lost].turn_id
+    log.write_bytes(b"".join(log_line(r) for r in log_records(log)
+                             if r.get("turn_id") != lost_id))
+    return log.stat().st_size
+
+
+@pytest.mark.parametrize("lost", [4, 2], ids=["last-turn", "mid-log"])
+def test_a_segment_whose_turn_record_is_lost_becomes_a_session_of_its_own(tmp_path, lost):
+    data = tmp_path / "data"
+    size = older_log_losing_a_turn_record(data, lost)
+    resumed = MemoryEngine.with_mock_backends(data_dir=data)
+    replay = resumed.load_user("alice")
+    assert replay.corrupt is None and replay.nodes_loaded == 5
+    assert [t.turn_id for t in replay.turns] == [
+        t.turn_id for i, t in enumerate(ONE_SESSION[:5]) if i != lost]
+    assert resumed.validate("alice").ok
+    orphan = resumed.tree.nodes_at_level("alice", Level.SEGMENT)[lost]
+    assert orphan.source_turn_ids == [ONE_SESSION[lost].turn_id]
+    assert replay.orphan_turn_ids == orphan.source_turn_ids
+    assert replay.logged_turn_ids == {t.turn_id for t in ONE_SESSION[:5]}
+
+    # resume: ingest every turn the log does not hold, the orphan's session closing first
+    missing = [t for t in ONE_SESSION if t.turn_id not in replay.logged_turn_ids]
+    assert missing == ONE_SESSION[5:]
+    created = resumed.ingest_turn("alice", missing[0])
+    assert [(n.level, n.child_ids) for n in created[:-1]] == [(Level.SESSION, [orphan.id])]
+    resumed.flush("alice")
+    segments = resumed.tree.nodes_at_level("alice", Level.SEGMENT)
+    assert sorted(t for s in segments for t in s.source_turn_ids) == sorted(
+        t.turn_id for t in ONE_SESSION)  # each turn in exactly one segment
+    resumed.store.close()
+    assert resumed.validate("alice").ok
+    log = data / "alice" / "log.jsonl"
+    assert not list(log.parent.glob("log.corrupt.*"))  # nothing was cut
+    assert log.stat().st_size > size
+    reloaded = MemoryEngine.with_mock_backends(data_dir=data)
+    assert reloaded.load_user("alice").corrupt is None
+    reloaded.store.close()
+    assert reloaded.validate("alice").ok
+    assert node_rows(reloaded) == node_rows(resumed)
 
 
 def is_file(fd: int) -> bool:
