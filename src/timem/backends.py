@@ -246,20 +246,6 @@ class MockChatBackend:
         return mock_dispatch(req)
 
 
-class FlakyChatBackend:
-    """Mock wrapper that fails the first `failures` calls (retry tests)."""
-
-    def __init__(self, failures: int = 1):
-        self.inner = MockChatBackend()
-        self.remaining_failures = failures
-
-    def chat_complete(self, req: ChatRequest) -> str:
-        if self.remaining_failures > 0:
-            self.remaining_failures -= 1
-            raise ProviderError("simulated transient failure")
-        return self.inner.chat_complete(req)
-
-
 class RoutingChatBackend:
     """Dispatches each request to a purpose-specific backend.
 

@@ -18,7 +18,6 @@ from .config import EngineConfig
 from .engine import MemoryEngine
 from .errors import (
     BackendFailure,
-    CorruptRecord,
     NonMonotonicTimestamp,
     ProviderError,
     SchemaError,
@@ -35,29 +34,16 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_BACKEND = 3
 
-_DATA_ERRORS = (SchemaError, NonMonotonicTimestamp, CorruptRecord, StoreIoError,
-                UnknownUser)
+_DATA_ERRORS = (SchemaError, NonMonotonicTimestamp, StoreIoError, UnknownUser)
 _BACKEND_ERRORS = (BackendFailure, ProviderError)
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        sys.exit(EXIT_USAGE)
-
-
-def _load_config(args) -> EngineConfig:
-    if args.config:
-        return EngineConfig.load(args.config)
-    return EngineConfig()
-
-
 @contextlib.contextmanager
-def _open_engine(args, config: EngineConfig, need_store: bool = False) -> Iterator[MemoryEngine]:
-    """The command's engine; its store, if it has one, is closed on exit."""
+def _open_engine(args, config: EngineConfig) -> Iterator[MemoryEngine]:
+    """The command's engine; its store, if it has one, is closed on exit.
+    Every engine command but bench needs a store."""
     data_dir = args.data_dir or os.environ.get(DATA_DIR_ENV)
-    if need_store and not data_dir:
+    if not data_dir and args.command != "bench":
         raise SchemaError("a data directory is required (--data-dir or TIMEM_DATA_DIR)")
     if args.backend == "http":
         chat = HttpChatBackend(
@@ -74,185 +60,170 @@ def _open_engine(args, config: EngineConfig, need_store: bool = False) -> Iterat
         yield MemoryEngine(config=config, chat=chat, embedder=embedder, store=store)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--data-dir", help="store root (default: $TIMEM_DATA_DIR)")
-    parser.add_argument("--config", help="path to a config file")
-    parser.add_argument("--backend", choices=["mock", "http"], default="mock")
-    parser.add_argument("--output", choices=["json", "table"], default="table")
-    parser.add_argument("--seed", type=int, default=42)
+def _engine_command(sub, name: str, summary: str, output: bool = False) -> argparse.ArgumentParser:
+    """A subcommand that runs on an engine; `output` adds --output."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--data-dir", help="store root (default: $TIMEM_DATA_DIR)")
+    p.add_argument("--config", help="path to a config file")
+    p.add_argument("--backend", choices=["mock", "http"], default="mock")
+    if output:
+        p.add_argument("--output", choices=["json", "table"], default="table")
+    return p
+
+
+def _recall_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--no-gate", action="store_true")
+    p.add_argument("--complexity-override", type=Complexity,
+                   metavar="{" + ",".join(c.value for c in Complexity) + "}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="timem", description=__doc__)
+    parser = argparse.ArgumentParser(prog="timem", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="ingest transcript files into the store")
-    _add_common(p)
+    p = _engine_command(sub, "ingest", "ingest transcript files into the store")
     p.add_argument("transcripts", nargs="+")
     p.add_argument("--no-flush", action="store_true",
                    help="leave trailing groups open after ingesting")
 
-    p = sub.add_parser("recall", help="answer a query with recalled memories")
-    _add_common(p)
+    p = _engine_command(sub, "recall", "answer a query with recalled memories", output=True)
     p.add_argument("--user", required=True)
     p.add_argument("query")
     p.add_argument("--time", help="query timestamp (ISO-8601)")
-    p.add_argument("--no-gate", action="store_true")
-    p.add_argument("--complexity-override", choices=["simple", "hybrid", "complex"])
+    _recall_flags(p)
 
-    p = sub.add_parser("validate", help="check structural rules of stored trees")
-    _add_common(p)
+    p = _engine_command(sub, "validate", "check structural rules of stored trees")
     p.add_argument("--user", help="validate a single user")
 
-    p = sub.add_parser("bench", help="replay transcripts and a questions file")
-    _add_common(p)
+    p = _engine_command(sub, "bench", "replay transcripts and a questions file", output=True)
     p.add_argument("--transcripts", nargs="+", required=True)
     p.add_argument("--questions", required=True)
-    p.add_argument("--no-gate", action="store_true")
-    p.add_argument("--complexity-override", choices=["simple", "hybrid", "complex"])
+    _recall_flags(p)
 
-    p = sub.add_parser("analyze", help="embedding-geometry report per level")
-    _add_common(p)
+    _engine_command(sub, "analyze", "embedding-geometry report per level", output=True)
 
     p = sub.add_parser("gen-fixture", help="write a seeded synthetic fixture")
-    _add_common(p)
     p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--users", type=int, default=3)
     p.add_argument("--turns", type=int, default=120)
     p.add_argument("--questions", type=int, default=30)
 
     p = sub.add_parser("config-dump", help="print the effective configuration")
-    _add_common(p)
+    p.add_argument("--config", help="path to a config file")
     return parser
 
 
-def _cmd_ingest(args) -> int:
-    config = _load_config(args)
-    with _open_engine(args, config, need_store=True) as engine:
-        for path in args.transcripts:
-            transcript = parse_transcript(path)
-            if not engine.tree.has_user(transcript.user_id):
-                engine.load_user(transcript.user_id)  # resume the user's existing log
-            created = 0
-            for turn in transcript.turns:
-                created += len(engine.ingest_turn(transcript.user_id, turn))
-            if not args.no_flush:
-                created += len(engine.flush(transcript.user_id))
-            report = engine.validate(transcript.user_id)
-            counts = {f"L{int(lvl)}": c for lvl, c in report.node_count_per_level.items()}
-            print(f"{transcript.user_id}: {len(transcript.turns)} turns, "
-                  f"{created} nodes created, counts {counts}")
-        return EXIT_OK
-
-
-def _cmd_recall(args) -> int:
-    config = _load_config(args)
-    with _open_engine(args, config, need_store=True) as engine:
-        engine.load_user(args.user)
-        override = Complexity(args.complexity_override) if args.complexity_override else None
-        result = engine.recall(
-            args.user, args.query,
-            t_q=parse_ts(args.time) if args.time else None,
-            gate=not args.no_gate,
-            complexity_override=override)
-        if args.output == "json":
-            payload = {
-                "plan": {"complexity": result.plan.complexity.value,
-                         "keywords": result.plan.keywords,
-                         "fallback": result.plan.planner_fallback_used,
-                         "gate_fallback": result.gate_fallback_used},
-                "counts": result.counts,
-                "context_token_count": result.context_token_count,
-                "memories": [{
-                    "node_id": m.node_id, "level": m.level,
-                    "start": format_ts(m.interval.start), "end": format_ts(m.interval.end),
-                    "fused": m.fused, "s_sem": m.s_sem, "s_lex": m.s_lex,
-                    "via_leaf": m.via_leaf, "text": m.text,
-                } for m in result.memories],
-            }
-            print(json.dumps(payload, indent=2))
-        else:
-            print(f"complexity={result.plan.complexity.value} "
-                  f"keywords={result.plan.keywords} counts={result.counts} "
-                  f"tokens={result.context_token_count}")
-            for m in result.memories:
-                print(f"  [L{m.level} #{m.node_id} {format_ts(m.interval.end)}] {m.text}")
-        return EXIT_OK
-
-
-def _cmd_validate(args) -> int:
-    config = _load_config(args)
-    with _open_engine(args, config, need_store=True) as engine:
-        bad = 0
-        for user in [args.user] if args.user else engine.store.users():
-            engine.load_user(user)
-            report = engine.validate(user)
-            counts = {f"L{int(lvl)}": c for lvl, c in report.node_count_per_level.items()}
-            status = "ok" if report.ok else f"{len(report.violations)} violations"
-            print(f"{user}: {status} {counts}")
-            for v in report.violations:
-                print(f"  node {v.node_id}: {v.rule}: {v.detail}")
-            bad += len(report.violations)
-        return EXIT_DATA if bad else EXIT_OK
-
-
-def _cmd_bench(args) -> int:
-    config = _load_config(args)
-    with _open_engine(args, config) as engine:
-        if engine.store is not None and engine.store.users():
-            # bench ingests its transcripts from the first turn, which would
-            # follow the turns already logged; refuse before touching a log
-            raise StoreIoError(
-                f"data directory {engine.store.root} already holds the logs of "
-                f"{', '.join(engine.store.users())}; bench needs one without logs")
-        override = Complexity(args.complexity_override) if args.complexity_override else None
-        report = run_bench(args.transcripts, args.questions, config=config,
-                           engine=engine, gate=not args.no_gate,
-                           complexity_override=override)
-        print(report.to_jsonl() if args.output == "json" else report.table(), end="")
-        return EXIT_OK
-
-
-def _cmd_analyze(args) -> int:
-    config = _load_config(args)
-    with _open_engine(args, config, need_store=True) as engine:
-        engine.load_all()
-        report = manifold_report(engine.tree)
-        print(report.to_json() if args.output == "json" else report.table(), end="")
-        return EXIT_OK
-
-
-def _cmd_gen_fixture(args) -> int:
-    paths = write_fixture(args.out, seed=args.seed, n_users=args.users,
-                          total_turns=args.turns, n_questions=args.questions)
-    for path in paths:
-        print(path)
+def _cmd_ingest(args, engine: MemoryEngine) -> int:
+    for path in args.transcripts:
+        transcript = parse_transcript(path)
+        if not engine.tree.has_user(transcript.user_id):
+            engine.load_user(transcript.user_id)  # resume the user's existing log
+        created = 0
+        for turn in transcript.turns:
+            created += len(engine.ingest_turn(transcript.user_id, turn))
+        if not args.no_flush:
+            created += len(engine.flush(transcript.user_id))
+        report = engine.validate(transcript.user_id)
+        counts = {f"L{int(lvl)}": c for lvl, c in report.node_count_per_level.items()}
+        print(f"{transcript.user_id}: {len(transcript.turns)} turns, "
+              f"{created} nodes created, counts {counts}")
     return EXIT_OK
 
 
-def _cmd_config_dump(args) -> int:
-    print(_load_config(args).dump(), end="")
+def _cmd_recall(args, engine: MemoryEngine) -> int:
+    engine.load_user(args.user)
+    result = engine.recall(
+        args.user, args.query,
+        t_q=parse_ts(args.time) if args.time else None,
+        gate=not args.no_gate,
+        complexity_override=args.complexity_override)
+    if args.output == "json":
+        payload = {
+            "plan": {"complexity": result.plan.complexity.value,
+                     "keywords": result.plan.keywords,
+                     "fallback": result.plan.planner_fallback_used,
+                     "gate_fallback": result.gate_fallback_used},
+            "counts": result.counts,
+            "context_token_count": result.context_token_count,
+            "memories": [{
+                "node_id": m.node_id, "level": m.level,
+                "start": format_ts(m.interval.start), "end": format_ts(m.interval.end),
+                "fused": m.fused, "s_sem": m.s_sem, "s_lex": m.s_lex,
+                "via_leaf": m.via_leaf, "text": m.text,
+            } for m in result.memories],
+        }
+        print(json.dumps(payload, indent=2))
+    else:
+        print(f"complexity={result.plan.complexity.value} "
+              f"keywords={result.plan.keywords} counts={result.counts} "
+              f"tokens={result.context_token_count}")
+        for m in result.memories:
+            print(f"  [L{m.level} #{m.node_id} {format_ts(m.interval.end)}] {m.text}")
     return EXIT_OK
 
 
-_COMMANDS = {
+def _cmd_validate(args, engine: MemoryEngine) -> int:
+    bad = 0
+    for user in [args.user] if args.user else engine.store.users():
+        engine.load_user(user)
+        report = engine.validate(user)
+        counts = {f"L{int(lvl)}": c for lvl, c in report.node_count_per_level.items()}
+        status = "ok" if report.ok else f"{len(report.violations)} violations"
+        print(f"{user}: {status} {counts}")
+        for v in report.violations:
+            print(f"  node {v.node_id}: {v.rule}: {v.detail}")
+        bad += len(report.violations)
+    return EXIT_DATA if bad else EXIT_OK
+
+
+def _cmd_bench(args, engine: MemoryEngine) -> int:
+    if engine.store is not None and engine.store.users():
+        # bench ingests its transcripts from the first turn, which would
+        # follow the turns already logged; refuse before touching a log
+        raise StoreIoError(
+            f"data directory {engine.store.root} already holds the logs of "
+            f"{', '.join(engine.store.users())}; bench needs one without logs")
+    report = run_bench(args.transcripts, args.questions, config=engine.config,
+                       engine=engine, gate=not args.no_gate,
+                       complexity_override=args.complexity_override)
+    print(report.to_jsonl() if args.output == "json" else report.table(), end="")
+    return EXIT_OK
+
+
+def _cmd_analyze(args, engine: MemoryEngine) -> int:
+    engine.load_all()
+    report = manifold_report(engine.tree)
+    print(report.to_json() if args.output == "json" else report.table(), end="")
+    return EXIT_OK
+
+
+_ENGINE_COMMANDS = {
     "ingest": _cmd_ingest,
     "recall": _cmd_recall,
     "validate": _cmd_validate,
     "bench": _cmd_bench,
     "analyze": _cmd_analyze,
-    "gen-fixture": _cmd_gen_fixture,
-    "config-dump": _cmd_config_dump,
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse --help exits 0, usage errors 1
+    except SystemExit as exc:  # argparse: --help exits 0, a usage error 2
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        if args.command == "gen-fixture":
+            for path in write_fixture(args.out, seed=args.seed, n_users=args.users,
+                                      total_turns=args.turns, n_questions=args.questions):
+                print(path)
+            return EXIT_OK
+        config = EngineConfig.load(args.config) if args.config else EngineConfig()
+        if args.command == "config-dump":
+            print(config.dump(), end="")
+            return EXIT_OK
+        with _open_engine(args, config) as engine:
+            return _ENGINE_COMMANDS[args.command](args, engine)
     except _BACKEND_ERRORS as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND

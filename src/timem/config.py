@@ -8,6 +8,7 @@ and consolidation constants the engine was calibrated with.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -30,7 +31,8 @@ DEFAULT_CAPS = {
 # Settings the engine does not vary: any value but the default is rejected.
 _FIXED = {"segment_turns": 1, "level_count": 5, "profile_period": "month"}
 
-# The accepted values of each numeric setting, as a named rule.
+# The accepted values of each numeric setting, as a named rule; a setting
+# declared `int`, and every cap, takes integers only, and none takes a bool.
 _RULES = {"in [0, 1]": lambda v: 0 <= v <= 1, ">= 0": lambda v: v >= 0,
           ">= 1": lambda v: v >= 1, "> 0": lambda v: v > 0}
 _RANGES = {
@@ -78,10 +80,17 @@ class EngineConfig:
             value = getattr(self, name)
             if value != supported:
                 raise ValueError(f"{name}={value!r} is not supported; only {supported!r} is")
+        unknown = sorted(set(self.caps) - set(DEFAULT_CAPS))
+        if unknown:
+            raise KeyError(f"unknown budget key: {', '.join(unknown)}")
+        integers = {f.name for f in fields(self) if f.type == "int"} | set(DEFAULT_CAPS)
         for name, value in {**vars(self), **self.caps}.items():
             rule = _RANGES.get(name)
-            if rule and not (isinstance(value, (int, float)) and _RULES[rule](value)):
-                raise ValueError(f"{name}={value!r} is out of range: it must be {rule}")
+            numeric = numbers.Integral if name in integers else numbers.Real
+            if rule and (isinstance(value, bool) or not isinstance(value, numeric)
+                         or not _RULES[rule](value)):
+                kind = "an integer" if numeric is numbers.Integral else "a number"
+                raise ValueError(f"{name}={value!r} is not {kind} {rule}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -96,9 +105,7 @@ class EngineConfig:
         caps = dict(DEFAULT_CAPS)
         for key, value in data.items():
             if key.startswith("cap_"):
-                if key not in DEFAULT_CAPS:
-                    raise KeyError(f"unknown budget key: {key}")
-                caps[key] = int(value)
+                caps[key] = value
             elif key in known:
                 kwargs[key] = value
             else:

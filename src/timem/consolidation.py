@@ -74,7 +74,10 @@ class Consolidator:
         self._state: dict[str, _UserState] = {}
 
     def state(self, user_id: str) -> _UserState:
-        return self._state.setdefault(user_id, _UserState())
+        state = self._state.get(user_id)
+        if state is None:
+            state = self._state[user_id] = _UserState()
+        return state
 
     def drop_user(self, user_id: str) -> None:
         """Forget a user's group table and unreturned nodes."""

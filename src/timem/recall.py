@@ -20,7 +20,7 @@ from enum import Enum
 
 from .backends import STOPWORDS, ChatBackend, ChatRequest, Embedder, Purpose
 from .config import EngineConfig
-from .errors import UnknownUser
+from .errors import BackendFailure, UnknownUser
 from .indexing import Bm25Params, ScoredLeaf, fused_top_k, tokenize
 from .metrics import count_tokens
 from .prompts import PromptLibrary
@@ -274,7 +274,10 @@ class RecallPipeline:
             t_ref = latest.interval.end if latest is not None else None
         pool = self.tree.leaf_index(user_id).upto(t_q)
 
-        query_embedding = self.embedder.embed_text(query)
+        try:
+            query_embedding = self.embedder.embed_text(query)
+        except Exception as exc:
+            raise BackendFailure(f"embedding the query failed: {exc}") from exc
         leaves = fused_top_k(
             query_embedding, plan.keywords, pool,
             fusion_weight=self.config.fusion_weight,

@@ -9,6 +9,9 @@ Replay sees whole calls, since a line is complete only with its newline;
 an older log's one-object lines replay as one-record calls. A store
 appends to a log only after replaying it, and cuts what replay did not
 accept (a torn or corrupt line and all after it) into a sidecar first.
+It appends only while it holds an exclusive advisory lock (`flock`) on
+its handle of the log, so one store writes a log at a time; closing the
+handle releases the lock.
 """
 
 from __future__ import annotations
@@ -214,7 +217,6 @@ class LogStore:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self._handles: dict[str, object] = {}
-        self._locks: dict[str, object] = {}
         # user -> offset where the records this store replayed or wrote end
         self._records_end: dict[str, int] = {}
 
@@ -238,30 +240,32 @@ class LogStore:
             directory = self._user_dir(user_id)
             missing = [p for p in (directory, *directory.parents) if not p.exists()]
             directory.mkdir(parents=True, exist_ok=True)
-            if fcntl is not None:
-                lock_file = open(directory / "log.lock", "w")
-                try:
-                    fcntl.flock(lock_file, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                except OSError as exc:
-                    lock_file.close()
-                    raise StoreIoError(
-                        f"log for {user_id!r} is locked by another writer") from exc
-                self._locks[user_id] = lock_file
             path = self.log_path(user_id)
-            size = path.stat().st_size if path.exists() else 0
-            if size:
-                end = self._records_end.get(user_id)
-                if end is None:
-                    self._unlock(user_id)
-                    raise StoreIoError(
-                        f"replay the log of {user_id!r} before appending to it")
-                if end < size:
-                    _cut_log(path, end)
             handle = open(path, "ab")
+            try:  # the lock is the handle's: closing it releases the log
+                if fcntl is not None:
+                    try:
+                        fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    except OSError as exc:
+                        raise StoreIoError(
+                            f"log for {user_id!r} is locked by another writer") from exc
+                size = handle.seek(0, os.SEEK_END)  # read under the lock
+                if size:
+                    end = self._records_end.get(user_id)
+                    if end is None:
+                        raise StoreIoError(
+                            f"replay the log of {user_id!r} before appending to it")
+                    if end < size:
+                        _cut_log(path, end)
+                        handle.seek(0, os.SEEK_END)  # where the next line lands
+                else:  # a new log's entry, and each new directory's, must outlive a crash
+                    for parent in dict.fromkeys(
+                            [directory, self.root, *(p.parent for p in missing)]):
+                        _fsync_dir(parent)
+            except BaseException:
+                handle.close()
+                raise
             self._handles[user_id] = handle
-            if not size:  # a new log's entry, and each new directory's, must outlive a crash
-                for parent in dict.fromkeys([directory, self.root, *(p.parent for p in missing)]):
-                    _fsync_dir(parent)
         return handle
 
     def persist_append(self, user_id: str, *records: dict) -> int:
@@ -289,23 +293,14 @@ class LogStore:
             if handle is not None:
                 with contextlib.suppress(OSError):  # flushing the rest of the failed write
                     handle.close()
-            self._unlock(user_id)
             raise StoreIoError(f"append to the log of {user_id!r} failed: {exc}") from exc
         return offset
-
-    def _unlock(self, user_id: str) -> None:
-        lock_file = self._locks.pop(user_id, None)
-        if lock_file is not None:
-            fcntl.flock(lock_file, fcntl.LOCK_UN)
-            lock_file.close()
 
     def close(self) -> None:
         for user_id, handle in self._handles.items():
             self._records_end[user_id] = handle.tell()
             handle.close()
         self._handles.clear()
-        for user_id in list(self._locks):
-            self._unlock(user_id)
 
     def __enter__(self):
         return self

@@ -29,10 +29,6 @@ def format_ts(dt: datetime) -> str:
             f"T{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}Z")
 
 
-def utc(year: int, month: int, day: int, hour: int = 0, minute: int = 0, second: int = 0) -> datetime:
-    return datetime(year, month, day, hour, minute, second, tzinfo=timezone.utc)
-
-
 def day_window(dt: datetime) -> tuple[datetime, datetime]:
     """[00:00, next day 00:00) of the UTC calendar day containing dt."""
     start = datetime(dt.year, dt.month, dt.day, tzinfo=timezone.utc)

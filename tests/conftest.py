@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import random
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from timem import DialogTurn, EngineConfig, MemoryEngine, MockChatBackend
+from timem.errors import ProviderError
 from timem.timeutil import parse_ts
+
+
+def utc(year: int, month: int, day: int, hour: int = 0, minute: int = 0,
+        second: int = 0) -> datetime:
+    return datetime(year, month, day, hour, minute, second, tzinfo=timezone.utc)
 
 
 class RecordingChat:
@@ -19,6 +25,20 @@ class RecordingChat:
     def chat_complete(self, req):
         self.calls.append(req)
         return self.mock.chat_complete(req)
+
+
+class FlakyChatBackend:
+    """The mock chat backend, failing its first `failures` calls."""
+
+    def __init__(self, failures: int = 1):
+        self.inner = MockChatBackend()
+        self.remaining_failures = failures
+
+    def chat_complete(self, req):
+        if self.remaining_failures > 0:
+            self.remaining_failures -= 1
+            raise ProviderError("simulated transient failure")
+        return self.inner.chat_complete(req)
 
 
 @pytest.fixture

@@ -24,6 +24,39 @@ def test_usage_error_exit_code():
     assert main(["no-such-verb"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("ingest", "--output", "json"), ("ingest", "--seed", "7"), ("recall", "--seed", "7"),
+    ("validate", "--output", "json"), ("validate", "--seed", "7"), ("bench", "--seed", "7"),
+    ("analyze", "--seed", "7"), ("gen-fixture", "--data-dir", "data"),
+    ("gen-fixture", "--config", "conf.json"), ("gen-fixture", "--backend", "mock"),
+    ("gen-fixture", "--output", "json"), ("config-dump", "--data-dir", "data"),
+    ("config-dump", "--backend", "mock"), ("config-dump", "--output", "json"),
+    ("config-dump", "--seed", "7"),
+])
+def test_a_flag_the_command_does_not_read_is_refused(command, flag, value, fixture_dir,
+                                                     tmp_path, monkeypatch, capsys):
+    """Each command takes only the flags it reads: the same call that
+    succeeds without the flag is a usage error with it."""
+    monkeypatch.chdir(tmp_path)
+    main(["config-dump"])
+    (tmp_path / "conf.json").write_text(capsys.readouterr().out, encoding="utf-8")
+    transcripts = sorted(str(p) for p in fixture_dir.glob("transcript_*.json"))
+    assert main(["ingest", "--data-dir", "data", *transcripts]) == EXIT_OK
+    valid = {
+        "ingest": ["ingest", "--data-dir", "more", transcripts[0]],
+        "recall": ["recall", "--data-dir", "data", "--user", "alice", "kayaking"],
+        "validate": ["validate", "--data-dir", "data"],
+        "bench": ["bench", "--transcripts", *transcripts,
+                  "--questions", str(fixture_dir / "questions.jsonl")],
+        "analyze": ["analyze", "--data-dir", "data"],
+        "gen-fixture": ["gen-fixture", "--out", "fx2", "--turns", "10", "--questions", "2"],
+        "config-dump": ["config-dump", "--config", "conf.json"],
+    }[command]
+    assert main([*valid, flag, value]) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(valid) == EXIT_OK
+
+
 def test_config_dump_prints_defaults(capsys):
     assert main(["config-dump"]) == EXIT_OK
     data = json.loads(capsys.readouterr().out)

@@ -5,13 +5,13 @@ import random
 import pytest
 
 from timem import Level, MemoryEngine
-from timem.backends import CONSOLIDATE_PURPOSES, FlakyChatBackend, MockChatBackend
+from timem.backends import CONSOLIDATE_PURPOSES, MockChatBackend
 from timem.consolidation import TemporalGroup
 from timem.errors import BackendFailure, NonMonotonicTimestamp, ProviderError
-from timem.timeutil import parse_ts, utc
+from timem.timeutil import parse_ts
 from timem.tree import TemporalInterval
 
-from conftest import ingest_all, make_turns, random_transcript
+from conftest import FlakyChatBackend, ingest_all, make_turns, random_transcript, utc
 
 
 def turn_row(session: str, ts: str, text: str = "I went kayaking at Lake Verano."):

@@ -25,7 +25,8 @@ from timem import (
 from timem.backends import MockEmbedder
 from timem.errors import DimensionMismatch, IndexOutOfRange, ZeroVector
 from timem.indexing import LeafIndex, Postings, _screen, block_rows, bm25_scores
-from timem.timeutil import utc
+
+from conftest import utc
 
 
 # --- tokenize ---------------------------------------------------------------

@@ -20,12 +20,12 @@ from timem import (
 )
 from timem.backends import MockChatBackend, MockEmbedder, Purpose
 from timem.config import DEFAULT_CAPS
-from timem.errors import UnknownUser
+from timem.errors import BackendFailure, UnknownUser
 from timem.indexing import ScoredLeaf
 from timem.recall import Candidate, RecallPipeline, rank_final
-from timem.timeutil import format_ts, parse_ts, utc
+from timem.timeutil import format_ts, parse_ts
 
-from conftest import RecordingChat, ingest_all, random_transcript
+from conftest import RecordingChat, ingest_all, random_transcript, utc
 
 
 class ScriptedChat:
@@ -446,6 +446,28 @@ def test_recall_empty_tree(engine):
 def test_recall_unknown_user(engine):
     with pytest.raises(UnknownUser):
         engine.recall("nobody", "Where?")
+
+
+def test_a_failed_query_embedding_is_a_backend_failure():
+    """The query's embedding fails as consolidation's do: a custom
+    embedder's own exception reaches the caller as `BackendFailure`."""
+    class DroppingEmbedder(MockEmbedder):
+        down = False
+
+        def embed_text(self, text):
+            if self.down:
+                raise ConnectionError("embedding provider unreachable")
+            return super().embed_text(text)
+
+    embedder = DroppingEmbedder(64)
+    engine = MemoryEngine(config=EngineConfig(embedding_dim=64), embedder=embedder)
+    ingest_all(engine, "alice", random_transcript(random.Random(41), "alice", n_sessions=3))
+    embedder.down = True
+    with pytest.raises(BackendFailure, match="unreachable") as info:
+        engine.recall("alice", "Where did Alice go kayaking?")
+    assert isinstance(info.value.__cause__, ConnectionError)
+    embedder.down = False
+    assert engine.recall("alice", "Where did Alice go kayaking?").memories
 
 
 def test_recall_exactly_two_chat_calls():

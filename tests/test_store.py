@@ -16,13 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timem import Level, LogStore, MemoryEngine, MemoryTree, parse_transcript
-from timem.backends import FlakyChatBackend, MockChatBackend, Purpose, RoutingChatBackend
+from timem.backends import MockChatBackend, Purpose, RoutingChatBackend
 from timem.bench import generate_fixture
 from timem.errors import BackendFailure, DuplicateId, NonMonotonicTimestamp, SchemaError, StoreIoError
 from timem.store import ReplayResult, decode_embedding, encode_embedding, node_record, turn_record
 from timem.timeutil import parse_ts
 
-from conftest import ingest_all, make_turns, random_transcript
+from conftest import FlakyChatBackend, ingest_all, make_turns, random_transcript
 
 import numpy as np
 
@@ -158,6 +158,21 @@ def test_append_without_replay_errors(tmp_path):
     assert len(LogStore(tmp_path).load_replay("alice", MemoryTree()).turns) == 2
 
 
+def test_the_first_append_after_a_cut_returns_where_it_wrote(tmp_path):
+    record = {"record_type": "turn", "turn_id": "a", "session_id": "s",
+              "timestamp": "2023-05-20T09:00:00Z", "user_text": "", "assistant_text": ""}
+    with LogStore(tmp_path) as store:
+        store.persist_append("alice", record)
+    path = tmp_path / "alice" / "log.jsonl"
+    accepted = path.stat().st_size
+    with open(path, "ab") as f:
+        f.write(b'[{"record_type": "tu')  # a torn write
+    with LogStore(tmp_path) as store:
+        store.load_replay("alice", MemoryTree())
+        assert store.persist_append("alice", {**record, "turn_id": "b"}) == accepted
+    assert path.read_bytes()[accepted:].startswith(b'[{"record_type":"turn","turn_id":"b"')
+
+
 def test_writer_lock_is_exclusive(tmp_path):
     a = LogStore(tmp_path)
     a.persist_append("alice", {"record_type": "turn", "turn_id": "a", "session_id": "s",
@@ -167,6 +182,42 @@ def test_writer_lock_is_exclusive(tmp_path):
     with pytest.raises(StoreIoError):
         b.persist_append("alice", {"record_type": "turn"})
     a.close()
+
+
+@pytest.mark.parametrize("release", ["close", "failed append"])
+def test_the_log_itself_carries_the_writer_lock(tmp_path, monkeypatch, release):
+    """A store locks the log through its own append handle, with no lock
+    file beside it; a second store is refused while the first holds the
+    log, and appends after a replay once the first closes it or fails an
+    append."""
+    def record(turn_id):
+        return {"record_type": "turn", "turn_id": turn_id, "session_id": "s",
+                "timestamp": "2023-05-20T09:00:00Z", "user_text": "", "assistant_text": ""}
+
+    first, second = LogStore(tmp_path), LogStore(tmp_path)
+    first.persist_append("alice", record("a"))
+    assert [p.name for p in (tmp_path / "alice").iterdir()] == ["log.jsonl"]
+    second.load_replay("alice", MemoryTree())
+    with pytest.raises(StoreIoError, match="locked by another writer"):
+        second.persist_append("alice", record("b"))
+
+    if release == "close":
+        first.close()
+    else:
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, "Input/output error")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("timem.store.os.fsync", failing_fsync)
+            with pytest.raises(StoreIoError, match="Input/output error"):
+                first.persist_append("alice", record("b"))
+    assert [t.turn_id for t in second.load_replay("alice", MemoryTree()).turns] == (
+        ["a"] if release == "close" else ["a", "b"])
+    second.persist_append("alice", record("c"))
+    second.close()
+    assert [p.name for p in (tmp_path / "alice").iterdir()] == ["log.jsonl"]
+    assert len(LogStore(tmp_path).load_replay("alice", MemoryTree()).turns) == (
+        2 if release == "close" else 3)
 
 
 def test_empty_log_replays_empty_tree(tmp_path):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from timem.timeutil import format_ts, parse_ts, utc
+from timem.timeutil import format_ts, parse_ts
+
+from conftest import utc
 
 OFFSETS = [timezone.utc, timezone(timedelta(hours=2)), timezone(timedelta(hours=-5, minutes=-30))]
 

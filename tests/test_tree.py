@@ -13,9 +13,8 @@ from timem.errors import (
     MissingParent,
     UnknownNode,
 )
-from timem.timeutil import utc
 
-from conftest import ingest_all, random_transcript
+from conftest import ingest_all, random_transcript, utc
 
 
 def unit_vec(dim: int = 8, index: int = 0) -> np.ndarray:
