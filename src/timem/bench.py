@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
 
-from .config import EngineConfig
 from .engine import MemoryEngine
 from .errors import SchemaError, TimemError
 from .metrics import nearest_rank, separation_ratio, silhouette, spread_metrics
@@ -135,8 +134,7 @@ def _rank_key_ok(result) -> bool:
     return keys == sorted(keys)
 
 
-def run_bench(transcript_paths: list[str | Path], questions_path: str | Path,
-              config: EngineConfig | None = None,
+def run_bench(transcript_paths: list[str | Path], questions_path: str | Path, *,
               engine: MemoryEngine | None = None,
               data_dir: str | Path | None = None,
               gate: bool = True,
@@ -147,11 +145,13 @@ def run_bench(transcript_paths: list[str | Path], questions_path: str | Path,
     Latency wraps the full per-query pipeline: planner, retrieval, and
     gating. Evidence recall is the fraction of a question's ground-truth
     turns whose segment node appears in the final memory set.
+
+    An engine built here has the default config; pass `engine=` for
+    another. The report's `recall_k` is the engine's `leaf_budget`.
     """
-    config = config or EngineConfig()
     own_engine = engine is None
     if own_engine:
-        engine = MemoryEngine.with_mock_backends(config=config, data_dir=data_dir)
+        engine = MemoryEngine.with_mock_backends(data_dir=data_dir)
 
     try:
         if not skip_ingest:
@@ -173,7 +173,7 @@ def run_bench(transcript_paths: list[str | Path], questions_path: str | Path,
                 mapping[turn_id] = node.id
         turn_to_node[user_id] = mapping
 
-    report = BenchReport(recall_k=config.leaf_budget)
+    report = BenchReport(recall_k=engine.config.leaf_budget)
     for q in load_questions(questions_path):
         start = time.perf_counter()
         try:
@@ -234,6 +234,39 @@ _TEMPLATES = [
 ]
 
 
+# single-fact question styles: style -> (fact kind, wording over the fact's slots)
+_SINGLE_FACT = {
+    "simple_place": ("activity", "Where did {name} go {activity}?"),
+    "simple_dish": ("meal", "When did {name} cook {dish} for dinner?"),
+}
+
+
+def _question(rng: random.Random, name: str, facts: list[dict]) -> tuple[str, list[str] | None]:
+    """One question about a user's facts and the turns that answer it.
+    A single-fact style whose kind the user never mentioned asks the
+    hybrid question instead."""
+    style = rng.choice([*_SINGLE_FACT, "hybrid", "complex"])
+    if style in _SINGLE_FACT:
+        kind, wording = _SINGLE_FACT[style]
+        pool = [f for f in facts if f["kind"] == kind]
+        if pool:
+            fact = rng.choice(pool)
+            return wording.format(name=name, **fact["slots"]), [fact["turn_id"]]
+        style = "hybrid"
+    pool = [f for f in facts if f["kind"] in ("activity", "preference")]
+
+    def evidence(activities, limit: int) -> list[str]:
+        return [f["turn_id"] for f in pool if f["slots"]["activity"] in activities][:limit]
+
+    if style == "hybrid":
+        chosen = rng.sample(pool, k=2) if len(pool) >= 2 else pool
+        acts = sorted({f["slots"]["activity"] for f in chosen})
+        listing = " and ".join(acts) if acts else "anything"
+        return f"What activities did {name} try, including {listing}?", evidence(acts, 6) or None
+    activity = (rng.choice(pool) if pool else rng.choice(facts))["slots"]["activity"]
+    return f"Would {name} enjoy a {activity} retreat?", evidence({activity}, 5)
+
+
 def generate_fixture(seed: int = 42, n_users: int = 3, total_turns: int = 120,
                      n_questions: int = 30) -> tuple[list[dict], list[dict]]:
     """Deterministic transcripts plus questions with known evidence.
@@ -266,12 +299,10 @@ def generate_fixture(seed: int = 42, n_users: int = 3, total_turns: int = 120,
                     "city": rng.choice(_CITIES),
                     "instrument": rng.choice(_INSTRUMENTS),
                 }
-                user_text = user_tpl.format(**slots)
-                asst_text = asst_tpl.format(**slots)
-                messages.append({"speaker": "user", "text": user_text,
+                messages.append({"speaker": "user", "text": user_tpl.format(**slots),
                                  "timestamp": format_ts(clock)})
                 clock += timedelta(seconds=rng.randint(20, 90))
-                messages.append({"speaker": "assistant", "text": asst_text,
+                messages.append({"speaker": "assistant", "text": asst_tpl.format(**slots),
                                  "timestamp": format_ts(clock)})
                 facts[user].append({
                     "kind": kind, "slots": slots,
@@ -293,63 +324,11 @@ def generate_fixture(seed: int = 42, n_users: int = 3, total_turns: int = 120,
     per_user_q = n_questions // len(users)
     extra = n_questions - per_user_q * len(users)
     for idx, user in enumerate(users):
-        name = user.capitalize()
-        user_facts = facts[user]
-        end_ts = format_ts(parse_ts(user_facts[-1]["timestamp"]) + timedelta(days=1))
-        want = per_user_q + (1 if idx < extra else 0)
-        for _ in range(want):
-            style = rng.choice(["simple_place", "simple_dish", "hybrid", "complex"])
-            if style == "simple_place":
-                pool = [f for f in user_facts if f["kind"] == "activity"]
-                if not pool:
-                    style = "hybrid"
-                else:
-                    fact = rng.choice(pool)
-                    questions.append({
-                        "question": f"Where did {name} go {fact['slots']['activity']}?",
-                        "user_id": user, "timestamp": end_ts,
-                        "evidence_turn_ids": [fact["turn_id"]],
-                    })
-                    continue
-            if style == "simple_dish":
-                pool = [f for f in user_facts if f["kind"] == "meal"]
-                if not pool:
-                    style = "hybrid"
-                else:
-                    fact = rng.choice(pool)
-                    questions.append({
-                        "question": f"When did {name} cook {fact['slots']['dish']} for dinner?",
-                        "user_id": user, "timestamp": end_ts,
-                        "evidence_turn_ids": [fact["turn_id"]],
-                    })
-                    continue
-            if style == "hybrid":
-                pool = [f for f in user_facts if f["kind"] in ("activity", "preference")]
-                if len(pool) >= 2:
-                    chosen = rng.sample(pool, k=2)
-                else:
-                    chosen = pool
-                acts = sorted({f["slots"]["activity"] for f in chosen})
-                evidence = [f["turn_id"] for f in user_facts
-                            if f["slots"].get("activity") in acts
-                            and f["kind"] in ("activity", "preference")][:6]
-                listing = " and ".join(acts) if acts else "anything"
-                questions.append({
-                    "question": f"What activities did {name} try, including {listing}?",
-                    "user_id": user, "timestamp": end_ts,
-                    "evidence_turn_ids": evidence or None,
-                })
-                continue
-            pool = [f for f in user_facts if f["kind"] in ("activity", "preference")]
-            fact = rng.choice(pool) if pool else rng.choice(user_facts)
-            activity = fact["slots"]["activity"]
-            questions.append({
-                "question": f"Would {name} enjoy a {activity} retreat?",
-                "user_id": user, "timestamp": end_ts,
-                "evidence_turn_ids": [f["turn_id"] for f in user_facts
-                                      if f["slots"].get("activity") == activity
-                                      and f["kind"] in ("activity", "preference")][:5],
-            })
+        end_ts = format_ts(parse_ts(facts[user][-1]["timestamp"]) + timedelta(days=1))
+        for _ in range(per_user_q + (1 if idx < extra else 0)):
+            question, evidence = _question(rng, user.capitalize(), facts[user])
+            questions.append({"question": question, "user_id": user, "timestamp": end_ts,
+                              "evidence_turn_ids": evidence})
     return transcripts, questions
 
 

@@ -117,11 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_ingest(args, engine: MemoryEngine) -> int:
     for path in args.transcripts:
         transcript = parse_transcript(path)
-        if not engine.tree.has_user(transcript.user_id):
-            engine.load_user(transcript.user_id)  # resume the user's existing log
+        logged: set[str] = set()
+        if not engine.tree.has_user(transcript.user_id):  # resume the user's existing log
+            logged = engine.load_user(transcript.user_id).logged_turn_ids
         created = 0
         for turn in transcript.turns:
-            created += len(engine.ingest_turn(transcript.user_id, turn))
+            if turn.turn_id not in logged:
+                created += len(engine.ingest_turn(transcript.user_id, turn))
         if not args.no_flush:
             created += len(engine.flush(transcript.user_id))
         report = engine.validate(transcript.user_id)
@@ -184,8 +186,7 @@ def _cmd_bench(args, engine: MemoryEngine) -> int:
         raise StoreIoError(
             f"data directory {engine.store.root} already holds the logs of "
             f"{', '.join(engine.store.users())}; bench needs one without logs")
-    report = run_bench(args.transcripts, args.questions, config=engine.config,
-                       engine=engine, gate=not args.no_gate,
+    report = run_bench(args.transcripts, args.questions, engine=engine, gate=not args.no_gate,
                        complexity_override=args.complexity_override)
     print(report.to_jsonl() if args.output == "json" else report.table(), end="")
     return EXIT_OK

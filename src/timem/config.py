@@ -73,7 +73,7 @@ class EngineConfig:
     max_output_tokens: int = 512
     # misc
     prompt_dir: str = ""                # empty = packaged prompt templates
-    caps: dict = field(default_factory=lambda: dict(DEFAULT_CAPS))
+    caps: dict = field(default_factory=dict)  # merged over DEFAULT_CAPS
 
     def __post_init__(self):
         for name, supported in _FIXED.items():
@@ -83,6 +83,7 @@ class EngineConfig:
         unknown = sorted(set(self.caps) - set(DEFAULT_CAPS))
         if unknown:
             raise KeyError(f"unknown budget key: {', '.join(unknown)}")
+        self.caps = {**DEFAULT_CAPS, **self.caps}
         integers = {f.name for f in fields(self) if f.type == "int"} | set(DEFAULT_CAPS)
         for name, value in {**vars(self), **self.caps}.items():
             rule = _RANGES.get(name)
@@ -102,7 +103,7 @@ class EngineConfig:
     def from_dict(cls, data: dict) -> "EngineConfig":
         known = {f.name for f in fields(cls)} - {"caps"}
         kwargs = {}
-        caps = dict(DEFAULT_CAPS)
+        caps = {}
         for key, value in data.items():
             if key.startswith("cap_"):
                 caps[key] = value

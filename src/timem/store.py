@@ -8,7 +8,9 @@ inline as base64 of little-endian float32 so records stay single-line.
 Replay sees whole calls, since a line is complete only with its newline;
 an older log's one-object lines replay as one-record calls. A store
 appends to a log only after replaying it, and cuts what replay did not
-accept (a torn or corrupt line and all after it) into a sidecar first.
+accept (a torn or corrupt line and all after it) into a sidecar first;
+a whole call past what it replayed, another store's append, is not cut:
+the store refuses to append until it replays the log again.
 It appends only while it holds an exclusive advisory lock (`flock`) on
 its handle of the log, so one store writes a log at a time; closing the
 handle releases the lock.
@@ -252,7 +254,7 @@ class LogStore:
                 size = handle.seek(0, os.SEEK_END)  # read under the lock
                 if size:
                     end = self._records_end.get(user_id)
-                    if end is None:
+                    if end is None or (end < size and self._holds_a_call(user_id, path, end)):
                         raise StoreIoError(
                             f"replay the log of {user_id!r} before appending to it")
                     if end < size:
@@ -267,6 +269,19 @@ class LogStore:
                 raise
             self._handles[user_id] = handle
         return handle
+
+    @classmethod
+    def _holds_a_call(cls, user_id: str, path: Path, offset: int) -> bool:
+        """Whether the line at `offset` is a whole call that replay would
+        accept: another store appended it since this one replayed the log."""
+        with open(path, "rb") as f:
+            f.seek(offset)
+            line = f.readline()
+        try:
+            cls._decode_line(user_id, line, offset)
+        except (KeyError, ValueError, TypeError):
+            return False
+        return True
 
     def persist_append(self, user_id: str, *records: dict) -> int:
         """Durably append one call's records as one line, a JSON array,
@@ -335,8 +350,6 @@ class LogStore:
                 if not raw_line.strip():
                     continue
                 try:
-                    if not raw_line.endswith(b"\n"):
-                        raise ValueError("torn write: the line has no newline")
                     nodes, line_turns = self._decode_line(user_id, raw_line, line_offset)
                 except (KeyError, ValueError, TypeError) as exc:
                     corrupt = CorruptRecord(
@@ -362,7 +375,9 @@ class LogStore:
     def _decode_line(user_id: str, raw_line: bytes, offset: int) -> tuple[list, list[DialogTurn]]:
         """A line's node records as (node, child ids) pairs, and its turn
         records. A line holding one object is an older log's one-record
-        call."""
+        call; one without its newline is torn and raises `ValueError`."""
+        if not raw_line.endswith(b"\n"):
+            raise ValueError("torn write: the line has no newline")
         records = json.loads(raw_line)
         if isinstance(records, dict):
             records = [records]

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from timem import EngineConfig
+from timem import EngineConfig, MemoryEngine
 from timem.bench import (
     BenchReport,
     BenchRow,
@@ -135,8 +135,19 @@ def test_bench_independent_of_prompt_wording(fixture_dir, tmp_path):
     questions = fixture_dir / "questions.jsonl"
     reworded = EngineConfig(prompt_dir=str(tmp_path))
     for gate in (True, False):
-        assert run_bench(paths, questions, config=reworded, gate=gate).canonical_json() == \
+        engine = MemoryEngine(config=reworded)
+        assert run_bench(paths, questions, engine=engine, gate=gate).canonical_json() == \
             run_bench(paths, questions, gate=gate).canonical_json()
+
+
+def test_bench_reports_the_leaf_budget_of_the_engine_it_ran(fixture_dir):
+    paths = fixture_transcripts(fixture_dir)
+    questions = fixture_dir / "questions.jsonl"
+    engine = MemoryEngine(config=EngineConfig(leaf_budget=5))
+    report = run_bench(paths, questions, engine=engine, gate=False)
+    assert report.recall_k == 5 and "evidence_recall_at_5" in report.aggregates()
+    assert json.loads(report.canonical_json())["recall_k"] == 5
+    assert max(row.leaves for row in report.rows) == 5
 
 
 def test_bench_gated_contracts_context(fixture_dir):

@@ -155,6 +155,18 @@ def test_recall_json_shows_gate_fallback(fixture_dir, tmp_path, capsys, monkeypa
     assert len(payload["memories"]) == payload["counts"]["candidates"]
 
 
+def node_rows(engine: MemoryEngine) -> list[tuple]:
+    return [(n.id, int(n.level), n.text, n.interval, n.parent_id, tuple(n.child_ids))
+            for n in engine.tree.all_nodes("alice")]
+
+
+def stored_rows(data_dir: str) -> list[tuple]:
+    """alice's tree as replayed from the log under `data_dir`."""
+    engine = MemoryEngine.with_mock_backends(data_dir=data_dir)
+    engine.load_user("alice")
+    return node_rows(engine)
+
+
 def test_ingest_resumes_an_existing_log(fixture_dir, tmp_path, capsys):
     data = json.loads((fixture_dir / "transcript_alice.json").read_text(encoding="utf-8"))
     middle = len(data["sessions"]) // 2
@@ -168,25 +180,39 @@ def test_ingest_resumes_an_existing_log(fixture_dir, tmp_path, capsys):
         assert main(["ingest", "--data-dir", data_dir, str(half)]) == EXIT_OK
     assert main(["validate", "--data-dir", data_dir]) == EXIT_OK
 
-    def rows(engine):
-        return [(n.id, int(n.level), n.text, n.interval, n.parent_id, tuple(n.child_ids))
-                for n in engine.tree.all_nodes("alice")]
-
-    stored = MemoryEngine.with_mock_backends(data_dir=data_dir)
-    stored.load_user("alice")
     reference = MemoryEngine()
     for half in halves:
         for turn in parse_transcript(half).turns:
             reference.ingest_turn("alice", turn)
         reference.flush("alice")
-    assert rows(stored) == rows(reference)
+    assert stored_rows(data_dir) == node_rows(reference)
 
-    # the second half again would go back in time: refused, the log intact
+    # the second half again is logged already: nothing is ingested twice
     log = tmp_path / "data" / "alice" / "log.jsonl"
     before = log.read_bytes()
-    assert main(["ingest", "--data-dir", data_dir, str(halves[1])]) == EXIT_DATA
+    assert main(["ingest", "--data-dir", data_dir, str(halves[1])]) == EXIT_OK
     assert log.read_bytes() == before
     assert main(["validate", "--data-dir", data_dir]) == EXIT_OK
+
+
+@pytest.mark.parametrize("cut", ["line", "torn-byte"])
+def test_ingest_resumes_a_crashed_ingest(fixture_dir, tmp_path, capsys, cut):
+    """An ingest whose log a crash cut to its first half of lines, or
+    inside the next line, resumes: the same ingest again skips the turns
+    the log holds and ends with the log and tree of an uninterrupted one."""
+    transcript = str(fixture_dir / "transcript_alice.json")
+    whole, resumed = str(tmp_path / "whole"), str(tmp_path / "resumed")
+    for data_dir in (whole, resumed):
+        assert main(["ingest", "--data-dir", data_dir, transcript]) == EXIT_OK
+    log = tmp_path / "resumed" / "alice" / "log.jsonl"
+    complete = log.read_bytes()
+    lines = complete.splitlines(keepends=True)
+    half = len(lines) // 2
+    log.write_bytes(b"".join(lines[:half]) + (lines[half][:40] if cut == "torn-byte" else b""))
+    assert main(["ingest", "--data-dir", resumed, transcript]) == EXIT_OK
+    assert main(["validate", "--data-dir", resumed]) == EXIT_OK
+    assert log.read_bytes() == complete
+    assert stored_rows(resumed) == stored_rows(whole)
 
 
 def test_ingest_requires_data_dir(fixture_dir, monkeypatch, capsys):

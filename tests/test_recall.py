@@ -227,6 +227,24 @@ def test_zero_caps_admit_nothing_and_inject_no_profile():
     assert set(levels) == {1, 3}
 
 
+def test_partial_caps_in_code_merge_over_the_defaults():
+    """Caps set in code keep the default of every key they leave out, as
+    a config file's caps do."""
+    partial = EngineConfig(caps={"cap_simple_l1": 5})
+    assert partial == EngineConfig.from_dict({"cap_simple_l1": 5})
+    assert partial.caps == {**DEFAULT_CAPS, "cap_simple_l1": 5}
+    transcript = random_transcript(random.Random(12), "u", n_sessions=14)
+    recalled = []
+    for config in (partial, EngineConfig()):
+        engine = MemoryEngine(config=config)
+        ingest_all(engine, "u", transcript)
+        result = engine.recall("u", "Where did I go kayaking?", gate=False,
+                               complexity_override=Complexity.COMPLEX)
+        recalled.append([m.node_id for m in result.memories])
+        assert {m.level for m in result.memories} == {1, 2, 3, 4, 5}
+    assert recalled[0] == recalled[1]
+
+
 def test_propagate_empty_leaves_injects_latest_profile():
     tree = MemoryTree()
     for i, month in enumerate((5, 6)):

@@ -220,6 +220,40 @@ def test_the_log_itself_carries_the_writer_lock(tmp_path, monkeypatch, release):
         2 if release == "close" else 3)
 
 
+@pytest.mark.parametrize("order", ["replay-between-appends", "append-after-close"])
+def test_a_call_another_store_appended_is_never_cut(tmp_path, order):
+    """A store whose log grew by another store's whole call since it
+    replayed refuses to append, and cuts nothing, until it replays again."""
+    def record(turn_id):
+        return {"record_type": "turn", "turn_id": turn_id, "session_id": "s",
+                "timestamp": "2023-05-20T09:00:00Z", "user_text": "", "assistant_text": ""}
+
+    first, second = LogStore(tmp_path), LogStore(tmp_path)
+    first.persist_append("alice", record("a"))
+    if order == "replay-between-appends":
+        second.load_replay("alice", MemoryTree())
+        first.persist_append("alice", record("b"))
+        first.close()
+        stale = second
+    else:
+        first.close()
+        second.load_replay("alice", MemoryTree())
+        second.persist_append("alice", record("b"))
+        second.close()
+        stale = first
+    log = tmp_path / "alice" / "log.jsonl"
+    before = log.read_bytes()
+    with pytest.raises(StoreIoError, match="replay the log of 'alice' before appending"):
+        stale.persist_append("alice", record("c"))
+    assert log.read_bytes() == before
+    assert [t.turn_id for t in stale.load_replay("alice", MemoryTree()).turns] == ["a", "b"]
+    assert stale.persist_append("alice", record("c")) == len(before)
+    stale.close()
+    assert [p.name for p in (tmp_path / "alice").iterdir()] == ["log.jsonl"]
+    assert [t.turn_id for t in LogStore(tmp_path).load_replay("alice", MemoryTree()).turns] == [
+        "a", "b", "c"]
+
+
 def test_empty_log_replays_empty_tree(tmp_path):
     tree = MemoryTree()
     replay = LogStore(tmp_path).load_replay("ghost", tree)
