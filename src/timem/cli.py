@@ -168,14 +168,18 @@ def _cmd_recall(args, engine: MemoryEngine) -> int:
 def _cmd_validate(args, engine: MemoryEngine) -> int:
     bad = 0
     for user in [args.user] if args.user else engine.store.users():
-        engine.load_user(user)
+        replay = engine.load_user(user)
         report = engine.validate(user)
         counts = {f"L{int(lvl)}": c for lvl, c in report.node_count_per_level.items()}
-        status = "ok" if report.ok else f"{len(report.violations)} violations"
-        print(f"{user}: {status} {counts}")
+        problems = [f"{len(report.violations)} violations"] if report.violations else []
+        if replay.corrupt is not None:  # what follows the offset did not load
+            problems.append(f"replay stopped at offset {replay.corrupt.offset}")
+        print(f"{user}: {', '.join(problems) or 'ok'} {counts}")
         for v in report.violations:
             print(f"  node {v.node_id}: {v.rule}: {v.detail}")
-        bad += len(report.violations)
+        if replay.corrupt is not None:
+            print(f"  {replay.corrupt}")
+        bad += len(problems)
     return EXIT_DATA if bad else EXIT_OK
 
 

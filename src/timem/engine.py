@@ -22,7 +22,7 @@ class MemoryEngine:
 
     When a store is attached, every successfully ingested turn and every
     created node is appended to the user's log before the call returns,
-    as one line with one write and fsync, so a crash never loses
+    as one frame with one write and fsync, so a crash never loses
     acknowledged work and replay sees each call whole or not at all.
     Nodes inserted by a call whose provider failed are logged by the
     next call.
@@ -109,7 +109,7 @@ class MemoryEngine:
             try:
                 result = self.store.load_replay(user_id, self.tree)
                 self.consolidator.restore_state(user_id, result.turns)
-            except Exception:  # a record the tree rejects leaves part of its line applied
+            except Exception:  # a record the tree rejects leaves part of its call applied
                 self.tree.drop_user(user_id)
                 self.consolidator.drop_user(user_id)
                 raise

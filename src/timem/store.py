@@ -1,19 +1,36 @@
-"""Transcript parsing and append-only per-user persistence.
+r"""Transcript parsing and append-only per-user persistence.
 
-Each user owns one JSON-lines log at <root>/<user_id>/log.jsonl, one
-line per engine call: a JSON array of the node and turn records it
-created. The log is append-only and tombstone-free (nodes are never
-deleted), so replaying it rebuilds the exact tree; embeddings are stored
-inline as base64 of little-endian float32 so records stay single-line.
-Replay sees whole calls, since a line is complete only with its newline;
-an older log's one-object lines replay as one-record calls. A store
-appends to a log only after replaying it, and cuts what replay did not
-accept (a torn or corrupt line and all after it) into a sidecar first;
-a whole call past what it replayed, another store's append, is not cut:
-the store refuses to append until it replays the log again.
-It appends only while it holds an exclusive advisory lock (`flock`) on
-its handle of the log, so one store writes a log at a time; closing the
-handle releases the lock.
+Each user owns one log at <root>/<user_id>/log.jsonl holding one frame
+per engine call, the node and turn records the call created:
+
+    bytes 0-3     magic b"\xffTM1"
+    bytes 4-7     body length B, u32 little-endian
+    bytes 8-11    row-bytes length R, u32 little-endian
+    bytes 12-15   zlib.crc32 of bytes 4-11, the body and the rows
+    next B bytes  body: the records as a UTF-8 JSON array; a node
+                  record's "embedding" is its float count, or null
+    next R bytes  rows: the node records' embeddings as little-endian
+                  float32, in record order
+    last byte     b"\n"
+
+The log is append-only and tombstone-free (nodes are never deleted), so
+replaying it rebuilds the exact tree. Replay reads one frame at a time
+and checks its lengths against the file's size before reading it and
+its checksum before decoding it; a short, torn or changed frame stops
+the replay there. Older logs held one JSON line per call (an array of
+records, or in the oldest one record), with base64 embeddings; a line
+starts with `[` or `{`, never 0xFF, so those lines still replay and a
+store appends frames after them. The file keeps its name so that
+existing stores and the tools that list users find it, but it is no
+longer text that `grep` or `jq` can read.
+
+A store appends to a log only after replaying it, and cuts what replay
+did not accept (a torn or corrupt call and all after it) into a
+sidecar first; a whole call past what it replayed, another store's
+append, is not cut: the store refuses to append until it replays the
+log again. It appends only while it holds an exclusive advisory lock
+(`flock`) on its handle of the log, so one store writes a log at a
+time; closing the handle releases the lock.
 """
 
 from __future__ import annotations
@@ -23,6 +40,8 @@ import contextlib
 import json
 import logging
 import os
+import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -137,16 +156,19 @@ def parse_transcript(path: str | Path) -> Transcript:
 # append-only log
 # ---------------------------------------------------------------------------
 
-
-def encode_embedding(vec: np.ndarray) -> str:
-    return base64.b64encode(np.asarray(vec, dtype="<f4").tobytes()).decode("ascii")
+FRAME_MAGIC = b"\xffTM1"  # 0xFF never begins an older log's JSON line
+# magic, body length, row-bytes length, CRC32 of both lengths, the body and the rows
+_HEADER = struct.Struct("<4sIII")
 
 
 def decode_embedding(text: str) -> np.ndarray:
+    """An older log's embedding: base64 of little-endian float32."""
     return np.frombuffer(base64.b64decode(text), dtype="<f4").copy()
 
 
 def node_record(node: MemoryNode) -> dict:
+    """A node's record; `persist_append` moves its embedding into the
+    frame's rows."""
     return {
         "record_type": "node",
         "id": node.id,
@@ -154,7 +176,7 @@ def node_record(node: MemoryNode) -> dict:
         "start": format_ts(node.interval.start),
         "end": format_ts(node.interval.end),
         "text": node.text,
-        "embedding": encode_embedding(node.embedding) if node.embedding is not None else None,
+        "embedding": node.embedding,
         "child_ids": list(node.child_ids),
         "source_turn_ids": list(node.source_turn_ids),
     }
@@ -169,6 +191,104 @@ def turn_record(turn: DialogTurn) -> dict:
         "user_text": turn.user_text,
         "assistant_text": turn.assistant_text,
     }
+
+
+def _encode_frame(records) -> bytes:
+    """One call's frame: the records as a JSON array whose embeddings
+    are float counts, then their float32 rows in record order."""
+    body, rows = [], []
+    for record in records:
+        vector = record.get("embedding")
+        if vector is not None:
+            row = np.asarray(vector, dtype="<f4")
+            rows.append(row.tobytes())
+            record = {**record, "embedding": row.size}
+        body.append(record)
+    body = json.dumps(body, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    rows = b"".join(rows)
+    crc = zlib.crc32(rows, zlib.crc32(body, zlib.crc32(struct.pack("<II", len(body), len(rows)))))
+    return b"".join((_HEADER.pack(FRAME_MAGIC, len(body), len(rows), crc), body, rows, b"\n"))
+
+
+def _read_call(f, user_id: str, offset: int, size: int) -> tuple[list, list[DialogTurn], int]:
+    """Read the call at `offset` of a log of `size` bytes, open as `f`
+    and positioned there: a frame, or an older log's JSON line. Returns
+    its node records as (node, child ids) pairs, its turn records and
+    the offset where it ends. A torn or corrupt call raises `ValueError`
+    (`KeyError` or `TypeError` for a record that lacks a field)."""
+    if f.peek(1)[:1] != FRAME_MAGIC[:1]:
+        line = f.readline()
+        if not line.endswith(b"\n"):
+            raise ValueError("torn write: the line has no newline")
+        if not line.strip():
+            return [], [], offset + len(line)
+        nodes, turns = _decode_records(user_id, json.loads(line), offset,
+                                       lambda text: decode_embedding(text) if text else None)
+        return nodes, turns, offset + len(line)
+
+    header = f.read(_HEADER.size)
+    if len(header) < _HEADER.size:
+        raise ValueError("torn write: the frame header is short")
+    magic, body_size, rows_size, crc = _HEADER.unpack(header)
+    if magic != FRAME_MAGIC:
+        raise ValueError(f"not a frame: magic {magic!r}")
+    end = offset + _HEADER.size + body_size + rows_size + 1
+    if end > size:  # checked before reading, so a wrong length allocates nothing
+        raise ValueError(f"torn write: the frame ends at {end}, past the log's {size} bytes")
+    body, rows = f.read(body_size), f.read(rows_size)
+    if f.read(1) != b"\n":
+        raise ValueError("the frame does not end with a newline")
+    if zlib.crc32(rows, zlib.crc32(body, zlib.crc32(header[4:12]))) != crc:
+        raise ValueError("the frame's checksum does not match")
+    floats = np.frombuffer(rows, dtype="<f4")
+    taken = 0
+
+    def embedding(count):
+        nonlocal taken
+        if count is None:
+            return None
+        if not 0 <= count <= floats.size - taken:
+            raise ValueError(f"an embedding of {count} floats overruns the frame's rows")
+        taken += count
+        return floats[taken - count:taken].copy()  # no node pins the frame
+
+    nodes, turns = _decode_records(user_id, json.loads(body), offset, embedding)
+    if taken != floats.size:
+        raise ValueError(f"{floats.size - taken} floats of the frame's rows belong to no node")
+    return nodes, turns, end
+
+
+def _decode_records(user_id: str, records, offset: int, embedding) -> tuple[list, list[DialogTurn]]:
+    """A call's node records as (node, child ids) pairs, and its turn
+    records; `embedding` maps a node record's embedding field to its
+    array. A single object is an older log's one-record call."""
+    if isinstance(records, dict):
+        records = [records]
+    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+        raise ValueError("the call is neither a record nor an array of records")
+    nodes, turns = [], []
+    for record in records:
+        kind = record.get("record_type")
+        if kind == "node":
+            nodes.append((MemoryNode(
+                id=int(record["id"]),
+                user_id=user_id,
+                level=Level(int(record["level"])),
+                interval=TemporalInterval(parse_ts(record["start"]), parse_ts(record["end"])),
+                text=record["text"],
+                embedding=embedding(record.get("embedding")),
+                source_turn_ids=list(record.get("source_turn_ids") or []),
+            ), [int(c) for c in record.get("child_ids") or []]))
+        elif kind == "turn":
+            turns.append(DialogTurn(
+                turn_id=record["turn_id"],
+                session_id=record["session_id"],
+                timestamp=parse_ts(record["timestamp"]),
+                user_text=record.get("user_text", ""),
+                assistant_text=record.get("assistant_text", "")))
+        else:
+            logger.warning("unknown record type %r at offset %d", kind, offset)
+    return nodes, turns
 
 
 @dataclass
@@ -214,7 +334,7 @@ def _cut_log(path: Path, offset: int) -> None:
 
 
 class LogStore:
-    """One append-only JSON-lines log per user under a root directory."""
+    """One append-only log of framed calls per user under a root directory."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -259,7 +379,7 @@ class LogStore:
                             f"replay the log of {user_id!r} before appending to it")
                     if end < size:
                         _cut_log(path, end)
-                        handle.seek(0, os.SEEK_END)  # where the next line lands
+                        handle.seek(0, os.SEEK_END)  # where the next frame lands
                 else:  # a new log's entry, and each new directory's, must outlive a crash
                     for parent in dict.fromkeys(
                             [directory, self.root, *(p.parent for p in missing)]):
@@ -270,22 +390,21 @@ class LogStore:
             self._handles[user_id] = handle
         return handle
 
-    @classmethod
-    def _holds_a_call(cls, user_id: str, path: Path, offset: int) -> bool:
-        """Whether the line at `offset` is a whole call that replay would
+    @staticmethod
+    def _holds_a_call(user_id: str, path: Path, offset: int) -> bool:
+        """Whether the call at `offset` is whole and one that replay would
         accept: another store appended it since this one replayed the log."""
         with open(path, "rb") as f:
             f.seek(offset)
-            line = f.readline()
-        try:
-            cls._decode_line(user_id, line, offset)
-        except (KeyError, ValueError, TypeError):
-            return False
+            try:
+                _read_call(f, user_id, offset, os.fstat(f.fileno()).st_size)
+            except (KeyError, ValueError, TypeError):
+                return False
         return True
 
     def persist_append(self, user_id: str, *records: dict) -> int:
-        """Durably append one call's records as one line, a JSON array,
-        with one write and one fsync; returns its byte offset. The first
+        """Durably append one call's records as one frame, with one
+        write and one fsync; returns its byte offset. The first
         append to an empty log fsyncs its directory, the root and the
         parent of each directory the store created, before writing.
 
@@ -295,11 +414,11 @@ class LogStore:
         log then needs a replay first, which cuts whatever part of the
         failed write reached the log torn.
         """
-        line = json.dumps(records, ensure_ascii=False, separators=(",", ":")) + "\n"
+        frame = _encode_frame(records)
         try:
             handle = self._writer(user_id)
             offset = handle.tell()
-            handle.write(line.encode("utf-8"))
+            handle.write(frame)
             handle.flush()
             os.fsync(handle.fileno())
         except OSError as exc:
@@ -324,15 +443,16 @@ class LogStore:
         self.close()
 
     def load_replay(self, user_id: str, tree: MemoryTree) -> ReplayResult:
-        """Replay a user's log into the tree, one call (line) at a time.
+        """Replay a user's log into the tree, one call at a time.
 
-        A line is complete only with its newline, the last byte of each
-        write. All of a line's records are decoded before any is
-        applied, so a torn line, or one that does not decode, stops the
-        replay at its offset: every line before it is loaded, nothing of
-        it or after it, with a warning. A record the tree rejects raises
-        out of the replay, leaving part of the line applied. This store's
-        next append to the log follows the accepted lines.
+        A frame, or an older log's line, is complete only with its final
+        newline, the last byte of each write. All of a call's records are
+        decoded before any is applied, so a torn call, or one that fails
+        its checksum or does not decode, stops the replay at its offset:
+        every call before it is loaded, nothing of it or after it, with a
+        warning. A record the tree rejects raises out of the replay,
+        leaving part of the call applied. This store's next append to the
+        log follows the accepted calls.
         """
         path = self.log_path(user_id)
         tree.ensure_user(user_id)  # register user even when the log is empty
@@ -344,19 +464,15 @@ class LogStore:
         corrupt: CorruptRecord | None = None
         offset = 0
         with open(path, "rb") as f:
-            for raw_line in f:
-                line_offset = offset
-                offset += len(raw_line)
-                if not raw_line.strip():
-                    continue
+            size = os.fstat(f.fileno()).st_size
+            while offset < size:
                 try:
-                    nodes, line_turns = self._decode_line(user_id, raw_line, line_offset)
+                    nodes, call_turns, end = _read_call(f, user_id, offset, size)
                 except (KeyError, ValueError, TypeError) as exc:
-                    corrupt = CorruptRecord(
-                        f"corrupt record at offset {line_offset} in {path}: {exc!r}",
-                        offset=line_offset)
+                    corrupt = CorruptRecord(  # str, not repr: a decode error's repr holds its bytes
+                        f"corrupt record at offset {offset} in {path}: {type(exc).__name__}: {exc}",
+                        offset=offset)
                     logger.warning("%s; ignoring the rest of the log", corrupt)
-                    offset = line_offset
                     break
                 for node, child_ids in nodes:
                     tree.insert_node(node)
@@ -365,45 +481,9 @@ class LogStore:
                     if node.level is Level.SEGMENT:
                         segment_turn_ids += node.source_turn_ids
                 nodes_loaded += len(nodes)
-                turns += line_turns
+                turns += call_turns
+                offset = end
         self._records_end[user_id] = offset
         logged = {t.turn_id for t in turns}
         return ReplayResult(nodes_loaded=nodes_loaded, turns=turns, corrupt=corrupt,
                             orphan_turn_ids=[t for t in segment_turn_ids if t not in logged])
-
-    @staticmethod
-    def _decode_line(user_id: str, raw_line: bytes, offset: int) -> tuple[list, list[DialogTurn]]:
-        """A line's node records as (node, child ids) pairs, and its turn
-        records. A line holding one object is an older log's one-record
-        call; one without its newline is torn and raises `ValueError`."""
-        if not raw_line.endswith(b"\n"):
-            raise ValueError("torn write: the line has no newline")
-        records = json.loads(raw_line)
-        if isinstance(records, dict):
-            records = [records]
-        if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
-            raise ValueError("the line is neither a record nor an array of records")
-        nodes, turns = [], []
-        for record in records:
-            kind = record.get("record_type")
-            if kind == "node":
-                embedding = record.get("embedding")
-                nodes.append((MemoryNode(
-                    id=int(record["id"]),
-                    user_id=user_id,
-                    level=Level(int(record["level"])),
-                    interval=TemporalInterval(parse_ts(record["start"]), parse_ts(record["end"])),
-                    text=record["text"],
-                    embedding=decode_embedding(embedding) if embedding else None,
-                    source_turn_ids=list(record.get("source_turn_ids") or []),
-                ), [int(c) for c in record.get("child_ids") or []]))
-            elif kind == "turn":
-                turns.append(DialogTurn(
-                    turn_id=record["turn_id"],
-                    session_id=record["session_id"],
-                    timestamp=parse_ts(record["timestamp"]),
-                    user_text=record.get("user_text", ""),
-                    assistant_text=record.get("assistant_text", "")))
-            else:
-                logger.warning("unknown record type %r at offset %d", kind, offset)
-        return nodes, turns

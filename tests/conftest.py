@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import struct
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -103,3 +104,18 @@ def ingest_all(engine: MemoryEngine, user_id: str, turns: list[DialogTurn],
     if flush:
         created += engine.flush(user_id)
     return created
+
+
+# a log frame's header: magic, body length, row-bytes length, CRC32
+FRAME_HEADER = struct.Struct("<4sIII")
+
+
+def log_frames(raw: bytes) -> list[bytes]:
+    """A log of frames split into its frames, one per engine call."""
+    frames, at = [], 0
+    while at < len(raw):
+        _, body_size, rows_size, _ = FRAME_HEADER.unpack_from(raw, at)
+        end = at + FRAME_HEADER.size + body_size + rows_size + 1
+        frames.append(raw[at:end])
+        at = end
+    return frames

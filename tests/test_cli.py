@@ -10,6 +10,8 @@ import pytest
 from timem import MemoryEngine, parse_transcript
 from timem.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 
+from conftest import FRAME_HEADER, log_frames
+
 
 @pytest.fixture
 def fixture_dir(tmp_path):
@@ -197,8 +199,8 @@ def test_ingest_resumes_an_existing_log(fixture_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("cut", ["line", "torn-byte"])
 def test_ingest_resumes_a_crashed_ingest(fixture_dir, tmp_path, capsys, cut):
-    """An ingest whose log a crash cut to its first half of lines, or
-    inside the next line, resumes: the same ingest again skips the turns
+    """An ingest whose log a crash cut to its first half of calls, or
+    inside the next call, resumes: the same ingest again skips the turns
     the log holds and ends with the log and tree of an uninterrupted one."""
     transcript = str(fixture_dir / "transcript_alice.json")
     whole, resumed = str(tmp_path / "whole"), str(tmp_path / "resumed")
@@ -206,13 +208,43 @@ def test_ingest_resumes_a_crashed_ingest(fixture_dir, tmp_path, capsys, cut):
         assert main(["ingest", "--data-dir", data_dir, transcript]) == EXIT_OK
     log = tmp_path / "resumed" / "alice" / "log.jsonl"
     complete = log.read_bytes()
-    lines = complete.splitlines(keepends=True)
-    half = len(lines) // 2
-    log.write_bytes(b"".join(lines[:half]) + (lines[half][:40] if cut == "torn-byte" else b""))
+    frames = log_frames(complete)
+    half = len(frames) // 2
+    log.write_bytes(b"".join(frames[:half]) + (frames[half][:40] if cut == "torn-byte" else b""))
     assert main(["ingest", "--data-dir", resumed, transcript]) == EXIT_OK
     assert main(["validate", "--data-dir", resumed]) == EXIT_OK
     assert log.read_bytes() == complete
     assert stored_rows(resumed) == stored_rows(whole)
+
+
+@pytest.mark.parametrize("damage", ["torn-line", "changed-embedding-byte"])
+def test_validate_reports_a_replay_that_stopped_early(fixture_dir, tmp_path, capsys, damage):
+    """A log whose replay stops before its end, at a torn tail or at a
+    changed byte inside a logged embedding, fails validation with the
+    offset and the reason."""
+    data_dir = str(tmp_path / "data")
+    assert main(["ingest", "--data-dir", data_dir,
+                 str(fixture_dir / "transcript_alice.json")]) == EXIT_OK
+    log = tmp_path / "data" / "alice" / "log.jsonl"
+    raw = bytearray(log.read_bytes())
+    if damage == "torn-line":
+        offset, reason = len(raw), "no newline"
+        raw += b'[{"record_type": "tu'
+    else:
+        offset, reason = 0, "checksum"
+        for frame in log_frames(bytes(raw)):
+            _, body_size, rows_size, _ = FRAME_HEADER.unpack_from(frame)
+            if rows_size:
+                break
+            offset += len(frame)
+        raw[offset + FRAME_HEADER.size + body_size + 1] ^= 0x01  # inside its first float
+    log.write_bytes(bytes(raw))
+    capsys.readouterr()
+
+    assert main(["validate", "--data-dir", data_dir]) == EXIT_DATA
+    first, detail = capsys.readouterr().out.splitlines()
+    assert first.startswith(f"alice: replay stopped at offset {offset} ")
+    assert f"offset {offset}" in detail and reason in detail
 
 
 def test_ingest_requires_data_dir(fixture_dir, monkeypatch, capsys):

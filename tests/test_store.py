@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import base64
 import errno
 import functools
 import json
 import os
 import random
 import stat
+import struct
 import sys
 import tempfile
 import threading
+import tracemalloc
+import zlib
 from pathlib import Path
 
 import pytest
@@ -19,10 +23,11 @@ from timem import Level, LogStore, MemoryEngine, MemoryTree, parse_transcript
 from timem.backends import MockChatBackend, Purpose, RoutingChatBackend
 from timem.bench import generate_fixture
 from timem.errors import BackendFailure, DuplicateId, NonMonotonicTimestamp, SchemaError, StoreIoError
-from timem.store import ReplayResult, decode_embedding, encode_embedding, node_record, turn_record
+from timem.store import ReplayResult, decode_embedding, node_record, turn_record
 from timem.timeutil import parse_ts
 
-from conftest import FlakyChatBackend, ingest_all, make_turns, random_transcript
+from conftest import (FRAME_HEADER, FlakyChatBackend, ingest_all, log_frames, make_turns,
+                      random_transcript)
 
 import numpy as np
 
@@ -170,7 +175,7 @@ def test_the_first_append_after_a_cut_returns_where_it_wrote(tmp_path):
     with LogStore(tmp_path) as store:
         store.load_replay("alice", MemoryTree())
         assert store.persist_append("alice", {**record, "turn_id": "b"}) == accepted
-    assert path.read_bytes()[accepted:].startswith(b'[{"record_type":"turn","turn_id":"b"')
+    assert path.read_bytes()[accepted:] == call_frame({**record, "turn_id": "b"})
 
 
 def test_writer_lock_is_exclusive(tmp_path):
@@ -303,9 +308,24 @@ def test_recall_identical_after_reload(tmp_path):
     assert original.context_token_count == reloaded.context_token_count
 
 
+def frame_records(frame: bytes) -> list[dict]:
+    """A frame's records as an older log held them: each embedding in
+    base64."""
+    _, body_size, rows_size, _ = FRAME_HEADER.unpack_from(frame)
+    rows = np.frombuffer(frame, dtype="<f4", count=rows_size // 4,
+                         offset=FRAME_HEADER.size + body_size)
+    records, taken = json.loads(frame[FRAME_HEADER.size:FRAME_HEADER.size + body_size]), 0
+    for record in records:
+        count = record.get("embedding")
+        if count is not None:
+            record["embedding"] = encode_embedding(rows[taken:taken + count])
+            taken += count
+    return records
+
+
 def log_records(path) -> list[dict]:
-    """Every record of a log, in order, from its one-array-per-call lines."""
-    return [r for line in path.read_bytes().splitlines() for r in json.loads(line)]
+    """Every record of a log of frames, in order, as an older log held it."""
+    return [r for frame in log_frames(path.read_bytes()) for r in frame_records(frame)]
 
 
 def node_rows(engine: MemoryEngine) -> list[tuple]:
@@ -340,14 +360,14 @@ def test_ingestion_continues_after_reload(tmp_path, split):
     assert node_rows(resumed) == node_rows(reference)
 
 
-def _garbage_fifth_last_line(log: bytes) -> bytes:
-    lines = log.splitlines(keepends=True)
-    lines[-5] = b'{"broken": \n'
-    return b"".join(lines)
+def _garbage_fifth_last_call(log: bytes) -> bytes:
+    frames = log_frames(log)
+    frames[-5] = b'{"broken": \n'
+    return b"".join(frames)
 
 
 @pytest.mark.parametrize("damage", [
-    lambda log: log[:-1], lambda log: log[:-40], _garbage_fifth_last_line,
+    lambda log: log[:-1], lambda log: log[:-40], _garbage_fifth_last_call,
 ], ids=["only-the-newline", "into-the-record", "garbage-mid-log"])
 def test_resume_after_torn_tail_keeps_new_records(tmp_path, damage):
     turns = RESUME_TURNS[:100]
@@ -404,7 +424,7 @@ def test_mid_log_corruption_names_offset(tmp_path):
                                             "user_text": "x", "assistant_text": "y"})
     store.close()
     path = tmp_path / "alice" / "log.jsonl"
-    raw = path.read_bytes().splitlines(keepends=True)
+    raw = log_frames(path.read_bytes())
     path.write_bytes(raw[0] + b'{"broken": \n' + raw[1])
 
     replay = LogStore(tmp_path).load_replay("alice", MemoryTree())
@@ -419,14 +439,35 @@ def fixture_turns(tmp_path, count: int) -> list:
     return parse_transcript(write_transcript(tmp_path, transcripts[0])).turns[:count]
 
 
+def encode_embedding(vec: np.ndarray) -> str:
+    """An embedding as older logs held it: base64 of little-endian float32."""
+    return base64.b64encode(np.asarray(vec, dtype="<f4").tobytes()).decode("ascii")
+
+
 def log_line(record: dict) -> bytes:
-    """A line of an older log: one record."""
+    """A line of the oldest logs: one record."""
     return (json.dumps(record) + "\n").encode("utf-8")
 
 
 def call_line(*records: dict) -> bytes:
-    """The log line of one call: its records as one JSON array."""
+    """An older log's line of one call: its records as one JSON array."""
     return (json.dumps(records, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def call_frame(*records: dict) -> bytes:
+    """The frame of one call: its records as one JSON array, each
+    embedding replaced by its float count, then the embeddings' float32
+    rows, under a CRC32 of both lengths, the body and the rows."""
+    body, rows = [], b""
+    for record in records:
+        if record.get("embedding") is not None:
+            vector = np.asarray(record["embedding"], dtype="<f4")
+            rows += vector.tobytes()
+            record = {**record, "embedding": len(vector)}
+        body.append(record)
+    body = json.dumps(body, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    crc = zlib.crc32(struct.pack("<II", len(body), len(rows)) + body + rows)
+    return FRAME_HEADER.pack(b"\xffTM1", len(body), len(rows), crc) + body + rows + b"\n"
 
 
 def test_persist_append_writes_every_record_of_a_call(tmp_path):
@@ -435,8 +476,8 @@ def test_persist_append_writes_every_record_of_a_call(tmp_path):
                for t in "abc")
     with LogStore(tmp_path) as store:
         assert store.persist_append("alice", a, b) == 0
-        assert store.persist_append("alice", c) == len(call_line(a, b))
-    assert (tmp_path / "alice" / "log.jsonl").read_bytes() == call_line(a, b) + call_line(c)
+        assert store.persist_append("alice", c) == len(call_frame(a, b))
+    assert (tmp_path / "alice" / "log.jsonl").read_bytes() == call_frame(a, b) + call_frame(c)
 
 
 def test_nodes_of_a_failed_call_reach_the_log(tmp_path):
@@ -477,12 +518,16 @@ TURN_WITHOUT_SESSION = {"record_type": "turn", "turn_id": "x",
 
 @pytest.mark.parametrize("bad", [{"record_type": "node"}, TURN_WITHOUT_SESSION],
                          ids=["node-without-id", "turn-without-session-id"])
-@pytest.mark.parametrize("alone", [True, False], ids=["one-record-line", "after-a-valid-record"])
-def test_a_line_with_a_record_that_does_not_decode_is_corrupt(tmp_path, bad, alone):
+@pytest.mark.parametrize("form", ["one-record-line", "after-a-valid-record", "in-a-frame"])
+def test_a_line_with_a_record_that_does_not_decode_is_corrupt(tmp_path, bad, form):
+    """An older log's line, or a frame whose checksum holds, with a
+    record that lacks a field it needs."""
     engine, turns = log_of_three_turns(tmp_path)
     log = tmp_path / "data" / "alice" / "log.jsonl"
     good = log.read_bytes()
-    line = log_line(bad) if alone else call_line(turn_record(turns[3]), bad)
+    line = {"one-record-line": log_line(bad),
+            "after-a-valid-record": call_line(turn_record(turns[3]), bad),
+            "in-a-frame": call_frame(turn_record(turns[3]), bad)}[form]
     log.write_bytes(good + line)
 
     resumed = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
@@ -503,7 +548,7 @@ def test_a_line_with_a_record_that_does_not_decode_is_corrupt(tmp_path, bad, alo
 def test_a_record_the_tree_rejects_drops_the_user(tmp_path):
     _, turns = log_of_three_turns(tmp_path)
     log = tmp_path / "data" / "alice" / "log.jsonl"
-    node_1 = json.loads(log.read_bytes().splitlines()[0])[0]
+    node_1 = log_records(log)[0]
     log.write_bytes(log.read_bytes() + log_line(node_1))  # a duplicate of node 1
 
     resumed = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
@@ -624,7 +669,7 @@ def test_one_fsync_per_call_and_the_same_log_bytes(tmp_path, monkeypatch):
         created = engine.ingest_turn("alice", turn)
         assert len(fsyncs) == before + 1
         most_nodes = max(most_nodes, len(created))
-        expected.append(call_line(*map(node_record, created), turn_record(turn)))
+        expected.append(call_frame(*map(node_record, created), turn_record(turn)))
     assert most_nodes > 2  # some calls closed groups
     for has_nodes in (True, False):  # the second flush has nothing to close
         before = len(fsyncs)
@@ -632,7 +677,7 @@ def test_one_fsync_per_call_and_the_same_log_bytes(tmp_path, monkeypatch):
         assert bool(created) == has_nodes
         assert len(fsyncs) == before + has_nodes
         if created:
-            expected.append(call_line(*map(node_record, created)))
+            expected.append(call_frame(*map(node_record, created)))
     engine.store.close()
     log = (tmp_path / "data" / "alice" / "log.jsonl").read_bytes()
     assert log == b"".join(expected)
@@ -644,12 +689,12 @@ def test_every_line_prefix_replays_and_resumes(tmp_path):
     for turn in turns:
         engine.ingest_turn("alice", turn)
     engine.store.close()
-    lines = (tmp_path / "full" / "alice" / "log.jsonl").read_bytes().splitlines(keepends=True)
+    frames = log_frames((tmp_path / "full" / "alice" / "log.jsonl").read_bytes())
 
-    for cut in range(len(lines) + 1):  # a crash after any complete record
+    for cut in range(len(frames) + 1):  # a crash after any complete call
         data = tmp_path / f"cut{cut}"
         (data / "alice").mkdir(parents=True)
-        (data / "alice" / "log.jsonl").write_bytes(b"".join(lines[:cut]))
+        (data / "alice" / "log.jsonl").write_bytes(b"".join(frames[:cut]))
         resumed = MemoryEngine.with_mock_backends(data_dir=data)
         replay = resumed.load_user("alice")
         assert replay.corrupt is None
@@ -750,6 +795,97 @@ def test_a_log_cut_at_any_byte_resumes_to_the_uninterrupted_tree(data):
             assert reloaded.load_user("alice").corrupt is None
         assert reloaded.validate("alice").ok
         assert node_rows(reloaded) == rows
+
+
+def replayed(raw: bytes) -> tuple[ReplayResult, list[tuple], list[tuple]]:
+    """Replay a log's bytes with a new store: the replay, each node's
+    row with its embedding's bytes, and each replayed turn."""
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "alice").mkdir()
+        (Path(tmp) / "alice" / "log.jsonl").write_bytes(raw)
+        tree = MemoryTree()
+        replay = LogStore(tmp).load_replay("alice", tree)
+    nodes = [(n.id, int(n.level), n.text, n.interval, n.parent_id, tuple(n.child_ids),
+              tuple(n.source_turn_ids), None if n.embedding is None else n.embedding.tobytes())
+             for n in tree.all_nodes("alice")]
+    turns = [(t.turn_id, t.session_id, t.timestamp, t.user_text, t.assistant_text)
+             for t in replay.turns]
+    return replay, nodes, turns
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_no_changed_byte_of_a_log_ever_loads(data):
+    """One byte changed anywhere in a flushed log: replay stops inside
+    the call that holds it, or before, and loads exactly the calls that
+    end before it."""
+    raw, ends, _ = lost_turn_log()
+    at = data.draw(st.integers(0, len(raw) - 1), label="at")
+    value = data.draw(st.integers(0, 255).filter(lambda v: v != raw[at]), label="value")
+    changed = bytearray(raw)
+    changed[at] = value
+    start = max([0] + [end for end in ends if end <= at])  # the changed call's bounds
+    end = min(end for end in [*ends, len(raw)] if end > at)
+    replay, nodes, turns = replayed(bytes(changed))
+    assert replay.corrupt is not None and start <= replay.corrupt.offset < end
+    _, before_nodes, before_turns = replayed(raw[:start])
+    assert nodes == before_nodes
+    assert turns == before_turns
+
+
+def test_frames_appended_to_an_older_log_replay_as_an_all_frames_log(tmp_path):
+    """An older log, with one-record and array lines and base64
+    embeddings, replays; the store appends frames after it and cuts
+    nothing, and the mixed log replays to the tree of a log of frames."""
+    raw, ends, rows = lost_turn_log()
+    half = len(LOST_TURN_TURNS) // 2
+    older = b"".join(
+        call_line(*records) if i % 2 else b"".join(map(log_line, records))
+        for i, records in enumerate(map(frame_records, log_frames(raw[:ends[half - 1]]))))
+    data = tmp_path / "data"
+    (data / "alice").mkdir(parents=True)
+    log = data / "alice" / "log.jsonl"
+    log.write_bytes(older)
+
+    resumed, replay = resume(data, LOST_TURN_TURNS)
+    assert replay.corrupt is None and len(replay.turns) == half
+    assert node_rows(resumed) == rows
+    assert not list(log.parent.glob("log.corrupt.*"))
+    assert log.read_bytes() == older + raw[ends[half - 1]:]  # the same frames as the all-frames log
+    mixed, frames_only = replayed(log.read_bytes()), replayed(raw)
+    assert mixed[0].corrupt is None and frames_only[0].corrupt is None
+    assert mixed[1:] == frames_only[1:]
+
+
+@pytest.mark.parametrize("lengths", [(0xFFFFFFFF, 0), (0, 0xFFFFFFFF), (0xFFFFFFFF, 0xFFFFFFFF)],
+                         ids=["body", "rows", "both"])
+def test_a_frame_longer_than_the_log_is_torn_and_never_read(tmp_path, lengths):
+    """A header whose lengths run past the end of the file is a torn
+    frame at its offset; replay allocates none of the bytes it names,
+    and the next append cuts it."""
+    _, turns = log_of_three_turns(tmp_path)
+    log = tmp_path / "data" / "alice" / "log.jsonl"
+    good = log.read_bytes()
+    torn = FRAME_HEADER.pack(b"\xffTM1", *lengths, 0) + b"[]\n"
+    log.write_bytes(good + torn)
+
+    tracemalloc.start()
+    try:
+        with LogStore(tmp_path / "data") as store:
+            replay = store.load_replay("alice", MemoryTree())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert replay.corrupt.offset == len(good) and "past the log" in str(replay.corrupt)
+    assert [t.turn_id for t in replay.turns] == [t.turn_id for t in turns[:3]]
+
+    resumed = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
+    resumed.load_user("alice")
+    resumed.ingest_turn("alice", turns[3])  # cuts the torn frame into the sidecar first
+    resumed.store.close()
+    assert (log.parent / f"log.corrupt.{len(good)}").read_bytes() == torn
+    assert log.read_bytes().startswith(good)
 
 
 def test_failed_fsync_resumes_as_after_a_crash(tmp_path, monkeypatch):
