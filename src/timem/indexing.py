@@ -29,7 +29,6 @@ import copy
 import math
 import re
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
@@ -87,7 +86,10 @@ class Postings:
     def add(self, tokens: list[str]) -> None:
         """Post the next row's tokens."""
         row = len(self.length_sums) - 1
-        for term, count in Counter(tokens).items():
+        counts: dict[str, int] = {}  # a plain dict costs less than a Counter of a few tokens
+        for token in tokens:
+            counts[token] = counts.get(token, 0) + 1
+        for term, count in counts.items():
             posting = self.terms.get(term)
             if posting is None:
                 posting = self.terms[term] = ([], [])
@@ -238,7 +240,8 @@ class LeafIndex:
                 np.resize(column, capacity) for column in (self.norms, self.stamps, self.ids))
         row = self.blocks[number][i]
         row[:] = vector
-        self.norms[size] = np.linalg.norm(row.astype(np.float64))
+        wide = row.astype(np.float64)
+        self.norms[size] = math.sqrt(wide.dot(wide))  # np.linalg.norm's float, without its dispatch
         self.stamps[size] = leaf.interval.end.timestamp()
         self.ids[size] = leaf.id
         self.postings.add(tokenize(leaf.text))

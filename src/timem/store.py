@@ -14,15 +14,19 @@ per engine call, the node and turn records the call created:
     last byte     b"\n"
 
 The log is append-only and tombstone-free (nodes are never deleted), so
-replaying it rebuilds the exact tree. Replay reads one frame at a time
-and checks its lengths against the file's size before reading it and
-its checksum before decoding it; a short, torn or changed frame stops
-the replay there. Older logs held one JSON line per call (an array of
-records, or in the oldest one record), with base64 embeddings; a line
-starts with `[` or `{`, never 0xFF, so those lines still replay and a
-store appends frames after them. The file keeps its name so that
-existing stores and the tools that list users find it, but it is no
-longer text that `grep` or `jq` can read.
+replaying it rebuilds the exact tree. Replay reads one call at a time,
+its 16-byte header first, and checks a frame's lengths against the
+file's size before reading it and its checksum before decoding it; a
+short, torn or changed frame stops the replay there. Older logs held one
+JSON line per call (an array of records, or in the oldest one record),
+with base64 embeddings; a line starts with `[` or `{`, never 0xFF, so a
+call whose first byte is not 0xFF is such a line, which replay reads
+again from its start up to its newline. Those lines still replay and a
+store appends frames after them. A node's start and end and its turn's
+timestamp are often one string, so replay parses each distinct
+timestamp string once. The file keeps its name so that existing stores
+and the tools that list users find it, but it is no longer text that
+`grep` or `jq` can read.
 
 A store appends to a log only after replaying it, and cuts what replay
 did not accept (a torn or corrupt call and all after it) into a
@@ -210,23 +214,37 @@ def _encode_frame(records) -> bytes:
     return b"".join((_HEADER.pack(FRAME_MAGIC, len(body), len(rows), crc), body, rows, b"\n"))
 
 
-def _read_call(f, user_id: str, offset: int, size: int) -> tuple[list, list[DialogTurn], int]:
+class _Stamps(dict):
+    """Each distinct timestamp string of a replay, parsed once."""
+
+    def __missing__(self, text):
+        moment = self[text] = parse_ts(text)
+        return moment
+
+
+_LEVELS = {int(level): level for level in Level}
+
+
+def _read_call(f, user_id: str, offset: int, size: int,
+               stamps: _Stamps) -> tuple[list, list[DialogTurn], int]:
     """Read the call at `offset` of a log of `size` bytes, open as `f`
     and positioned there: a frame, or an older log's JSON line. Returns
     its node records as (node, child ids) pairs, its turn records and
-    the offset where it ends. A torn or corrupt call raises `ValueError`
-    (`KeyError` or `TypeError` for a record that lacks a field)."""
-    if f.peek(1)[:1] != FRAME_MAGIC[:1]:
+    the offset where it ends; `stamps` parses its timestamps. A torn or
+    corrupt call raises `ValueError` (`KeyError` or `TypeError` for a
+    record that lacks a field)."""
+    header = f.read(_HEADER.size)
+    if header[:1] != FRAME_MAGIC[:1]:  # an older log's line, perhaps shorter than a header
+        f.seek(offset)
         line = f.readline()
         if not line.endswith(b"\n"):
             raise ValueError("torn write: the line has no newline")
         if not line.strip():
             return [], [], offset + len(line)
-        nodes, turns = _decode_records(user_id, json.loads(line), offset,
+        nodes, turns = _decode_records(user_id, json.loads(line), offset, stamps,
                                        lambda text: decode_embedding(text) if text else None)
         return nodes, turns, offset + len(line)
 
-    header = f.read(_HEADER.size)
     if len(header) < _HEADER.size:
         raise ValueError("torn write: the frame header is short")
     magic, body_size, rows_size, crc = _HEADER.unpack(header)
@@ -252,13 +270,14 @@ def _read_call(f, user_id: str, offset: int, size: int) -> tuple[list, list[Dial
         taken += count
         return floats[taken - count:taken].copy()  # no node pins the frame
 
-    nodes, turns = _decode_records(user_id, json.loads(body), offset, embedding)
+    nodes, turns = _decode_records(user_id, json.loads(body), offset, stamps, embedding)
     if taken != floats.size:
         raise ValueError(f"{floats.size - taken} floats of the frame's rows belong to no node")
     return nodes, turns, end
 
 
-def _decode_records(user_id: str, records, offset: int, embedding) -> tuple[list, list[DialogTurn]]:
+def _decode_records(user_id: str, records, offset: int, stamps: _Stamps,
+                    embedding) -> tuple[list, list[DialogTurn]]:
     """A call's node records as (node, child ids) pairs, and its turn
     records; `embedding` maps a node record's embedding field to its
     array. A single object is an older log's one-record call."""
@@ -273,8 +292,8 @@ def _decode_records(user_id: str, records, offset: int, embedding) -> tuple[list
             nodes.append((MemoryNode(
                 id=int(record["id"]),
                 user_id=user_id,
-                level=Level(int(record["level"])),
-                interval=TemporalInterval(parse_ts(record["start"]), parse_ts(record["end"])),
+                level=_LEVELS[int(record["level"])],
+                interval=TemporalInterval(stamps[record["start"]], stamps[record["end"]]),
                 text=record["text"],
                 embedding=embedding(record.get("embedding")),
                 source_turn_ids=list(record.get("source_turn_ids") or []),
@@ -283,7 +302,7 @@ def _decode_records(user_id: str, records, offset: int, embedding) -> tuple[list
             turns.append(DialogTurn(
                 turn_id=record["turn_id"],
                 session_id=record["session_id"],
-                timestamp=parse_ts(record["timestamp"]),
+                timestamp=stamps[record["timestamp"]],
                 user_text=record.get("user_text", ""),
                 assistant_text=record.get("assistant_text", "")))
         else:
@@ -397,7 +416,7 @@ class LogStore:
         with open(path, "rb") as f:
             f.seek(offset)
             try:
-                _read_call(f, user_id, offset, os.fstat(f.fileno()).st_size)
+                _read_call(f, user_id, offset, os.fstat(f.fileno()).st_size, _Stamps())
             except (KeyError, ValueError, TypeError):
                 return False
         return True
@@ -462,12 +481,13 @@ class LogStore:
         turns: list[DialogTurn] = []
         segment_turn_ids: list[str] = []
         corrupt: CorruptRecord | None = None
+        stamps = _Stamps()
         offset = 0
         with open(path, "rb") as f:
             size = os.fstat(f.fileno()).st_size
             while offset < size:
                 try:
-                    nodes, call_turns, end = _read_call(f, user_id, offset, size)
+                    nodes, call_turns, end = _read_call(f, user_id, offset, size, stamps)
                 except (KeyError, ValueError, TypeError) as exc:
                     corrupt = CorruptRecord(  # str, not repr: a decode error's repr holds its bytes
                         f"corrupt record at offset {offset} in {path}: {type(exc).__name__}: {exc}",

@@ -9,8 +9,11 @@ def parse_ts(text: str) -> datetime:
     """Parse an ISO-8601 timestamp; naive values are taken as UTC.
 
     The result is in `timezone.utc`, truncated to the second. Python 3.10's
-    `fromisoformat` does not read a "Z" suffix, hence the replace.
+    `fromisoformat` does not read a "Z" suffix, hence the replace. A value
+    that is not a string raises `TypeError`.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"a timestamp is a string, not {type(text).__name__}")
     dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)

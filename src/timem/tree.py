@@ -183,12 +183,17 @@ class MemoryTree:
         return node
 
     def insert_node(self, node: MemoryNode) -> int:
-        self.ensure_user(node.user_id)
-        nodes = self._nodes[node.user_id]
+        nodes = self._nodes.get(node.user_id)
+        if nodes is None:
+            self.ensure_user(node.user_id)
+            nodes = self._nodes[node.user_id]
         if node.id in nodes:
             raise DuplicateId(f"node id {node.id} already used for {node.user_id!r}")
-        if node.embedding is not None:
-            norm = float(np.linalg.norm(node.embedding))
+        vector = node.embedding
+        if vector is not None:
+            # np.linalg.norm of a 1-D vector, without its dispatch: the
+            # same float, float32 for a float32 vector
+            norm = float(np.sqrt(vector.dot(vector)))
             if not abs(norm - 1.0) <= _EMBED_NORM_TOL:  # a NaN norm fails too
                 raise ValueError(f"embedding norm {norm} not within {_EMBED_NORM_TOL} of 1")
         parent = None

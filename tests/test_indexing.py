@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from datetime import timedelta
 
 import numpy as np
@@ -161,6 +162,29 @@ def test_postings_grown_in_catch_ups_equal_one_pass(corpus, steps, keywords, dat
     terms = terms_of(keywords)
     assert (grown.postings.scores(terms, cut).tolist() == whole.scores(terms, cut).tolist()
             == per_document_bm25(corpus[:cut], terms, Bm25Params()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpora, st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_leaf_columns_equal_numpy_norms_and_counter_postings(corpus, dim, seed):
+    """A leaf's norm is the float of `np.linalg.norm` of its float64 row,
+    and its postings those of a `Counter` of its tokens, in its order."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((len(corpus), dim)).astype(np.float32)
+    rows *= rng.choice([1e-30, 1e-3, 1.0, 1e6, 1e30], size=(len(corpus), 1)).astype(np.float32)
+    leaves = [make_leaf(i + 1, " ".join(doc), row, i) for i, (doc, row) in enumerate(zip(corpus, rows))]
+    index = LeafIndex.of(leaves)
+    want = np.array([np.linalg.norm(row.astype(np.float64)) for row in rows])
+    assert index.norms[:len(index)].tobytes() == want.tobytes()
+    terms: dict[str, tuple[list[int], list[int]]] = {}
+    for row, doc in enumerate(corpus):
+        for term, count in Counter(tokenize(" ".join(doc))).items():
+            posting = terms.setdefault(term, ([], []))
+            posting[0].append(row)
+            posting[1].append(count)
+    assert list(index.postings.terms.items()) == list(terms.items())
+    assert index.postings.length_sums == list(itertools.accumulate(
+        (len(tokenize(" ".join(doc))) for doc in corpus), initial=0))
 
 
 # --- cosine -------------------------------------------------------------------

@@ -888,6 +888,99 @@ def test_a_frame_longer_than_the_log_is_torn_and_never_read(tmp_path, lengths):
     assert log.read_bytes().startswith(good)
 
 
+
+@pytest.mark.parametrize("blank", [b"\n", b" \t\n", b"\r\n", b" " * 15 + b"\n", b" " * 40 + b"\n"],
+                         ids=["newline", "tab", "crlf", "fifteen-spaces", "forty-spaces"])
+def test_a_blank_line_between_calls_is_skipped(tmp_path, blank):
+    """A blank or whitespace-only line of an older log, shorter or longer
+    than a frame header, is skipped, and the store appends after it."""
+    engine, turns = log_of_three_turns(tmp_path)
+    log = tmp_path / "data" / "alice" / "log.jsonl"
+    frames = log_frames(log.read_bytes())
+    log.write_bytes(frames[0] + blank + b"".join(frames[1:]))
+
+    resumed = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
+    replay = resumed.load_user("alice")
+    assert replay.corrupt is None
+    assert [t.turn_id for t in replay.turns] == [t.turn_id for t in turns[:3]]
+    assert node_rows(resumed) == node_rows(engine)
+    resumed.ingest_turn("alice", turns[3])
+    resumed.store.close()
+    assert not list(log.parent.glob("log.corrupt.*"))  # nothing was cut
+
+
+@pytest.mark.parametrize("length", range(1, FRAME_HEADER.size))
+@pytest.mark.parametrize("form", ["older-line", "frame"])
+def test_a_call_torn_inside_a_frame_header_stops_the_replay_at_its_offset(tmp_path, form, length):
+    """An older log's line, or a frame, torn after fewer bytes than a
+    frame header holds."""
+    _, turns = log_of_three_turns(tmp_path)
+    log = tmp_path / "data" / "alice" / "log.jsonl"
+    good = log.read_bytes()
+    call = {"older-line": call_line, "frame": call_frame}[form](turn_record(turns[3]))
+    log.write_bytes(good + call[:length])
+
+    with LogStore(tmp_path / "data") as store:
+        replay = store.load_replay("alice", MemoryTree())
+    assert replay.corrupt.offset == len(good) and "torn write" in str(replay.corrupt)
+    assert [t.turn_id for t in replay.turns] == [t.turn_id for t in turns[:3]]
+
+
+def counting_parse_ts(monkeypatch) -> list[str]:
+    """Make replay's `parse_ts` note each string it parses."""
+    parsed = []
+
+    def parse(text):
+        parsed.append(text)
+        return parse_ts(text)
+
+    monkeypatch.setattr("timem.store.parse_ts", parse)
+    return parsed
+
+
+def test_a_one_turn_call_parses_its_timestamp_once(tmp_path, monkeypatch):
+    """Its segment's start and end and its turn's timestamp are one string."""
+    with LogStore(tmp_path) as store:
+        engine = MemoryEngine(store=store)
+        created = engine.ingest_turn("alice", ONE_SESSION[0])
+    assert [n.level for n in created] == [Level.SEGMENT]
+    parsed = counting_parse_ts(monkeypatch)
+    tree = MemoryTree()
+    with LogStore(tmp_path) as store:
+        replay = store.load_replay("alice", tree)
+    assert parsed == ["2023-05-20T09:00:00Z"]
+    assert replay.turns == [ONE_SESSION[0]]
+    assert tree.get("alice", created[0].id).interval == created[0].interval
+
+
+def test_replayed_times_equal_the_live_ones_and_each_string_is_parsed_once(monkeypatch):
+    raw, _, _ = lost_turn_log()
+    parsed = counting_parse_ts(monkeypatch)
+    replay, nodes, turns = replayed(raw)
+    assert replay.corrupt is None and len(parsed) == len(set(parsed))
+    live = MemoryEngine()
+    ingest_all(live, "alice", LOST_TURN_TURNS)
+    assert [row[3] for row in nodes] == [n.interval for n in live.tree.all_nodes("alice")]
+    assert [row[2] for row in turns] == [t.timestamp for t in LOST_TURN_TURNS]
+
+
+@pytest.mark.parametrize("stamp", [5, None, ["2023-05-20T09:00:00Z"]], ids=["int", "null", "list"])
+def test_a_timestamp_that_is_not_a_string_is_a_schema_error_or_a_corrupt_call(tmp_path, stamp):
+    bad = json.loads(json.dumps(BASE))
+    bad["sessions"][0]["turns"][1]["timestamp"] = stamp
+    with pytest.raises(SchemaError, match="timestamp"):
+        parse_transcript(write_transcript(tmp_path, bad))
+
+    engine, turns = log_of_three_turns(tmp_path)
+    log = tmp_path / "data" / "alice" / "log.jsonl"
+    good = log.read_bytes()
+    log.write_bytes(good + call_frame({**turn_record(turns[3]), "timestamp": stamp}))
+    resumed = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
+    replay = resumed.load_user("alice")
+    resumed.store.close()
+    assert replay.corrupt.offset == len(good) and "TypeError" in str(replay.corrupt)
+    assert node_rows(resumed) == node_rows(engine)
+
 def test_failed_fsync_resumes_as_after_a_crash(tmp_path, monkeypatch):
     turns = fixture_turns(tmp_path, 30)
     fsync = os.fsync

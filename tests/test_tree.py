@@ -85,6 +85,40 @@ def test_insert_rejects_nan_embedding():
     assert tree.nodes_at_level("u", Level.SEGMENT) == []
 
 
+
+def embeddings_near_the_norm_bound() -> list[np.ndarray]:
+    """Unit float32 vectors, and their scalings to just inside and just
+    outside the 1e-6 tolerance, a zero vector and ones holding NaN or
+    inf; a few in float64."""
+    rng = np.random.default_rng(19)
+    vectors = []
+    for dim in (1, 3, 8, 256, 1536):
+        for _ in range(8):
+            unit = rng.standard_normal(dim)
+            unit = (unit / np.linalg.norm(unit)).astype(np.float32)
+            for scale in (1.0, 1 + 0.9e-6, 1 - 0.9e-6, 1 + 1.1e-6, 1 - 1.1e-6):
+                vectors.append(unit * np.float32(scale))
+                vectors.append(unit.astype(np.float64) * scale)
+        for value in (0.0, np.nan, np.inf, -np.inf):
+            vector = np.zeros(dim, dtype=np.float32)
+            vector[-1] = value
+            vectors.append(vector)
+    return vectors
+
+
+def test_insert_accepts_exactly_the_embeddings_numpy_norm_accepts():
+    for i, vector in enumerate(embeddings_near_the_norm_bound()):
+        tree = MemoryTree()
+        leaf = node(tree, 1, 1, utc(2023, 5, 1), utc(2023, 5, 1))
+        leaf.embedding = vector
+        norm = float(np.linalg.norm(vector))
+        if abs(norm - 1.0) <= 1e-6:
+            tree.insert_node(leaf)
+        else:
+            with pytest.raises(ValueError, match=f"norm {norm} "):
+                tree.insert_node(leaf)
+            assert tree.all_nodes("u") == [], i
+
 def test_nodes_at_level_empty_and_sorted():
     tree = MemoryTree()
     tree.ensure_user("u")
