@@ -7,7 +7,6 @@ from .backends import (
     MockChatBackend,
     MockEmbedder,
     Purpose,
-    RoutingChatBackend,
     mock_dispatch,
 )
 from .config import EngineConfig
@@ -34,7 +33,6 @@ __all__ = [
     "DialogTurn", "EngineConfig", "HttpChatBackend", "HttpEmbedder", "Level",
     "LevelBudget", "LogStore", "MemoryEngine", "MemoryNode", "MemoryTree",
     "MockChatBackend", "MockEmbedder", "Purpose", "RecallPipeline", "RecallPlan",
-    "RoutingChatBackend",
     "RecallResult", "ScoredLeaf", "TemporalGroup", "TemporalInterval",
     "Transcript", "TreeReport", "bm25_score", "cosine_similarity", "fused_top_k",
     "mock_dispatch", "parse_transcript", "rank_final", "strategy_levels",

@@ -246,23 +246,6 @@ class MockChatBackend:
         return mock_dispatch(req)
 
 
-class RoutingChatBackend:
-    """Dispatches each request to a purpose-specific backend.
-
-    Lets deployments mix providers, e.g. a real model for consolidation
-    with the mock planner and gate (or the reverse) behind one handle.
-    """
-
-    def __init__(self, default: ChatBackend,
-                 overrides: dict[Purpose, ChatBackend] | None = None):
-        self.default = default
-        self.overrides = dict(overrides or {})
-
-    def chat_complete(self, req: ChatRequest) -> str:
-        backend = self.overrides.get(req.purpose, self.default)
-        return backend.chat_complete(req)
-
-
 def _stable_bucket(token: str, dimension: int) -> int:
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") % dimension

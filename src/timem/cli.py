@@ -26,7 +26,7 @@ from .errors import (
     UnknownUser,
 )
 from .recall import Complexity
-from .store import DATA_DIR_ENV, LogStore, parse_transcript
+from .store import DATA_DIR_ENV, LogStore, ReplayResult, parse_transcript
 from .timeutil import format_ts, parse_ts
 
 EXIT_OK = 0
@@ -133,8 +133,15 @@ def _cmd_ingest(args, engine: MemoryEngine) -> int:
     return EXIT_OK
 
 
+def _load_logged_user(engine: MemoryEngine, user_id: str) -> ReplayResult:
+    """Replay a user's log; a user without one is a data error, not an empty tree."""
+    if not engine.store.log_path(user_id).exists():
+        raise UnknownUser(f"no log for user {user_id!r} in {engine.store.root}")
+    return engine.load_user(user_id)
+
+
 def _cmd_recall(args, engine: MemoryEngine) -> int:
-    engine.load_user(args.user)
+    _load_logged_user(engine, args.user)
     result = engine.recall(
         args.user, args.query,
         t_q=parse_ts(args.time) if args.time else None,
@@ -168,7 +175,7 @@ def _cmd_recall(args, engine: MemoryEngine) -> int:
 def _cmd_validate(args, engine: MemoryEngine) -> int:
     bad = 0
     for user in [args.user] if args.user else engine.store.users():
-        replay = engine.load_user(user)
+        replay = _load_logged_user(engine, user)
         report = engine.validate(user)
         counts = {f"L{int(lvl)}": c for lvl, c in report.node_count_per_level.items()}
         problems = [f"{len(report.violations)} violations"] if report.violations else []

@@ -14,10 +14,6 @@ class DuplicateId(TimemError):
     pass
 
 
-class MissingParent(TimemError):
-    pass
-
-
 class LevelEdgeViolation(TimemError):
     """Parent level is not child level + 1."""
 

@@ -83,7 +83,8 @@ def parse_transcript(path: str | Path) -> Transcript:
     Consecutive user and assistant messages form one turn; an unpaired
     trailing user message becomes a turn with empty assistant text, and
     a leading assistant message one with empty user text. Timestamps
-    must be non-decreasing across the whole file.
+    must be non-decreasing across the whole file, and session ids
+    unique in it: a turn's id is its session id and its index there.
     """
     path = Path(path)
     try:
@@ -103,11 +104,15 @@ def parse_transcript(path: str | Path) -> Transcript:
 
     turns: list[DialogTurn] = []
     prev_ts = None
+    first_index: dict[str, int] = {}  # session id -> index of its session
     for s_idx, session in enumerate(sessions):
         _require(isinstance(session, dict), f"{path}: sessions[{s_idx}] must be an object")
         session_id = session.get("session_id")
         _require(isinstance(session_id, str) and session_id,
                  f"{path}: sessions[{s_idx}].session_id must be a non-empty string")
+        first = first_index.setdefault(session_id, s_idx)
+        _require(first == s_idx, f"{path}: sessions[{s_idx}].session_id {session_id!r} "
+                                 f"repeats sessions[{first}]'s; turn ids would collide")
         messages = session.get("turns")
         _require(isinstance(messages, list), f"{path}: sessions[{s_idx}].turns must be a list")
 

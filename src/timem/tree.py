@@ -2,8 +2,10 @@
 
 Nodes live on levels Segment(1) < Session(2) < Day(3) < Week(4) <
 Profile(5). Every parent-child edge must step exactly one level and the
-parent's time interval must cover the child's. Each user owns a fully
-isolated tree; node ids are monotonically increasing per user.
+parent's time interval must cover the child's. Edges are made bottom-up:
+a node is inserted without any, and `adopt` links a parent, consolidated
+once its group closed, to its children. Each user owns a fully isolated
+tree; node ids are monotonically increasing per user.
 
 Besides the nodes by id, a tree keeps two indexes per user:
 
@@ -40,7 +42,6 @@ from .errors import (
     ContainmentViolation,
     DuplicateId,
     LevelEdgeViolation,
-    MissingParent,
     UnknownNode,
 )
 from .indexing import LeafIndex
@@ -115,8 +116,7 @@ class TreeReport:
 
 _EMBED_NORM_TOL = 1e-6
 
-_EDGE_ERRORS = {"missing-parent": MissingParent, "level-edge": LevelEdgeViolation,
-                "temporal-containment": ContainmentViolation}
+_EDGE_ERRORS = {"level-edge": LevelEdgeViolation, "temporal-containment": ContainmentViolation}
 
 
 def _broken_edge(parent: MemoryNode | None, child: MemoryNode) -> Violation | None:
@@ -183,6 +183,9 @@ class MemoryTree:
         return node
 
     def insert_node(self, node: MemoryNode) -> int:
+        """Index a node that has no edge yet; `adopt` links it later."""
+        if node.parent_id is not None or node.child_ids:
+            raise ValueError(f"node {node.id} arrives with edges; link it with adopt")
         nodes = self._nodes.get(node.user_id)
         if nodes is None:
             self.ensure_user(node.user_id)
@@ -196,31 +199,26 @@ class MemoryTree:
             norm = float(np.sqrt(vector.dot(vector)))
             if not abs(norm - 1.0) <= _EMBED_NORM_TOL:  # a NaN norm fails too
                 raise ValueError(f"embedding norm {norm} not within {_EMBED_NORM_TOL} of 1")
-        parent = None
-        if node.parent_id is not None:
-            parent = nodes.get(node.parent_id)
-            if broken := _broken_edge(parent, node):
-                raise _EDGE_ERRORS[broken.rule](broken.detail)
         nodes[node.id] = node
         self._add_to_level(node)
-        if parent is not None and node.id not in parent.child_ids:
-            parent.child_ids.append(node.id)
-            self._sort_children(node.user_id, parent)
         if node.id >= self._next_id[node.user_id]:
             self._next_id[node.user_id] = node.id + 1
         return node.id
 
     def adopt(self, user_id: str, parent_id: int, child_ids: list[int]) -> None:
-        """Link existing nodes under a parent, validating each edge."""
+        """Link existing nodes under a parent, all or nothing: every edge
+        is checked before any is linked."""
         parent = self.get(user_id, parent_id)
-        for cid in child_ids:
-            child = self.get(user_id, cid)
+        children = [self.get(user_id, cid) for cid in child_ids]
+        for child in children:
             if broken := _broken_edge(parent, child):
                 raise _EDGE_ERRORS[broken.rule](broken.detail)
+        for child in children:
             child.parent_id = parent_id
-            if cid not in parent.child_ids:
-                parent.child_ids.append(cid)
-        self._sort_children(user_id, parent)
+            if child.id not in parent.child_ids:
+                parent.child_ids.append(child.id)
+        nodes = self._nodes[user_id]
+        parent.child_ids.sort(key=lambda cid: (nodes[cid].interval.start, cid))
 
     def _add_to_level(self, node: MemoryNode) -> None:
         ordered = self._levels[node.user_id][node.level]
@@ -230,10 +228,6 @@ class MemoryTree:
         insort(ordered, node, key=_end_order)
         if node.level == Level.SEGMENT:
             self._leaves.pop(node.user_id, None)
-
-    def _sort_children(self, user_id: str, parent: MemoryNode) -> None:
-        nodes = self._nodes[user_id]
-        parent.child_ids.sort(key=lambda cid: (nodes[cid].interval.start, cid))
 
     def _ordered(self, user_id: str, level: Level) -> list[MemoryNode]:
         levels = self._levels.get(user_id)

@@ -29,14 +29,16 @@ class RecordingChat:
 
 
 class FlakyChatBackend:
-    """The mock chat backend, failing its first `failures` calls."""
+    """The mock chat backend, failing its first `failures` calls, or its
+    first `failures` calls of one purpose when `purpose` is given."""
 
-    def __init__(self, failures: int = 1):
+    def __init__(self, failures: int = 1, purpose=None):
         self.inner = MockChatBackend()
         self.remaining_failures = failures
+        self.purpose = purpose
 
     def chat_complete(self, req):
-        if self.remaining_failures > 0:
+        if self.remaining_failures > 0 and self.purpose in (None, req.purpose):
             self.remaining_failures -= 1
             raise ProviderError("simulated transient failure")
         return self.inner.chat_complete(req)

@@ -206,29 +206,6 @@ def test_mock_outputs_parse_closed_loop():
     assert data is not None and isinstance(data["relevant_ids"], list)
 
 
-# --- per-purpose routing -------------------------------------------------------------
-
-def test_routing_backend_mixes_providers():
-    from timem.backends import RoutingChatBackend
-
-    class CannedPlanner:
-        def chat_complete(self, req):
-            return '{"complexity": 2, "keywords": ["canned"]}'
-
-    backend = RoutingChatBackend(MockChatBackend(),
-                                 overrides={Purpose.PLAN: CannedPlanner()})
-    plan_reply = backend.chat_complete(ChatRequest(
-        prompt="(prompt)", purpose=Purpose.PLAN,
-        inputs={"question": "Where does Erin work?"}))
-    assert json.loads(plan_reply)["keywords"] == ["canned"]
-    # other purposes still hit the default mock
-    gate_reply = backend.chat_complete(ChatRequest(
-        prompt="(prompt)", purpose=Purpose.GATE,
-        inputs={"question": "Where did Erin go kayaking?", "complexity": 0,
-                "candidates": ["The user went kayaking."]}))
-    assert json.loads(gate_reply) == {"relevant_ids": [1]}
-
-
 # --- prompt directory override --------------------------------------------------------
 
 def test_prompt_dir_override(tmp_path):

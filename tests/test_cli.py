@@ -247,6 +247,20 @@ def test_validate_reports_a_replay_that_stopped_early(fixture_dir, tmp_path, cap
     assert f"offset {offset}" in detail and reason in detail
 
 
+@pytest.mark.parametrize("command", [["recall", "kayaking"], ["validate"]])
+def test_a_user_without_a_log_is_a_data_error(command, fixture_dir, tmp_path, capsys):
+    data_dir = str(tmp_path / "data")
+    assert main(["ingest", "--data-dir", data_dir, str(fixture_dir / "transcript_alice.json")]) \
+        == EXIT_OK
+    capsys.readouterr()
+    assert main([command[0], "--data-dir", data_dir, "--user", "nobody", *command[1:]]) \
+        == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no log for user 'nobody'" in captured.err
+    assert not (tmp_path / "data" / "nobody").exists()
+
+
 def test_ingest_requires_data_dir(fixture_dir, monkeypatch, capsys):
     monkeypatch.delenv("TIMEM_DATA_DIR", raising=False)
     transcripts = sorted(str(p) for p in fixture_dir.glob("transcript_*.json"))
@@ -257,6 +271,19 @@ def test_ingest_bad_transcript_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{", encoding="utf-8")
     assert main(["ingest", "--data-dir", str(tmp_path / "d"), str(bad)]) == EXIT_DATA
+
+
+def test_ingest_of_a_transcript_that_repeats_a_session_id_logs_nothing(tmp_path, capsys):
+    turn = {"speaker": "user", "text": "Hi."}
+    sessions = [{"session_id": sid, "start_timestamp": ts,
+                 "turns": [{**turn, "timestamp": ts}]}
+                for sid, ts in [("s1", "2023-05-20T09:00:00Z"), ("s2", "2023-05-20T10:00:00Z"),
+                                ("s1", "2023-05-20T11:00:00Z")]]
+    path = tmp_path / "repeat.json"
+    path.write_text(json.dumps({"user_id": "alice", "sessions": sessions}), encoding="utf-8")
+    assert main(["ingest", "--data-dir", str(tmp_path / "data"), str(path)]) == EXIT_DATA
+    assert "repeats sessions[0]" in capsys.readouterr().err
+    assert not (tmp_path / "data" / "alice").exists()
 
 
 def test_bench_json_output(fixture_dir, capsys):

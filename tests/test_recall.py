@@ -143,7 +143,9 @@ def build_fanout_tree(n_leaves: int = 25, n_parents: int = 10):
         tree.insert_node(MemoryNode(
             id=1 + i, user_id="u", level=Level.SEGMENT,
             interval=TemporalInterval(ts, ts),
-            text=f"segment {i}", embedding=unit(dim, i), parent_id=100 + p))
+            text=f"segment {i}", embedding=unit(dim, i)))
+    for p in range(n_parents):
+        tree.adopt("u", 100 + p, list(range(1 + p, 1 + n_leaves, n_parents)))
     return tree
 
 

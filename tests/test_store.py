@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timem import Level, LogStore, MemoryEngine, MemoryTree, parse_transcript
-from timem.backends import MockChatBackend, Purpose, RoutingChatBackend
+from timem.backends import Purpose
 from timem.bench import generate_fixture
 from timem.errors import BackendFailure, DuplicateId, NonMonotonicTimestamp, SchemaError, StoreIoError
 from timem.store import ReplayResult, decode_embedding, node_record, turn_record
@@ -94,6 +94,24 @@ def test_parse_schema_errors(tmp_path):
     bad_speaker["sessions"][0]["turns"][0]["speaker"] = "narrator"
     with pytest.raises(SchemaError):
         parse_transcript(write_transcript(tmp_path, bad_speaker, "spk.json"))
+
+
+def transcript_with_sessions(*session_ids: str) -> dict:
+    """A transcript with one turn per session, an hour apart."""
+    return {"user_id": "alice", "sessions": [{
+        "session_id": sid, "start_timestamp": f"2023-05-20T{9 + i:02d}:00:00Z",
+        "turns": [{"speaker": "user", "text": f"Turn {i}.",
+                   "timestamp": f"2023-05-20T{9 + i:02d}:00:00Z"}],
+    } for i, sid in enumerate(session_ids)]}
+
+
+def test_parse_rejects_a_repeated_session_id(tmp_path):
+    path = write_transcript(tmp_path, transcript_with_sessions("s1", "s2", "s1"))
+    with pytest.raises(SchemaError, match=r"sessions\[2\]\.session_id 's1' repeats sessions\[0\]"):
+        parse_transcript(path)
+    ids = [t.turn_id for t in parse_transcript(
+        write_transcript(tmp_path, transcript_with_sessions("s1", "s2", "s3"), "ok.json")).turns]
+    assert ids == ["s1/0", "s2/0", "s3/0"]
 
 
 def test_fixture_matches_schema_file(tmp_path):
@@ -483,9 +501,8 @@ def test_persist_append_writes_every_record_of_a_call(tmp_path):
 def test_nodes_of_a_failed_call_reach_the_log(tmp_path):
     # the first day (L3) consolidation fails when the session (L2) node
     # closed just before it is already in the tree
-    flaky = FlakyChatBackend(failures=1)
-    chat = RoutingChatBackend(MockChatBackend(), {Purpose.CONSOLIDATE_L3: flaky})
-    engine = MemoryEngine(chat=chat, store=LogStore(tmp_path / "data"))
+    flaky = FlakyChatBackend(failures=1, purpose=Purpose.CONSOLIDATE_L3)
+    engine = MemoryEngine(chat=flaky, store=LogStore(tmp_path / "data"))
     for turn in fixture_turns(tmp_path, 60):
         try:
             engine.ingest_turn("alice", turn)

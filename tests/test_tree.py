@@ -10,7 +10,6 @@ from timem.errors import (
     ContainmentViolation,
     DuplicateId,
     LevelEdgeViolation,
-    MissingParent,
     UnknownNode,
 )
 
@@ -23,12 +22,11 @@ def unit_vec(dim: int = 8, index: int = 0) -> np.ndarray:
     return v
 
 
-def node(tree: MemoryTree, node_id: int, level: int, start, end,
-         parent_id=None, user="u") -> MemoryNode:
+def node(tree: MemoryTree, node_id: int, level: int, start, end, user="u") -> MemoryNode:
     return MemoryNode(
         id=node_id, user_id=user, level=Level(level),
         interval=TemporalInterval(start, end),
-        text=f"node {node_id}", embedding=unit_vec(), parent_id=parent_id)
+        text=f"node {node_id}", embedding=unit_vec())
 
 
 def test_interval_rejects_reversed():
@@ -36,26 +34,35 @@ def test_interval_rejects_reversed():
         TemporalInterval(utc(2023, 5, 2), utc(2023, 5, 1))
 
 
+def insert_all(tree: MemoryTree, *nodes: MemoryNode) -> None:
+    for n in nodes:
+        tree.insert_node(n)
+
+
 def test_insert_child_under_parent():
     tree = MemoryTree()
-    tree.insert_node(node(tree, 1, 2, utc(2023, 5, 1, 10), utc(2023, 5, 1, 11)))
-    nid = tree.insert_node(node(tree, 2, 1, utc(2023, 5, 1, 10), utc(2023, 5, 1, 10, 1), parent_id=1))
-    assert nid == 2
+    insert_all(tree, node(tree, 2, 1, utc(2023, 5, 1, 10), utc(2023, 5, 1, 10, 1)),
+               node(tree, 1, 2, utc(2023, 5, 1, 10), utc(2023, 5, 1, 11)))
+    tree.adopt("u", 1, [2])
     assert tree.get("u", 1).child_ids == [2]
+    assert tree.get("u", 2).parent_id == 1
+    assert [n.id for n in tree.ancestors("u", 2, set(Level))] == [1]
 
 
 def test_insert_level_edge_violation():
     tree = MemoryTree()
-    tree.insert_node(node(tree, 1, 3, utc(2023, 5, 1), utc(2023, 5, 2)))
+    insert_all(tree, node(tree, 2, 1, utc(2023, 5, 1, 10), utc(2023, 5, 1, 11)),
+               node(tree, 1, 3, utc(2023, 5, 1), utc(2023, 5, 2)))
     with pytest.raises(LevelEdgeViolation):
-        tree.insert_node(node(tree, 2, 1, utc(2023, 5, 1, 10), utc(2023, 5, 1, 11), parent_id=1))
+        tree.adopt("u", 1, [2])
 
 
 def test_insert_containment_violation():
     tree = MemoryTree()
-    tree.insert_node(node(tree, 1, 2, utc(2023, 5, 1, 10), utc(2023, 5, 1, 11)))
+    insert_all(tree, node(tree, 2, 1, utc(2023, 5, 1, 9), utc(2023, 5, 1, 9, 1)),
+               node(tree, 1, 2, utc(2023, 5, 1, 10), utc(2023, 5, 1, 11)))
     with pytest.raises(ContainmentViolation):
-        tree.insert_node(node(tree, 2, 1, utc(2023, 5, 1, 9), utc(2023, 5, 1, 9, 1), parent_id=1))
+        tree.adopt("u", 1, [2])
 
 
 def test_insert_duplicate_and_missing_parent():
@@ -63,8 +70,41 @@ def test_insert_duplicate_and_missing_parent():
     tree.insert_node(node(tree, 1, 1, utc(2023, 5, 1), utc(2023, 5, 1)))
     with pytest.raises(DuplicateId):
         tree.insert_node(node(tree, 1, 1, utc(2023, 5, 2), utc(2023, 5, 2)))
-    with pytest.raises(MissingParent):
-        tree.insert_node(node(tree, 2, 1, utc(2023, 5, 1), utc(2023, 5, 1), parent_id=99))
+    with pytest.raises(UnknownNode):
+        tree.adopt("u", 99, [1])
+    assert tree.get("u", 1).parent_id is None
+
+
+@pytest.mark.parametrize("edge, value", [("parent_id", 1), ("child_ids", [3])])
+def test_insert_rejects_a_node_that_carries_an_edge(edge, value):
+    tree = MemoryTree()
+    tree.insert_node(node(tree, 1, 2, utc(2023, 5, 1, 10), utc(2023, 5, 1, 11)))
+    child = node(tree, 2, 1, utc(2023, 5, 1, 10), utc(2023, 5, 1, 10, 1))
+    setattr(child, edge, value)
+    with pytest.raises(ValueError, match="adopt"):
+        tree.insert_node(child)
+    assert tree.all_nodes("u") == [tree.get("u", 1)]
+    assert tree.get("u", 1).child_ids == []
+
+
+@pytest.mark.parametrize("error, bad_level, bad_hour", [
+    (LevelEdgeViolation, 2, 10),   # a session under a session
+    (ContainmentViolation, 1, 9),  # a segment before its session
+])
+def test_adopt_is_all_or_nothing(error, bad_level, bad_hour):
+    tree = MemoryTree()
+    bad = utc(2023, 5, 1, bad_hour)
+    insert_all(tree, node(tree, 1, 1, utc(2023, 5, 1, 10), utc(2023, 5, 1, 10)),
+               node(tree, 2, 1, utc(2023, 5, 1, 10, 5), utc(2023, 5, 1, 10, 5)),
+               node(tree, 3, bad_level, bad, bad),
+               node(tree, 4, 2, utc(2023, 5, 1, 10), utc(2023, 5, 1, 11)))
+    tree.adopt("u", 4, [1])
+    with pytest.raises(error):
+        tree.adopt("u", 4, [2, 3])  # the good child comes first
+    assert tree.get("u", 4).child_ids == [1]
+    assert tree.get("u", 2).parent_id is None
+    assert tree.get("u", 3).parent_id is None
+    assert tree.validate_tree("u").ok
 
 
 def test_insert_rejects_non_unit_embedding():
@@ -132,18 +172,21 @@ def test_nodes_at_level_empty_and_sorted():
 
 def test_child_ids_ordered_by_start_then_id():
     tree = MemoryTree()
-    tree.insert_node(node(tree, 10, 2, utc(2023, 5, 1, 8), utc(2023, 5, 1, 12)))
-    tree.insert_node(node(tree, 11, 1, utc(2023, 5, 1, 11), utc(2023, 5, 1, 11), parent_id=10))
-    tree.insert_node(node(tree, 12, 1, utc(2023, 5, 1, 9), utc(2023, 5, 1, 9), parent_id=10))
-    tree.insert_node(node(tree, 13, 1, utc(2023, 5, 1, 9), utc(2023, 5, 1, 9), parent_id=10))
+    insert_all(tree, node(tree, 11, 1, utc(2023, 5, 1, 11), utc(2023, 5, 1, 11)),
+               node(tree, 12, 1, utc(2023, 5, 1, 9), utc(2023, 5, 1, 9)),
+               node(tree, 13, 1, utc(2023, 5, 1, 9), utc(2023, 5, 1, 9)),
+               node(tree, 10, 2, utc(2023, 5, 1, 8), utc(2023, 5, 1, 12)))
+    tree.adopt("u", 10, [13, 11])
+    tree.adopt("u", 10, [12, 11])  # a second call adds only the new child
     assert tree.get("u", 10).child_ids == [12, 13, 11]
 
 
 def test_ancestors_full_chain():
     tree = MemoryTree()
-    for lvl in range(5, 0, -1):
-        tree.insert_node(node(tree, lvl, lvl, utc(2023, 5, 1), utc(2023, 6, 1),
-                              parent_id=lvl + 1 if lvl < 5 else None))
+    for lvl in range(1, 6):
+        tree.insert_node(node(tree, lvl, lvl, utc(2023, 5, 1), utc(2023, 6, 1)))
+        if lvl > 1:
+            tree.adopt("u", lvl, [lvl - 1])
     got = tree.ancestors("u", 1, {Level.SESSION, Level.PROFILE})
     assert [int(n.level) for n in got] == [2, 5]
     assert tree.ancestors("u", 1, set(Level)) == tree.ancestors("u", 1, set(Level))
@@ -152,10 +195,12 @@ def test_ancestors_full_chain():
 
 def test_ancestors_orphan_and_partial():
     tree = MemoryTree()
-    tree.insert_node(node(tree, 3, 3, utc(2023, 5, 1), utc(2023, 5, 2)))
-    tree.insert_node(node(tree, 2, 2, utc(2023, 5, 1, 10), utc(2023, 5, 1, 11), parent_id=3))
-    tree.insert_node(node(tree, 1, 1, utc(2023, 5, 1, 10), utc(2023, 5, 1, 10), parent_id=2))
-    tree.insert_node(node(tree, 9, 1, utc(2023, 5, 2), utc(2023, 5, 2)))
+    insert_all(tree, node(tree, 1, 1, utc(2023, 5, 1, 10), utc(2023, 5, 1, 10)),
+               node(tree, 2, 2, utc(2023, 5, 1, 10), utc(2023, 5, 1, 11)),
+               node(tree, 3, 3, utc(2023, 5, 1), utc(2023, 5, 2)),
+               node(tree, 9, 1, utc(2023, 5, 2), utc(2023, 5, 2)))
+    tree.adopt("u", 2, [1])
+    tree.adopt("u", 3, [2])
     assert tree.ancestors("u", 9, {Level.SESSION, Level.DAY, Level.WEEK, Level.PROFILE}) == []
     got = tree.ancestors("u", 1, {Level.DAY, Level.WEEK})
     assert [n.id for n in got] == [3]
@@ -194,9 +239,10 @@ def test_validate_flags_progressive_consolidation():
 ])
 def test_validate_flags_an_edge_broken_behind_the_trees_back(rule, mutate):
     tree = MemoryTree()
-    tree.insert_node(node(tree, 1, 2, utc(2023, 5, 1, 10), utc(2023, 5, 1, 11)))
-    tree.insert_node(node(tree, 2, 1, utc(2023, 5, 1, 10), utc(2023, 5, 1, 10, 1), parent_id=1))
-    tree.insert_node(node(tree, 3, 1, utc(2023, 5, 1, 10, 30), utc(2023, 5, 1, 10, 31), parent_id=1))
+    insert_all(tree, node(tree, 2, 1, utc(2023, 5, 1, 10), utc(2023, 5, 1, 10, 1)),
+               node(tree, 3, 1, utc(2023, 5, 1, 10, 30), utc(2023, 5, 1, 10, 31)),
+               node(tree, 1, 2, utc(2023, 5, 1, 10), utc(2023, 5, 1, 11)))
+    tree.adopt("u", 1, [2, 3])
     assert tree.validate_tree("u").ok
     mutate(tree.get("u", 3))
     assert [(v.node_id, v.rule) for v in tree.validate_tree("u").violations] == [(3, rule)]
