@@ -41,7 +41,7 @@ class DialogTurn:
 @dataclass
 class TemporalGroup:
     level: Level
-    key: str | int | datetime     # session id | orphan segment's id | start of the calendar period
+    key: str | datetime           # session id | start of the calendar period
     anchor: datetime              # first member's interval start
     base_end: datetime | None = None  # calendar period end; sessions close on id change
     open: bool = True             # False once closed; it stays in the table until its node exists
@@ -56,7 +56,7 @@ _WINDOWS = {Level.DAY: day_window, Level.WEEK: week_window, Level.PROFILE: month
 @dataclass
 class _UserState:
     # level -> group key -> group without a node yet (open, or closed and waiting)
-    open: dict[Level, dict[str | int | datetime, TemporalGroup]] = field(
+    open: dict[Level, dict[str | datetime, TemporalGroup]] = field(
         default_factory=lambda: {lvl: {} for lvl in _GROUP_LEVELS})
     created: list[MemoryNode] = field(default_factory=list)  # inserted, not yet handed out
 
@@ -191,7 +191,7 @@ class Consolidator:
                               TemporalInterval(turn.timestamp, turn.timestamp),
                               source_turn_ids=[turn.turn_id])
 
-    def _join(self, user_id: str, node: MemoryNode, session_id: str | int | None = None) -> None:
+    def _join(self, user_id: str, node: MemoryNode, session_id: str | None = None) -> None:
         """Make `node` a member of its group one level up, opened (anchored
         at the node's start) when the table has none: a segment's session
         `session_id`, a higher node the calendar group of its start."""
@@ -248,17 +248,14 @@ class Consolidator:
         """Rebuild the group table from the replayed tree and turns. The
         log holds whole calls, so each node without a parent rejoins the
         group it was in: a segment its turn's session, a higher node the
-        calendar group of its interval start.
-
-        An older log, one record per line, can hold a segment whose turn
-        record was lost. Such a segment is a session of its own, keyed by
-        its node id, which no session id equals, so the next call closes it.
+        calendar group of its interval start. Replay refuses a segment
+        that cites no logged turn, so every segment here has its session.
         """
         self._state[user_id] = _UserState()
         sessions = {t.turn_id: t.session_id for t in turns}
         for node in self.tree.nodes_at_level(user_id, Level.SEGMENT):
             if node.parent_id is None:
-                self._join(user_id, node, sessions.get(node.source_turn_ids[0], node.id))
+                self._join(user_id, node, sessions[node.source_turn_ids[0]])
         for level in (Level.SESSION, Level.DAY, Level.WEEK):
             for node in self.tree.nodes_at_level(user_id, level):
                 if node.parent_id is None:

@@ -31,9 +31,9 @@ class MemoryEngine:
     user's tree and group table and re-raises: what reached the log is
     unknown until it is read back. The caller then resumes as after a
     crash: `load_user` replays the log, and the turns in its
-    `ReplayResult.logged_turn_ids` reached it and are not ingested again
-    (a segment an older log holds without its turn record counts). A replay
-    that fails on a record the tree rejects drops the user the same way.
+    `ReplayResult.logged_turn_ids` reached it and are not ingested again.
+    A replay that fails on a record the tree rejects drops the user the
+    same way.
 
     Each call holds its user's lock throughout: one user's calls, recalls
     included, run one at a time (an agent's loop for one user is

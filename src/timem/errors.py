@@ -22,6 +22,10 @@ class ContainmentViolation(TimemError):
     """Child interval not covered by parent interval."""
 
 
+class ParentConflict(TimemError):
+    """A child to adopt already has another parent."""
+
+
 class UnknownNode(TimemError):
     pass
 

@@ -17,16 +17,14 @@ The log is append-only and tombstone-free (nodes are never deleted), so
 replaying it rebuilds the exact tree. Replay reads one call at a time,
 its 16-byte header first, and checks a frame's lengths against the
 file's size before reading it and its checksum before decoding it; a
-short, torn or changed frame stops the replay there. Older logs held one
-JSON line per call (an array of records, or in the oldest one record),
-with base64 embeddings; a line starts with `[` or `{`, never 0xFF, so a
-call whose first byte is not 0xFF is such a line, which replay reads
-again from its start up to its newline. Those lines still replay and a
-store appends frames after them. A node's start and end and its turn's
-timestamp are often one string, so replay parses each distinct
-timestamp string once. The file keeps its name so that existing stores
-and the tools that list users find it, but it is no longer text that
-`grep` or `jq` can read.
+short, torn or changed frame stops the replay there. A log that starts
+with `[` or `{` predates frames (it held one JSON line per call) and
+stops at offset 0 with a message that says so. A segment record must
+cite turns whose records the log holds, or replay raises. A node's start
+and end and its turn's timestamp are often one string, so replay parses
+each distinct timestamp string once. The file keeps its name so that
+the tools that list users find it, but it is not text that `grep` or
+`jq` can read.
 
 A store appends to a log only after replaying it, and cuts what replay
 did not accept (a torn or corrupt call and all after it) into a
@@ -39,14 +37,13 @@ time; closing the handle releases the lock.
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import json
 import logging
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -165,14 +162,9 @@ def parse_transcript(path: str | Path) -> Transcript:
 # append-only log
 # ---------------------------------------------------------------------------
 
-FRAME_MAGIC = b"\xffTM1"  # 0xFF never begins an older log's JSON line
+FRAME_MAGIC = b"\xffTM1"
 # magic, body length, row-bytes length, CRC32 of both lengths, the body and the rows
 _HEADER = struct.Struct("<4sIII")
-
-
-def decode_embedding(text: str) -> np.ndarray:
-    """An older log's embedding: base64 of little-endian float32."""
-    return np.frombuffer(base64.b64decode(text), dtype="<f4").copy()
 
 
 def node_record(node: MemoryNode) -> dict:
@@ -232,24 +224,14 @@ _LEVELS = {int(level): level for level in Level}
 
 def _read_call(f, user_id: str, offset: int, size: int,
                stamps: _Stamps) -> tuple[list, list[DialogTurn], int]:
-    """Read the call at `offset` of a log of `size` bytes, open as `f`
-    and positioned there: a frame, or an older log's JSON line. Returns
-    its node records as (node, child ids) pairs, its turn records and
-    the offset where it ends; `stamps` parses its timestamps. A torn or
-    corrupt call raises `ValueError` (`KeyError` or `TypeError` for a
-    record that lacks a field)."""
+    """Read the frame at `offset` of a log of `size` bytes, open as `f`
+    and positioned there. Returns its node records as (node, child ids)
+    pairs, its turn records and the offset where it ends; `stamps` parses
+    its timestamps. A torn or corrupt frame raises `ValueError` (`KeyError`
+    or `TypeError` for a record that lacks a field)."""
     header = f.read(_HEADER.size)
-    if header[:1] != FRAME_MAGIC[:1]:  # an older log's line, perhaps shorter than a header
-        f.seek(offset)
-        line = f.readline()
-        if not line.endswith(b"\n"):
-            raise ValueError("torn write: the line has no newline")
-        if not line.strip():
-            return [], [], offset + len(line)
-        nodes, turns = _decode_records(user_id, json.loads(line), offset, stamps,
-                                       lambda text: decode_embedding(text) if text else None)
-        return nodes, turns, offset + len(line)
-
+    if offset == 0 and header[:1] in (b"[", b"{"):
+        raise ValueError("the log predates frames: it holds JSON lines, which replay does not read")
     if len(header) < _HEADER.size:
         raise ValueError("torn write: the frame header is short")
     magic, body_size, rows_size, crc = _HEADER.unpack(header)
@@ -263,44 +245,35 @@ def _read_call(f, user_id: str, offset: int, size: int,
         raise ValueError("the frame does not end with a newline")
     if zlib.crc32(rows, zlib.crc32(body, zlib.crc32(header[4:12]))) != crc:
         raise ValueError("the frame's checksum does not match")
-    floats = np.frombuffer(rows, dtype="<f4")
-    taken = 0
-
-    def embedding(count):
-        nonlocal taken
-        if count is None:
-            return None
-        if not 0 <= count <= floats.size - taken:
-            raise ValueError(f"an embedding of {count} floats overruns the frame's rows")
-        taken += count
-        return floats[taken - count:taken].copy()  # no node pins the frame
-
-    nodes, turns = _decode_records(user_id, json.loads(body), offset, stamps, embedding)
-    if taken != floats.size:
-        raise ValueError(f"{floats.size - taken} floats of the frame's rows belong to no node")
+    nodes, turns = _decode_records(user_id, json.loads(body), offset, stamps,
+                                   np.frombuffer(rows, dtype="<f4"))
     return nodes, turns, end
 
 
 def _decode_records(user_id: str, records, offset: int, stamps: _Stamps,
-                    embedding) -> tuple[list, list[DialogTurn]]:
-    """A call's node records as (node, child ids) pairs, and its turn
-    records; `embedding` maps a node record's embedding field to its
-    array. A single object is an older log's one-record call."""
-    if isinstance(records, dict):
-        records = [records]
+                    floats: np.ndarray) -> tuple[list, list[DialogTurn]]:
+    """A frame's node records as (node, child ids) pairs, and its turn
+    records; each node record's embedding is its float count, taken from
+    `floats`, the frame's rows, in record order."""
     if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
-        raise ValueError("the call is neither a record nor an array of records")
-    nodes, turns = [], []
+        raise ValueError("the frame's body is not an array of records")
+    nodes, turns, taken = [], [], 0
     for record in records:
         kind = record.get("record_type")
         if kind == "node":
+            count, embedding = record.get("embedding"), None
+            if count is not None:
+                if not 0 <= count <= floats.size - taken:
+                    raise ValueError(f"an embedding of {count} floats overruns the frame's rows")
+                embedding = floats[taken:taken + count].copy()  # no node pins the frame
+                taken += count
             nodes.append((MemoryNode(
                 id=int(record["id"]),
                 user_id=user_id,
                 level=_LEVELS[int(record["level"])],
                 interval=TemporalInterval(stamps[record["start"]], stamps[record["end"]]),
                 text=record["text"],
-                embedding=embedding(record.get("embedding")),
+                embedding=embedding,
                 source_turn_ids=list(record.get("source_turn_ids") or []),
             ), [int(c) for c in record.get("child_ids") or []]))
         elif kind == "turn":
@@ -312,6 +285,8 @@ def _decode_records(user_id: str, records, offset: int, stamps: _Stamps,
                 assistant_text=record.get("assistant_text", "")))
         else:
             logger.warning("unknown record type %r at offset %d", kind, offset)
+    if taken != floats.size:
+        raise ValueError(f"{floats.size - taken} floats of the frame's rows belong to no node")
     return nodes, turns
 
 
@@ -320,14 +295,11 @@ class ReplayResult:
     nodes_loaded: int
     turns: list[DialogTurn]
     corrupt: CorruptRecord | None = None
-    # turns a replayed segment names whose turn record the log lacks (an
-    # older log, one record per line, cut between the two by a crash)
-    orphan_turn_ids: list[str] = field(default_factory=list)
 
     @property
     def logged_turn_ids(self) -> set[str]:
         """The turns the log holds, which a resume must not ingest again."""
-        return {t.turn_id for t in self.turns} | set(self.orphan_turn_ids)
+        return {t.turn_id for t in self.turns}
 
 
 def _fsync_dir(path: Path) -> None:
@@ -469,14 +441,15 @@ class LogStore:
     def load_replay(self, user_id: str, tree: MemoryTree) -> ReplayResult:
         """Replay a user's log into the tree, one call at a time.
 
-        A frame, or an older log's line, is complete only with its final
-        newline, the last byte of each write. All of a call's records are
-        decoded before any is applied, so a torn call, or one that fails
-        its checksum or does not decode, stops the replay at its offset:
-        every call before it is loaded, nothing of it or after it, with a
-        warning. A record the tree rejects raises out of the replay,
-        leaving part of the call applied. This store's next append to the
-        log follows the accepted calls.
+        A frame is complete only with its final newline, the last byte of
+        each write. All of a call's records are decoded before any is
+        applied, so a torn call, or one that fails its checksum or does
+        not decode, stops the replay at its offset: every call before it
+        is loaded, nothing of it or after it, with a warning. A record the
+        tree rejects, or a segment record that cites no turn or a turn
+        whose record the log does not hold by the end of the segment's
+        call, raises out of the replay, leaving part of the call applied.
+        This store's next append to the log follows the accepted calls.
         """
         path = self.log_path(user_id)
         tree.ensure_user(user_id)  # register user even when the log is empty
@@ -484,7 +457,7 @@ class LogStore:
             return ReplayResult(nodes_loaded=0, turns=[])
         nodes_loaded = 0
         turns: list[DialogTurn] = []
-        segment_turn_ids: list[str] = []
+        logged: set[str] = set()
         corrupt: CorruptRecord | None = None
         stamps = _Stamps()
         offset = 0
@@ -499,16 +472,18 @@ class LogStore:
                         offset=offset)
                     logger.warning("%s; ignoring the rest of the log", corrupt)
                     break
+                logged.update(t.turn_id for t in call_turns)
                 for node, child_ids in nodes:
+                    if node.level is Level.SEGMENT and not (
+                            node.source_turn_ids and logged.issuperset(node.source_turn_ids)):
+                        raise CorruptRecord(
+                            f"segment {node.id} at offset {offset} in {path} must cite logged "
+                            f"turns; it cites {node.source_turn_ids}", offset=offset)
                     tree.insert_node(node)
                     if child_ids:
                         tree.adopt(user_id, node.id, child_ids)
-                    if node.level is Level.SEGMENT:
-                        segment_turn_ids += node.source_turn_ids
                 nodes_loaded += len(nodes)
                 turns += call_turns
                 offset = end
         self._records_end[user_id] = offset
-        logged = {t.turn_id for t in turns}
-        return ReplayResult(nodes_loaded=nodes_loaded, turns=turns, corrupt=corrupt,
-                            orphan_turn_ids=[t for t in segment_turn_ids if t not in logged])
+        return ReplayResult(nodes_loaded=nodes_loaded, turns=turns, corrupt=corrupt)

@@ -42,6 +42,7 @@ from .errors import (
     ContainmentViolation,
     DuplicateId,
     LevelEdgeViolation,
+    ParentConflict,
     UnknownNode,
 )
 from .indexing import LeafIndex
@@ -207,10 +208,13 @@ class MemoryTree:
 
     def adopt(self, user_id: str, parent_id: int, child_ids: list[int]) -> None:
         """Link existing nodes under a parent, all or nothing: every edge
-        is checked before any is linked."""
+        is checked before any is linked. A child never changes parent;
+        adopting it under the one it has again changes nothing."""
         parent = self.get(user_id, parent_id)
         children = [self.get(user_id, cid) for cid in child_ids]
         for child in children:
+            if child.parent_id not in (None, parent_id):
+                raise ParentConflict(f"node {child.id} already has parent {child.parent_id}")
             if broken := _broken_edge(parent, child):
                 raise _EDGE_ERRORS[broken.rule](broken.detail)
         for child in children:
@@ -276,14 +280,32 @@ class MemoryTree:
         return ordered[end - 1] if end else None
 
     def validate_tree(self, user_id: str) -> TreeReport:
+        """Check every rule of the user's tree: each edge from both ends,
+        each segment's turns, and the node count per level."""
         nodes = self._nodes.get(user_id, {})
         counts = {level: 0 for level in Level}
         violations: list[Violation] = []
         for node in nodes.values():
             counts[node.level] += 1
-            if node.parent_id is not None and (
-                    broken := _broken_edge(nodes.get(node.parent_id), node)):
-                violations.append(broken)
+            if node.parent_id is not None:
+                parent = nodes.get(node.parent_id)
+                if broken := _broken_edge(parent, node):
+                    violations.append(broken)
+                elif node.id not in parent.child_ids:
+                    violations.append(Violation(node.id, "unlisted-child",
+                                                f"parent {parent.id} does not list it"))
+            listed: set[int] = set()
+            for child_id in node.child_ids:
+                child = nodes.get(child_id)
+                problem = ("is listed twice" if child_id in listed
+                           else "not found" if child is None
+                           else f"names parent {child.parent_id}" if child.parent_id != node.id
+                           else None)
+                listed.add(child_id)
+                if problem:
+                    violations.append(Violation(node.id, "child-list", f"child {child_id} {problem}"))
+            if node.level is Level.SEGMENT and not node.source_turn_ids:
+                violations.append(Violation(node.id, "segment-source", "the segment cites no turn"))
         for level in (Level.SESSION, Level.DAY, Level.WEEK, Level.PROFILE):
             below = counts[Level(level - 1)]
             if below > 0 and counts[level] > below:

@@ -7,8 +7,10 @@ import warnings
 
 import pytest
 
-from timem import MemoryEngine, parse_transcript
+from timem import DialogTurn, Level, MemoryEngine, MemoryNode, TemporalInterval, parse_transcript
 from timem.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from timem.store import _encode_frame, node_record, turn_record
+from timem.timeutil import parse_ts
 
 from conftest import FRAME_HEADER, log_frames
 
@@ -227,9 +229,9 @@ def test_validate_reports_a_replay_that_stopped_early(fixture_dir, tmp_path, cap
                  str(fixture_dir / "transcript_alice.json")]) == EXIT_OK
     log = tmp_path / "data" / "alice" / "log.jsonl"
     raw = bytearray(log.read_bytes())
-    if damage == "torn-line":
-        offset, reason = len(raw), "no newline"
-        raw += b'[{"record_type": "tu'
+    if damage == "torn-line":  # the first 20 bytes of a frame: its header and a little more
+        offset, reason = len(raw), "torn write"
+        raw += log_frames(bytes(raw))[-1][:20]
     else:
         offset, reason = 0, "checksum"
         for frame in log_frames(bytes(raw)):
@@ -245,6 +247,31 @@ def test_validate_reports_a_replay_that_stopped_early(fixture_dir, tmp_path, cap
     first, detail = capsys.readouterr().out.splitlines()
     assert first.startswith(f"alice: replay stopped at offset {offset} ")
     assert f"offset {offset}" in detail and reason in detail
+
+
+@pytest.mark.parametrize("case", ["json-lines", "segment-without-turns", "segment-of-an-unlogged-turn"])
+def test_validate_refuses_a_log_it_cannot_replay_without_a_traceback(case, tmp_path, capsys):
+    """A log written before frames stops at offset 0; a frame whose CRC
+    holds but whose open session's segment cites no turn, or a turn the
+    log does not hold, drops the user. Either way validate exits 2."""
+    turn = DialogTurn("s1/0", "s1", parse_ts("2023-05-20T09:00:00Z"), "I went kayaking.", "Fun!")
+    cited = {"segment-without-turns": [], "segment-of-an-unlogged-turn": ["s1/9"]}.get(case)
+    segment = MemoryNode(id=1, user_id="alice", level=Level.SEGMENT,
+                         interval=TemporalInterval(turn.timestamp, turn.timestamp),
+                         text="Alice went kayaking.", source_turn_ids=cited)
+    log = tmp_path / "data" / "alice" / "log.jsonl"
+    log.parent.mkdir(parents=True)
+    log.write_bytes(json.dumps(turn_record(turn)).encode() + b"\n" if case == "json-lines"
+                    else _encode_frame([node_record(segment), turn_record(turn)]))
+
+    assert main(["validate", "--data-dir", str(tmp_path / "data")]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    if case == "json-lines":
+        assert "replay stopped at offset 0" in captured.out and "predates frames" in captured.out
+    else:
+        assert f"segment 1 at offset 0 in {log} must cite logged turns; it cites {cited}" \
+            in captured.err
 
 
 @pytest.mark.parametrize("command", [["recall", "kayaking"], ["validate"]])

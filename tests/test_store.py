@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import base64
 import errno
 import functools
 import json
@@ -23,7 +22,7 @@ from timem import Level, LogStore, MemoryEngine, MemoryTree, parse_transcript
 from timem.backends import Purpose
 from timem.bench import generate_fixture
 from timem.errors import BackendFailure, DuplicateId, NonMonotonicTimestamp, SchemaError, StoreIoError
-from timem.store import ReplayResult, decode_embedding, node_record, turn_record
+from timem.store import ReplayResult, node_record, turn_record
 from timem.timeutil import parse_ts
 
 from conftest import (FRAME_HEADER, FlakyChatBackend, ingest_all, log_frames, make_turns,
@@ -128,10 +127,6 @@ def test_fixture_matches_schema_file(tmp_path):
 
 
 # --- log append/replay -------------------------------------------------------------
-
-def test_embedding_codec_roundtrip():
-    vec = np.array([0.25, -0.5, 0.75, 0.0], dtype=np.float32)
-    assert np.array_equal(decode_embedding(encode_embedding(vec)), vec)
 
 
 def test_persist_append_offsets_increase(tmp_path):
@@ -290,15 +285,6 @@ def test_roundtrip_counts_and_validation(tmp_path):
     ingest_all(engine, "alice", turns)
     engine.store.close()
     before = {lvl: len(engine.tree.nodes_at_level("alice", lvl)) for lvl in Level}
-    # older logs, one record per line, whose node records still have
-    # their "created_at" and "user_id" keys, replay
-    path = tmp_path / "data" / "alice" / "log.jsonl"
-    records = log_records(path)
-    for record in records:
-        if record["record_type"] == "node":
-            record["created_at"] = record["end"]
-            record["user_id"] = "alice"
-    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
 
     fresh = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
     fresh.load_user("alice")
@@ -327,8 +313,8 @@ def test_recall_identical_after_reload(tmp_path):
 
 
 def frame_records(frame: bytes) -> list[dict]:
-    """A frame's records as an older log held them: each embedding in
-    base64."""
+    """A frame's records, each node record's embedding as its float32
+    row, as `call_frame` takes them."""
     _, body_size, rows_size, _ = FRAME_HEADER.unpack_from(frame)
     rows = np.frombuffer(frame, dtype="<f4", count=rows_size // 4,
                          offset=FRAME_HEADER.size + body_size)
@@ -336,13 +322,13 @@ def frame_records(frame: bytes) -> list[dict]:
     for record in records:
         count = record.get("embedding")
         if count is not None:
-            record["embedding"] = encode_embedding(rows[taken:taken + count])
+            record["embedding"] = rows[taken:taken + count]
             taken += count
     return records
 
 
 def log_records(path) -> list[dict]:
-    """Every record of a log of frames, in order, as an older log held it."""
+    """Every record of a log of frames, in order."""
     return [r for frame in log_frames(path.read_bytes()) for r in frame_records(frame)]
 
 
@@ -457,21 +443,6 @@ def fixture_turns(tmp_path, count: int) -> list:
     return parse_transcript(write_transcript(tmp_path, transcripts[0])).turns[:count]
 
 
-def encode_embedding(vec: np.ndarray) -> str:
-    """An embedding as older logs held it: base64 of little-endian float32."""
-    return base64.b64encode(np.asarray(vec, dtype="<f4").tobytes()).decode("ascii")
-
-
-def log_line(record: dict) -> bytes:
-    """A line of the oldest logs: one record."""
-    return (json.dumps(record) + "\n").encode("utf-8")
-
-
-def call_line(*records: dict) -> bytes:
-    """An older log's line of one call: its records as one JSON array."""
-    return (json.dumps(records, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
-
-
 def call_frame(*records: dict) -> bytes:
     """The frame of one call: its records as one JSON array, each
     embedding replaced by its float count, then the embeddings' float32
@@ -535,16 +506,14 @@ TURN_WITHOUT_SESSION = {"record_type": "turn", "turn_id": "x",
 
 @pytest.mark.parametrize("bad", [{"record_type": "node"}, TURN_WITHOUT_SESSION],
                          ids=["node-without-id", "turn-without-session-id"])
-@pytest.mark.parametrize("form", ["one-record-line", "after-a-valid-record", "in-a-frame"])
+@pytest.mark.parametrize("form", ["in-a-frame"])
 def test_a_line_with_a_record_that_does_not_decode_is_corrupt(tmp_path, bad, form):
-    """An older log's line, or a frame whose checksum holds, with a
-    record that lacks a field it needs."""
+    """A frame whose checksum holds, with a valid record and then one
+    that lacks a field it needs."""
     engine, turns = log_of_three_turns(tmp_path)
     log = tmp_path / "data" / "alice" / "log.jsonl"
     good = log.read_bytes()
-    line = {"one-record-line": log_line(bad),
-            "after-a-valid-record": call_line(turn_record(turns[3]), bad),
-            "in-a-frame": call_frame(turn_record(turns[3]), bad)}[form]
+    line = call_frame(turn_record(turns[3]), bad)
     log.write_bytes(good + line)
 
     resumed = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
@@ -566,7 +535,7 @@ def test_a_record_the_tree_rejects_drops_the_user(tmp_path):
     _, turns = log_of_three_turns(tmp_path)
     log = tmp_path / "data" / "alice" / "log.jsonl"
     node_1 = log_records(log)[0]
-    log.write_bytes(log.read_bytes() + log_line(node_1))  # a duplicate of node 1
+    log.write_bytes(log.read_bytes() + call_frame(node_1))  # a duplicate of node 1
 
     resumed = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
     with pytest.raises(DuplicateId):
@@ -609,58 +578,6 @@ def test_turns_before_the_year_1000_load_back(tmp_path):
 # one session of six turns, each a minute apart
 ONE_SESSION = make_turns([("s", f"2023-05-20T09:0{i}:00Z", f"I went kayaking, day {i}.", "Fun!")
                           for i in range(6)])
-
-
-def older_log_losing_a_turn_record(data, lost: int) -> int:
-    """Log the first five turns of ONE_SESSION under `data` as an older
-    log, one record per line, without the turn record of turn `lost`, as
-    a crash between a segment's record and its turn's left it, followed
-    by later appends. Returns the log's size."""
-    engine = MemoryEngine.with_mock_backends(data_dir=data)
-    for turn in ONE_SESSION[:5]:
-        engine.ingest_turn("alice", turn)
-    engine.store.close()
-    log = data / "alice" / "log.jsonl"
-    lost_id = ONE_SESSION[lost].turn_id
-    log.write_bytes(b"".join(log_line(r) for r in log_records(log)
-                             if r.get("turn_id") != lost_id))
-    return log.stat().st_size
-
-
-@pytest.mark.parametrize("lost", [4, 2], ids=["last-turn", "mid-log"])
-def test_a_segment_whose_turn_record_is_lost_becomes_a_session_of_its_own(tmp_path, lost):
-    data = tmp_path / "data"
-    size = older_log_losing_a_turn_record(data, lost)
-    resumed = MemoryEngine.with_mock_backends(data_dir=data)
-    replay = resumed.load_user("alice")
-    assert replay.corrupt is None and replay.nodes_loaded == 5
-    assert [t.turn_id for t in replay.turns] == [
-        t.turn_id for i, t in enumerate(ONE_SESSION[:5]) if i != lost]
-    assert resumed.validate("alice").ok
-    orphan = resumed.tree.nodes_at_level("alice", Level.SEGMENT)[lost]
-    assert orphan.source_turn_ids == [ONE_SESSION[lost].turn_id]
-    assert replay.orphan_turn_ids == orphan.source_turn_ids
-    assert replay.logged_turn_ids == {t.turn_id for t in ONE_SESSION[:5]}
-
-    # resume: ingest every turn the log does not hold, the orphan's session closing first
-    missing = [t for t in ONE_SESSION if t.turn_id not in replay.logged_turn_ids]
-    assert missing == ONE_SESSION[5:]
-    created = resumed.ingest_turn("alice", missing[0])
-    assert [(n.level, n.child_ids) for n in created[:-1]] == [(Level.SESSION, [orphan.id])]
-    resumed.flush("alice")
-    segments = resumed.tree.nodes_at_level("alice", Level.SEGMENT)
-    assert sorted(t for s in segments for t in s.source_turn_ids) == sorted(
-        t.turn_id for t in ONE_SESSION)  # each turn in exactly one segment
-    resumed.store.close()
-    assert resumed.validate("alice").ok
-    log = data / "alice" / "log.jsonl"
-    assert not list(log.parent.glob("log.corrupt.*"))  # nothing was cut
-    assert log.stat().st_size > size
-    reloaded = MemoryEngine.with_mock_backends(data_dir=data)
-    assert reloaded.load_user("alice").corrupt is None
-    reloaded.store.close()
-    assert reloaded.validate("alice").ok
-    assert node_rows(reloaded) == node_rows(resumed)
 
 
 def is_file(fd: int) -> bool:
@@ -850,30 +767,6 @@ def test_no_changed_byte_of_a_log_ever_loads(data):
     assert turns == before_turns
 
 
-def test_frames_appended_to_an_older_log_replay_as_an_all_frames_log(tmp_path):
-    """An older log, with one-record and array lines and base64
-    embeddings, replays; the store appends frames after it and cuts
-    nothing, and the mixed log replays to the tree of a log of frames."""
-    raw, ends, rows = lost_turn_log()
-    half = len(LOST_TURN_TURNS) // 2
-    older = b"".join(
-        call_line(*records) if i % 2 else b"".join(map(log_line, records))
-        for i, records in enumerate(map(frame_records, log_frames(raw[:ends[half - 1]]))))
-    data = tmp_path / "data"
-    (data / "alice").mkdir(parents=True)
-    log = data / "alice" / "log.jsonl"
-    log.write_bytes(older)
-
-    resumed, replay = resume(data, LOST_TURN_TURNS)
-    assert replay.corrupt is None and len(replay.turns) == half
-    assert node_rows(resumed) == rows
-    assert not list(log.parent.glob("log.corrupt.*"))
-    assert log.read_bytes() == older + raw[ends[half - 1]:]  # the same frames as the all-frames log
-    mixed, frames_only = replayed(log.read_bytes()), replayed(raw)
-    assert mixed[0].corrupt is None and frames_only[0].corrupt is None
-    assert mixed[1:] == frames_only[1:]
-
-
 @pytest.mark.parametrize("lengths", [(0xFFFFFFFF, 0), (0, 0xFFFFFFFF), (0xFFFFFFFF, 0xFFFFFFFF)],
                          ids=["body", "rows", "both"])
 def test_a_frame_longer_than_the_log_is_torn_and_never_read(tmp_path, lengths):
@@ -905,36 +798,38 @@ def test_a_frame_longer_than_the_log_is_torn_and_never_read(tmp_path, lengths):
     assert log.read_bytes().startswith(good)
 
 
+@pytest.mark.parametrize("form", ["one-record-lines", "array-line", "shorter-than-a-header"])
+def test_a_log_of_json_lines_predates_frames_and_stops_at_offset_0(tmp_path, form):
+    """A log written before frames, one JSON record or one JSON array of
+    a call's records per line, is refused by name, even when shorter
+    than a frame header; the next append moves it into a sidecar and
+    the user starts afresh."""
+    records = [turn_record(turn) for turn in ONE_SESSION[:3]]
+    raw = {"one-record-lines": b"".join((json.dumps(r) + "\n").encode() for r in records),
+           "array-line": (json.dumps(records) + "\n").encode(),
+           "shorter-than-a-header": b"[]\n"}[form]
+    log = tmp_path / "alice" / "log.jsonl"
+    log.parent.mkdir()
+    log.write_bytes(raw)
 
-@pytest.mark.parametrize("blank", [b"\n", b" \t\n", b"\r\n", b" " * 15 + b"\n", b" " * 40 + b"\n"],
-                         ids=["newline", "tab", "crlf", "fifteen-spaces", "forty-spaces"])
-def test_a_blank_line_between_calls_is_skipped(tmp_path, blank):
-    """A blank or whitespace-only line of an older log, shorter or longer
-    than a frame header, is skipped, and the store appends after it."""
-    engine, turns = log_of_three_turns(tmp_path)
-    log = tmp_path / "data" / "alice" / "log.jsonl"
-    frames = log_frames(log.read_bytes())
-    log.write_bytes(frames[0] + blank + b"".join(frames[1:]))
-
-    resumed = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
-    replay = resumed.load_user("alice")
-    assert replay.corrupt is None
-    assert [t.turn_id for t in replay.turns] == [t.turn_id for t in turns[:3]]
-    assert node_rows(resumed) == node_rows(engine)
-    resumed.ingest_turn("alice", turns[3])
-    resumed.store.close()
-    assert not list(log.parent.glob("log.corrupt.*"))  # nothing was cut
+    engine = MemoryEngine.with_mock_backends(data_dir=tmp_path)
+    replay = engine.load_user("alice")
+    assert replay.corrupt.offset == 0 and "predates frames" in str(replay.corrupt)
+    assert replay.nodes_loaded == 0 and replay.turns == []
+    engine.ingest_turn("alice", ONE_SESSION[0])
+    engine.store.close()
+    assert (log.parent / "log.corrupt.0").read_bytes() == raw
+    assert len(log_frames(log.read_bytes())) == 1
 
 
 @pytest.mark.parametrize("length", range(1, FRAME_HEADER.size))
-@pytest.mark.parametrize("form", ["older-line", "frame"])
+@pytest.mark.parametrize("form", ["frame"])
 def test_a_call_torn_inside_a_frame_header_stops_the_replay_at_its_offset(tmp_path, form, length):
-    """An older log's line, or a frame, torn after fewer bytes than a
-    frame header holds."""
+    """A frame torn after fewer bytes than its header holds."""
     _, turns = log_of_three_turns(tmp_path)
     log = tmp_path / "data" / "alice" / "log.jsonl"
     good = log.read_bytes()
-    call = {"older-line": call_line, "frame": call_frame}[form](turn_record(turns[3]))
+    call = call_frame(turn_record(turns[3]))
     log.write_bytes(good + call[:length])
 
     with LogStore(tmp_path / "data") as store:

@@ -10,6 +10,7 @@ from timem.errors import (
     ContainmentViolation,
     DuplicateId,
     LevelEdgeViolation,
+    ParentConflict,
     UnknownNode,
 )
 
@@ -23,10 +24,12 @@ def unit_vec(dim: int = 8, index: int = 0) -> np.ndarray:
 
 
 def node(tree: MemoryTree, node_id: int, level: int, start, end, user="u") -> MemoryNode:
+    """A node without edges; a segment cites one turn, as ingest's do."""
     return MemoryNode(
         id=node_id, user_id=user, level=Level(level),
         interval=TemporalInterval(start, end),
-        text=f"node {node_id}", embedding=unit_vec())
+        text=f"node {node_id}", embedding=unit_vec(),
+        source_turn_ids=[f"s/{node_id}"] if level == Level.SEGMENT else [])
 
 
 def test_interval_rejects_reversed():
@@ -105,6 +108,23 @@ def test_adopt_is_all_or_nothing(error, bad_level, bad_hour):
     assert tree.get("u", 2).parent_id is None
     assert tree.get("u", 3).parent_id is None
     assert tree.validate_tree("u").ok
+
+
+def test_adopt_refuses_a_child_that_has_another_parent():
+    tree = MemoryTree()
+    insert_all(tree, node(tree, 1, 1, utc(2023, 5, 1, 10), utc(2023, 5, 1, 10)),
+               node(tree, 2, 1, utc(2023, 5, 1, 10, 5), utc(2023, 5, 1, 10, 5)),
+               node(tree, 3, 2, utc(2023, 5, 1, 10), utc(2023, 5, 1, 11)),
+               node(tree, 4, 2, utc(2023, 5, 1, 10), utc(2023, 5, 1, 11)))
+    tree.adopt("u", 3, [1])
+    with pytest.raises(ParentConflict, match="node 1 already has parent 3"):
+        tree.adopt("u", 4, [2, 1])  # the free child comes first
+    assert tree.get("u", 4).child_ids == []
+    assert tree.get("u", 2).parent_id is None
+    assert tree.get("u", 1).parent_id == 3
+    tree.adopt("u", 3, [1, 2])  # the parent it has again: only the free child is new
+    assert tree.get("u", 3).child_ids == [1, 2]
+    assert [(v.node_id, v.rule) for v in tree.validate_tree("u").violations] == []
 
 
 def test_insert_rejects_non_unit_embedding():
@@ -245,7 +265,40 @@ def test_validate_flags_an_edge_broken_behind_the_trees_back(rule, mutate):
     tree.adopt("u", 1, [2, 3])
     assert tree.validate_tree("u").ok
     mutate(tree.get("u", 3))
-    assert [(v.node_id, v.rule) for v in tree.validate_tree("u").violations] == [(3, rule)]
+    # a child that names a missing parent leaves its parent listing it in vain
+    also = [(1, "child-list")] if rule == "missing-parent" else []
+    assert [(v.node_id, v.rule) for v in tree.validate_tree("u").violations] == [(3, rule), *also]
+
+
+def two_sessions() -> MemoryTree:
+    """Segments 2 and 3 under session 1, segment 5 under session 4."""
+    tree = MemoryTree()
+    insert_all(tree, node(tree, 2, 1, utc(2023, 5, 1, 10), utc(2023, 5, 1, 10, 1)),
+               node(tree, 3, 1, utc(2023, 5, 1, 10, 30), utc(2023, 5, 1, 10, 31)),
+               node(tree, 1, 2, utc(2023, 5, 1, 10), utc(2023, 5, 1, 11)),
+               node(tree, 5, 1, utc(2023, 5, 1, 12), utc(2023, 5, 1, 12)),
+               node(tree, 4, 2, utc(2023, 5, 1, 12), utc(2023, 5, 1, 13)))
+    tree.adopt("u", 1, [2, 3])
+    tree.adopt("u", 4, [5])
+    return tree
+
+
+@pytest.mark.parametrize("mutate, violation", [
+    (lambda t: t.get("u", 1).child_ids.append(404), (1, "child-list", "child 404 not found")),
+    (lambda t: t.get("u", 1).child_ids.append(5), (1, "child-list", "child 5 names parent 4")),
+    (lambda t: t.get("u", 1).child_ids.append(2), (1, "child-list", "child 2 is listed twice")),
+    (lambda t: t.get("u", 1).child_ids.remove(3),
+     (3, "unlisted-child", "parent 1 does not list it")),
+    (lambda t: t.get("u", 3).source_turn_ids.clear(),
+     (3, "segment-source", "the segment cites no turn")),
+], ids=["child-not-found", "child-of-another-parent", "child-listed-twice", "unlisted-child",
+        "segment-without-turn"])
+def test_validate_checks_each_edge_from_both_ends_and_each_segments_turns(mutate, violation):
+    tree = two_sessions()
+    assert tree.validate_tree("u").ok
+    mutate(tree)
+    assert [(v.node_id, v.rule, v.detail) for v in tree.validate_tree("u").violations] == [
+        violation]
 
 
 def test_validate_clean_after_random_ingest(engine):
