@@ -107,7 +107,7 @@ class MemoryEngine:
         with self._locks[user_id]:
             self.tree.drop_user(user_id)
             try:
-                result = self.store.load_replay(user_id, self.tree)
+                result = self.store.load_replay(user_id, self.tree, self.config.embedding_dim)
                 self.consolidator.restore_state(user_id, result.turns)
             except Exception:  # a record the tree rejects leaves part of its call applied
                 self.tree.drop_user(user_id)

@@ -23,7 +23,8 @@ class ContainmentViolation(TimemError):
 
 
 class ParentConflict(TimemError):
-    """A child to adopt already has another parent."""
+    """An adopt whose parent already has children, whose child already
+    has a parent, or which names a child twice."""
 
 
 class UnknownNode(TimemError):
@@ -38,7 +39,8 @@ class UnknownUser(TimemError):
 
 
 class NonMonotonicTimestamp(TimemError):
-    """A turn arrived with a timestamp earlier than the last ingested one."""
+    """A turn arrived with a timestamp earlier than the last ingested one,
+    or a node would not sort last on its tree level."""
 
 
 class BackendFailure(TimemError):

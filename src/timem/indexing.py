@@ -250,7 +250,8 @@ class LeafIndex:
 
     def upto(self, t_q: datetime | None) -> LeafIndex:
         """A view of the leaves ending at or before an aware `t_q` (every
-        leaf for None); the leaves must have been added in (end, id) order.
+        leaf for None). It searches the end stamps, so the leaves must be
+        in (end, id) order, as a tree's are: each level is append-only.
         `t_q`'s stamp is the float of `t_q.timestamp()`, and distinct
         microseconds stay distinct floats until the year 2242."""
         view = copy.copy(self)

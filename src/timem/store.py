@@ -8,7 +8,7 @@ per engine call, the node and turn records the call created:
     bytes 8-11    row-bytes length R, u32 little-endian
     bytes 12-15   zlib.crc32 of bytes 4-11, the body and the rows
     next B bytes  body: the records as a UTF-8 JSON array; a node
-                  record's "embedding" is its float count, or null
+                  record's "embedding" is its float count
     next R bytes  rows: the node records' embeddings as little-endian
                   float32, in record order
     last byte     b"\n"
@@ -16,15 +16,26 @@ per engine call, the node and turn records the call created:
 The log is append-only and tombstone-free (nodes are never deleted), so
 replaying it rebuilds the exact tree. Replay reads one call at a time,
 its 16-byte header first, and checks a frame's lengths against the
-file's size before reading it and its checksum before decoding it; a
-short, torn or changed frame stops the replay there. A log that starts
-with `[` or `{` predates frames (it held one JSON line per call) and
-stops at offset 0 with a message that says so. A segment record must
-cite turns whose records the log holds, or replay raises. A node's start
-and end and its turn's timestamp are often one string, so replay parses
-each distinct timestamp string once. The file keeps its name so that
-the tools that list users find it, but it is not text that `grep` or
-`jq` can read.
+file's size before reading it and its checksum before decoding it.
+What replay refuses:
+
+- stops the replay at the call (every call before it loads): a short,
+  torn or changed frame; a log that starts with `[` or `{`, which
+  predates frames (it held one JSON line per call), at offset 0 with a
+  message that says so; a record of an unknown type, or one that lacks
+  a field that `node_record` or `turn_record` writes or holds it with
+  another JSON type (a bool is no id);
+- raises out of the replay: a record the tree refuses (a duplicate id,
+  a node that sorts before its level's last, a broken edge, a child id
+  given twice, a second `adopt` of a parent, a child that has a
+  parent); an embedding whose float count is not the engine's; a
+  segment that cites no turn, or a turn whose record the log does not
+  hold by the end of the segment's call.
+
+A node's start and end and its turn's timestamp are often one string,
+so replay parses each distinct timestamp string once. The file keeps
+its name so that the tools that list users find it, but it is not text
+that `grep` or `jq` can read.
 
 A store appends to a log only after replaying it, and cuts what replay
 did not accept (a torn or corrupt call and all after it) into a
@@ -228,7 +239,8 @@ def _read_call(f, user_id: str, offset: int, size: int,
     and positioned there. Returns its node records as (node, child ids)
     pairs, its turn records and the offset where it ends; `stamps` parses
     its timestamps. A torn or corrupt frame raises `ValueError` (`KeyError`
-    or `TypeError` for a record that lacks a field)."""
+    for a record that lacks a field, `TypeError` for a field of another
+    type)."""
     header = f.read(_HEADER.size)
     if offset == 0 and header[:1] in (b"[", b"{"):
         raise ValueError("the log predates frames: it holds JSON lines, which replay does not read")
@@ -245,46 +257,57 @@ def _read_call(f, user_id: str, offset: int, size: int,
         raise ValueError("the frame does not end with a newline")
     if zlib.crc32(rows, zlib.crc32(body, zlib.crc32(header[4:12]))) != crc:
         raise ValueError("the frame's checksum does not match")
-    nodes, turns = _decode_records(user_id, json.loads(body), offset, stamps,
+    nodes, turns = _decode_records(user_id, json.loads(body), stamps,
                                    np.frombuffer(rows, dtype="<f4"))
     return nodes, turns, end
 
 
-def _decode_records(user_id: str, records, offset: int, stamps: _Stamps,
+def _field(record: dict, key: str, kind: type, item: type | None = None):
+    """`record[key]`, which must be of exactly type `kind`, so a bool is
+    no int, and when `item` is given a list of exactly that type."""
+    value = record[key]
+    if type(value) is not kind or (item and value and not set(map(type, value)) <= {item}):
+        raise TypeError(f"the record's {key!r} is not {kind.__name__}"
+                        + (f" of {item.__name__}" if item else ""))
+    return value
+
+
+def _decode_records(user_id: str, records, stamps: _Stamps,
                     floats: np.ndarray) -> tuple[list, list[DialogTurn]]:
     """A frame's node records as (node, child ids) pairs, and its turn
     records; each node record's embedding is its float count, taken from
-    `floats`, the frame's rows, in record order."""
+    `floats`, the frame's rows, in record order. Every field that
+    `node_record` and `turn_record` write must be there with its type."""
     if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
         raise ValueError("the frame's body is not an array of records")
     nodes, turns, taken = [], [], 0
     for record in records:
         kind = record.get("record_type")
         if kind == "node":
-            count, embedding = record.get("embedding"), None
-            if count is not None:
-                if not 0 <= count <= floats.size - taken:
-                    raise ValueError(f"an embedding of {count} floats overruns the frame's rows")
-                embedding = floats[taken:taken + count].copy()  # no node pins the frame
-                taken += count
+            count = _field(record, "embedding", int)
+            if not 0 <= count <= floats.size - taken:
+                raise ValueError(f"an embedding of {count} floats overruns the frame's rows")
+            embedding = floats[taken:taken + count].copy()  # no node pins the frame
+            taken += count
             nodes.append((MemoryNode(
-                id=int(record["id"]),
+                id=_field(record, "id", int),
                 user_id=user_id,
-                level=_LEVELS[int(record["level"])],
-                interval=TemporalInterval(stamps[record["start"]], stamps[record["end"]]),
-                text=record["text"],
+                level=_LEVELS[_field(record, "level", int)],
+                interval=TemporalInterval(stamps[_field(record, "start", str)],
+                                          stamps[_field(record, "end", str)]),
+                text=_field(record, "text", str),
                 embedding=embedding,
-                source_turn_ids=list(record.get("source_turn_ids") or []),
-            ), [int(c) for c in record.get("child_ids") or []]))
+                source_turn_ids=_field(record, "source_turn_ids", list, str),
+            ), _field(record, "child_ids", list, int)))
         elif kind == "turn":
             turns.append(DialogTurn(
-                turn_id=record["turn_id"],
-                session_id=record["session_id"],
-                timestamp=stamps[record["timestamp"]],
-                user_text=record.get("user_text", ""),
-                assistant_text=record.get("assistant_text", "")))
+                turn_id=_field(record, "turn_id", str),
+                session_id=_field(record, "session_id", str),
+                timestamp=stamps[_field(record, "timestamp", str)],
+                user_text=_field(record, "user_text", str),
+                assistant_text=_field(record, "assistant_text", str)))
         else:
-            logger.warning("unknown record type %r at offset %d", kind, offset)
+            raise ValueError(f"unknown record type {kind!r}")
     if taken != floats.size:
         raise ValueError(f"{floats.size - taken} floats of the frame's rows belong to no node")
     return nodes, turns
@@ -438,7 +461,7 @@ class LogStore:
     def __exit__(self, *exc):
         self.close()
 
-    def load_replay(self, user_id: str, tree: MemoryTree) -> ReplayResult:
+    def load_replay(self, user_id: str, tree: MemoryTree, embedding_dim: int) -> ReplayResult:
         """Replay a user's log into the tree, one call at a time.
 
         A frame is complete only with its final newline, the last byte of
@@ -446,10 +469,10 @@ class LogStore:
         applied, so a torn call, or one that fails its checksum or does
         not decode, stops the replay at its offset: every call before it
         is loaded, nothing of it or after it, with a warning. A record the
-        tree rejects, or a segment record that cites no turn or a turn
-        whose record the log does not hold by the end of the segment's
-        call, raises out of the replay, leaving part of the call applied.
-        This store's next append to the log follows the accepted calls.
+        tree rejects, an embedding of other than `embedding_dim` floats or
+        a segment that cites no logged turn raises out of the replay,
+        leaving part of the call applied. This store's next append to the
+        log follows the accepted calls.
         """
         path = self.log_path(user_id)
         tree.ensure_user(user_id)  # register user even when the log is empty
@@ -474,6 +497,11 @@ class LogStore:
                     break
                 logged.update(t.turn_id for t in call_turns)
                 for node, child_ids in nodes:
+                    if node.embedding.size != embedding_dim:
+                        raise CorruptRecord(
+                            f"node {node.id} of {user_id!r} at offset {offset} in {path} has "
+                            f"{node.embedding.size} embedding floats, not {embedding_dim}",
+                            offset=offset)
                     if node.level is Level.SEGMENT and not (
                             node.source_turn_ids and logged.issuperset(node.source_turn_ids)):
                         raise CorruptRecord(

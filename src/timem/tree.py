@@ -4,15 +4,15 @@ Nodes live on levels Segment(1) < Session(2) < Day(3) < Week(4) <
 Profile(5). Every parent-child edge must step exactly one level and the
 parent's time interval must cover the child's. Edges are made bottom-up:
 a node is inserted without any, and `adopt` links a parent, consolidated
-once its group closed, to its children. Each user owns a fully isolated
-tree; node ids are monotonically increasing per user.
+once its group closed, to all its children at once. Each user owns a
+fully isolated tree; node ids are monotonically increasing per user.
 
 Besides the nodes by id, a tree keeps two indexes per user:
 
-- one list per level in (interval end, id) order. An insert appends
-  when the node sorts last (every insert of the benchmark workloads
-  does) and `bisect.insort`s it otherwise, so listing a level copies a
-  list, and the latest node of a level is its last element.
+- one list per level in (interval end, id) order. Each level is
+  append-only, as consolidation writes forward in time: an insert that
+  would not sort last raises, so listing a level copies a list, and the
+  latest node of a level is its last element.
 - a `LeafIndex` of the segments, the columns recall scores: float32
   embedding rows in fixed-size blocks, and flat arrays of norms, end
   times and ids grown by doubling. Recall screens every row with a
@@ -21,8 +21,7 @@ Besides the nodes by id, a tree keeps two indexes per user:
   `leaf_index` catches up with the segments inserted since its last
   call, so ingest and replay never pay for it. Each segment's
   `embedding` then is a view of its float32 row in one of the index's
-  blocks, not a second copy. A segment inserted before the end of its
-  level's order drops the index, and the next call rebuilds it.
+  blocks, not a second copy.
 
 A user's tree can be dropped (`drop_user`) when it may have diverged
 from its log, after a failed append; a replay rebuilds it.
@@ -30,7 +29,7 @@ from its log, after a failed append; a replay rebuilds it.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import IntEnum
@@ -42,6 +41,7 @@ from .errors import (
     ContainmentViolation,
     DuplicateId,
     LevelEdgeViolation,
+    NonMonotonicTimestamp,
     ParentConflict,
     UnknownNode,
 )
@@ -135,10 +135,6 @@ def _broken_edge(parent: MemoryNode | None, child: MemoryNode) -> Violation | No
     return None
 
 
-def _end_order(node: MemoryNode) -> tuple:
-    return node.interval.end, node.id
-
-
 class MemoryTree:
     """Per-user node store enforcing the structural rules on every edge.
 
@@ -184,7 +180,9 @@ class MemoryTree:
         return node
 
     def insert_node(self, node: MemoryNode) -> int:
-        """Index a node that has no edge yet; `adopt` links it later."""
+        """Index a node that has no edge yet; `adopt` links it later. The
+        node must sort last on its level by (interval end, id), or the
+        insert raises `NonMonotonicTimestamp` and changes nothing."""
         if node.parent_id is not None or node.child_ids:
             raise ValueError(f"node {node.id} arrives with edges; link it with adopt")
         nodes = self._nodes.get(node.user_id)
@@ -200,38 +198,36 @@ class MemoryTree:
             norm = float(np.sqrt(vector.dot(vector)))
             if not abs(norm - 1.0) <= _EMBED_NORM_TOL:  # a NaN norm fails too
                 raise ValueError(f"embedding norm {norm} not within {_EMBED_NORM_TOL} of 1")
+        ordered = self._levels[node.user_id][node.level]
+        if ordered and (node.interval.end, node.id) < (ordered[-1].interval.end, ordered[-1].id):
+            raise NonMonotonicTimestamp(f"node {node.id} sorts before node {ordered[-1].id}, "
+                                        f"the last of level {int(node.level)} by (end, id)")
         nodes[node.id] = node
-        self._add_to_level(node)
+        ordered.append(node)
         if node.id >= self._next_id[node.user_id]:
             self._next_id[node.user_id] = node.id + 1
         return node.id
 
     def adopt(self, user_id: str, parent_id: int, child_ids: list[int]) -> None:
-        """Link existing nodes under a parent, all or nothing: every edge
-        is checked before any is linked. A child never changes parent;
-        adopting it under the one it has again changes nothing."""
+        """Link a parent to all its children, once and all or nothing:
+        every edge is checked before any is linked. A parent that has
+        children, a repeated child id and a child that has a parent raise
+        `ParentConflict`. `child_ids` ends in (interval start, id) order."""
         parent = self.get(user_id, parent_id)
-        children = [self.get(user_id, cid) for cid in child_ids]
+        if parent.child_ids:
+            raise ParentConflict(f"node {parent_id} already has children {parent.child_ids}")
+        if len(set(child_ids)) < len(child_ids):
+            raise ParentConflict(f"node {parent_id} is given a child twice in {child_ids}")
+        children = sorted((self.get(user_id, cid) for cid in child_ids),
+                          key=lambda child: (child.interval.start, child.id))
         for child in children:
-            if child.parent_id not in (None, parent_id):
+            if child.parent_id is not None:
                 raise ParentConflict(f"node {child.id} already has parent {child.parent_id}")
             if broken := _broken_edge(parent, child):
                 raise _EDGE_ERRORS[broken.rule](broken.detail)
         for child in children:
             child.parent_id = parent_id
-            if child.id not in parent.child_ids:
-                parent.child_ids.append(child.id)
-        nodes = self._nodes[user_id]
-        parent.child_ids.sort(key=lambda cid: (nodes[cid].interval.start, cid))
-
-    def _add_to_level(self, node: MemoryNode) -> None:
-        ordered = self._levels[node.user_id][node.level]
-        if not ordered or _end_order(ordered[-1]) < _end_order(node):
-            ordered.append(node)
-            return
-        insort(ordered, node, key=_end_order)
-        if node.level == Level.SEGMENT:
-            self._leaves.pop(node.user_id, None)
+        parent.child_ids = [child.id for child in children]
 
     def _ordered(self, user_id: str, level: Level) -> list[MemoryNode]:
         levels = self._levels.get(user_id)

@@ -5,9 +5,11 @@ import json
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from timem import DialogTurn, Level, MemoryEngine, MemoryNode, TemporalInterval, parse_transcript
+from timem.backends import MockEmbedder
 from timem.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from timem.store import _encode_frame, node_record, turn_record
 from timem.timeutil import parse_ts
@@ -249,29 +251,81 @@ def test_validate_reports_a_replay_that_stopped_early(fixture_dir, tmp_path, cap
     assert f"offset {offset}" in detail and reason in detail
 
 
-@pytest.mark.parametrize("case", ["json-lines", "segment-without-turns", "segment-of-an-unlogged-turn"])
-def test_validate_refuses_a_log_it_cannot_replay_without_a_traceback(case, tmp_path, capsys):
-    """A log written before frames stops at offset 0; a frame whose CRC
-    holds but whose open session's segment cites no turn, or a turn the
-    log does not hold, drops the user. Either way validate exits 2."""
-    turn = DialogTurn("s1/0", "s1", parse_ts("2023-05-20T09:00:00Z"), "I went kayaking.", "Fun!")
-    cited = {"segment-without-turns": [], "segment-of-an-unlogged-turn": ["s1/9"]}.get(case)
-    segment = MemoryNode(id=1, user_id="alice", level=Level.SEGMENT,
-                         interval=TemporalInterval(turn.timestamp, turn.timestamp),
-                         text="Alice went kayaking.", source_turn_ids=cited)
+def crafted_log(case: str) -> bytes:
+    """A one-user log of whole frames whose CRCs hold, which breaks one
+    rule named by `case`: two segments of one session, then their
+    session node."""
+    def segment(node_id, minute, **change):
+        ts = parse_ts(f"2023-05-20T09:{minute:02d}:00Z")
+        turn = DialogTurn(f"s1/{node_id}", "s1", ts, "I went kayaking.", "Fun!")
+        node = MemoryNode(id=node_id, user_id="alice", level=Level.SEGMENT,
+                          interval=TemporalInterval(ts, ts), text="Alice went kayaking.",
+                          embedding=MockEmbedder().embed_text("kayaking"),
+                          source_turn_ids=[turn.turn_id])
+        return [{**node_record(node), **change}, turn_record(turn)]
+
+    if case == "json-lines":  # written before frames
+        turn = DialogTurn("s1/0", "s1", parse_ts("2023-05-20T09:00:00Z"), "Hi.", "")
+        return json.dumps(turn_record(turn)).encode() + b"\n"
+    bad = {"segment-without-turns": {"source_turn_ids": []},
+           "segment-of-an-unlogged-turn": {"source_turn_ids": ["s1/9"]},
+           "text-a-number": {"text": 5}, "null-embedding": {"embedding": None},
+           "three-floats": {"embedding": np.full(3, 3 ** -0.5)}}.get(case, {})
+    session = node_record(MemoryNode(
+        id=3, user_id="alice", level=Level.SESSION, text="Alice kayaked.",
+        interval=TemporalInterval(parse_ts("2023-05-20T09:00:00Z"), parse_ts("2023-05-20T09:05:00Z")),
+        embedding=MockEmbedder().embed_text("kayaked")))
+    session["child_ids"] = [1, 1] if case == "repeated-child" else [1, 2]
+    second_minute = 0 if case == "out-of-order" else 5
+    return b"".join(_encode_frame(records) for records in (
+        segment(1, 3, **bad), segment(2, second_minute), [session]))
+
+
+def test_the_crafted_log_is_sound_when_it_breaks_nothing(tmp_path, capsys):
     log = tmp_path / "data" / "alice" / "log.jsonl"
     log.parent.mkdir(parents=True)
-    log.write_bytes(json.dumps(turn_record(turn)).encode() + b"\n" if case == "json-lines"
-                    else _encode_frame([node_record(segment), turn_record(turn)]))
+    log.write_bytes(crafted_log("sound"))
+    assert main(["validate", "--data-dir", str(tmp_path / "data")]) == EXIT_OK
+    assert main(["recall", "--data-dir", str(tmp_path / "data"), "--user", "alice",
+                 "kayaking"]) == EXIT_OK
+    assert "#1" in capsys.readouterr().out
 
-    assert main(["validate", "--data-dir", str(tmp_path / "data")]) == EXIT_DATA
+
+REFUSALS = {  # case -> what validate or recall prints about it
+    "json-lines": "the log predates frames",
+    "text-a-number": "the record's 'text' is not str",
+    "null-embedding": "the record's 'embedding' is not int",
+    "segment-without-turns": "segment 1 at offset 0 in {log} must cite logged turns; it cites []",
+    "segment-of-an-unlogged-turn":
+        "segment 1 at offset 0 in {log} must cite logged turns; it cites ['s1/9']",
+    "three-floats": "node 1 of 'alice' at offset 0 in {log} has 3 embedding floats, not 1024",
+    "out-of-order": "node 2 sorts before node 1, the last of level 1",
+    "repeated-child": "node 3 is given a child twice in [1, 1]",
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_validate_refuses_a_log_it_cannot_replay_without_a_traceback(case, tmp_path, capsys):
+    """A log written before frames, or a record unlike the engine's (a
+    number for text, a null embedding), stops the replay at offset 0: the
+    tree loads empty. A record that decodes but that replay or the tree
+    refuses drops the user. Either way validate exits 2 and recall
+    answers or exits 2, each without a traceback."""
+    data_dir = str(tmp_path / "data")
+    log = tmp_path / "data" / "alice" / "log.jsonl"
+    log.parent.mkdir(parents=True)
+    log.write_bytes(crafted_log(case))
+
+    assert main(["validate", "--data-dir", data_dir]) == EXIT_DATA
+    stopped = case in ("json-lines", "text-a-number", "null-embedding")
+    assert main(["recall", "--data-dir", data_dir, "--user", "alice", "kayaking"]) == (
+        EXIT_OK if stopped else EXIT_DATA)
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
-    if case == "json-lines":
-        assert "replay stopped at offset 0" in captured.out and "predates frames" in captured.out
-    else:
-        assert f"segment 1 at offset 0 in {log} must cite logged turns; it cites {cited}" \
-            in captured.err
+    assert REFUSALS[case].format(log=log) in (captured.out if stopped else captured.err)
+    if stopped:
+        assert "replay stopped at offset 0" in captured.out
+
 
 
 @pytest.mark.parametrize("command", [["recall", "kayaking"], ["validate"]])

@@ -137,7 +137,7 @@ def build_fanout_tree(n_leaves: int = 25, n_parents: int = 10):
             id=100 + p, user_id="u", level=Level.SESSION,
             interval=TemporalInterval(utc(2023, 5, 1 + p), utc(2023, 5, 1 + p, 23)),
             text=f"session {p}", embedding=unit(dim, p)))
-    for i in range(n_leaves):
+    for i in sorted(range(n_leaves), key=lambda i: (i % n_parents, i)):  # in end order
         p = i % n_parents
         ts = utc(2023, 5, 1 + p, 1 + i // n_parents)
         tree.insert_node(MemoryNode(
@@ -438,10 +438,10 @@ def test_rank_final_level_then_proximity():
 
 def test_rank_final_singleton_and_tie_by_id():
     tree = MemoryTree()
-    only = mem(tree, 1, 1, 5)
-    assert rank_final([only], utc(2023, 5, 6)) == [only]
     before = mem(tree, 2, 1, 4)   # one day before t_q
+    only = mem(tree, 1, 1, 5)
     after = mem(tree, 3, 1, 6)    # one day after t_q
+    assert rank_final([only], utc(2023, 5, 6)) == [only]
     ranked = rank_final([after, before], utc(2023, 5, 5))
     assert [c.node.id for c in ranked] == [2, 3]
 

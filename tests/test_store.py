@@ -12,23 +12,28 @@ import tempfile
 import threading
 import tracemalloc
 import zlib
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timem import Level, LogStore, MemoryEngine, MemoryTree, parse_transcript
-from timem.backends import Purpose
+from timem import (EngineConfig, Level, LogStore, MemoryEngine, MemoryNode, MemoryTree,
+                   TemporalInterval, parse_transcript)
+from timem.backends import MockEmbedder, Purpose
 from timem.bench import generate_fixture
-from timem.errors import BackendFailure, DuplicateId, NonMonotonicTimestamp, SchemaError, StoreIoError
-from timem.store import ReplayResult, node_record, turn_record
-from timem.timeutil import parse_ts
+from timem.errors import (BackendFailure, DuplicateId, NonMonotonicTimestamp, SchemaError,
+                          StoreIoError, TimemError)
+from timem.store import ReplayResult, _encode_frame, node_record, turn_record
+from timem.timeutil import format_ts, parse_ts
 
 from conftest import (FRAME_HEADER, FlakyChatBackend, ingest_all, log_frames, make_turns,
                       random_transcript)
 
 import numpy as np
+
+DIM = EngineConfig().embedding_dim  # the engine's, which replay checks each embedding against
 
 
 def write_transcript(tmp_path, data, name="t.json"):
@@ -146,15 +151,50 @@ def test_append_survives_reopen(tmp_path):
                                    "session_id": "s", "timestamp": "2023-05-20T09:00:00Z",
                                    "user_text": "hello", "assistant_text": "hi"})
     store.close()  # simulated crash boundary: data was fsynced per append
-    replay = LogStore(tmp_path).load_replay("alice", MemoryTree())
+    replay = LogStore(tmp_path).load_replay("alice", MemoryTree(), DIM)
     assert len(replay.turns) == 1 and replay.turns[0].user_text == "hello"
     # the store that wrote the log may reopen it without a replay
     store.persist_append("alice", {"record_type": "turn", "turn_id": "b",
                                    "session_id": "s", "timestamp": "2023-05-20T09:01:00Z",
                                    "user_text": "again", "assistant_text": "hi"})
     store.close()
-    replay = LogStore(tmp_path).load_replay("alice", MemoryTree())
+    replay = LogStore(tmp_path).load_replay("alice", MemoryTree(), DIM)
     assert [t.user_text for t in replay.turns] == ["hello", "again"]
+
+
+_DELETE = object()
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("node", "text", 5), ("node", "id", True), ("node", "id", "1"), ("node", "level", 9),
+    ("node", "start", 0), ("node", "embedding", None), ("node", "child_ids", [True]),
+    ("node", "source_turn_ids", [1]), ("node", "source_turn_ids", "s/0"),
+    ("node", "text", _DELETE), ("turn", "turn_id", 1), ("turn", "session_id", None),
+    ("turn", "timestamp", 0), ("turn", "user_text", 5), ("turn", "assistant_text", _DELETE),
+    ("turn", "record_type", "note"),
+])
+def test_a_record_unlike_the_engines_does_not_decode(tmp_path, kind, key, value):
+    """Every field that node_record and turn_record write must be there
+    with its JSON type (an id is no bool); an unknown record type makes
+    the call corrupt too."""
+    turn = make_turns([("s", "2023-05-20T09:00:00Z", "I went kayaking.", "Fun!")])[0]
+    segment = MemoryNode(id=1, user_id="alice", level=Level.SEGMENT, text="Alice kayaked.",
+                         interval=TemporalInterval(turn.timestamp, turn.timestamp),
+                         embedding=MockEmbedder(DIM).embed_text("kayak"),
+                         source_turn_ids=[turn.turn_id])
+    records = {"node": node_record(segment), "turn": turn_record(turn)}
+    with LogStore(tmp_path) as store:
+        store.persist_append("alice", *records.values())
+    assert len(LogStore(tmp_path).load_replay("alice", MemoryTree(), DIM).turns) == 1
+
+    if value is _DELETE:
+        del records[kind][key]
+    else:
+        records[kind][key] = value
+    (tmp_path / "alice" / "log.jsonl").write_bytes(_encode_frame(records.values()))
+    tree = MemoryTree()
+    replay = LogStore(tmp_path).load_replay("alice", tree, DIM)
+    assert replay.corrupt.offset == 0 and replay.turns == [] and tree.all_nodes("alice") == []
 
 
 def test_append_without_replay_errors(tmp_path):
@@ -169,11 +209,11 @@ def test_append_without_replay_errors(tmp_path):
     with pytest.raises(StoreIoError):
         store.persist_append("alice", record)
     assert path.read_bytes() == before
-    store.load_replay("alice", MemoryTree())  # now the append follows the replayed records
+    store.load_replay("alice", MemoryTree(), DIM)  # now the append follows the replayed records
     store.persist_append("alice", {**record, "turn_id": "b"})
     store.close()
     assert path.read_bytes().startswith(before)
-    assert len(LogStore(tmp_path).load_replay("alice", MemoryTree()).turns) == 2
+    assert len(LogStore(tmp_path).load_replay("alice", MemoryTree(), DIM).turns) == 2
 
 
 def test_the_first_append_after_a_cut_returns_where_it_wrote(tmp_path):
@@ -186,7 +226,7 @@ def test_the_first_append_after_a_cut_returns_where_it_wrote(tmp_path):
     with open(path, "ab") as f:
         f.write(b'[{"record_type": "tu')  # a torn write
     with LogStore(tmp_path) as store:
-        store.load_replay("alice", MemoryTree())
+        store.load_replay("alice", MemoryTree(), DIM)
         assert store.persist_append("alice", {**record, "turn_id": "b"}) == accepted
     assert path.read_bytes()[accepted:] == call_frame({**record, "turn_id": "b"})
 
@@ -215,7 +255,7 @@ def test_the_log_itself_carries_the_writer_lock(tmp_path, monkeypatch, release):
     first, second = LogStore(tmp_path), LogStore(tmp_path)
     first.persist_append("alice", record("a"))
     assert [p.name for p in (tmp_path / "alice").iterdir()] == ["log.jsonl"]
-    second.load_replay("alice", MemoryTree())
+    second.load_replay("alice", MemoryTree(), DIM)
     with pytest.raises(StoreIoError, match="locked by another writer"):
         second.persist_append("alice", record("b"))
 
@@ -229,12 +269,12 @@ def test_the_log_itself_carries_the_writer_lock(tmp_path, monkeypatch, release):
             patch.setattr("timem.store.os.fsync", failing_fsync)
             with pytest.raises(StoreIoError, match="Input/output error"):
                 first.persist_append("alice", record("b"))
-    assert [t.turn_id for t in second.load_replay("alice", MemoryTree()).turns] == (
+    assert [t.turn_id for t in second.load_replay("alice", MemoryTree(), DIM).turns] == (
         ["a"] if release == "close" else ["a", "b"])
     second.persist_append("alice", record("c"))
     second.close()
     assert [p.name for p in (tmp_path / "alice").iterdir()] == ["log.jsonl"]
-    assert len(LogStore(tmp_path).load_replay("alice", MemoryTree()).turns) == (
+    assert len(LogStore(tmp_path).load_replay("alice", MemoryTree(), DIM).turns) == (
         2 if release == "close" else 3)
 
 
@@ -249,13 +289,13 @@ def test_a_call_another_store_appended_is_never_cut(tmp_path, order):
     first, second = LogStore(tmp_path), LogStore(tmp_path)
     first.persist_append("alice", record("a"))
     if order == "replay-between-appends":
-        second.load_replay("alice", MemoryTree())
+        second.load_replay("alice", MemoryTree(), DIM)
         first.persist_append("alice", record("b"))
         first.close()
         stale = second
     else:
         first.close()
-        second.load_replay("alice", MemoryTree())
+        second.load_replay("alice", MemoryTree(), DIM)
         second.persist_append("alice", record("b"))
         second.close()
         stale = first
@@ -264,17 +304,17 @@ def test_a_call_another_store_appended_is_never_cut(tmp_path, order):
     with pytest.raises(StoreIoError, match="replay the log of 'alice' before appending"):
         stale.persist_append("alice", record("c"))
     assert log.read_bytes() == before
-    assert [t.turn_id for t in stale.load_replay("alice", MemoryTree()).turns] == ["a", "b"]
+    assert [t.turn_id for t in stale.load_replay("alice", MemoryTree(), DIM).turns] == ["a", "b"]
     assert stale.persist_append("alice", record("c")) == len(before)
     stale.close()
     assert [p.name for p in (tmp_path / "alice").iterdir()] == ["log.jsonl"]
-    assert [t.turn_id for t in LogStore(tmp_path).load_replay("alice", MemoryTree()).turns] == [
+    assert [t.turn_id for t in LogStore(tmp_path).load_replay("alice", MemoryTree(), DIM).turns] == [
         "a", "b", "c"]
 
 
 def test_empty_log_replays_empty_tree(tmp_path):
     tree = MemoryTree()
-    replay = LogStore(tmp_path).load_replay("ghost", tree)
+    replay = LogStore(tmp_path).load_replay("ghost", tree, DIM)
     assert replay.nodes_loaded == 0 and replay.turns == []
     assert tree.has_user("ghost")
 
@@ -410,7 +450,7 @@ def test_truncated_log_loads_prefix(tmp_path):
     path.write_bytes(raw[:len(raw) - 40])  # cut into the final record
 
     tree = MemoryTree()
-    replay = LogStore(tmp_path / "data").load_replay("alice", tree)
+    replay = LogStore(tmp_path / "data").load_replay("alice", tree, DIM)
     assert replay.corrupt is not None
     assert replay.corrupt.offset > 0
     assert replay.nodes_loaded > 0
@@ -431,7 +471,7 @@ def test_mid_log_corruption_names_offset(tmp_path):
     raw = log_frames(path.read_bytes())
     path.write_bytes(raw[0] + b'{"broken": \n' + raw[1])
 
-    replay = LogStore(tmp_path).load_replay("alice", MemoryTree())
+    replay = LogStore(tmp_path).load_replay("alice", MemoryTree(), DIM)
     assert replay.corrupt is not None
     assert replay.corrupt.offset == offset  # the corrupt line took b's place
     assert len(replay.turns) == 1  # record after the corruption is ignored
@@ -738,7 +778,7 @@ def replayed(raw: bytes) -> tuple[ReplayResult, list[tuple], list[tuple]]:
         (Path(tmp) / "alice").mkdir()
         (Path(tmp) / "alice" / "log.jsonl").write_bytes(raw)
         tree = MemoryTree()
-        replay = LogStore(tmp).load_replay("alice", tree)
+        replay = LogStore(tmp).load_replay("alice", tree, DIM)
     nodes = [(n.id, int(n.level), n.text, n.interval, n.parent_id, tuple(n.child_ids),
               tuple(n.source_turn_ids), None if n.embedding is None else n.embedding.tobytes())
              for n in tree.all_nodes("alice")]
@@ -767,6 +807,123 @@ def test_no_changed_byte_of_a_log_ever_loads(data):
     assert turns == before_turns
 
 
+FUZZ_CONFIG = EngineConfig(embedding_dim=16)
+
+
+@functools.cache
+def fuzz_log_calls() -> tuple[tuple[str, ...], ...]:
+    """A small flushed log of all five levels, as each frame's records in
+    JSON, with each node's embedding back in its record as a list."""
+    with tempfile.TemporaryDirectory() as tmp, LogStore(tmp) as store:
+        engine = MemoryEngine(config=FUZZ_CONFIG, store=store)
+        ingest_all(engine, "alice", random_transcript(random.Random(5), "alice", n_sessions=4))
+        assert all(engine.tree.nodes_at_level("alice", level) for level in Level)
+        raw = store.log_path("alice").read_bytes()
+    calls = []
+    for frame in log_frames(raw):
+        _, body_size, rows_size, _ = FRAME_HEADER.unpack_from(frame)
+        rows = np.frombuffer(frame[FRAME_HEADER.size + body_size:][:rows_size], dtype="<f4")
+        records, taken = json.loads(frame[FRAME_HEADER.size:][:body_size]), 0
+        for record in records:
+            if record["record_type"] == "node":
+                count = record["embedding"]
+                record["embedding"] = rows[taken:taken + count].tolist()
+                taken += count
+        assert _encode_frame(records) == frame  # the decoding loses nothing
+        calls.append(tuple(json.dumps(record) for record in records))
+    return tuple(calls)
+
+
+_STRING_FIELDS = {"node": ["start", "end", "text"],
+                  "turn": ["turn_id", "session_id", "timestamp", "user_text", "assistant_text"]}
+
+
+def _shifted(stamp: str, seconds: int) -> str:
+    return format_ts(parse_ts(stamp) + timedelta(seconds=seconds))
+
+
+def change_a_record(data, calls: list[list[dict]]) -> None:
+    """One structured change to the records of a log's calls."""
+    records = [r for call in calls for r in call]
+    nodes = [r for r in records if r["record_type"] == "node"]
+    pick = lambda rs, label: rs[data.draw(st.integers(0, len(rs) - 1), label=label)]  # noqa: E731
+    change = data.draw(st.sampled_from([
+        "move-child", "repeat-child", "drop-child", "repeat-id", "swap-levels", "shift",
+        "shift-before-last", "empty-sources", "repeat-source", "drop-turn", "number-for-string",
+    ]), label="change")
+    parents = [r for r in nodes if r["child_ids"]]
+    if change in ("move-child", "repeat-child", "drop-child"):
+        parent = pick(parents, "parent")
+        child = pick(parent["child_ids"], "child")
+        if change == "move-child":
+            parent["child_ids"].remove(child)
+            other = pick([r for r in parents if r is not parent], "to")
+            other["child_ids"].insert(data.draw(st.integers(0, len(other["child_ids"]))), child)
+        elif change == "repeat-child":
+            parent["child_ids"].append(child)
+        else:
+            parent["child_ids"].remove(child)
+    elif change == "repeat-id":
+        pick(nodes, "node")["id"] = pick(nodes, "as")["id"]
+    elif change == "swap-levels":
+        first, second = pick(nodes, "first"), pick(nodes, "second")
+        first["level"], second["level"] = second["level"], first["level"]
+    elif change == "shift":
+        node = pick(nodes, "node")
+        seconds = data.draw(st.integers(-3 * 86400, 3 * 86400), label="seconds")
+        for key in data.draw(st.sampled_from([["start"], ["end"], ["start", "end"]]), label="ends"):
+            node[key] = _shifted(node[key], seconds)
+    elif change == "shift-before-last":  # to end before the node its level lists last so far
+        node = pick([r for r in nodes if any(
+            o["level"] == r["level"] for o in nodes[:nodes.index(r)])], "node")
+        last = [o for o in nodes[:nodes.index(node)] if o["level"] == node["level"]][-1]
+        node["end"] = _shifted(last["end"], -data.draw(st.integers(1, 3600), label="seconds"))
+        node["start"] = min(node["start"], node["end"], key=parse_ts)
+    elif change in ("empty-sources", "repeat-source"):
+        segment = pick([r for r in nodes if r["source_turn_ids"]], "segment")
+        segment["source_turn_ids"] = [] if change == "empty-sources" else (
+            segment["source_turn_ids"] * 2)
+    elif change == "drop-turn":
+        call = pick([c for c in calls if any(r["record_type"] == "turn" for r in c)], "call")
+        call.remove(next(r for r in call if r["record_type"] == "turn"))
+    else:
+        record = pick(records, "record")
+        key = pick(_STRING_FIELDS[record["record_type"]]
+                   + (["source_turn_ids"] if record.get("source_turn_ids") else []), "field")
+        number = data.draw(st.integers(-5, 5), label="number")
+        record[key] = [number] if key == "source_turn_ids" else number
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_a_changed_record_is_refused_or_yields_a_sound_tree(data):
+    """A record changed behind its CRC (each frame re-encoded, so every
+    checksum holds): a child id moved, repeated or dropped; a node id
+    repeated; two levels swapped; an interval shifted, also to before its
+    level's last node; a segment's turns emptied or repeated; a turn
+    record dropped; a number for a string. Loading the log either raises
+    a TimemError or yields a tree whose rules and edges all hold, and
+    which a recall can read."""
+    calls = [[json.loads(record) for record in call] for call in fuzz_log_calls()]
+    change_a_record(data, calls)
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "alice").mkdir()
+        (Path(tmp) / "alice" / "log.jsonl").write_bytes(b"".join(map(_encode_frame, calls)))
+        engine = MemoryEngine(config=FUZZ_CONFIG, store=LogStore(tmp))
+        try:
+            engine.load_user("alice")
+        except TimemError:
+            assert not engine.tree.has_user("alice")
+            return
+    assert engine.validate("alice").ok
+    for node in engine.tree.all_nodes("alice"):
+        if node.parent_id is not None:
+            assert node.id in engine.tree.get("alice", node.parent_id).child_ids
+        assert [engine.tree.get("alice", c).parent_id for c in node.child_ids] == (
+            [node.id] * len(node.child_ids))
+    engine.recall("alice", "Where did they go kayaking?")
+
+
 @pytest.mark.parametrize("lengths", [(0xFFFFFFFF, 0), (0, 0xFFFFFFFF), (0xFFFFFFFF, 0xFFFFFFFF)],
                          ids=["body", "rows", "both"])
 def test_a_frame_longer_than_the_log_is_torn_and_never_read(tmp_path, lengths):
@@ -782,7 +939,7 @@ def test_a_frame_longer_than_the_log_is_torn_and_never_read(tmp_path, lengths):
     tracemalloc.start()
     try:
         with LogStore(tmp_path / "data") as store:
-            replay = store.load_replay("alice", MemoryTree())
+            replay = store.load_replay("alice", MemoryTree(), DIM)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -833,7 +990,7 @@ def test_a_call_torn_inside_a_frame_header_stops_the_replay_at_its_offset(tmp_pa
     log.write_bytes(good + call[:length])
 
     with LogStore(tmp_path / "data") as store:
-        replay = store.load_replay("alice", MemoryTree())
+        replay = store.load_replay("alice", MemoryTree(), DIM)
     assert replay.corrupt.offset == len(good) and "torn write" in str(replay.corrupt)
     assert [t.turn_id for t in replay.turns] == [t.turn_id for t in turns[:3]]
 
@@ -859,7 +1016,7 @@ def test_a_one_turn_call_parses_its_timestamp_once(tmp_path, monkeypatch):
     parsed = counting_parse_ts(monkeypatch)
     tree = MemoryTree()
     with LogStore(tmp_path) as store:
-        replay = store.load_replay("alice", tree)
+        replay = store.load_replay("alice", tree, DIM)
     assert parsed == ["2023-05-20T09:00:00Z"]
     assert replay.turns == [ONE_SESSION[0]]
     assert tree.get("alice", created[0].id).interval == created[0].interval

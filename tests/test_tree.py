@@ -10,6 +10,7 @@ from timem.errors import (
     ContainmentViolation,
     DuplicateId,
     LevelEdgeViolation,
+    NonMonotonicTimestamp,
     ParentConflict,
     UnknownNode,
 )
@@ -97,16 +98,14 @@ def test_insert_rejects_a_node_that_carries_an_edge(edge, value):
 def test_adopt_is_all_or_nothing(error, bad_level, bad_hour):
     tree = MemoryTree()
     bad = utc(2023, 5, 1, bad_hour)
-    insert_all(tree, node(tree, 1, 1, utc(2023, 5, 1, 10), utc(2023, 5, 1, 10)),
+    insert_all(tree, node(tree, 3, bad_level, bad, bad),
+               node(tree, 1, 1, utc(2023, 5, 1, 10), utc(2023, 5, 1, 10)),
                node(tree, 2, 1, utc(2023, 5, 1, 10, 5), utc(2023, 5, 1, 10, 5)),
-               node(tree, 3, bad_level, bad, bad),
                node(tree, 4, 2, utc(2023, 5, 1, 10), utc(2023, 5, 1, 11)))
-    tree.adopt("u", 4, [1])
     with pytest.raises(error):
-        tree.adopt("u", 4, [2, 3])  # the good child comes first
-    assert tree.get("u", 4).child_ids == [1]
-    assert tree.get("u", 2).parent_id is None
-    assert tree.get("u", 3).parent_id is None
+        tree.adopt("u", 4, [1, 2, 3])  # the good children come first
+    assert tree.get("u", 4).child_ids == []
+    assert [tree.get("u", i).parent_id for i in (1, 2, 3)] == [None, None, None]
     assert tree.validate_tree("u").ok
 
 
@@ -122,9 +121,34 @@ def test_adopt_refuses_a_child_that_has_another_parent():
     assert tree.get("u", 4).child_ids == []
     assert tree.get("u", 2).parent_id is None
     assert tree.get("u", 1).parent_id == 3
-    tree.adopt("u", 3, [1, 2])  # the parent it has again: only the free child is new
-    assert tree.get("u", 3).child_ids == [1, 2]
     assert [(v.node_id, v.rule) for v in tree.validate_tree("u").violations] == []
+
+
+def test_adopt_orders_children_by_start_then_id_and_links_a_parent_once():
+    tree = MemoryTree()
+    insert_all(tree, node(tree, 12, 1, utc(2023, 5, 1, 9), utc(2023, 5, 1, 9)),
+               node(tree, 13, 1, utc(2023, 5, 1, 9), utc(2023, 5, 1, 9)),
+               node(tree, 11, 1, utc(2023, 5, 1, 11), utc(2023, 5, 1, 11)),
+               node(tree, 14, 1, utc(2023, 5, 1, 11, 30), utc(2023, 5, 1, 11, 30)),
+               node(tree, 10, 2, utc(2023, 5, 1, 8), utc(2023, 5, 1, 12)))
+    tree.adopt("u", 10, [13, 11, 12])
+    assert tree.get("u", 10).child_ids == [12, 13, 11]
+    with pytest.raises(ParentConflict, match="node 10 already has children"):
+        tree.adopt("u", 10, [14])  # a parent gains no child later
+    assert tree.get("u", 10).child_ids == [12, 13, 11]
+    assert tree.get("u", 14).parent_id is None
+
+
+def test_adopt_refuses_a_repeated_child_id():
+    tree = MemoryTree()
+    insert_all(tree, node(tree, 1, 1, utc(2023, 5, 1, 10), utc(2023, 5, 1, 10)),
+               node(tree, 2, 1, utc(2023, 5, 1, 10, 5), utc(2023, 5, 1, 10, 5)),
+               node(tree, 3, 2, utc(2023, 5, 1, 10), utc(2023, 5, 1, 11)))
+    with pytest.raises(ParentConflict, match="child twice"):
+        tree.adopt("u", 3, [1, 2, 1])
+    assert tree.get("u", 3).child_ids == []
+    assert tree.get("u", 1).parent_id is None and tree.get("u", 2).parent_id is None
+    assert tree.validate_tree("u").ok
 
 
 def test_insert_rejects_non_unit_embedding():
@@ -183,22 +207,11 @@ def test_nodes_at_level_empty_and_sorted():
     tree = MemoryTree()
     tree.ensure_user("u")
     assert tree.nodes_at_level("u", Level.SEGMENT) == []
-    for i, minute in [(1, 1), (2, 3), (3, 2)]:
+    for i, minute in [(1, 1), (3, 2), (2, 3)]:
         tree.insert_node(node(tree, i, 1, utc(2023, 5, 1, 10, minute), utc(2023, 5, 1, 10, minute)))
     ends = [n.interval.end.minute for n in tree.nodes_at_level("u", Level.SEGMENT)]
     assert ends == [1, 2, 3]
     assert tree.nodes_at_level("u", Level.PROFILE) == []
-
-
-def test_child_ids_ordered_by_start_then_id():
-    tree = MemoryTree()
-    insert_all(tree, node(tree, 11, 1, utc(2023, 5, 1, 11), utc(2023, 5, 1, 11)),
-               node(tree, 12, 1, utc(2023, 5, 1, 9), utc(2023, 5, 1, 9)),
-               node(tree, 13, 1, utc(2023, 5, 1, 9), utc(2023, 5, 1, 9)),
-               node(tree, 10, 2, utc(2023, 5, 1, 8), utc(2023, 5, 1, 12)))
-    tree.adopt("u", 10, [13, 11])
-    tree.adopt("u", 10, [12, 11])  # a second call adds only the new child
-    assert tree.get("u", 10).child_ids == [12, 13, 11]
 
 
 def test_ancestors_full_chain():
@@ -371,20 +384,22 @@ def end_order(nodes):
     return [(n.interval.end, n.id) for n in nodes]
 
 
-def test_nodes_at_level_ordered_after_out_of_order_inserts():
+@pytest.mark.parametrize("level", [Level.SEGMENT, Level.SESSION], ids=["segment", "session"])
+@pytest.mark.parametrize("minute, node_id", [(15, 90), (40, 3)], ids=["earlier-end", "same-end-lower-id"])
+def test_out_of_order_insert_raises_and_leaves_the_level_unchanged(level, minute, node_id):
     tree = MemoryTree()
-    rng = random.Random(5)
-    minutes = list(range(40)) + [7, 7, 20]
-    rng.shuffle(minutes)
-    for i, minute in enumerate(minutes, start=1):
-        level = 1 + i % 2
-        ts = utc(2023, 5, 1, 10, minute)
-        tree.insert_node(node(tree, i, level, ts, ts))
-    for level in (Level.SEGMENT, Level.SESSION):
-        listed = tree.nodes_at_level("u", level)
-        assert end_order(listed) == sorted(end_order(listed))
-        assert len(listed) == sum(1 for i in range(1, len(minutes) + 1) if 1 + i % 2 == level)
-        assert tree.latest_at_level("u", level) is listed[-1]
+    for i, m in enumerate([10, 20, 20, 30, 40], start=1):
+        ts = utc(2023, 5, 1, 10, m)
+        tree.insert_node(node(tree, i + 5, level, ts, ts))
+    before = tree.nodes_at_level("u", level)
+    ts = utc(2023, 5, 1, 10, minute)
+    with pytest.raises(NonMonotonicTimestamp, match="sorts before node 10, the last of level"):
+        tree.insert_node(node(tree, node_id, level, ts, ts))
+    assert tree.nodes_at_level("u", level) == before
+    assert tree.latest_at_level("u", level) is before[-1]
+    with pytest.raises(UnknownNode):
+        tree.get("u", node_id)
+    assert tree.allocate_id("u") == 11
 
 
 def test_nodes_at_level_ordered_after_replay(tmp_path):
@@ -411,7 +426,7 @@ def test_nodes_at_level_returns_a_copy():
     assert [n.id for n in tree.nodes_at_level("u", Level.SEGMENT)] == [1]
 
 
-def test_leaf_inserted_out_of_order_is_scored():
+def test_out_of_order_leaf_leaves_the_caught_up_index_unchanged():
     from timem.backends import MockEmbedder
     from timem.indexing import fused_top_k
 
@@ -426,18 +441,20 @@ def test_leaf_inserted_out_of_order_is_scored():
 
     for i in range(1, 6):
         segment(i, 10 * i, f"walk in the park number {i}")
-    query = embedder.embed_text("kayak on the lake")
-    assert len(tree.leaf_index("u")) == 5  # caught up before the late insert
-    segment(6, 15, "kayak on the lake")    # ends before four leaves already indexed
-
+    query = embedder.embed_text("walk in the park")
     index = tree.leaf_index("u")
+    assert len(index) == 5
+    scored = fused_top_k(query, ["park"], index, 0.9, 5)
+    with pytest.raises(NonMonotonicTimestamp):
+        segment(6, 15, "kayak on the lake")  # ends before four leaves already indexed
+
+    assert tree.leaf_index("u") is index  # kept, not dropped for a rebuild
+    assert list(index.ids[:len(index)]) == [1, 2, 3, 4, 5]
     assert list(index.stamps[:len(index)]) == [
         n.interval.end.timestamp() for n in tree.nodes_at_level("u", Level.SEGMENT)]
-    got = fused_top_k(query, ["kayak"], index, 0.9, 6)
-    assert got[0].node_id == 6
-    assert got == fused_top_k(query, ["kayak"], tree.nodes_at_level("u", Level.SEGMENT), 0.9, 6)
-    assert [s.node_id for s in fused_top_k(query, ["kayak"], index.upto(utc(2023, 5, 1, 10, 15)),
-                                           0.9, 6)] == [6, 1]
+    assert fused_top_k(query, ["park"], index, 0.9, 5) == scored
+    segment(6, 55, "kayak on the lake")  # one that sorts last is still appended
+    assert list(tree.leaf_index("u").ids[:6]) == [1, 2, 3, 4, 5, 6]
 
 
 def test_leaf_embedding_is_a_view_of_its_block(engine):
