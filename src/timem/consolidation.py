@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime
 
+import numpy as np
+
 from .backends import CONSOLIDATE_PURPOSES, ChatBackend, ChatRequest, Embedder
 from .config import EngineConfig
 from .errors import BackendFailure, NonMonotonicTimestamp
@@ -178,6 +180,9 @@ class Consolidator:
             embedding = self.embedder.embed_text(text)
         except Exception as exc:
             raise BackendFailure(f"embedding at level {int(level)} failed: {exc}") from exc
+        if np.shape(embedding) != (self.config.embedding_dim,):
+            raise BackendFailure(f"embedding at level {int(level)} has shape {np.shape(embedding)}, "
+                                 f"not ({self.config.embedding_dim},)")
         node = MemoryNode(id=self.tree.allocate_id(user_id), user_id=user_id, level=level,
                           interval=interval, text=text, embedding=embedding,
                           source_turn_ids=source_turn_ids or [])

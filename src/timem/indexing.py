@@ -6,7 +6,7 @@ normalized per query across the leaf pool. The two are fused with a
 configurable weight and the top-k leaves are activated.
 
 Leaves are scored from a `LeafIndex`, the columns of a leaf pool that
-scoring reads: float32 embedding rows in fixed-size blocks, flat arrays
+scoring reads: float32 embedding rows in one matrix, flat arrays
 of float64 norms, end times and ids, plus BM25's `Postings`: for each
 term the ascending rows that hold it with its count in each, and a
 running sum of token lengths. The tree keeps one index per user, in
@@ -14,8 +14,8 @@ running sum of token lengths. The tree keeps one index per user, in
 vectorised pass, and BM25 touches only the leaves that hold a keyword.
 
 The semantic channel is scored in two passes. A float32 screen takes
-every row's dot product with the unit query, one gemv per block, and
-forms a rough fused score. Its error has a proven bound, delta, so only
+every row's dot product with the unit query, one gemv over the matrix,
+and forms a rough fused score. Its error has a proven bound, delta, so only
 the leaves whose rough score is within 2 * delta of the k-th largest
 can be in the top k (see `_screen`). The exact pass runs the float64
 `einsum` on those leaves alone and orders them with the same
@@ -166,26 +166,16 @@ class ScoredLeaf:
     fused: float
 
 
-# The embedding bytes of one LeafIndex block. It stays under the 128 KiB
-# from which glibc's malloc maps fresh pages for an allocation, so blocks
-# reuse the heap memory that the replaced per-node embeddings and freed
-# trees leave behind. With 512 KiB blocks, each mapped afresh, peak RSS of
-# the deep_durable benchmark (a replayed 1000-leaf tree) rose by 5%.
-BLOCK_BYTES = 124 * 1024
-
-
-def block_rows(dimension: int) -> int:
-    """Rows of a LeafIndex block for float32 embeddings of `dimension`."""
-    return max(1, BLOCK_BYTES // (4 * dimension))
-
-
 class LeafIndex:
     """The columns of a leaf pool that scoring reads, in the order added.
 
-    Embeddings are float32 rows of fixed-size blocks: adding a leaf never
-    moves the rows already held, so a tree can rebind each leaf's
-    `node.embedding` to a view of its row instead of keeping a second
-    copy. Beside the rows, flat arrays grown by doubling hold each
+    Embeddings are the float32 rows of one matrix, `rows`, so the screen
+    is one matrix-vector product. The matrix grows by doubling; when it
+    does, a tree points each leaf's `node.embedding`, a view of its row,
+    at its row of the new matrix, so the old one is freed and no leaf
+    keeps a second copy. A row past the index's end can be written ahead
+    of `add` by `place`, as replay does, and `add` then leaves it as it
+    is. Beside the rows, flat arrays of the same capacity hold each
     leaf's float64 norm, its interval end as a timestamp (the recency
     tie-break, and the key `upto` searches) and its id, so scoring
     slices them and joins nothing. The leaf's tokens are posted once,
@@ -195,14 +185,12 @@ class LeafIndex:
     rows of its terms.
 
     Rows are only ever appended, so a view from `upto` stays valid while
-    the index it came from grows: a grown column is a new array, and the
-    view keeps the old one.
+    the index it came from grows: a grown matrix or column is a new
+    array, and the view keeps the old one.
     """
 
     def __init__(self):
-        self.blocks: list[np.ndarray] = []  # rows past the end are unset
-        self.dimension = 0   # set by the first leaf, as is block_rows
-        self.block_rows = 0
+        self.rows = np.empty((0, 0), dtype=np.float32)  # past the end: unset, or placed
         self._size = 0
         self.norms = np.empty(0)                 # float64 norm of each row
         self.stamps = np.empty(0)                # interval end, POSIX seconds
@@ -219,27 +207,55 @@ class LeafIndex:
     def __len__(self) -> int:
         return self._size
 
+    @property
+    def dimension(self) -> int:
+        """The float count of a row, 0 until the matrix is first sized."""
+        return self.rows.shape[1]
+
+    def reserve(self, count: int, dimension: int) -> None:
+        """Make room for `count` rows of `dimension` floats. A matrix that
+        must grow is replaced by one of at least twice its rows, holding
+        every row of the old one, placed rows included."""
+        old = self.rows
+        if count <= len(old):
+            return
+        if len(old) and dimension != self.dimension:
+            raise DimensionMismatch(f"rows of {dimension} floats for a pool of {self.dimension}")
+        capacity = max(count, 2 * len(old))
+        self.rows = np.empty((capacity, dimension), dtype=np.float32)
+        if len(old):
+            self.rows[:len(old)] = old
+        self.norms, self.stamps, self.ids = (
+            np.resize(column, capacity) for column in (self.norms, self.stamps, self.ids))
+
+    def place(self, position: int, embedding: np.ndarray) -> np.ndarray:
+        """Write the embedding of the leaf that `add` will take at
+        `position`, at or past the end, into its row ahead of it; returns
+        the row. The matrix grows when the row is past its capacity."""
+        if position >= len(self.rows):
+            self.reserve(position + 1, len(embedding))
+        row = self.rows[position]
+        if embedding.shape != row.shape:
+            raise DimensionMismatch(f"embedding shape {embedding.shape}, the pool {row.shape}")
+        row[:] = embedding
+        return row
+
     def add(self, leaf: MemoryNode) -> np.ndarray:
-        """Append a leaf's columns; returns its embedding row."""
+        """Append a leaf's columns; returns its embedding row. A row that
+        `place` wrote, and that the leaf's embedding is a view of, is not
+        written again."""
         if leaf.embedding is None:
             raise ValueError(f"leaf {leaf.id} has no embedding")
         vector = np.asarray(leaf.embedding)
-        if not self.blocks:
-            self.dimension = vector.shape[0]
-            self.block_rows = block_rows(self.dimension)
-        elif vector.shape != (self.dimension,):
+        if vector.shape != (self.dimension or vector.shape[0],):
             raise DimensionMismatch(
                 f"leaf {leaf.id} has embedding shape {vector.shape}, the pool ({self.dimension},)")
         size = self._size
-        number, i = divmod(size, self.block_rows)
-        if number == len(self.blocks):
-            self.blocks.append(np.empty((self.block_rows, self.dimension), dtype=np.float32))
-        if size == len(self.ids):  # entries past the index's end are unset
-            capacity = max(2 * size, self.block_rows)
-            self.norms, self.stamps, self.ids = (
-                np.resize(column, capacity) for column in (self.norms, self.stamps, self.ids))
-        row = self.blocks[number][i]
-        row[:] = vector
+        if size == len(self.rows):
+            self.reserve(size + 1, len(vector))
+        row = self.rows[size]
+        if not (vector.base is self.rows and np.may_share_memory(vector, row)):
+            row[:] = vector
         wide = row.astype(np.float64)
         self.norms[size] = math.sqrt(wide.dot(wide))  # np.linalg.norm's float, without its dispatch
         self.stamps[size] = leaf.interval.end.timestamp()
@@ -262,12 +278,8 @@ class LeafIndex:
 
     def rough_dots(self, unit_query: np.ndarray) -> np.ndarray:
         """Each leaf's float32 dot product with a float32 `unit_query`,
-        one matrix-vector product per block."""
-        approx = np.empty(self._size, dtype=np.float32)
-        for start, block in zip(range(0, self._size, self.block_rows), self.blocks):
-            m = min(self.block_rows, self._size - start)
-            np.dot(block[:m], unit_query, out=approx[start:start + m])
-        return approx
+        one matrix-vector product over the rows."""
+        return self.rows[:self._size] @ unit_query
 
     def dots(self, query: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The float64 dot products with `query` of the given ascending,
@@ -278,14 +290,9 @@ class LeafIndex:
         last bits depending on where they sit. `einsum` computes every
         row the same way, whichever rows it is given with, and for the
         mock embeddings bit for bit as the per-leaf `np.dot` of
-        `cosine_similarity`. The rows are gathered, a block's worth
-        (under the 128 KiB of `BLOCK_BYTES`) at a time.
+        `cosine_similarity`. The rows are gathered in one take.
         """
-        size, rows = self.block_rows, rows.tolist()
-        return np.concatenate([
-            np.einsum("ij,j->i", np.array([self.blocks[row // size][row % size]
-                                           for row in rows[start:start + size]]), query)
-            for start in range(0, len(rows), size)])
+        return np.einsum("ij,j->i", self.rows[rows], query)
 
 
 # Unit roundoff of float32, and the norm below which a row's screened

@@ -28,9 +28,17 @@ What replay refuses:
 - raises out of the replay: a record the tree refuses (a duplicate id,
   a node that sorts before its level's last, a broken edge, a child id
   given twice, a second `adopt` of a parent, a child that has a
-  parent); an embedding whose float count is not the engine's; a
-  segment that cites no turn, or a turn whose record the log does not
-  hold by the end of the segment's call.
+  parent), as the tree's error with the user, the log and the offset
+  added; an embedding whose float count is not the engine's; a segment
+  that cites no turn, or a turn whose record the log does not hold by
+  the end of the segment's call.
+
+Replay first walks the frame headers alone, one `os.pread` each, and
+counts the frames that carry rows: the engine writes at most one
+segment per frame, so the count sizes the tree's leaf matrix before any
+row arrives. Each segment's float32 row is then written from its frame
+straight into its row of that matrix, and becomes the segment's
+`embedding`; a restarted tree holds one copy of each leaf row.
 
 A node's start and end and its turn's timestamp are often one string,
 so replay parses each distinct timestamp string once. The file keeps
@@ -65,7 +73,7 @@ except ImportError:  # non-POSIX: advisory locking disabled
     fcntl = None
 
 from .consolidation import DialogTurn
-from .errors import CorruptRecord, NonMonotonicTimestamp, SchemaError, StoreIoError
+from .errors import CorruptRecord, NonMonotonicTimestamp, SchemaError, StoreIoError, TimemError
 from .timeutil import format_ts, parse_ts
 from .tree import Level, MemoryNode, MemoryTree, TemporalInterval
 
@@ -207,10 +215,14 @@ def turn_record(turn: DialogTurn) -> dict:
 
 def _encode_frame(records) -> bytes:
     """One call's frame: the records as a JSON array whose embeddings
-    are float counts, then their float32 rows in record order."""
+    are float counts, then their float32 rows in record order. A node
+    record without an embedding raises `ValueError`: replay would stop
+    at it."""
     body, rows = [], []
     for record in records:
         vector = record.get("embedding")
+        if record.get("record_type") == "node" and vector is None:
+            raise ValueError(f"node {record.get('id')} has no embedding to log")
         if vector is not None:
             row = np.asarray(vector, dtype="<f4")
             rows.append(row.tobytes())
@@ -231,6 +243,22 @@ class _Stamps(dict):
 
 
 _LEVELS = {int(level): level for level in Level}
+
+
+def _row_frames(fd: int, size: int) -> int:
+    """How many frames of a log of `size` bytes, open as `fd`, carry
+    rows, from their headers alone, up to the first header that is not a
+    frame's. The engine writes at most one segment per frame, so this
+    bounds the segments of a log it wrote. It is a size hint, not a
+    limit: a frame written otherwise can hold more."""
+    count = offset = 0
+    while offset + _HEADER.size <= size:
+        magic, body_size, rows_size, _ = _HEADER.unpack(os.pread(fd, _HEADER.size, offset))
+        if magic != FRAME_MAGIC:
+            break
+        count += rows_size > 0
+        offset += _HEADER.size + body_size + rows_size + 1
+    return count
 
 
 def _read_call(f, user_id: str, offset: int, size: int,
@@ -257,7 +285,8 @@ def _read_call(f, user_id: str, offset: int, size: int,
         raise ValueError("the frame does not end with a newline")
     if zlib.crc32(rows, zlib.crc32(body, zlib.crc32(header[4:12]))) != crc:
         raise ValueError("the frame's checksum does not match")
-    nodes, turns = _decode_records(user_id, json.loads(body), stamps,
+    # a str skips `json.loads`'s sniffing of a byte encoding: the body is UTF-8
+    nodes, turns = _decode_records(user_id, json.loads(body.decode("utf-8")), stamps,
                                    np.frombuffer(rows, dtype="<f4"))
     return nodes, turns, end
 
@@ -276,8 +305,9 @@ def _decode_records(user_id: str, records, stamps: _Stamps,
                     floats: np.ndarray) -> tuple[list, list[DialogTurn]]:
     """A frame's node records as (node, child ids) pairs, and its turn
     records; each node record's embedding is its float count, taken from
-    `floats`, the frame's rows, in record order. Every field that
-    `node_record` and `turn_record` write must be there with its type."""
+    `floats`, the frame's rows, in record order, as a view of them. Every
+    field that `node_record` and `turn_record` write must be there with
+    its type."""
     if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
         raise ValueError("the frame's body is not an array of records")
     nodes, turns, taken = [], [], 0
@@ -287,7 +317,7 @@ def _decode_records(user_id: str, records, stamps: _Stamps,
             count = _field(record, "embedding", int)
             if not 0 <= count <= floats.size - taken:
                 raise ValueError(f"an embedding of {count} floats overruns the frame's rows")
-            embedding = floats[taken:taken + count].copy()  # no node pins the frame
+            embedding = floats[taken:taken + count]
             taken += count
             nodes.append((MemoryNode(
                 id=_field(record, "id", int),
@@ -471,8 +501,15 @@ class LogStore:
         is loaded, nothing of it or after it, with a warning. A record the
         tree rejects, an embedding of other than `embedding_dim` floats or
         a segment that cites no logged turn raises out of the replay,
-        leaving part of the call applied. This store's next append to the
-        log follows the accepted calls.
+        leaving part of the call applied; the tree's error is raised again
+        as its own class with the user, the log and the offset added. This
+        store's next append to the log follows the accepted calls.
+
+        Before the main pass, the frame headers alone size the tree's leaf
+        matrix (`_row_frames`), and each segment's float32 row is then
+        written from its frame straight into its row of the matrix; every
+        other node's embedding is copied out of its frame, so no node pins
+        a frame.
         """
         path = self.log_path(user_id)
         tree.ensure_user(user_id)  # register user even when the log is empty
@@ -486,6 +523,7 @@ class LogStore:
         offset = 0
         with open(path, "rb") as f:
             size = os.fstat(f.fileno()).st_size
+            tree.reserve_leaves(user_id, _row_frames(f.fileno(), size), embedding_dim)
             while offset < size:
                 try:
                     nodes, call_turns, end = _read_call(f, user_id, offset, size, stamps)
@@ -502,14 +540,22 @@ class LogStore:
                             f"node {node.id} of {user_id!r} at offset {offset} in {path} has "
                             f"{node.embedding.size} embedding floats, not {embedding_dim}",
                             offset=offset)
-                    if node.level is Level.SEGMENT and not (
+                    segment = node.level is Level.SEGMENT
+                    if segment and not (
                             node.source_turn_ids and logged.issuperset(node.source_turn_ids)):
                         raise CorruptRecord(
                             f"segment {node.id} at offset {offset} in {path} must cite logged "
                             f"turns; it cites {node.source_turn_ids}", offset=offset)
-                    tree.insert_node(node)
-                    if child_ids:
-                        tree.adopt(user_id, node.id, child_ids)
+                    try:
+                        if segment:
+                            tree.place_leaf(node)
+                        else:
+                            node.embedding = node.embedding.copy()  # no node pins the frame
+                        tree.insert_node(node)
+                        if child_ids:
+                            tree.adopt(user_id, node.id, child_ids)
+                    except (TimemError, ValueError) as exc:
+                        raise type(exc)(f"{user_id!r} at offset {offset} in {path}: {exc}") from exc
                 nodes_loaded += len(nodes)
                 turns += call_turns
                 offset = end

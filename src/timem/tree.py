@@ -13,15 +13,19 @@ Besides the nodes by id, a tree keeps two indexes per user:
   append-only, as consolidation writes forward in time: an insert that
   would not sort last raises, so listing a level copies a list, and the
   latest node of a level is its last element.
-- a `LeafIndex` of the segments, the columns recall scores: float32
-  embedding rows in fixed-size blocks, and flat arrays of norms, end
-  times and ids grown by doubling. Recall screens every row with a
-  float32 product and runs the exact float64 one only on the leaves
-  that can reach the top k. The index is not kept up at insert time:
-  `leaf_index` catches up with the segments inserted since its last
-  call, so ingest and replay never pay for it. Each segment's
-  `embedding` then is a view of its float32 row in one of the index's
-  blocks, not a second copy.
+- a `LeafIndex` of the segments, the columns recall scores: one float32
+  matrix of embedding rows, and flat arrays of norms, end times and
+  ids, all grown by doubling. Recall screens every row with one float32
+  matrix-vector product and runs the exact float64 one only on the
+  leaves that can reach the top k. The index is not kept up at insert
+  time: `leaf_index` catches up with the segments inserted since its
+  last call, so ingest and replay never pay for norms, stamps and
+  postings. Each indexed segment's `embedding` is a view of its row of
+  the matrix, not a second copy; when the matrix grows, the tree points
+  each such segment at its row of the new one. Replay writes each
+  segment's row into the matrix as it inserts it (`reserve_leaves`,
+  `place_leaf`), so a replayed tree holds one copy of every leaf row
+  and its first catch-up copies none.
 
 A user's tree can be dropped (`drop_user`) when it may have diverged
 from its log, after a failed append; a replay rebuilds it.
@@ -242,14 +246,50 @@ class MemoryTree:
         ordered = self._ordered(user_id, level)
         return ordered[max(len(ordered) - count, 0):][::-1]
 
-    def leaf_index(self, user_id: str) -> LeafIndex:
-        """The user's segments in (end, id) order as a LeafIndex, after
-        adding the segments inserted since the last call."""
+    def _index(self, user_id: str) -> LeafIndex:
         index = self._leaves.get(user_id)
         if index is None:
             index = self._leaves[user_id] = LeafIndex()
+        return index
+
+    def _repoint(self, user_id: str, index: LeafIndex, old: np.ndarray) -> None:
+        """When `index` has replaced its matrix `old`, point each segment
+        whose embedding is its own row of `old` at that row of the new
+        matrix, so the old one is freed. Any other segment, one not yet
+        indexed, keeps its vector: `add` copies it into its row."""
+        if index.rows is old:
+            return
+        for was, row, node in zip(old, index.rows, self._ordered(user_id, Level.SEGMENT)):
+            vector = node.embedding
+            if getattr(vector, "base", None) is old and np.may_share_memory(vector, was):
+                node.embedding = row
+
+    def reserve_leaves(self, user_id: str, count: int, dimension: int) -> None:
+        """Size the user's leaf matrix for `count` segments of `dimension`
+        floats past those the tree holds; replay passes an upper bound."""
+        index = self._index(user_id)
+        old = index.rows
+        index.reserve(len(self._ordered(user_id, Level.SEGMENT)) + count, dimension)
+        self._repoint(user_id, index, old)
+
+    def place_leaf(self, node: MemoryNode) -> None:
+        """Write the embedding of `node`, the segment to be inserted next,
+        into its row of the user's leaf matrix ahead of `leaf_index`, and
+        make that row its `embedding`, the one copy the tree keeps."""
+        index = self._index(node.user_id)
+        old = index.rows
+        node.embedding = index.place(len(self._ordered(node.user_id, Level.SEGMENT)),
+                                     node.embedding)
+        self._repoint(node.user_id, index, old)
+
+    def leaf_index(self, user_id: str) -> LeafIndex:
+        """The user's segments in (end, id) order as a LeafIndex, after
+        adding the segments inserted since the last call."""
+        index = self._index(user_id)
         for node in self._ordered(user_id, Level.SEGMENT)[len(index):]:
+            old = index.rows
             node.embedding = index.add(node)
+            self._repoint(user_id, index, old)
         return index
 
     def all_nodes(self, user_id: str) -> list[MemoryNode]:

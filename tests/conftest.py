@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import json
 import random
 import struct
+import zlib
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
 from timem import DialogTurn, EngineConfig, MemoryEngine, MockChatBackend
@@ -121,3 +124,21 @@ def log_frames(raw: bytes) -> list[bytes]:
         frames.append(raw[at:end])
         at = end
     return frames
+
+
+def call_frame(*records: dict) -> bytes:
+    """The frame of one call: its records as one JSON array, each
+    embedding replaced by its float count, then the embeddings' float32
+    rows, under a CRC32 of both lengths, the body and the rows. Unlike
+    the store's writer, it frames any record, a node without an
+    embedding included, so a test can log what the engine never writes."""
+    body, rows = [], b""
+    for record in records:
+        if record.get("embedding") is not None:
+            vector = np.asarray(record["embedding"], dtype="<f4")
+            rows += vector.tobytes()
+            record = {**record, "embedding": len(vector)}
+        body.append(record)
+    body = json.dumps(body, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    crc = zlib.crc32(struct.pack("<II", len(body), len(rows)) + body + rows)
+    return FRAME_HEADER.pack(b"\xffTM1", len(body), len(rows), crc) + body + rows + b"\n"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import sys
 import warnings
@@ -11,10 +12,10 @@ import pytest
 from timem import DialogTurn, Level, MemoryEngine, MemoryNode, TemporalInterval, parse_transcript
 from timem.backends import MockEmbedder
 from timem.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from timem.store import _encode_frame, node_record, turn_record
+from timem.store import node_record, turn_record
 from timem.timeutil import parse_ts
 
-from conftest import FRAME_HEADER, log_frames
+from conftest import FRAME_HEADER, call_frame, log_frames
 
 
 @pytest.fixture
@@ -277,7 +278,7 @@ def crafted_log(case: str) -> bytes:
         embedding=MockEmbedder().embed_text("kayaked")))
     session["child_ids"] = [1, 1] if case == "repeated-child" else [1, 2]
     second_minute = 0 if case == "out-of-order" else 5
-    return b"".join(_encode_frame(records) for records in (
+    return b"".join(call_frame(*records) for records in (
         segment(1, 3, **bad), segment(2, second_minute), [session]))
 
 
@@ -299,8 +300,9 @@ REFUSALS = {  # case -> what validate or recall prints about it
     "segment-of-an-unlogged-turn":
         "segment 1 at offset 0 in {log} must cite logged turns; it cites ['s1/9']",
     "three-floats": "node 1 of 'alice' at offset 0 in {log} has 3 embedding floats, not 1024",
-    "out-of-order": "node 2 sorts before node 1, the last of level 1",
-    "repeated-child": "node 3 is given a child twice in [1, 1]",
+    "out-of-order": "'alice' at offset {second} in {log}: node 2 sorts before node 1, "
+                    "the last of level 1",
+    "repeated-child": "'alice' at offset {third} in {log}: node 3 is given a child twice in [1, 1]",
 }
 
 
@@ -315,6 +317,8 @@ def test_validate_refuses_a_log_it_cannot_replay_without_a_traceback(case, tmp_p
     log = tmp_path / "data" / "alice" / "log.jsonl"
     log.parent.mkdir(parents=True)
     log.write_bytes(crafted_log(case))
+    starts = {} if case == "json-lines" else dict(  # where the second and third frames start
+        zip(["second", "third"], itertools.accumulate(map(len, log_frames(log.read_bytes())))))
 
     assert main(["validate", "--data-dir", data_dir]) == EXIT_DATA
     stopped = case in ("json-lines", "text-a-number", "null-embedding")
@@ -322,7 +326,7 @@ def test_validate_refuses_a_log_it_cannot_replay_without_a_traceback(case, tmp_p
         EXIT_OK if stopped else EXIT_DATA)
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
-    assert REFUSALS[case].format(log=log) in (captured.out if stopped else captured.err)
+    assert REFUSALS[case].format(log=log, **starts) in (captured.out if stopped else captured.err)
     if stopped:
         assert "replay stopped at offset 0" in captured.out
 

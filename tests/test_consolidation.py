@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from timem import Level, MemoryEngine
+from timem import Level, LogStore, MemoryEngine
 from timem.backends import CONSOLIDATE_PURPOSES, MockChatBackend
 from timem.consolidation import TemporalGroup
 from timem.errors import BackendFailure, NonMonotonicTimestamp, ProviderError
@@ -329,6 +330,24 @@ def test_embedder_failure_is_backend_failure():
     with pytest.raises(BackendFailure):
         engine.ingest_turn("alice", turn)
     assert engine.tree.nodes_at_level("alice", Level.SEGMENT) == []
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 1024), (1025,)])
+def test_an_embedding_of_another_shape_is_refused_before_it_is_inserted_or_logged(
+        tmp_path, shape):
+    class MisshapenEmbedder:
+        dimension = 1024
+
+        def embed_text(self, text):
+            return np.full(shape, 1 / np.sqrt(np.prod(shape)), dtype=np.float32)
+
+    engine = MemoryEngine(embedder=MisshapenEmbedder(), store=LogStore(tmp_path))
+    turn = make_turns([turn_row("s1", "2023-05-20T09:00:00Z")])[0]
+    with pytest.raises(BackendFailure, match=r"shape .* not \(1024,\)"):
+        engine.ingest_turn("alice", turn)
+    assert engine.tree.nodes_at_level("alice", Level.SEGMENT) == []
+    engine.store.close()
+    assert not engine.store.log_path("alice").exists()
 
 
 def test_same_transcript_twice_identical(config):

@@ -25,7 +25,7 @@ from timem import (
 )
 from timem.backends import MockEmbedder
 from timem.errors import DimensionMismatch, IndexOutOfRange, ZeroVector
-from timem.indexing import LeafIndex, Postings, _screen, block_rows, bm25_scores
+from timem.indexing import LeafIndex, Postings, _screen, bm25_scores
 
 from conftest import utc
 
@@ -371,14 +371,14 @@ def per_leaf_reference(query_emb, keywords, leaves, lam, dot):
 
 
 DIM = 1024
-ROWS = block_rows(DIM)  # leaves per block of the index
+ROWS = 64  # an index built one leaf at a time outgrows its matrix of ROWS rows at leaf ROWS + 1
 
 
 def dense_pool(rng: np.random.Generator, size: int) -> list[MemoryNode]:
     """Unit float32 rows in (end, id) order. Leaves ROWS and ROWS + 1
-    repeat leaf 4's text and embedding at one end, as the last row of the
-    first block and the first row of the second; the last leaf repeats it
-    at the latest end."""
+    repeat leaf 4's text and embedding at one end, as the last row before
+    the index's matrix grows and the first row after; the last leaf
+    repeats it at the latest end."""
     vocab = ["kayak", "lake", "paella", "cello", "trip", "park", "dinner"]
     leaves = []
     for i in range(size):
@@ -414,15 +414,15 @@ def test_vectorised_scorer_matches_per_leaf_reference(kind, cutoff):
     pool = [leaf for leaf in leaves if t_q is None or leaf.interval.end <= t_q]
 
     index = tree.leaf_index("u").upto(t_q)
-    assert len(index) == len(pool) and index.block_rows == ROWS
+    assert len(index) == len(pool)
     for keywords in ([], ["lake"], ["kayak", "lake paella"]):
         got = fused_top_k(query, keywords, index, 0.9, size)
         want = per_leaf_reference(query, keywords, pool, 0.9, dot)
         assert got == want  # ids and every float, bit for bit
     if kind == "dense":  # equal rows score equal, then the later end, then the smaller id wins
-        blocks = tree.leaf_index("u").blocks
-        assert np.shares_memory(tree.get("u", ROWS).embedding, blocks[0])
-        assert np.shares_memory(tree.get("u", ROWS + 1).embedding, blocks[1])
+        rows = tree.leaf_index("u").rows  # the matrix grown past ROWS rows
+        assert tree.get("u", ROWS).embedding.base is rows
+        assert tree.get("u", ROWS + 1).embedding.base is rows
         twins = [s for s in got if s.node_id in (4, ROWS, ROWS + 1, size)]
         assert len({(s.s_sem, s.s_lex, s.fused) for s in twins}) == 1
         expected = [ROWS, ROWS + 1, 4]
@@ -468,12 +468,10 @@ def test_upto_cuts_at_the_microsecond_and_rejects_a_naive_t_q():
 
 def full_pass_reference(query_emb, keywords, index, lam, k):
     """fused_top_k without the screen: the float64 `einsum` of every row,
-    block by block, then the fusion and the order over the whole pool."""
+    then the fusion and the order over the whole pool."""
     n = len(index)
     q = np.asarray(query_emb, dtype=np.float64)
-    dots = np.concatenate([
-        np.einsum("ij,j->i", block[:min(index.block_rows, n - start)], q)
-        for start, block in zip(range(0, n, index.block_rows), index.blocks)])
+    dots = np.einsum("ij,j->i", index.rows[:n], q)
     norms, stamps, ids = index.norms[:n], index.stamps[:n], index.ids[:n]
     s_sem = (1.0 + dots / (float(np.linalg.norm(q)) * norms)) / 2.0
     raw = index.postings.scores(terms_of(keywords), n)
@@ -491,15 +489,15 @@ def unit32(vector: np.ndarray) -> np.ndarray:
 
 
 def screened_pool(rng: np.random.Generator, dim: int) -> tuple[list[MemoryNode], np.ndarray]:
-    """Dense unit rows over three blocks in (end, id) order, and a query.
+    """Dense unit rows in (end, id) order, and a query.
 
     Sixty leaves, at random places, lie near a target row: half within
     1e-7 of it in random directions, half in steps of 1e-7 from it along
     one direction. The query leans toward that direction, so the k-th
     score falls among scores about 5e-8 apart, closer than float32 can
     tell them. Two exact twins of the target sit on both sides of the
-    first block boundary, at one end and with one text."""
-    rows = block_rows(dim)
+    row where the index's matrix grows, at one end and with one text."""
+    rows = ROWS
     size = 2 * rows + 30
     vocab = ["kayak", "lake", "paella", "cello", "trip", "park", "dinner"]
     target = unit32(rng.standard_normal(dim))
@@ -533,7 +531,7 @@ def test_screened_top_k_equals_the_full_pass(dim):
     rng = np.random.default_rng(dim)
     leaves, leaning = screened_pool(rng, dim)
     index = LeafIndex.of(leaves)
-    rows = index.block_rows
+    rows = ROWS
     target = leaves[rows].embedding.astype(np.float64)
     queries = [leaning, target, target + 1e-3 * rng.standard_normal(dim),
                rng.standard_normal(dim)]
@@ -581,18 +579,16 @@ def test_screen_keeps_the_leaves_it_cannot_bound():
 
 
 @pytest.mark.parametrize("dim", [16, 384])
-def test_dots_of_any_rows_equal_the_per_block_einsum(dim):
-    """Rows gathered a block's worth at a time, every row or only some,
-    give each row the bits of an `einsum` over its whole block."""
+def test_dots_of_any_rows_equal_the_einsum_over_every_row(dim):
+    """Rows gathered in one take, every row or only some, give each row
+    the bits of an `einsum` over all the rows of the view."""
     rng = np.random.default_rng(dim)
     leaves, query = screened_pool(rng, dim)
     index = LeafIndex.of(leaves)
-    rows = index.block_rows
+    rows = ROWS
     for view in (index, index.upto(leaves[rows + 5].interval.end)):
         n = len(view)
-        full = np.concatenate([
-            np.einsum("ij,j->i", block[:min(rows, n - start)], query)
-            for start, block in zip(range(0, n, rows), view.blocks)])
+        full = np.einsum("ij,j->i", view.rows[:n], query)
         for kept in (np.arange(n), np.delete(np.arange(n), [0, rows + 2]),
                      np.r_[3, rows:n], np.sort(rng.choice(n, size=n // 3, replace=False)),
                      np.array([n - 1])):

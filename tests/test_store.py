@@ -5,6 +5,7 @@ import functools
 import json
 import os
 import random
+import re
 import stat
 import struct
 import sys
@@ -28,8 +29,8 @@ from timem.errors import (BackendFailure, DuplicateId, NonMonotonicTimestamp, Sc
 from timem.store import ReplayResult, _encode_frame, node_record, turn_record
 from timem.timeutil import format_ts, parse_ts
 
-from conftest import (FRAME_HEADER, FlakyChatBackend, ingest_all, log_frames, make_turns,
-                      random_transcript)
+from conftest import (FRAME_HEADER, FlakyChatBackend, call_frame, ingest_all, log_frames,
+                      make_turns, random_transcript)
 
 import numpy as np
 
@@ -191,7 +192,7 @@ def test_a_record_unlike_the_engines_does_not_decode(tmp_path, kind, key, value)
         del records[kind][key]
     else:
         records[kind][key] = value
-    (tmp_path / "alice" / "log.jsonl").write_bytes(_encode_frame(records.values()))
+    (tmp_path / "alice" / "log.jsonl").write_bytes(call_frame(*records.values()))
     tree = MemoryTree()
     replay = LogStore(tmp_path).load_replay("alice", tree, DIM)
     assert replay.corrupt.offset == 0 and replay.turns == [] and tree.all_nodes("alice") == []
@@ -352,6 +353,69 @@ def test_recall_identical_after_reload(tmp_path):
     assert original.context_token_count == reloaded.context_token_count
 
 
+def test_replay_writes_each_segment_row_into_the_leaf_matrix(tmp_path):
+    """A replayed tree holds one copy of each leaf row: every segment's
+    embedding is a view of one float32 matrix with a row for each frame
+    that carries rows, and the first leaf_index adds norms, stamps and
+    postings without moving it. Every other node owns its embedding, so
+    no node pins a frame."""
+    engine = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
+    ingest_all(engine, "alice", random_transcript(random.Random(73), "alice"))
+    engine.store.close()
+    fresh = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
+    fresh.load_user("alice")
+
+    segments = fresh.tree.nodes_at_level("alice", Level.SEGMENT)
+    rows = segments[0].embedding.base
+    frames = log_frames(fresh.store.log_path("alice").read_bytes())
+    assert rows.dtype == np.float32
+    assert len(rows) == sum(FRAME_HEADER.unpack_from(frame)[2] > 0 for frame in frames)
+    live = engine.tree.nodes_at_level("alice", Level.SEGMENT)
+    for row, (leaf, twin) in enumerate(zip(segments, live, strict=True)):
+        assert leaf.embedding.base is rows and np.shares_memory(leaf.embedding, rows[row])
+        assert leaf.embedding.tobytes() == twin.embedding.tobytes()
+    assert all(node.embedding.base is None for node in fresh.tree.all_nodes("alice")
+               if node.level is not Level.SEGMENT)
+    pointer = rows.__array_interface__["data"][0]
+    index = fresh.tree.leaf_index("alice")
+    assert index.rows is rows and rows.__array_interface__["data"][0] == pointer
+
+
+def test_a_frame_with_two_segments_loads_and_recalls(tmp_path):
+    """The header count is a size hint, not a limit: a frame that the
+    engine would not write, with two segments, leaves the matrix a row
+    short, and replay grows it."""
+    engine = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
+    ingest_all(engine, "alice", random_transcript(random.Random(73), "alice"), flush=False)
+    engine.store.close()
+    log = engine.store.log_path("alice")
+    frames = log_frames(log.read_bytes())
+    assert all(FRAME_HEADER.unpack_from(frame)[2] for frame in frames)  # one segment each
+    log.write_bytes(call_frame(*frame_records(frames[0]), *frame_records(frames[1]))
+                    + b"".join(frames[2:]))
+
+    fresh = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
+    assert fresh.load_user("alice").corrupt is None
+    assert node_rows(fresh) == node_rows(engine)
+    segments = fresh.tree.nodes_at_level("alice", Level.SEGMENT)
+    rows = segments[0].embedding.base
+    assert len(rows) > len(frames) - 1  # grown past the hint
+    assert all(leaf.embedding.base is rows for leaf in segments)
+    query = "Where did Alice go kayaking?"
+    assert fresh.recall("alice", query) == engine.recall("alice", query)
+
+
+def test_the_store_refuses_to_log_a_node_without_an_embedding(tmp_path):
+    turn = make_turns([("s", "2023-05-20T09:00:00Z", "I went kayaking.", "Fun!")])[0]
+    segment = MemoryNode(id=1, user_id="alice", level=Level.SEGMENT, text="Alice kayaked.",
+                         interval=TemporalInterval(turn.timestamp, turn.timestamp),
+                         source_turn_ids=[turn.turn_id])
+    with LogStore(tmp_path) as store:
+        with pytest.raises(ValueError, match="node 1 has no embedding"):
+            store.persist_append("alice", node_record(segment), turn_record(turn))
+    assert not (tmp_path / "alice" / "log.jsonl").exists()
+
+
 def frame_records(frame: bytes) -> list[dict]:
     """A frame's records, each node record's embedding as its float32
     row, as `call_frame` takes them."""
@@ -483,22 +547,6 @@ def fixture_turns(tmp_path, count: int) -> list:
     return parse_transcript(write_transcript(tmp_path, transcripts[0])).turns[:count]
 
 
-def call_frame(*records: dict) -> bytes:
-    """The frame of one call: its records as one JSON array, each
-    embedding replaced by its float count, then the embeddings' float32
-    rows, under a CRC32 of both lengths, the body and the rows."""
-    body, rows = [], b""
-    for record in records:
-        if record.get("embedding") is not None:
-            vector = np.asarray(record["embedding"], dtype="<f4")
-            rows += vector.tobytes()
-            record = {**record, "embedding": len(vector)}
-        body.append(record)
-    body = json.dumps(body, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-    crc = zlib.crc32(struct.pack("<II", len(body), len(rows)) + body + rows)
-    return FRAME_HEADER.pack(b"\xffTM1", len(body), len(rows), crc) + body + rows + b"\n"
-
-
 def test_persist_append_writes_every_record_of_a_call(tmp_path):
     a, b, c = ({"record_type": "turn", "turn_id": t, "session_id": "s",
                 "timestamp": "2023-05-20T09:00:00Z", "user_text": "", "assistant_text": ""}
@@ -575,10 +623,12 @@ def test_a_record_the_tree_rejects_drops_the_user(tmp_path):
     _, turns = log_of_three_turns(tmp_path)
     log = tmp_path / "data" / "alice" / "log.jsonl"
     node_1 = log_records(log)[0]
+    offset = log.stat().st_size
     log.write_bytes(log.read_bytes() + call_frame(node_1))  # a duplicate of node 1
 
     resumed = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
-    with pytest.raises(DuplicateId):
+    with pytest.raises(DuplicateId, match=re.escape(
+            f"'alice' at offset {offset} in {log}: node id 1 already used")):
         resumed.load_user("alice")
     assert not resumed.tree.has_user("alice")  # no half-loaded tree
     assert "alice" not in resumed.consolidator._state

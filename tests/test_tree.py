@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -457,12 +458,91 @@ def test_out_of_order_leaf_leaves_the_caught_up_index_unchanged():
     assert list(tree.leaf_index("u").ids[:6]) == [1, 2, 3, 4, 5, 6]
 
 
-def test_leaf_embedding_is_a_view_of_its_block(engine):
+def test_leaf_embedding_is_a_view_of_its_row(engine):
     ingest_all(engine, "alice", random_transcript(random.Random(8), "alice", n_sessions=3))
     segments = engine.tree.nodes_at_level("alice", Level.SEGMENT)
     index = engine.tree.leaf_index("alice")
-    assert len(index.blocks) > 1
+    assert len(segments) > 1
     for row, leaf in enumerate(segments):
-        block = index.blocks[row // index.block_rows]
-        assert np.shares_memory(leaf.embedding, block)  # no second copy of the embedding
-        assert leaf.embedding.base is block
+        assert leaf.embedding.base is index.rows  # no second copy of the embedding
+        assert np.shares_memory(leaf.embedding, index.rows[row])
+
+
+def embedded_segment(node_id: int, dimension: int = 32) -> MemoryNode:
+    from timem.backends import MockEmbedder
+
+    ts = utc(2023, 5, 1, 10, 0) + timedelta(minutes=node_id)
+    text = f"walk number {node_id} in the park"
+    return MemoryNode(id=node_id, user_id="u", level=Level.SEGMENT,
+                      interval=TemporalInterval(ts, ts), text=text,
+                      embedding=MockEmbedder(dimension).embed_text(text))
+
+
+def test_a_catch_up_across_growths_points_every_segment_at_the_current_matrix():
+    """Segments inserted live and caught up in one call whose matrix
+    doubles several times: each keeps the vector it was inserted with,
+    as a view of the final matrix, and a recall scores every one."""
+    from timem.indexing import fused_top_k
+
+    tree = MemoryTree()
+    inserted = {}
+    for node_id in range(1, 41):
+        leaf = embedded_segment(node_id)
+        inserted[node_id] = leaf.embedding.copy()
+        tree.insert_node(leaf)
+        if node_id == 3:
+            capacity = len(tree.leaf_index("u").rows)
+    index = tree.leaf_index("u")
+    assert len(index.rows) >= 8 * capacity  # three doublings or more in the second catch-up
+    for row, leaf in enumerate(tree.nodes_at_level("u", Level.SEGMENT)):
+        assert leaf.embedding.tobytes() == inserted[leaf.id].tobytes()
+        assert leaf.embedding.base is index.rows
+        assert np.shares_memory(leaf.embedding, index.rows[row])
+    query = embedded_segment(7).embedding
+    assert len(fused_top_k(query, ["park"], index, 0.9, 40)) == 40
+
+
+def test_rows_placed_past_the_reserved_size_grow_the_matrix_and_stay_in_place():
+    """Replay's path: rows written ahead of the catch-up, more of them
+    than were reserved. Every placed segment follows the matrix as it
+    grows, and the catch-up then copies no row."""
+    tree = MemoryTree()
+    tree.reserve_leaves("u", 2, 32)
+    inserted = {}
+    for node_id in range(1, 20):
+        leaf = embedded_segment(node_id)
+        inserted[node_id] = leaf.embedding.copy()
+        tree.place_leaf(leaf)
+        tree.insert_node(leaf)
+    segments = tree.nodes_at_level("u", Level.SEGMENT)
+    rows = segments[0].embedding.base
+    assert len(rows) >= 19
+    assert all(leaf.embedding.base is rows for leaf in segments)
+    pointer = rows.__array_interface__["data"][0]
+    index = tree.leaf_index("u")
+    assert index.rows is rows and rows.__array_interface__["data"][0] == pointer
+    for row, leaf in enumerate(segments):
+        assert leaf.embedding.tobytes() == inserted[leaf.id].tobytes()
+        assert np.shares_memory(leaf.embedding, rows[row])
+
+
+def test_segments_given_another_segments_row_are_indexed_with_their_own_copies():
+    """Nodes built with the embedding of an indexed segment, a view of
+    that segment's row, each get a row of their own holding it, also
+    when the matrix grows while they wait to be indexed."""
+    tree = MemoryTree()
+    first = embedded_segment(1)
+    for node in (first, embedded_segment(2), embedded_segment(3)):
+        tree.insert_node(node)
+    tree.leaf_index("u")  # four rows, the last unset
+    twins = []
+    for node_id in range(4, 10):
+        twin = embedded_segment(node_id)
+        twin.embedding = first.embedding  # a view of row 0
+        tree.insert_node(twin)
+        twins.append(twin)
+    index = tree.leaf_index("u")  # the matrix doubles twice on the way
+    for twin in twins:
+        assert twin.embedding.tobytes() == first.embedding.tobytes()
+        assert twin.embedding.base is index.rows
+    assert (index.norms[3:len(index)] == index.norms[0]).all()
