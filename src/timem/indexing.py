@@ -14,13 +14,13 @@ running sum of token lengths. The tree keeps one index per user, in
 vectorised pass, and BM25 touches only the leaves that hold a keyword.
 
 The semantic channel is scored in two passes. A float32 screen takes
-every row's dot product with the unit query, one gemv over the matrix,
-and forms a rough fused score. Its error has a proven bound, delta, so only
-the leaves whose rough score is within 2 * delta of the k-th largest
-can be in the top k (see `_screen`). The exact pass runs the float64
-`einsum` on those leaves alone and orders them with the same
-expressions as a pass over every leaf, so the result is the same, bit
-for bit.
+every row's dot product with the unit query, one gemv per 1 MiB slice
+of the matrix, and forms a rough fused score. Its error has a proven
+bound, delta, so only the leaves whose rough score is within 2 * delta
+of the k-th largest can be in the top k (see `_screen`). The exact
+pass runs the float64 `einsum` on those leaves alone and orders them
+with the same expressions as a pass over every leaf, so the result is
+the same, bit for bit.
 """
 
 from __future__ import annotations
@@ -166,23 +166,31 @@ class ScoredLeaf:
     fused: float
 
 
+# The floats of one gemv of the screen, 1 MiB. OpenBLAS (0.3.31) splits a
+# gemv of 460,800 floats or more (450 rows at d = 1024) across threads,
+# and a process can fall into a regime where each split gemv waits about
+# 8 ms for the second CPU. Slices below that size are never split, and
+# at 1k rows their gemvs cost what one single-threaded gemv does.
+SCREEN_FLOATS = 1 << 18
+
+
 class LeafIndex:
     """The columns of a leaf pool that scoring reads, in the order added.
 
-    Embeddings are the float32 rows of one matrix, `rows`, so the screen
-    is one matrix-vector product. The matrix grows by doubling; when it
-    does, a tree points each leaf's `node.embedding`, a view of its row,
-    at its row of the new matrix, so the old one is freed and no leaf
-    keeps a second copy. A row past the index's end can be written ahead
-    of `add` by `place`, as replay does, and `add` then leaves it as it
-    is. Beside the rows, flat arrays of the same capacity hold each
-    leaf's float64 norm, its interval end as a timestamp (the recency
-    tie-break, and the key `upto` searches) and its id, so scoring
-    slices them and joins nothing. The leaf's tokens are posted once,
-    when it is added, to `postings`: per term the rows that hold it and
-    its count in each, and the running sum of token lengths. So no
-    recall tokenizes a leaf again, and BM25 over a prefix reads only the
-    rows of its terms.
+    Embeddings are the float32 rows of one matrix, `rows`, which the
+    screen reads in contiguous slices. The matrix grows by doubling;
+    when it does, a tree points each leaf's `node.embedding`, a view of
+    its row, at its row of the new matrix, so the old one is freed and
+    no leaf keeps a second copy. A row past the index's end can be
+    written ahead of `add` by `place`, as replay does; the leaf's
+    embedding is then that row, which `add` copies onto itself. Beside
+    the rows, flat arrays of the same capacity hold each leaf's float64
+    norm, its interval end as a timestamp (the recency tie-break, and
+    the key `upto` searches) and its id, so scoring slices them and
+    joins nothing. The leaf's tokens are posted once, when it is added,
+    to `postings`: per term the rows that hold it and its count in each,
+    and the running sum of token lengths. So no recall tokenizes a leaf
+    again, and BM25 over a prefix reads only the rows of its terms.
 
     Rows are only ever appended, so a view from `upto` stays valid while
     the index it came from grows: a grown matrix or column is a new
@@ -241,9 +249,7 @@ class LeafIndex:
         return row
 
     def add(self, leaf: MemoryNode) -> np.ndarray:
-        """Append a leaf's columns; returns its embedding row. A row that
-        `place` wrote, and that the leaf's embedding is a view of, is not
-        written again."""
+        """Append a leaf's columns; returns its embedding row."""
         if leaf.embedding is None:
             raise ValueError(f"leaf {leaf.id} has no embedding")
         vector = np.asarray(leaf.embedding)
@@ -254,8 +260,7 @@ class LeafIndex:
         if size == len(self.rows):
             self.reserve(size + 1, len(vector))
         row = self.rows[size]
-        if not (vector.base is self.rows and np.may_share_memory(vector, row)):
-            row[:] = vector
+        row[:] = vector  # a row that `place` wrote is its own vector
         wide = row.astype(np.float64)
         self.norms[size] = math.sqrt(wide.dot(wide))  # np.linalg.norm's float, without its dispatch
         self.stamps[size] = leaf.interval.end.timestamp()
@@ -278,8 +283,14 @@ class LeafIndex:
 
     def rough_dots(self, unit_query: np.ndarray) -> np.ndarray:
         """Each leaf's float32 dot product with a float32 `unit_query`,
-        one matrix-vector product over the rows."""
-        return self.rows[:self._size] @ unit_query
+        one matrix-vector product per slice of `SCREEN_FLOATS` floats of
+        the matrix, each slice a view of its rows."""
+        rows = self.rows[:self._size]
+        approx = np.empty(len(rows), dtype=np.float32)
+        step = SCREEN_FLOATS // max(1, self.dimension)
+        for start in range(0, len(rows), step):
+            np.dot(rows[start:start + step], unit_query, out=approx[start:start + step])
+        return approx
 
     def dots(self, query: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The float64 dot products with `query` of the given ascending,

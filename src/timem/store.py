@@ -245,19 +245,22 @@ class _Stamps(dict):
 _LEVELS = {int(level): level for level in Level}
 
 
-def _row_frames(fd: int, size: int) -> int:
-    """How many frames of a log of `size` bytes, open as `fd`, carry
-    rows, from their headers alone, up to the first header that is not a
-    frame's. The engine writes at most one segment per frame, so this
-    bounds the segments of a log it wrote. It is a size hint, not a
-    limit: a frame written otherwise can hold more."""
+def _row_frames(fd: int, size: int, embedding_dim: int) -> int:
+    """How many frames of a log of `size` bytes, open as `fd`, claim at
+    least one row of `embedding_dim` float32s, from their headers alone,
+    up to the first header that is not a whole frame's. The engine writes
+    at most one segment per frame, so this bounds the segments of a log
+    it wrote. It is a size hint, not a limit: a frame written otherwise
+    can hold more. It never exceeds the rows the log's bytes can hold, so
+    a damaged log makes replay reserve no more than it could read."""
     count = offset = 0
+    row_bytes = 4 * embedding_dim
     while offset + _HEADER.size <= size:
         magic, body_size, rows_size, _ = _HEADER.unpack(os.pread(fd, _HEADER.size, offset))
-        if magic != FRAME_MAGIC:
-            break
-        count += rows_size > 0
         offset += _HEADER.size + body_size + rows_size + 1
+        if magic != FRAME_MAGIC or offset > size:
+            break
+        count += rows_size >= row_bytes
     return count
 
 
@@ -523,7 +526,8 @@ class LogStore:
         offset = 0
         with open(path, "rb") as f:
             size = os.fstat(f.fileno()).st_size
-            tree.reserve_leaves(user_id, _row_frames(f.fileno(), size), embedding_dim)
+            tree.reserve_leaves(user_id, _row_frames(f.fileno(), size, embedding_dim),
+                               embedding_dim)
             while offset < size:
                 try:
                     nodes, call_turns, end = _read_call(f, user_id, offset, size, stamps)

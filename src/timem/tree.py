@@ -15,8 +15,8 @@ Besides the nodes by id, a tree keeps two indexes per user:
   latest node of a level is its last element.
 - a `LeafIndex` of the segments, the columns recall scores: one float32
   matrix of embedding rows, and flat arrays of norms, end times and
-  ids, all grown by doubling. Recall screens every row with one float32
-  matrix-vector product and runs the exact float64 one only on the
+  ids, all grown by doubling. Recall screens every row with float32
+  matrix-vector products and runs the exact float64 one only on the
   leaves that can reach the top k. The index is not kept up at insert
   time: `leaf_index` catches up with the segments inserted since its
   last call, so ingest and replay never pay for norms, stamps and
@@ -252,44 +252,43 @@ class MemoryTree:
             index = self._leaves[user_id] = LeafIndex()
         return index
 
-    def _repoint(self, user_id: str, index: LeafIndex, old: np.ndarray) -> None:
-        """When `index` has replaced its matrix `old`, point each segment
-        whose embedding is its own row of `old` at that row of the new
-        matrix, so the old one is freed. Any other segment, one not yet
-        indexed, keeps its vector: `add` copies it into its row."""
-        if index.rows is old:
-            return
-        for was, row, node in zip(old, index.rows, self._ordered(user_id, Level.SEGMENT)):
-            vector = node.embedding
-            if getattr(vector, "base", None) is old and np.may_share_memory(vector, was):
-                node.embedding = row
+    def _in_matrix(self, user_id: str, index: LeafIndex, call, *args):
+        """`call(*args)`, a call of `index` that may grow its matrix. When
+        it does, each segment whose embedding is its own row of the old
+        matrix is pointed at that row of the new one, so the old one is
+        freed. Any other segment, one not yet indexed, keeps its vector:
+        `add` copies it into its row."""
+        old = index.rows
+        result = call(*args)
+        if index.rows is not old:
+            for was, row, node in zip(old, index.rows, self._ordered(user_id, Level.SEGMENT)):
+                vector = node.embedding
+                if getattr(vector, "base", None) is old and np.may_share_memory(vector, was):
+                    node.embedding = row
+        return result
 
     def reserve_leaves(self, user_id: str, count: int, dimension: int) -> None:
         """Size the user's leaf matrix for `count` segments of `dimension`
         floats past those the tree holds; replay passes an upper bound."""
         index = self._index(user_id)
-        old = index.rows
-        index.reserve(len(self._ordered(user_id, Level.SEGMENT)) + count, dimension)
-        self._repoint(user_id, index, old)
+        self._in_matrix(user_id, index, index.reserve,
+                        len(self._ordered(user_id, Level.SEGMENT)) + count, dimension)
 
     def place_leaf(self, node: MemoryNode) -> None:
         """Write the embedding of `node`, the segment to be inserted next,
         into its row of the user's leaf matrix ahead of `leaf_index`, and
         make that row its `embedding`, the one copy the tree keeps."""
         index = self._index(node.user_id)
-        old = index.rows
-        node.embedding = index.place(len(self._ordered(node.user_id, Level.SEGMENT)),
-                                     node.embedding)
-        self._repoint(node.user_id, index, old)
+        node.embedding = self._in_matrix(
+            node.user_id, index, index.place,
+            len(self._ordered(node.user_id, Level.SEGMENT)), node.embedding)
 
     def leaf_index(self, user_id: str) -> LeafIndex:
         """The user's segments in (end, id) order as a LeafIndex, after
         adding the segments inserted since the last call."""
         index = self._index(user_id)
         for node in self._ordered(user_id, Level.SEGMENT)[len(index):]:
-            old = index.rows
-            node.embedding = index.add(node)
-            self._repoint(user_id, index, old)
+            node.embedding = self._in_matrix(user_id, index, index.add, node)
         return index
 
     def all_nodes(self, user_id: str) -> list[MemoryNode]:

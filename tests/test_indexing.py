@@ -25,7 +25,7 @@ from timem import (
 )
 from timem.backends import MockEmbedder
 from timem.errors import DimensionMismatch, IndexOutOfRange, ZeroVector
-from timem.indexing import LeafIndex, Postings, _screen, bm25_scores
+from timem.indexing import SCREEN_FLOATS, LeafIndex, Postings, _screen, bm25_scores
 
 from conftest import utc
 
@@ -488,6 +488,18 @@ def unit32(vector: np.ndarray) -> np.ndarray:
     return vector / np.float32(np.linalg.norm(vector.astype(np.float64)))
 
 
+def twin_row(dim: int) -> int:
+    """The row of screened_pool's second twin: a power of two, so the
+    first row after an index built leaf by leaf grows its matrix, with
+    at least 1024 rows and 2**15 floats before it. The pool then holds
+    4k leaves at dim 16, and at dims 384 and 1024 its screen is a matrix
+    large enough for OpenBLAS to split a gemv of it across threads."""
+    rows = 1024
+    while rows * dim < 1 << 15:
+        rows *= 2
+    return rows
+
+
 def screened_pool(rng: np.random.Generator, dim: int) -> tuple[list[MemoryNode], np.ndarray]:
     """Dense unit rows in (end, id) order, and a query.
 
@@ -497,7 +509,7 @@ def screened_pool(rng: np.random.Generator, dim: int) -> tuple[list[MemoryNode],
     score falls among scores about 5e-8 apart, closer than float32 can
     tell them. Two exact twins of the target sit on both sides of the
     row where the index's matrix grows, at one end and with one text."""
-    rows = ROWS
+    rows = twin_row(dim)
     size = 2 * rows + 30
     vocab = ["kayak", "lake", "paella", "cello", "trip", "park", "dinner"]
     target = unit32(rng.standard_normal(dim))
@@ -531,7 +543,7 @@ def test_screened_top_k_equals_the_full_pass(dim):
     rng = np.random.default_rng(dim)
     leaves, leaning = screened_pool(rng, dim)
     index = LeafIndex.of(leaves)
-    rows = ROWS
+    rows = twin_row(dim)
     target = leaves[rows].embedding.astype(np.float64)
     queries = [leaning, target, target + 1e-3 * rng.standard_normal(dim),
                rng.standard_normal(dim)]
@@ -548,6 +560,23 @@ def test_screened_top_k_equals_the_full_pass(dim):
         kept = _screen(view, query, float(np.linalg.norm(query)), no_lex, 1.0, 20)
         screened += len(kept) < len(view)
     assert screened  # the screen dropped leaves, so the comparison tested it
+
+
+def test_rough_dots_cover_every_row_once_across_slices():
+    """The screen's gemvs over slices of SCREEN_FLOATS floats give each
+    row of the view, on either side of a slice's end, its own dot product
+    within float32's error, and nothing past the view."""
+    rng = np.random.default_rng(5)
+    step = SCREEN_FLOATS // DIM
+    leaves = dense_pool(rng, 2 * step + 3)
+    index = LeafIndex.of(leaves)
+    query = unit32(rng.standard_normal(DIM))
+    exact = np.einsum("ij,j->i", index.rows[:len(index)], query.astype(np.float64))
+    for n in (0, 1, step - 1, step, step + 1, 2 * step + 3):
+        view = index.upto(leaves[n - 1].interval.end) if n else index.upto(utc(2000, 1, 1, 0, 0))
+        rough = view.rough_dots(query)
+        assert rough.dtype == np.float32 and len(rough) == n
+        assert np.allclose(rough, exact[:n], rtol=0, atol=1e-4)  # DIM * 2**-24 bounds it
 
 
 def test_screen_keeps_the_leaves_it_cannot_bound():
@@ -585,7 +614,7 @@ def test_dots_of_any_rows_equal_the_einsum_over_every_row(dim):
     rng = np.random.default_rng(dim)
     leaves, query = screened_pool(rng, dim)
     index = LeafIndex.of(leaves)
-    rows = ROWS
+    rows = twin_row(dim)
     for view in (index, index.upto(leaves[rows + 5].interval.end)):
         n = len(view)
         full = np.einsum("ij,j->i", view.rows[:n], query)

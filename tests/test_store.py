@@ -405,6 +405,23 @@ def test_a_frame_with_two_segments_loads_and_recalls(tmp_path):
     assert fresh.recall("alice", query) == engine.recall("alice", query)
 
 
+def test_a_damaged_log_reserves_no_more_rows_than_it_holds(tmp_path):
+    """The header pass counts only whole frames that claim a full row:
+    a thousand frames of a few row bytes each, or one header that claims
+    more bytes than the log has, reserve no row before replay reports
+    the first bad frame."""
+    tiny = FRAME_HEADER.pack(b"\xffTM1", 0, 4, 0) + bytes(4) + b"\n"  # checksum 0: corrupt
+    oversized = FRAME_HEADER.pack(b"\xffTM1", 0, 1 << 30, 0) + bytes(4 * DIM) + b"\n"
+    log = tmp_path / "alice" / "log.jsonl"
+    log.parent.mkdir()
+    for damaged in (tiny * 1000, oversized):
+        log.write_bytes(damaged)
+        tree = MemoryTree()
+        with LogStore(tmp_path) as store:
+            assert store.load_replay("alice", tree, DIM).corrupt.offset == 0
+        assert tree.leaf_index("alice").rows.size == 0
+
+
 def test_the_store_refuses_to_log_a_node_without_an_embedding(tmp_path):
     turn = make_turns([("s", "2023-05-20T09:00:00Z", "I went kayaking.", "Fun!")])[0]
     segment = MemoryNode(id=1, user_id="alice", level=Level.SEGMENT, text="Alice kayaked.",
