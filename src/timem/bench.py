@@ -20,7 +20,7 @@ from .engine import MemoryEngine
 from .errors import SchemaError, TimemError
 from .metrics import nearest_rank, separation_ratio, silhouette, spread_metrics
 from .recall import Complexity
-from .store import parse_transcript
+from .store import _field, parse_transcript
 from .timeutil import format_ts, parse_ts
 from .tree import Level, MemoryTree
 
@@ -35,8 +35,9 @@ class BenchQuestion:
 
 
 def load_questions(path: str | Path) -> list[BenchQuestion]:
-    """Questions file: one JSON object per line with keys
-    question, user_id, timestamp, and optional evidence_turn_ids."""
+    """Questions file: one JSON object per line with keys question (a
+    non-empty str), user_id (a str), timestamp, and optional
+    evidence_turn_ids (a list of str, or null); else `SchemaError`."""
     questions = []
     with open(path, encoding="utf-8") as f:
         for i, line in enumerate(f):
@@ -48,12 +49,16 @@ def load_questions(path: str | Path) -> list[BenchQuestion]:
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"{path}:{i + 1}: invalid JSON: {exc}") from exc
             try:
+                question = _field(data, "question", str)
+                if not question:
+                    raise ValueError("the record's 'question' is empty")
                 questions.append(BenchQuestion(
                     query_id=f"q{i:03d}",
-                    question=data["question"],
-                    user_id=data["user_id"],
+                    question=question,
+                    user_id=_field(data, "user_id", str),
                     timestamp=parse_ts(data["timestamp"]),
-                    evidence_turn_ids=data.get("evidence_turn_ids"),
+                    evidence_turn_ids=None if data.get("evidence_turn_ids") is None
+                    else _field(data, "evidence_turn_ids", list, str),
                 ))
             except (KeyError, ValueError, TypeError) as exc:
                 raise SchemaError(f"{path}:{i + 1}: bad question record: {exc}") from exc

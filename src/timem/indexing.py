@@ -178,19 +178,18 @@ class LeafIndex:
     """The columns of a leaf pool that scoring reads, in the order added.
 
     Embeddings are the float32 rows of one matrix, `rows`, which the
-    screen reads in contiguous slices. The matrix grows by doubling;
-    when it does, a tree points each leaf's `node.embedding`, a view of
-    its row, at its row of the new matrix, so the old one is freed and
-    no leaf keeps a second copy. A row past the index's end can be
-    written ahead of `add` by `place`, as replay does; the leaf's
-    embedding is then that row, which `add` copies onto itself. Beside
-    the rows, flat arrays of the same capacity hold each leaf's float64
-    norm, its interval end as a timestamp (the recency tie-break, and
-    the key `upto` searches) and its id, so scoring slices them and
-    joins nothing. The leaf's tokens are posted once, when it is added,
-    to `postings`: per term the rows that hold it and its count in each,
-    and the running sum of token lengths. So no recall tokenizes a leaf
-    again, and BM25 over a prefix reads only the rows of its terms.
+    screen reads in contiguous slices. The matrix only grows, by
+    `reserve`; the rows themselves are written by its owner, a tree that
+    writes each segment's embedding into its row and makes that row the
+    segment's `embedding`, or `of` for a list of leaves. `add` then
+    fills the other columns of the next row: flat arrays of the same
+    capacity hold each leaf's float64 norm, its interval end as a
+    timestamp (the recency tie-break, and the key `upto` searches) and
+    its id, so scoring slices them and joins nothing. The leaf's tokens
+    are posted once, when it is added, to `postings`: per term the rows
+    that hold it and its count in each, and the running sum of token
+    lengths. So no recall tokenizes a leaf again, and BM25 over a prefix
+    reads only the rows of its terms.
 
     Rows are only ever appended, so a view from `upto` stays valid while
     the index it came from grows: a grown matrix or column is a new
@@ -198,7 +197,7 @@ class LeafIndex:
     """
 
     def __init__(self):
-        self.rows = np.empty((0, 0), dtype=np.float32)  # past the end: unset, or placed
+        self.rows = np.empty((0, 0), dtype=np.float32)  # past the end: unset, or written
         self._size = 0
         self.norms = np.empty(0)                 # float64 norm of each row
         self.stamps = np.empty(0)                # interval end, POSIX seconds
@@ -207,8 +206,16 @@ class LeafIndex:
 
     @classmethod
     def of(cls, leaves: list[MemoryNode]) -> LeafIndex:
+        """An index of copies of the leaves' embeddings."""
         index = cls()
-        for leaf in leaves:
+        if leaves:
+            index.reserve(len(leaves), np.size(leaves[0].embedding))
+        for row, leaf in zip(index.rows, leaves):
+            if np.shape(leaf.embedding) != row.shape:
+                raise DimensionMismatch(
+                    f"leaf {leaf.id} has embedding shape {np.shape(leaf.embedding)}, "
+                    f"the pool {row.shape}")
+            row[:] = leaf.embedding
             index.add(leaf)
         return index
 
@@ -223,7 +230,7 @@ class LeafIndex:
     def reserve(self, count: int, dimension: int) -> None:
         """Make room for `count` rows of `dimension` floats. A matrix that
         must grow is replaced by one of at least twice its rows, holding
-        every row of the old one, placed rows included."""
+        every row of the old one, written rows past the end included."""
         old = self.rows
         if count <= len(old):
             return
@@ -236,38 +243,15 @@ class LeafIndex:
         self.norms, self.stamps, self.ids = (
             np.resize(column, capacity) for column in (self.norms, self.stamps, self.ids))
 
-    def place(self, position: int, embedding: np.ndarray) -> np.ndarray:
-        """Write the embedding of the leaf that `add` will take at
-        `position`, at or past the end, into its row ahead of it; returns
-        the row. The matrix grows when the row is past its capacity."""
-        if position >= len(self.rows):
-            self.reserve(position + 1, len(embedding))
-        row = self.rows[position]
-        if embedding.shape != row.shape:
-            raise DimensionMismatch(f"embedding shape {embedding.shape}, the pool {row.shape}")
-        row[:] = embedding
-        return row
-
-    def add(self, leaf: MemoryNode) -> np.ndarray:
-        """Append a leaf's columns; returns its embedding row."""
-        if leaf.embedding is None:
-            raise ValueError(f"leaf {leaf.id} has no embedding")
-        vector = np.asarray(leaf.embedding)
-        if vector.shape != (self.dimension or vector.shape[0],):
-            raise DimensionMismatch(
-                f"leaf {leaf.id} has embedding shape {vector.shape}, the pool ({self.dimension},)")
+    def add(self, leaf: MemoryNode) -> None:
+        """Append the columns of a leaf whose row is already written."""
         size = self._size
-        if size == len(self.rows):
-            self.reserve(size + 1, len(vector))
-        row = self.rows[size]
-        row[:] = vector  # a row that `place` wrote is its own vector
-        wide = row.astype(np.float64)
+        wide = self.rows[size].astype(np.float64)
         self.norms[size] = math.sqrt(wide.dot(wide))  # np.linalg.norm's float, without its dispatch
         self.stamps[size] = leaf.interval.end.timestamp()
         self.ids[size] = leaf.id
         self.postings.add(tokenize(leaf.text))
         self._size += 1
-        return row
 
     def upto(self, t_q: datetime | None) -> LeafIndex:
         """A view of the leaves ending at or before an aware `t_q` (every

@@ -36,8 +36,8 @@ What replay refuses:
 Replay first walks the frame headers alone, one `os.pread` each, and
 counts the frames that carry rows: the engine writes at most one
 segment per frame, so the count sizes the tree's leaf matrix before any
-row arrives. Each segment's float32 row is then written from its frame
-straight into its row of that matrix, and becomes the segment's
+row arrives. Inserting a segment then writes its float32 row from its
+frame into its row of that matrix, which becomes the segment's
 `embedding`; a restarted tree holds one copy of each leaf row.
 
 A node's start and end and its turn's timestamp are often one string,
@@ -509,10 +509,10 @@ class LogStore:
         store's next append to the log follows the accepted calls.
 
         Before the main pass, the frame headers alone size the tree's leaf
-        matrix (`_row_frames`), and each segment's float32 row is then
-        written from its frame straight into its row of the matrix; every
-        other node's embedding is copied out of its frame, so no node pins
-        a frame.
+        matrix (`_row_frames`), into which `insert_node` writes each
+        segment's row; every other node's embedding is copied out of its
+        frame, so no node pins a frame. A segment past the hint keeps its
+        frame's row until the first `leaf_index` grows the matrix.
         """
         path = self.log_path(user_id)
         tree.ensure_user(user_id)  # register user even when the log is empty
@@ -550,11 +550,9 @@ class LogStore:
                         raise CorruptRecord(
                             f"segment {node.id} at offset {offset} in {path} must cite logged "
                             f"turns; it cites {node.source_turn_ids}", offset=offset)
+                    if not segment:
+                        node.embedding = node.embedding.copy()  # no node pins the frame
                     try:
-                        if segment:
-                            tree.place_leaf(node)
-                        else:
-                            node.embedding = node.embedding.copy()  # no node pins the frame
                         tree.insert_node(node)
                         if child_ids:
                             tree.adopt(user_id, node.id, child_ids)

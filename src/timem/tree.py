@@ -15,17 +15,16 @@ Besides the nodes by id, a tree keeps two indexes per user:
   latest node of a level is its last element.
 - a `LeafIndex` of the segments, the columns recall scores: one float32
   matrix of embedding rows, and flat arrays of norms, end times and
-  ids, all grown by doubling. Recall screens every row with float32
-  matrix-vector products and runs the exact float64 one only on the
-  leaves that can reach the top k. The index is not kept up at insert
-  time: `leaf_index` catches up with the segments inserted since its
-  last call, so ingest and replay never pay for norms, stamps and
-  postings. Each indexed segment's `embedding` is a view of its row of
-  the matrix, not a second copy; when the matrix grows, the tree points
-  each such segment at its row of the new one. Replay writes each
-  segment's row into the matrix as it inserts it (`reserve_leaves`,
-  `place_leaf`), so a replayed tree holds one copy of every leaf row
-  and its first catch-up copies none.
+  ids. Recall screens every row with float32 matrix-vector products and
+  runs the exact float64 one only on the leaves that can reach the top
+  k. A segment whose position is below the matrix's capacity is its
+  row: `insert_node` writes a segment into a free row, and a growth
+  (`reserve_leaves`, from replay's frame headers, or `leaf_index`, when
+  segments outnumber rows) writes each segment that had none and points
+  every segment at its row, so the old matrix is freed. Norms, stamps
+  and postings wait for `leaf_index`, which catches up with the
+  segments inserted since its last call: ingest and replay never pay
+  for them.
 
 A user's tree can be dropped (`drop_user`) when it may have diverged
 from its log, after a failed append; a replay rebuilds it.
@@ -43,6 +42,7 @@ import numpy as np
 
 from .errors import (
     ContainmentViolation,
+    DimensionMismatch,
     DuplicateId,
     LevelEdgeViolation,
     NonMonotonicTimestamp,
@@ -185,8 +185,9 @@ class MemoryTree:
 
     def insert_node(self, node: MemoryNode) -> int:
         """Index a node that has no edge yet; `adopt` links it later. The
-        node must sort last on its level by (interval end, id), or the
-        insert raises `NonMonotonicTimestamp` and changes nothing."""
+        node must sort last on its level by (interval end, id), and a
+        segment needs an embedding as wide as the user's others, or the
+        insert raises and changes nothing. A segment fills a free row."""
         if node.parent_id is not None or node.child_ids:
             raise ValueError(f"node {node.id} arrives with edges; link it with adopt")
         nodes = self._nodes.get(node.user_id)
@@ -196,16 +197,28 @@ class MemoryTree:
         if node.id in nodes:
             raise DuplicateId(f"node id {node.id} already used for {node.user_id!r}")
         vector = node.embedding
+        ordered = self._levels[node.user_id][node.level]
+        index = self._leaves.get(node.user_id)
+        if node.level is Level.SEGMENT:
+            if vector is None:
+                raise ValueError(f"segment {node.id} has no embedding to score")
+            width = (index.dimension if index is not None else 0) or (
+                len(ordered[0].embedding) if ordered else vector.size)
+            if vector.shape != (width,):
+                raise DimensionMismatch(f"segment {node.id} has embedding shape "
+                                        f"{vector.shape}, the user's segments ({width},)")
         if vector is not None:
             # np.linalg.norm of a 1-D vector, without its dispatch: the
             # same float, float32 for a float32 vector
             norm = float(np.sqrt(vector.dot(vector)))
             if not abs(norm - 1.0) <= _EMBED_NORM_TOL:  # a NaN norm fails too
                 raise ValueError(f"embedding norm {norm} not within {_EMBED_NORM_TOL} of 1")
-        ordered = self._levels[node.user_id][node.level]
         if ordered and (node.interval.end, node.id) < (ordered[-1].interval.end, ordered[-1].id):
             raise NonMonotonicTimestamp(f"node {node.id} sorts before node {ordered[-1].id}, "
                                         f"the last of level {int(node.level)} by (end, id)")
+        if node.level is Level.SEGMENT and index is not None and len(ordered) < len(index.rows):
+            index.rows[len(ordered)] = vector
+            node.embedding = index.rows[len(ordered)]
         nodes[node.id] = node
         ordered.append(node)
         if node.id >= self._next_id[node.user_id]:
@@ -252,43 +265,36 @@ class MemoryTree:
             index = self._leaves[user_id] = LeafIndex()
         return index
 
-    def _in_matrix(self, user_id: str, index: LeafIndex, call, *args):
-        """`call(*args)`, a call of `index` that may grow its matrix. When
-        it does, each segment whose embedding is its own row of the old
-        matrix is pointed at that row of the new one, so the old one is
-        freed. Any other segment, one not yet indexed, keeps its vector:
-        `add` copies it into its row."""
-        old = index.rows
-        result = call(*args)
-        if index.rows is not old:
-            for was, row, node in zip(old, index.rows, self._ordered(user_id, Level.SEGMENT)):
-                vector = node.embedding
-                if getattr(vector, "base", None) is old and np.may_share_memory(vector, was):
-                    node.embedding = row
-        return result
+    def _grow(self, user_id: str, index: LeafIndex, count: int, dimension: int) -> None:
+        """Make the user's leaf matrix hold `count` rows of `dimension`
+        floats, write each segment that had no row into the new matrix
+        and point every segment at its row, so the old matrix is freed."""
+        held = len(index.rows)
+        index.reserve(count, dimension)
+        for position, node in enumerate(self._ordered(user_id, Level.SEGMENT)[:len(index.rows)]):
+            if position >= held:
+                index.rows[position] = node.embedding
+            node.embedding = index.rows[position]
 
     def reserve_leaves(self, user_id: str, count: int, dimension: int) -> None:
         """Size the user's leaf matrix for `count` segments of `dimension`
-        floats past those the tree holds; replay passes an upper bound."""
-        index = self._index(user_id)
-        self._in_matrix(user_id, index, index.reserve,
-                        len(self._ordered(user_id, Level.SEGMENT)) + count, dimension)
-
-    def place_leaf(self, node: MemoryNode) -> None:
-        """Write the embedding of `node`, the segment to be inserted next,
-        into its row of the user's leaf matrix ahead of `leaf_index`, and
-        make that row its `embedding`, the one copy the tree keeps."""
-        index = self._index(node.user_id)
-        node.embedding = self._in_matrix(
-            node.user_id, index, index.place,
-            len(self._ordered(node.user_id, Level.SEGMENT)), node.embedding)
+        floats past those the tree holds; replay passes a size hint."""
+        self._grow(user_id, self._index(user_id),
+                   len(self._ordered(user_id, Level.SEGMENT)) + count, dimension)
 
     def leaf_index(self, user_id: str) -> LeafIndex:
         """The user's segments in (end, id) order as a LeafIndex, after
-        adding the segments inserted since the last call."""
+        adding the segments inserted since the last call. A matrix too
+        small for them doubles until it holds them all."""
         index = self._index(user_id)
-        for node in self._ordered(user_id, Level.SEGMENT)[len(index):]:
-            node.embedding = self._in_matrix(user_id, index, index.add, node)
+        segments = self._ordered(user_id, Level.SEGMENT)
+        if len(segments) > len(index.rows):
+            capacity = len(index.rows) or 1
+            while capacity < len(segments):
+                capacity *= 2
+            self._grow(user_id, index, capacity, len(segments[0].embedding))
+        for node in segments[len(index):]:
+            index.add(node)
         return index
 
     def all_nodes(self, user_id: str) -> list[MemoryNode]:

@@ -59,6 +59,34 @@ def test_questions_schema_error(tmp_path):
         load_questions(path)
 
 
+GOOD_QUESTION = {"question": "Where did Alice go?", "user_id": "alice",
+                 "timestamp": "2023-06-01T00:00:00Z", "evidence_turn_ids": ["alice-s00/1"]}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("question", 5), ("question", ""), ("question", None),
+    ("user_id", 7), ("user_id", ["alice"]),
+    ("evidence_turn_ids", "alice-s00/1"), ("evidence_turn_ids", [1]),
+    ("evidence_turn_ids", {"alice-s00/1": True}),
+])
+def test_questions_refuse_a_field_of_another_type(tmp_path, field, value):
+    """A field of another JSON type is a schema error naming the line; a
+    string of turn ids would otherwise be scored one character at a time."""
+    path = tmp_path / "q.jsonl"
+    lines = [GOOD_QUESTION, {**GOOD_QUESTION, field: value}]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"{path}:2: .*'{field}'"):
+        load_questions(path)
+
+
+def test_questions_take_absent_or_null_evidence(tmp_path):
+    path = tmp_path / "q.jsonl"
+    absent = {k: v for k, v in GOOD_QUESTION.items() if k != "evidence_turn_ids"}
+    lines = [GOOD_QUESTION, absent, {**GOOD_QUESTION, "evidence_turn_ids": None}]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    assert [q.evidence_turn_ids for q in load_questions(path)] == [["alice-s00/1"], None, None]
+
+
 def test_bench_no_questions(tmp_path, fixture_dir):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")

@@ -400,6 +400,18 @@ def test_bench_refuses_a_data_dir_with_logs(fixture_dir, tmp_path, capsys):
     assert main(["validate", "--data-dir", str(data_dir)]) == EXIT_OK
 
 
+def test_bench_exits_with_a_data_error_for_a_question_of_another_type(fixture_dir, tmp_path,
+                                                                       capsys):
+    transcripts = sorted(str(p) for p in fixture_dir.glob("transcript_*.json"))
+    questions = tmp_path / "questions.jsonl"
+    questions.write_text('{"question": 5, "user_id": "alice", '
+                         '"timestamp": "2023-06-01T00:00:00Z"}\n', encoding="utf-8")
+    assert main(["bench", "--transcripts", *transcripts,
+                 "--questions", str(questions)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and f"{questions}:1" in err and "Traceback" not in err
+
+
 def test_bench_no_gate_flag(fixture_dir, capsys):
     transcripts = sorted(str(p) for p in fixture_dir.glob("transcript_*.json"))
     assert main(["bench", "--transcripts", *transcripts,

@@ -384,7 +384,8 @@ def test_replay_writes_each_segment_row_into_the_leaf_matrix(tmp_path):
 def test_a_frame_with_two_segments_loads_and_recalls(tmp_path):
     """The header count is a size hint, not a limit: a frame that the
     engine would not write, with two segments, leaves the matrix a row
-    short, and replay grows it."""
+    short. The last segment keeps its vector through replay and gets its
+    row at the first leaf_index, which grows the matrix."""
     engine = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
     ingest_all(engine, "alice", random_transcript(random.Random(73), "alice"), flush=False)
     engine.store.close()
@@ -398,9 +399,17 @@ def test_a_frame_with_two_segments_loads_and_recalls(tmp_path):
     assert fresh.load_user("alice").corrupt is None
     assert node_rows(fresh) == node_rows(engine)
     segments = fresh.tree.nodes_at_level("alice", Level.SEGMENT)
+    live = engine.tree.nodes_at_level("alice", Level.SEGMENT)
     rows = segments[0].embedding.base
-    assert len(rows) > len(frames) - 1  # grown past the hint
-    assert all(leaf.embedding.base is rows for leaf in segments)
+    assert len(rows) == len(frames) - 1 == len(segments) - 1  # the hint
+    assert all(leaf.embedding.base is rows for leaf in segments[:-1])
+    assert not np.shares_memory(segments[-1].embedding, rows)
+    index = fresh.tree.leaf_index("alice")
+    assert len(index.rows) == 2 * len(rows)
+    for row, (leaf, twin) in enumerate(zip(segments, live, strict=True)):
+        assert leaf.embedding.base is index.rows
+        assert np.shares_memory(leaf.embedding, index.rows[row])
+        assert leaf.embedding.tobytes() == twin.embedding.tobytes()
     query = "Where did Alice go kayaking?"
     assert fresh.recall("alice", query) == engine.recall("alice", query)
 

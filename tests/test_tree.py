@@ -9,6 +9,7 @@ import pytest
 from timem import Level, MemoryNode, MemoryTree, TemporalInterval
 from timem.errors import (
     ContainmentViolation,
+    DimensionMismatch,
     DuplicateId,
     LevelEdgeViolation,
     NonMonotonicTimestamp,
@@ -502,28 +503,113 @@ def test_a_catch_up_across_growths_points_every_segment_at_the_current_matrix():
     assert len(fused_top_k(query, ["park"], index, 0.9, 40)) == 40
 
 
-def test_rows_placed_past_the_reserved_size_grow_the_matrix_and_stay_in_place():
-    """Replay's path: rows written ahead of the catch-up, more of them
-    than were reserved. Every placed segment follows the matrix as it
-    grows, and the catch-up then copies no row."""
+def test_segments_past_the_reserved_size_get_their_rows_at_the_next_catch_up():
+    """Replay's path: segments inserted into a reserved matrix, more of
+    them than were reserved. Each one inserted while the matrix has a
+    free row is that row from its insert on; the rest keep their vectors
+    until the catch-up grows the matrix once and writes them, and every
+    segment then follows the matrix."""
     tree = MemoryTree()
     tree.reserve_leaves("u", 2, 32)
+    reserved = tree.leaf_index("u").rows
     inserted = {}
     for node_id in range(1, 20):
         leaf = embedded_segment(node_id)
-        inserted[node_id] = leaf.embedding.copy()
-        tree.place_leaf(leaf)
+        inserted[node_id] = leaf.embedding.astype(np.float32)
         tree.insert_node(leaf)
     segments = tree.nodes_at_level("u", Level.SEGMENT)
-    rows = segments[0].embedding.base
-    assert len(rows) >= 19
-    assert all(leaf.embedding.base is rows for leaf in segments)
-    pointer = rows.__array_interface__["data"][0]
+    assert len(reserved) == 2
+    assert all(leaf.embedding.base is reserved for leaf in segments[:2])
+    assert not any(np.shares_memory(leaf.embedding, reserved) for leaf in segments[2:])
     index = tree.leaf_index("u")
-    assert index.rows is rows and rows.__array_interface__["data"][0] == pointer
+    assert len(index.rows) == 32 and len(index) == 19
     for row, leaf in enumerate(segments):
         assert leaf.embedding.tobytes() == inserted[leaf.id].tobytes()
-        assert np.shares_memory(leaf.embedding, rows[row])
+        assert leaf.embedding.base is index.rows
+        assert np.shares_memory(leaf.embedding, index.rows[row])
+
+
+def test_every_segment_below_capacity_is_its_row_through_inserts_catch_ups_and_reserves():
+    """Inserts, catch-ups and reserves mixed across three growths: after
+    each step every segment that the matrix has room for shares memory
+    with its row and holds the bytes it was inserted with, and recall
+    over the index equals recall over an index of copies."""
+    from dataclasses import replace
+
+    from timem.indexing import LeafIndex, fused_top_k
+
+    tree = MemoryTree()
+    inserted: dict[int, np.ndarray] = {}
+    matrices = []
+    query = embedded_segment(7).embedding
+
+    def insert(count):
+        for node_id in range(len(inserted) + 1, len(inserted) + 1 + count):
+            leaf = embedded_segment(node_id)
+            inserted[node_id] = leaf.embedding.copy()
+            tree.insert_node(leaf)
+
+    def catch_up():
+        index = tree.leaf_index("u")
+        copies = [replace(leaf, embedding=inserted[leaf.id].copy())
+                  for leaf in tree.nodes_at_level("u", Level.SEGMENT)]
+        assert (fused_top_k(query, ["park"], index, 0.9, 5)
+                == fused_top_k(query, ["park"], LeafIndex.of(copies), 0.9, 5))
+
+    steps = [lambda: insert(3), catch_up, lambda: insert(3),
+             lambda: tree.reserve_leaves("u", 10, 32), lambda: insert(12), catch_up,
+             lambda: insert(5), catch_up]
+    for step in steps:
+        step()
+        index = tree._leaves.get("u")  # not leaf_index, which could grow it
+        rows = index.rows if index is not None else np.empty((0, 32), np.float32)
+        if len(rows) and (not matrices or matrices[-1] is not rows):
+            matrices.append(rows)
+        for position, leaf in enumerate(tree.nodes_at_level("u", Level.SEGMENT)):
+            assert leaf.embedding.tobytes() == inserted[leaf.id].tobytes()
+            if position < len(rows):
+                assert np.shares_memory(leaf.embedding, rows[position])
+    assert len(matrices) >= 3
+    assert len(tree.leaf_index("u")) == 23
+
+
+def test_a_refused_insert_leaves_the_matrix_and_every_row_unchanged():
+    """Every refusal comes before any change: a duplicate id, a segment
+    out of (end, id) order, one with a bad norm, one without an
+    embedding and one of another width. The last two would leave recall
+    unable to score the user's segments. Each is refused both before
+    the matrix exists and while it has a free row."""
+    from dataclasses import replace
+
+    tree = MemoryTree()
+    for node_id in (1, 2, 3):
+        tree.insert_node(embedded_segment(node_id))
+    refused = [
+        (DuplicateId, embedded_segment(3)),
+        (NonMonotonicTimestamp,
+         replace(embedded_segment(10), interval=embedded_segment(1).interval)),
+        (ValueError, replace(embedded_segment(4), embedding=np.full(32, 0.5, np.float32))),
+        (ValueError, replace(embedded_segment(4), embedding=None)),
+        (DimensionMismatch, embedded_segment(4, dimension=16)),
+    ]
+    for stage in ("no matrix", "a free row"):
+        if stage == "a free row":
+            tree.leaf_index("u")  # four rows, the last free
+        rows = tree._leaves["u"].rows if "u" in tree._leaves else None
+        matrix = None if rows is None else rows.tobytes()
+        segments = tree.nodes_at_level("u", Level.SEGMENT)
+        vectors = [leaf.embedding.tobytes() for leaf in segments]
+        for error, leaf in refused:
+            with pytest.raises(error):
+                tree.insert_node(leaf)
+            assert tree.nodes_at_level("u", Level.SEGMENT) == segments
+            assert [leaf.embedding.tobytes() for leaf in segments] == vectors
+            if rows is not None:
+                assert tree._leaves["u"].rows is rows and len(rows) == 4
+                assert rows.tobytes() == matrix
+                assert not np.shares_memory(leaf.embedding, rows)
+    tree.insert_node(embedded_segment(4))
+    assert list(tree.leaf_index("u").ids[:4]) == [1, 2, 3, 4]
 
 
 def test_segments_given_another_segments_row_are_indexed_with_their_own_copies():
