@@ -16,8 +16,9 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
 
+from .backends import Embedder
 from .engine import MemoryEngine
-from .errors import SchemaError, TimemError
+from .errors import BackendFailure, SchemaError, TimemError
 from .metrics import nearest_rank, separation_ratio, silhouette, spread_metrics
 from .recall import Complexity
 from .store import _field, parse_transcript
@@ -406,16 +407,24 @@ class ManifoldReport:
         return "\n".join(lines) + "\n"
 
 
-def manifold_report(tree: MemoryTree) -> ManifoldReport:
-    """Per-level geometry of node embeddings across users."""
+def manifold_report(tree: MemoryTree, embedder: Embedder) -> ManifoldReport:
+    """Per-level geometry of node embeddings across users: a segment's
+    is its row in the tree, and the text of each node above L1, which
+    keeps none, is embedded here with `embedder`. An embedder failure
+    raises `BackendFailure`."""
     users = tree.users()
     rows = []
     for level in Level:
         points, labels = [], []
         per_user: dict[str, tuple[float, float]] = {}
         for user in users:
-            embeddings = [n.embedding for n in tree.nodes_at_level(user, level)
-                          if n.embedding is not None]
+            nodes = tree.nodes_at_level(user, level)
+            try:
+                embeddings = [n.embedding if level is Level.SEGMENT
+                              else embedder.embed_text(n.text) for n in nodes]
+            except Exception as exc:
+                raise BackendFailure(
+                    f"embedding level {int(level)} of {user!r} failed: {exc}") from exc
             if not embeddings:
                 continue
             per_user[user] = spread_metrics(embeddings)

@@ -205,7 +205,7 @@ def _cmd_bench(args, engine: MemoryEngine) -> int:
 
 def _cmd_analyze(args, engine: MemoryEngine) -> int:
     engine.load_all()
-    report = manifold_report(engine.tree)
+    report = manifold_report(engine.tree, engine.embedder)
     print(report.to_json() if args.output == "json" else report.table(), end="")
     return EXIT_OK
 

@@ -175,14 +175,18 @@ class Consolidator:
 
     def _add_node(self, user_id: str, level: Level, text: str, interval: TemporalInterval,
                   source_turn_ids: list[str] | None = None) -> MemoryNode:
-        """Embed `text` and insert it as a new node ending at `interval.end`."""
-        try:
-            embedding = self.embedder.embed_text(text)
-        except Exception as exc:
-            raise BackendFailure(f"embedding at level {int(level)} failed: {exc}") from exc
-        if np.shape(embedding) != (self.config.embedding_dim,):
-            raise BackendFailure(f"embedding at level {int(level)} has shape {np.shape(embedding)}, "
-                                 f"not ({self.config.embedding_dim},)")
+        """Insert `text` as a new node ending at `interval.end`. Only a
+        segment is embedded: recall scores leaves by similarity and
+        reaches every higher node by an edge."""
+        embedding = None
+        if level is Level.SEGMENT:
+            try:
+                embedding = self.embedder.embed_text(text)
+            except Exception as exc:
+                raise BackendFailure(f"embedding at level {int(level)} failed: {exc}") from exc
+            if np.shape(embedding) != (self.config.embedding_dim,):
+                raise BackendFailure(f"embedding at level {int(level)} has shape "
+                                     f"{np.shape(embedding)}, not ({self.config.embedding_dim},)")
         node = MemoryNode(id=self.tree.allocate_id(user_id), user_id=user_id, level=level,
                           interval=interval, text=text, embedding=embedding,
                           source_turn_ids=source_turn_ids or [])

@@ -8,8 +8,8 @@ per engine call, the node and turn records the call created:
     bytes 8-11    row-bytes length R, u32 little-endian
     bytes 12-15   zlib.crc32 of bytes 4-11, the body and the rows
     next B bytes  body: the records as a UTF-8 JSON array; a node
-                  record's "embedding" is its float count
-    next R bytes  rows: the node records' embeddings as little-endian
+                  record's "embedding" is its float count, 0 above L1
+    next R bytes  rows: the segments' embeddings as little-endian
                   float32, in record order
     last byte     b"\n"
 
@@ -29,9 +29,14 @@ What replay refuses:
   a node that sorts before its level's last, a broken edge, a child id
   given twice, a second `adopt` of a parent, a child that has a
   parent), as the tree's error with the user, the log and the offset
-  added; an embedding whose float count is not the engine's; a segment
-  that cites no turn, or a turn whose record the log does not hold by
-  the end of the segment's call.
+  added; a segment whose float count is not the engine's, or a node
+  above L1 whose count is neither 0 nor the engine's; a segment that
+  cites no turn, or a turn whose record the log does not hold by the
+  end of the segment's call.
+
+Only segments keep an embedding: a node above L1 is reached by an edge,
+never by similarity. Logs written before this rule hold a row for every
+node; replay drops the rows of the nodes above L1.
 
 Replay first walks the frame headers alone, one `os.pread` each, and
 counts the frames that carry rows: the engine writes at most one
@@ -216,14 +221,17 @@ def turn_record(turn: DialogTurn) -> dict:
 def _encode_frame(records) -> bytes:
     """One call's frame: the records as a JSON array whose embeddings
     are float counts, then their float32 rows in record order. A node
-    record without an embedding raises `ValueError`: replay would stop
-    at it."""
+    record above L1 without an embedding gets the count 0 and no row; a
+    segment record without one raises `ValueError`, as replay would
+    refuse it."""
     body, rows = [], []
     for record in records:
         vector = record.get("embedding")
         if record.get("record_type") == "node" and vector is None:
-            raise ValueError(f"node {record.get('id')} has no embedding to log")
-        if vector is not None:
+            if record.get("level") == Level.SEGMENT:
+                raise ValueError(f"node {record.get('id')} has no embedding to log")
+            record = {**record, "embedding": 0}
+        elif vector is not None:
             row = np.asarray(vector, dtype="<f4")
             rows.append(row.tobytes())
             record = {**record, "embedding": row.size}
@@ -502,16 +510,18 @@ class LogStore:
         applied, so a torn call, or one that fails its checksum or does
         not decode, stops the replay at its offset: every call before it
         is loaded, nothing of it or after it, with a warning. A record the
-        tree rejects, an embedding of other than `embedding_dim` floats or
-        a segment that cites no logged turn raises out of the replay,
+        tree rejects, a segment of other than `embedding_dim` floats, a
+        node above L1 of neither 0 nor `embedding_dim` floats, or a
+        segment that cites no logged turn raises out of the replay,
         leaving part of the call applied; the tree's error is raised again
         as its own class with the user, the log and the offset added. This
         store's next append to the log follows the accepted calls.
 
         Before the main pass, the frame headers alone size the tree's leaf
         matrix (`_row_frames`), into which `insert_node` writes each
-        segment's row; every other node's embedding is copied out of its
-        frame, so no node pins a frame. A segment past the hint keeps its
+        segment's row. A node above L1 keeps no embedding: the row that a
+        log written before that rule holds for it is dropped. So the only
+        node that pins a frame is a segment past the hint: it keeps its
         frame's row until the first `leaf_index` grows the matrix.
         """
         path = self.log_path(user_id)
@@ -539,19 +549,21 @@ class LogStore:
                     break
                 logged.update(t.turn_id for t in call_turns)
                 for node, child_ids in nodes:
-                    if node.embedding.size != embedding_dim:
+                    segment = node.level is Level.SEGMENT
+                    floats = node.embedding.size
+                    if floats != embedding_dim and (segment or floats):
                         raise CorruptRecord(
                             f"node {node.id} of {user_id!r} at offset {offset} in {path} has "
-                            f"{node.embedding.size} embedding floats, not {embedding_dim}",
+                            f"{floats} embedding floats, not "
+                            f"{embedding_dim if segment else f'0 or {embedding_dim}'}",
                             offset=offset)
-                    segment = node.level is Level.SEGMENT
                     if segment and not (
                             node.source_turn_ids and logged.issuperset(node.source_turn_ids)):
                         raise CorruptRecord(
                             f"segment {node.id} at offset {offset} in {path} must cite logged "
                             f"turns; it cites {node.source_turn_ids}", offset=offset)
                     if not segment:
-                        node.embedding = node.embedding.copy()  # no node pins the frame
+                        node.embedding = None
                     try:
                         tree.insert_node(node)
                         if child_ids:

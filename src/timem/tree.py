@@ -91,6 +91,10 @@ def interval_hull(intervals: list[TemporalInterval]) -> TemporalInterval:
 
 @dataclass
 class MemoryNode:
+    """One memory of a user's tree. `embedding` is a segment's unit-norm
+    vector, which recall scores, and None on every level above: recall
+    reaches those nodes by an edge, never by similarity."""
+
     id: int
     user_id: str
     level: Level
@@ -187,17 +191,14 @@ class MemoryTree:
         """Index a node that has no edge yet; `adopt` links it later. The
         node must sort last on its level by (interval end, id), and a
         segment needs an embedding as wide as the user's others, or the
-        insert raises and changes nothing. A segment fills a free row."""
+        insert raises and changes nothing, not even the users it knows. A
+        segment fills a free row."""
         if node.parent_id is not None or node.child_ids:
             raise ValueError(f"node {node.id} arrives with edges; link it with adopt")
-        nodes = self._nodes.get(node.user_id)
-        if nodes is None:
-            self.ensure_user(node.user_id)
-            nodes = self._nodes[node.user_id]
-        if node.id in nodes:
+        if node.id in self._nodes.get(node.user_id, ()):
             raise DuplicateId(f"node id {node.id} already used for {node.user_id!r}")
         vector = node.embedding
-        ordered = self._levels[node.user_id][node.level]
+        ordered = self._ordered(node.user_id, node.level)
         index = self._leaves.get(node.user_id)
         if node.level is Level.SEGMENT:
             if vector is None:
@@ -219,8 +220,9 @@ class MemoryTree:
         if node.level is Level.SEGMENT and index is not None and len(ordered) < len(index.rows):
             index.rows[len(ordered)] = vector
             node.embedding = index.rows[len(ordered)]
-        nodes[node.id] = node
-        ordered.append(node)
+        self.ensure_user(node.user_id)
+        self._nodes[node.user_id][node.id] = node
+        self._levels[node.user_id][node.level].append(node)
         if node.id >= self._next_id[node.user_id]:
             self._next_id[node.user_id] = node.id + 1
         return node.id

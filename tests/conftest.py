@@ -9,7 +9,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from timem import DialogTurn, EngineConfig, MemoryEngine, MockChatBackend
+from timem import DialogTurn, EngineConfig, MemoryEngine, MockChatBackend, MockEmbedder
 from timem.errors import ProviderError
 from timem.timeutil import parse_ts
 
@@ -29,6 +29,18 @@ class RecordingChat:
     def chat_complete(self, req):
         self.calls.append(req)
         return self.mock.chat_complete(req)
+
+
+class RecordingEmbedder(MockEmbedder):
+    """The mock embedder, keeping every text it embeds."""
+
+    def __init__(self, dimension: int = 1024):
+        super().__init__(dimension)
+        self.texts = []
+
+    def embed_text(self, text):
+        self.texts.append(text)
+        return super().embed_text(text)
 
 
 class FlakyChatBackend:

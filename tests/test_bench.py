@@ -7,21 +7,25 @@ import re
 
 import pytest
 
-from timem import EngineConfig, MemoryEngine
+from timem import EngineConfig, Level, MemoryEngine
 from timem.bench import (
+    MANIFOLD_HEADER,
     BenchReport,
     BenchRow,
+    ManifoldLevelRow,
+    ManifoldReport,
     generate_fixture,
     load_questions,
     manifold_report,
     run_bench,
     write_fixture,
 )
-from timem.errors import SchemaError
+from timem.errors import BackendFailure, SchemaError
+from timem.metrics import separation_ratio, silhouette, spread_metrics
 from timem.prompts import TEMPLATE_NAMES, PromptLibrary
 from timem.store import parse_transcript
 
-from conftest import ingest_all, random_transcript
+from conftest import RecordingEmbedder, ingest_all, random_transcript
 
 
 @pytest.fixture(scope="module")
@@ -206,13 +210,45 @@ def test_bench_jsonl_one_row_per_query(fixture_dir, tmp_path):
 def test_manifold_report_structure(engine):
     for user, seed in (("alice", 3), ("bob", 5)):
         ingest_all(engine, user, random_transcript(random.Random(seed), user, n_sessions=4))
-    report = manifold_report(engine.tree)
+    report = manifold_report(engine.tree, engine.embedder)
     assert "silhouette" in report.header
-    levels = {row.level for row in report.rows}
-    assert levels == {1, 2, 3, 4, 5}
-    l1 = next(r for r in report.rows if r.level == 1)
-    assert set(l1.per_user) == {"alice", "bob"}
-    assert l1.silhouette is not None and -1.0 <= l1.silhouette <= 1.0
-    for user, (spread, r95) in l1.per_user.items():
-        assert spread >= 0.0 and r95 >= 0.0
+    assert [row.level for row in report.rows] == [1, 2, 3, 4, 5]
+    for row in report.rows:  # a level of nodes without a vector must not go missing
+        assert set(row.per_user) == {"alice", "bob"}, row.level
+        assert row.silhouette is not None and -1.0 <= row.silhouette <= 1.0
+        for user, (spread, r95) in row.per_user.items():
+            assert spread >= 0.0 and r95 >= 0.0
     json.loads(report.to_json())  # serializes cleanly
+
+
+def test_manifold_report_embeds_each_node_as_ingest_did(engine):
+    """Leaves come from the tree and every node above L1 is embedded
+    from its text, so the report equals one built from the embedder's
+    vector of every node's text, which ingest used to keep; it embeds
+    only the nodes above L1, and a failure is a BackendFailure."""
+    for user, seed in (("alice", 3), ("bob", 5)):
+        ingest_all(engine, user, random_transcript(random.Random(seed), user, n_sessions=4))
+    users = ["alice", "bob"]
+    rows = []
+    for level in Level:
+        vectors = {u: [engine.embedder.embed_text(n.text)
+                       for n in engine.tree.nodes_at_level(u, level)] for u in users}
+        points = [v for u in users for v in vectors[u]]
+        labels = [u for u in users for _ in vectors[u]]
+        rows.append(ManifoldLevelRow(
+            level=int(level), silhouette=silhouette(points, labels),
+            separation_ratio=separation_ratio(points, labels),
+            per_user={u: spread_metrics(vectors[u]) for u in users}))
+
+    recording = RecordingEmbedder(engine.config.embedding_dim)
+    assert (manifold_report(engine.tree, recording).to_json()
+            == ManifoldReport(header=MANIFOLD_HEADER, rows=rows).to_json())
+    assert recording.texts == [n.text for level in list(Level)[1:] for u in users
+                              for n in engine.tree.nodes_at_level(u, level)]
+
+    class BrokenEmbedder:
+        def embed_text(self, text):
+            raise RuntimeError("embedder down")
+
+    with pytest.raises(BackendFailure, match="embedder down"):
+        manifold_report(engine.tree, BrokenEmbedder())

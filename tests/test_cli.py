@@ -271,11 +271,14 @@ def crafted_log(case: str) -> bytes:
     bad = {"segment-without-turns": {"source_turn_ids": []},
            "segment-of-an-unlogged-turn": {"source_turn_ids": ["s1/9"]},
            "text-a-number": {"text": 5}, "null-embedding": {"embedding": None},
-           "three-floats": {"embedding": np.full(3, 3 ** -0.5)}}.get(case, {})
-    session = node_record(MemoryNode(
+           "three-floats": {"embedding": np.full(3, 3 ** -0.5)},
+           "segment-of-no-floats": {"embedding": []}}.get(case, {})
+    session = node_record(MemoryNode(  # with a row, as every node had before only segments did
         id=3, user_id="alice", level=Level.SESSION, text="Alice kayaked.",
         interval=TemporalInterval(parse_ts("2023-05-20T09:00:00Z"), parse_ts("2023-05-20T09:05:00Z")),
         embedding=MockEmbedder().embed_text("kayaked")))
+    session.update({"session-without-a-row": {"embedding": []},
+                    "session-of-three-floats": {"embedding": np.full(3, 3 ** -0.5)}}.get(case, {}))
     session["child_ids"] = [1, 1] if case == "repeated-child" else [1, 2]
     second_minute = 0 if case == "out-of-order" else 5
     return b"".join(call_frame(*records) for records in (
@@ -283,13 +286,16 @@ def crafted_log(case: str) -> bytes:
 
 
 def test_the_crafted_log_is_sound_when_it_breaks_nothing(tmp_path, capsys):
-    log = tmp_path / "data" / "alice" / "log.jsonl"
-    log.parent.mkdir(parents=True)
-    log.write_bytes(crafted_log("sound"))
-    assert main(["validate", "--data-dir", str(tmp_path / "data")]) == EXIT_OK
-    assert main(["recall", "--data-dir", str(tmp_path / "data"), "--user", "alice",
-                 "kayaking"]) == EXIT_OK
-    assert "#1" in capsys.readouterr().out
+    """With its session's row, as logs held before only segments kept
+    one, and without it."""
+    for case in ("sound", "session-without-a-row"):
+        log = tmp_path / case / "alice" / "log.jsonl"
+        log.parent.mkdir(parents=True)
+        log.write_bytes(crafted_log(case))
+        assert main(["validate", "--data-dir", str(tmp_path / case)]) == EXIT_OK
+        assert main(["recall", "--data-dir", str(tmp_path / case), "--user", "alice",
+                     "kayaking"]) == EXIT_OK
+        assert "#1" in capsys.readouterr().out
 
 
 REFUSALS = {  # case -> what validate or recall prints about it
@@ -300,6 +306,10 @@ REFUSALS = {  # case -> what validate or recall prints about it
     "segment-of-an-unlogged-turn":
         "segment 1 at offset 0 in {log} must cite logged turns; it cites ['s1/9']",
     "three-floats": "node 1 of 'alice' at offset 0 in {log} has 3 embedding floats, not 1024",
+    "segment-of-no-floats":
+        "node 1 of 'alice' at offset 0 in {log} has 0 embedding floats, not 1024",
+    "session-of-three-floats":
+        "node 3 of 'alice' at offset {third} in {log} has 3 embedding floats, not 0 or 1024",
     "out-of-order": "'alice' at offset {second} in {log}: node 2 sorts before node 1, "
                     "the last of level 1",
     "repeated-child": "'alice' at offset {third} in {log}: node 3 is given a child twice in [1, 1]",
@@ -427,7 +437,24 @@ def test_analyze_reports_header(fixture_dir, tmp_path, capsys):
     assert main(["analyze", "--data-dir", data_dir, "--output", "json"]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert "silhouette" in report["header"]
-    assert len(report["levels"]) == 5
+    assert [level["level"] for level in report["levels"]] == [1, 2, 3, 4, 5]
+    for level in report["levels"]:  # a level of nodes without a vector must not go missing
+        assert sorted(level["per_user"]) == ["alice", "bob"], level["level"]
+
+
+def test_analyze_embeds_with_the_configured_backend(fixture_dir, tmp_path, capsys):
+    """Analyze embeds the nodes above L1 with the configured embedder:
+    an http one that cannot be reached is a backend error."""
+    data_dir = str(tmp_path / "data")
+    transcripts = sorted(str(p) for p in fixture_dir.glob("transcript_*.json"))
+    assert main(["ingest", "--data-dir", data_dir, *transcripts]) == EXIT_OK
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"embed_endpoint": "http://127.0.0.1:9/none",
+                                  "max_retries": 0, "request_timeout": 0.2}), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["analyze", "--data-dir", data_dir, "--backend", "http",
+                 "--config", str(config)]) == EXIT_BACKEND
+    assert "backend error: embedding level 2" in capsys.readouterr().err
 
 
 def test_backend_error_exit_code(fixture_dir, monkeypatch, capsys, tmp_path):

@@ -5,14 +5,15 @@ import random
 import numpy as np
 import pytest
 
-from timem import Level, LogStore, MemoryEngine
+from timem import EngineConfig, Level, LogStore, MemoryEngine
 from timem.backends import CONSOLIDATE_PURPOSES, MockChatBackend
 from timem.consolidation import TemporalGroup
 from timem.errors import BackendFailure, NonMonotonicTimestamp, ProviderError
 from timem.timeutil import parse_ts
 from timem.tree import TemporalInterval
 
-from conftest import FlakyChatBackend, ingest_all, make_turns, random_transcript, utc
+from conftest import (FlakyChatBackend, RecordingEmbedder, ingest_all, make_turns,
+                      random_transcript, utc)
 
 
 def turn_row(session: str, ts: str, text: str = "I went kayaking at Lake Verano."):
@@ -330,6 +331,24 @@ def test_embedder_failure_is_backend_failure():
     with pytest.raises(BackendFailure):
         engine.ingest_turn("alice", turn)
     assert engine.tree.nodes_at_level("alice", Level.SEGMENT) == []
+
+
+def test_only_segments_are_embedded():
+    """One embedding call per segment, for its text, across an ingest
+    that closes sessions, days, weeks and a month, and a flush; every
+    node above L1 keeps no embedding."""
+    embedder = RecordingEmbedder(EngineConfig().embedding_dim)
+    engine = MemoryEngine(embedder=embedder)
+    turns = random_transcript(random.Random(5), "alice", n_sessions=4)
+    for turn in turns:
+        engine.ingest_turn("alice", turn)
+    assert len(embedder.texts) == len(turns)
+    engine.flush("alice")
+    assert all(engine.tree.nodes_at_level("alice", level) for level in Level)
+    segments = engine.tree.nodes_at_level("alice", Level.SEGMENT)
+    assert embedder.texts == [n.text for n in segments]
+    assert all((n.embedding is None) == (n.level is not Level.SEGMENT)
+               for n in engine.tree.all_nodes("alice"))
 
 
 @pytest.mark.parametrize("shape", [(3,), (1, 1024), (1025,)])

@@ -23,9 +23,9 @@ from hypothesis import strategies as st
 from timem import (EngineConfig, Level, LogStore, MemoryEngine, MemoryNode, MemoryTree,
                    TemporalInterval, parse_transcript)
 from timem.backends import MockEmbedder, Purpose
-from timem.bench import generate_fixture
-from timem.errors import (BackendFailure, DuplicateId, NonMonotonicTimestamp, SchemaError,
-                          StoreIoError, TimemError)
+from timem.bench import generate_fixture, manifold_report
+from timem.errors import (BackendFailure, CorruptRecord, DuplicateId, NonMonotonicTimestamp,
+                          SchemaError, StoreIoError, TimemError)
 from timem.store import ReplayResult, _encode_frame, node_record, turn_record
 from timem.timeutil import format_ts, parse_ts
 
@@ -357,7 +357,7 @@ def test_replay_writes_each_segment_row_into_the_leaf_matrix(tmp_path):
     """A replayed tree holds one copy of each leaf row: every segment's
     embedding is a view of one float32 matrix with a row for each frame
     that carries rows, and the first leaf_index adds norms, stamps and
-    postings without moving it. Every other node owns its embedding, so
+    postings without moving it. Every other node keeps no embedding, so
     no node pins a frame."""
     engine = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
     ingest_all(engine, "alice", random_transcript(random.Random(73), "alice"))
@@ -374,11 +374,69 @@ def test_replay_writes_each_segment_row_into_the_leaf_matrix(tmp_path):
     for row, (leaf, twin) in enumerate(zip(segments, live, strict=True)):
         assert leaf.embedding.base is rows and np.shares_memory(leaf.embedding, rows[row])
         assert leaf.embedding.tobytes() == twin.embedding.tobytes()
-    assert all(node.embedding.base is None for node in fresh.tree.all_nodes("alice")
+    assert all(node.embedding is None for node in fresh.tree.all_nodes("alice")
                if node.level is not Level.SEGMENT)
     pointer = rows.__array_interface__["data"][0]
     index = fresh.tree.leaf_index("alice")
     assert index.rows is rows and rows.__array_interface__["data"][0] == pointer
+
+
+def test_a_log_with_rows_above_l1_replays_to_the_same_tree(tmp_path):
+    """A log written when every node kept an embedding holds a row for
+    each: it replays to the tree the engine built, the segments' rows
+    in the leaf matrix and no embedding above L1, and recalls and
+    analyzes alike."""
+    embedder = MockEmbedder(DIM)
+
+    def with_row(node):
+        return {**node_record(node), "embedding": embedder.embed_text(node.text)}
+
+    engine = MemoryEngine()
+    frames = [_encode_frame([*map(with_row, engine.ingest_turn("alice", turn)),
+                             turn_record(turn)])
+              for turn in random_transcript(random.Random(73), "alice")]
+    frames.append(_encode_frame(list(map(with_row, engine.flush("alice")))))
+    assert engine.tree.nodes_at_level("alice", Level.PROFILE)
+    assert any(FRAME_HEADER.unpack_from(frame)[2] > 4 * DIM for frame in frames)
+    (tmp_path / "alice").mkdir()
+    (tmp_path / "alice" / "log.jsonl").write_bytes(b"".join(frames))
+
+    fresh = MemoryEngine(store=LogStore(tmp_path))
+    assert fresh.load_user("alice").corrupt is None
+    assert node_rows(fresh) == node_rows(engine)
+    for node, twin in zip(fresh.tree.all_nodes("alice"), engine.tree.all_nodes("alice")):
+        if node.level is Level.SEGMENT:
+            assert node.embedding.tobytes() == twin.embedding.tobytes()
+        else:
+            assert node.embedding is None
+    query = "Where did Alice go kayaking?"
+    assert fresh.recall("alice", query) == engine.recall("alice", query)
+    assert (manifold_report(fresh.tree, embedder).to_json()
+            == manifold_report(engine.tree, embedder).to_json())
+
+
+@pytest.mark.parametrize("level, floats", [
+    (Level.SESSION, 3), (Level.PROFILE, DIM + 1), (Level.SEGMENT, 0)])
+def test_a_node_of_another_float_count_is_refused_at_its_offset(tmp_path, level, floats):
+    """A segment needs `embedding_dim` floats; a node above L1 0, or
+    `embedding_dim` in a log written before it kept none."""
+    engine = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
+    ingest_all(engine, "alice", ONE_SESSION)
+    engine.store.close()
+    log = engine.store.log_path("alice")
+    frames = log_frames(log.read_bytes())
+    at = [i for i, frame in enumerate(frames)
+          if any(r.get("level") == level for r in frame_records(frame))][-1]
+    records = frame_records(frames[at])
+    node = next(r for r in records if r.get("level") == level)
+    node["embedding"] = np.full(floats, floats ** -0.5) if floats else []
+    log.write_bytes(b"".join([*frames[:at], call_frame(*records), *frames[at + 1:]]))
+    offset = sum(map(len, frames[:at]))
+    with pytest.raises(CorruptRecord, match=(
+            f"node {node['id']} of 'alice' at offset {offset} in .* has {floats} embedding "
+            f"floats, not {DIM if floats == 0 else f'0 or {DIM}'}$")) as refused:
+        LogStore(tmp_path / "data").load_replay("alice", MemoryTree(), DIM)
+    assert refused.value.offset == offset > 0
 
 
 def test_a_frame_with_two_segments_loads_and_recalls(tmp_path):
@@ -701,7 +759,15 @@ def is_file(fd: int) -> bool:
     return stat.S_ISREG(os.fstat(fd).st_mode)
 
 
+def logged_record(node: MemoryNode) -> dict:
+    """A node's record as the engine logs it: no floats above L1."""
+    record = node_record(node)
+    return record if node.level is Level.SEGMENT else {**record, "embedding": []}
+
+
 def test_one_fsync_per_call_and_the_same_log_bytes(tmp_path, monkeypatch):
+    """One fsync per call; each turn's frame holds its segment's row and
+    no other, a closing one too, and a flush's frame no row."""
     fsync = os.fsync
     fsyncs = []
 
@@ -719,7 +785,7 @@ def test_one_fsync_per_call_and_the_same_log_bytes(tmp_path, monkeypatch):
         created = engine.ingest_turn("alice", turn)
         assert len(fsyncs) == before + 1
         most_nodes = max(most_nodes, len(created))
-        expected.append(call_frame(*map(node_record, created), turn_record(turn)))
+        expected.append(call_frame(*map(logged_record, created), turn_record(turn)))
     assert most_nodes > 2  # some calls closed groups
     for has_nodes in (True, False):  # the second flush has nothing to close
         before = len(fsyncs)
@@ -727,10 +793,12 @@ def test_one_fsync_per_call_and_the_same_log_bytes(tmp_path, monkeypatch):
         assert bool(created) == has_nodes
         assert len(fsyncs) == before + has_nodes
         if created:
-            expected.append(call_frame(*map(node_record, created)))
+            expected.append(call_frame(*map(logged_record, created)))
     engine.store.close()
     log = (tmp_path / "data" / "alice" / "log.jsonl").read_bytes()
     assert log == b"".join(expected)
+    assert [FRAME_HEADER.unpack_from(frame)[2] for frame in log_frames(log)] == (
+        [4 * DIM] * 60 + [0])
 
 
 def test_every_line_prefix_replays_and_resumes(tmp_path):

@@ -612,6 +612,29 @@ def test_a_refused_insert_leaves_the_matrix_and_every_row_unchanged():
     assert list(tree.leaf_index("u").ids[:4]) == [1, 2, 3, 4]
 
 
+def test_a_refused_insert_registers_no_user():
+    """An insert for a user the tree does not know yet, refused for
+    edges, a missing embedding, a vector of another shape or a bad norm,
+    leaves the tree without that user."""
+    from dataclasses import replace
+
+    leaf = embedded_segment(1)
+    for error, node in [
+        (ValueError, replace(leaf, child_ids=[2])),
+        (ValueError, replace(leaf, parent_id=2)),
+        (ValueError, replace(leaf, embedding=None)),
+        (DimensionMismatch, replace(leaf, embedding=leaf.embedding.reshape(4, 8))),
+        (ValueError, replace(leaf, embedding=np.full(32, 0.5, np.float32))),
+        (ValueError, replace(leaf, level=Level.SESSION, embedding=2 * leaf.embedding)),
+    ]:
+        tree = MemoryTree()
+        with pytest.raises(error):
+            tree.insert_node(node)
+        assert tree.users() == [] and not tree.has_user("u")
+    tree.insert_node(leaf)
+    assert tree.users() == ["u"]
+
+
 def test_segments_given_another_segments_row_are_indexed_with_their_own_copies():
     """Nodes built with the embedding of an indexed segment, a view of
     that segment's row, each get a row of their own holding it, also
