@@ -61,10 +61,6 @@ class MemoryEngine:
                            data_dir: str | Path | None = None) -> "MemoryEngine":
         return cls(config=config, store=LogStore(data_dir) if data_dir else None)
 
-    def ensure_user(self, user_id: str) -> None:
-        with self._locks[user_id]:
-            self.tree.ensure_user(user_id)
-
     def ingest_turn(self, user_id: str, turn: DialogTurn) -> list[MemoryNode]:
         with self._locks[user_id]:
             created = self.consolidator.ingest_turn(user_id, turn)

@@ -6,21 +6,21 @@ normalized per query across the leaf pool. The two are fused with a
 configurable weight and the top-k leaves are activated.
 
 Leaves are scored from a `LeafIndex`, the columns of a leaf pool that
-scoring reads: float32 embedding rows in one matrix, flat arrays
-of float64 norms, end times and ids, plus BM25's `Postings`: for each
-term the ascending rows that hold it with its count in each, and a
+scoring reads: float32 embedding rows in blocks that never move, flat
+arrays of float64 norms, end times and ids, plus BM25's `Postings`: for
+each term the ascending rows that hold it with its count in each, and a
 running sum of token lengths. The tree keeps one index per user, in
 (end, id) order, so a recall scores the prefix ending by t_q in one
 vectorised pass, and BM25 touches only the leaves that hold a keyword.
 
 The semantic channel is scored in two passes. A float32 screen takes
-every row's dot product with the unit query, one gemv per 1 MiB slice
-of the matrix, and forms a rough fused score. Its error has a proven
-bound, delta, so only the leaves whose rough score is within 2 * delta
-of the k-th largest can be in the top k (see `_screen`). The exact
-pass runs the float64 `einsum` on those leaves alone and orders them
-with the same expressions as a pass over every leaf, so the result is
-the same, bit for bit.
+every row's dot product with the unit query, one gemv per slice of at
+most 1 MiB of a block, and forms a rough fused score. Its error has a
+proven bound, delta, so only the leaves whose rough score is within
+2 * delta of the k-th largest can be in the top k (see `_screen`). The
+exact pass runs the float64 `einsum` on those leaves alone and orders
+them with the same expressions as a pass over every leaf, so the result
+is the same, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import copy
 import math
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
@@ -172,32 +172,36 @@ class ScoredLeaf:
 # 8 ms for the second CPU. Slices below that size are never split, and
 # at 1k rows their gemvs cost what one single-threaded gemv does.
 SCREEN_FLOATS = 1 << 18
+# The floats of a leaf index's first block at least, 64 KiB: a small
+# pool has few blocks, so the screen and the exact pass make few calls.
+FIRST_BLOCK_FLOATS = SCREEN_FLOATS // 16
 
 
 class LeafIndex:
     """The columns of a leaf pool that scoring reads, in the order added.
 
-    Embeddings are the float32 rows of one matrix, `rows`, which the
-    screen reads in contiguous slices. The matrix only grows, by
-    `reserve`; the rows themselves are written by its owner, a tree that
-    writes each segment's embedding into its row and makes that row the
-    segment's `embedding`, or `of` for a list of leaves. `add` then
-    fills the other columns of the next row: flat arrays of the same
-    capacity hold each leaf's float64 norm, its interval end as a
-    timestamp (the recency tie-break, and the key `upto` searches) and
-    its id, so scoring slices them and joins nothing. The leaf's tokens
-    are posted once, when it is added, to `postings`: per term the rows
-    that hold it and its count in each, and the running sum of token
-    lengths. So no recall tokenizes a leaf again, and BM25 over a prefix
-    reads only the rows of its terms.
+    Embeddings are float32 rows in `blocks`, which only `reserve` adds
+    to and which never move, so a view of a row stays that row. The
+    rows are written by the index's owner, a tree that writes each
+    segment into its `row` and makes that row the segment's
+    `embedding`, or `of` for a list of leaves. `add` then fills the
+    other columns of a written row: flat arrays of the same capacity
+    hold each leaf's float64 norm, its interval end as a timestamp (the
+    recency tie-break, and the key `upto` searches) and its id, so
+    scoring slices them and joins nothing. The leaf's tokens are posted
+    once, when it is added, to `postings`: per term the rows that hold
+    it and its count in each, and the running sum of token lengths. So
+    no recall tokenizes a leaf again, and BM25 over a prefix reads only
+    the rows of its terms.
 
     Rows are only ever appended, so a view from `upto` stays valid while
-    the index it came from grows: a grown matrix or column is a new
-    array, and the view keeps the old one.
+    the index it came from grows: a grown column is a new array, and the
+    view keeps the old one.
     """
 
     def __init__(self):
-        self.rows = np.empty((0, 0), dtype=np.float32)  # past the end: unset, or written
+        self.blocks: list[np.ndarray] = []  # rows past the end: unset, or written
+        self.starts: list[int] = []         # the position of each block's first row
         self._size = 0
         self.norms = np.empty(0)                 # float64 norm of each row
         self.stamps = np.empty(0)                # interval end, POSIX seconds
@@ -210,7 +214,8 @@ class LeafIndex:
         index = cls()
         if leaves:
             index.reserve(len(leaves), np.size(leaves[0].embedding))
-        for row, leaf in zip(index.rows, leaves):
+        for position, leaf in enumerate(leaves):
+            row = index.row(position)
             if np.shape(leaf.embedding) != row.shape:
                 raise DimensionMismatch(
                     f"leaf {leaf.id} has embedding shape {np.shape(leaf.embedding)}, "
@@ -224,29 +229,38 @@ class LeafIndex:
 
     @property
     def dimension(self) -> int:
-        """The float count of a row, 0 until the matrix is first sized."""
-        return self.rows.shape[1]
+        """The float count of a row, 0 until the first block."""
+        return self.blocks[0].shape[1] if self.blocks else 0
+
+    @property
+    def capacity(self) -> int:
+        """The rows the blocks hold, written or not."""
+        return self.starts[-1] + len(self.blocks[-1]) if self.blocks else 0
+
+    def row(self, position: int) -> np.ndarray:
+        """The row at `position`, a view of its block."""
+        block = bisect_right(self.starts, position) - 1
+        return self.blocks[block][position - self.starts[block]]
 
     def reserve(self, count: int, dimension: int) -> None:
-        """Make room for `count` rows of `dimension` floats. A matrix that
-        must grow is replaced by one of at least twice its rows, holding
-        every row of the old one, written rows past the end included."""
-        old = self.rows
-        if count <= len(old):
+        """Make room for `count` rows of `dimension` floats: a first block
+        of `count` rows and `FIRST_BLOCK_FLOATS` floats at least, then
+        blocks as large as all before, doubling the capacity."""
+        if count <= self.capacity:
             return
-        if len(old) and dimension != self.dimension:
+        if self.blocks and dimension != self.dimension:
             raise DimensionMismatch(f"rows of {dimension} floats for a pool of {self.dimension}")
-        capacity = max(count, 2 * len(old))
-        self.rows = np.empty((capacity, dimension), dtype=np.float32)
-        if len(old):
-            self.rows[:len(old)] = old
+        while (held := self.capacity) < count:
+            rows = held or max(count, FIRST_BLOCK_FLOATS // max(1, dimension))
+            self.blocks.append(np.empty((rows, dimension), dtype=np.float32))
+            self.starts.append(held)
         self.norms, self.stamps, self.ids = (
-            np.resize(column, capacity) for column in (self.norms, self.stamps, self.ids))
+            np.resize(column, self.capacity) for column in (self.norms, self.stamps, self.ids))
 
     def add(self, leaf: MemoryNode) -> None:
         """Append the columns of a leaf whose row is already written."""
         size = self._size
-        wide = self.rows[size].astype(np.float64)
+        wide = self.row(size).astype(np.float64)
         self.norms[size] = math.sqrt(wide.dot(wide))  # np.linalg.norm's float, without its dispatch
         self.stamps[size] = leaf.interval.end.timestamp()
         self.ids[size] = leaf.id
@@ -267,13 +281,17 @@ class LeafIndex:
 
     def rough_dots(self, unit_query: np.ndarray) -> np.ndarray:
         """Each leaf's float32 dot product with a float32 `unit_query`,
-        one matrix-vector product per slice of `SCREEN_FLOATS` floats of
-        the matrix, each slice a view of its rows."""
-        rows = self.rows[:self._size]
-        approx = np.empty(len(rows), dtype=np.float32)
-        step = SCREEN_FLOATS // max(1, self.dimension)
-        for start in range(0, len(rows), step):
-            np.dot(rows[start:start + step], unit_query, out=approx[start:start + step])
+        one matrix-vector product per slice of at most `SCREEN_FLOATS`
+        floats of a block, each slice a view of its rows."""
+        approx = np.empty(self._size, dtype=np.float32)
+        step = max(1, SCREEN_FLOATS // max(1, self.dimension))
+        for start, block in zip(self.starts, self.blocks):
+            if start >= self._size:
+                break
+            rows = block[:self._size - start]
+            for first in range(0, len(rows), step):
+                part = rows[first:first + step]
+                np.dot(part, unit_query, out=approx[start + first:start + first + len(part)])
         return approx
 
     def dots(self, query: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -285,9 +303,14 @@ class LeafIndex:
         last bits depending on where they sit. `einsum` computes every
         row the same way, whichever rows it is given with, and for the
         mock embeddings bit for bit as the per-leaf `np.dot` of
-        `cosine_similarity`. The rows are gathered in one take.
+        `cosine_similarity`. The rows are gathered in one take from each
+        block that holds some of them.
         """
-        return np.einsum("ij,j->i", self.rows[rows], query)
+        bounds = np.searchsorted(rows, [*self.starts, self.capacity]).tolist()
+        taken = [block[rows[lo:hi] - start] for start, block, lo, hi
+                 in zip(self.starts, self.blocks, bounds, bounds[1:]) if hi > lo]
+        return np.einsum("ij,j->i", taken[0] if len(taken) == 1 else np.concatenate(taken),
+                         query)
 
 
 # Unit roundoff of float32, and the norm below which a row's screened

@@ -30,20 +30,23 @@ What replay refuses:
   given twice, a second `adopt` of a parent, a child that has a
   parent), as the tree's error with the user, the log and the offset
   added; a segment whose float count is not the engine's, or a node
-  above L1 whose count is neither 0 nor the engine's; a segment that
-  cites no turn, or a turn whose record the log does not hold by the
-  end of the segment's call.
+  above L1 whose count is not 0; a segment that cites no turn, or a
+  turn whose record the log does not hold by the end of the segment's
+  call.
 
 Only segments keep an embedding: a node above L1 is reached by an edge,
-never by similarity. Logs written before this rule hold a row for every
-node; replay drops the rows of the nodes above L1.
+never by similarity, and carries 0 floats. A log written when every
+node kept one holds a row above L1 too, and does not load: its first
+such node is refused as a node of the wrong float count.
 
 Replay first walks the frame headers alone, one `os.pread` each, and
 counts the frames that carry rows: the engine writes at most one
-segment per frame, so the count sizes the tree's leaf matrix before any
-row arrives. Inserting a segment then writes its float32 row from its
-frame into its row of that matrix, which becomes the segment's
-`embedding`; a restarted tree holds one copy of each leaf row.
+segment per frame, so the count sizes one block of the tree's leaf rows
+before any row arrives. Inserting a segment then writes its float32 row
+from its frame into its row of that block, which becomes the segment's
+`embedding`; a restarted tree holds one copy of each leaf row, and no
+node keeps a view of its frame. A segment past the hint, in a frame
+the engine would not write, adds a block at its insert.
 
 A node's start and end and its turn's timestamp are often one string,
 so replay parses each distinct timestamp string once. The file keeps
@@ -511,18 +514,15 @@ class LogStore:
         not decode, stops the replay at its offset: every call before it
         is loaded, nothing of it or after it, with a warning. A record the
         tree rejects, a segment of other than `embedding_dim` floats, a
-        node above L1 of neither 0 nor `embedding_dim` floats, or a
-        segment that cites no logged turn raises out of the replay,
-        leaving part of the call applied; the tree's error is raised again
-        as its own class with the user, the log and the offset added. This
-        store's next append to the log follows the accepted calls.
+        node above L1 of other than 0 floats, or a segment that cites no
+        logged turn raises out of the replay, leaving part of the call
+        applied; the tree's error is raised again as its own class with
+        the user, the log and the offset added. This store's next append
+        to the log follows the accepted calls.
 
         Before the main pass, the frame headers alone size the tree's leaf
-        matrix (`_row_frames`), into which `insert_node` writes each
-        segment's row. A node above L1 keeps no embedding: the row that a
-        log written before that rule holds for it is dropped. So the only
-        node that pins a frame is a segment past the hint: it keeps its
-        frame's row until the first `leaf_index` grows the matrix.
+        rows (`_row_frames`), into which `insert_node` writes each
+        segment's row, so no node pins a frame.
         """
         path = self.log_path(user_id)
         tree.ensure_user(user_id)  # register user even when the log is empty
@@ -550,13 +550,11 @@ class LogStore:
                 logged.update(t.turn_id for t in call_turns)
                 for node, child_ids in nodes:
                     segment = node.level is Level.SEGMENT
-                    floats = node.embedding.size
-                    if floats != embedding_dim and (segment or floats):
+                    floats, wanted = node.embedding.size, embedding_dim if segment else 0
+                    if floats != wanted:
                         raise CorruptRecord(
                             f"node {node.id} of {user_id!r} at offset {offset} in {path} has "
-                            f"{floats} embedding floats, not "
-                            f"{embedding_dim if segment else f'0 or {embedding_dim}'}",
-                            offset=offset)
+                            f"{floats} embedding floats, not {wanted}", offset=offset)
                     if segment and not (
                             node.source_turn_ids and logged.issuperset(node.source_turn_ids)):
                         raise CorruptRecord(

@@ -13,18 +13,19 @@ Besides the nodes by id, a tree keeps two indexes per user:
   append-only, as consolidation writes forward in time: an insert that
   would not sort last raises, so listing a level copies a list, and the
   latest node of a level is its last element.
-- a `LeafIndex` of the segments, the columns recall scores: one float32
-  matrix of embedding rows, and flat arrays of norms, end times and
+- a `LeafIndex` of the segments, the columns recall scores: float32
+  embedding rows in blocks, and flat arrays of norms, end times and
   ids. Recall screens every row with float32 matrix-vector products and
   runs the exact float64 one only on the leaves that can reach the top
-  k. A segment whose position is below the matrix's capacity is its
-  row: `insert_node` writes a segment into a free row, and a growth
-  (`reserve_leaves`, from replay's frame headers, or `leaf_index`, when
-  segments outnumber rows) writes each segment that had none and points
-  every segment at its row, so the old matrix is freed. Norms, stamps
-  and postings wait for `leaf_index`, which catches up with the
-  segments inserted since its last call: ingest and replay never pay
-  for them.
+  k. Every segment is its row from its insert on: `insert_node` writes
+  it into the next row, adding a block first when the rows are full,
+  and its `embedding` is a view of that row. A row never moves: a new
+  block holds the rows past the old ones, so growing copies no row and
+  frees no memory. Storage grows only in `reserve_leaves`, which replay
+  calls with a size hint from the frame headers, and an insert for one
+  more row. Norms, stamps and postings wait for `leaf_index`, which
+  adds those of the segments inserted since its last call: ingest and
+  replay never pay for them, and recall never allocates rows.
 
 A user's tree can be dropped (`drop_user`) when it may have diverged
 from its log, after a failed append; a replay rebuilds it.
@@ -155,7 +156,7 @@ class MemoryTree:
         self._next_id: dict[str, int] = {}
         # user -> level -> nodes in (interval end, id) order
         self._levels: dict[str, dict[Level, list[MemoryNode]]] = {}
-        self._leaves: dict[str, LeafIndex] = {}  # user -> caught up by leaf_index
+        self._leaves: dict[str, LeafIndex] = {}  # user -> segment rows, caught up by leaf_index
 
     def ensure_user(self, user_id: str) -> None:
         """Register a user namespace (idempotent)."""
@@ -163,6 +164,7 @@ class MemoryTree:
             self._next_id[user_id] = 1
             self._levels[user_id] = {level: [] for level in Level}
             self._nodes[user_id] = {}
+            self._leaves[user_id] = LeafIndex()
 
     def drop_user(self, user_id: str) -> None:
         """Forget a user's nodes and indexes; a replay can rebuild them."""
@@ -190,21 +192,22 @@ class MemoryTree:
     def insert_node(self, node: MemoryNode) -> int:
         """Index a node that has no edge yet; `adopt` links it later. The
         node must sort last on its level by (interval end, id), and a
-        segment needs an embedding as wide as the user's others, or the
-        insert raises and changes nothing, not even the users it knows. A
-        segment fills a free row."""
+        segment needs an embedding as wide as the user's leaf rows, or
+        the insert raises and changes nothing, not even the users it
+        knows. A segment is written into the next row of the user's
+        leaves, which `reserve_leaves` grows first when they are full,
+        and its `embedding` becomes that row."""
         if node.parent_id is not None or node.child_ids:
             raise ValueError(f"node {node.id} arrives with edges; link it with adopt")
         if node.id in self._nodes.get(node.user_id, ()):
             raise DuplicateId(f"node id {node.id} already used for {node.user_id!r}")
         vector = node.embedding
         ordered = self._ordered(node.user_id, node.level)
-        index = self._leaves.get(node.user_id)
         if node.level is Level.SEGMENT:
             if vector is None:
                 raise ValueError(f"segment {node.id} has no embedding to score")
-            width = (index.dimension if index is not None else 0) or (
-                len(ordered[0].embedding) if ordered else vector.size)
+            index = self._leaves.get(node.user_id)
+            width = (index.dimension if index is not None else 0) or vector.size
             if vector.shape != (width,):
                 raise DimensionMismatch(f"segment {node.id} has embedding shape "
                                         f"{vector.shape}, the user's segments ({width},)")
@@ -217,10 +220,13 @@ class MemoryTree:
         if ordered and (node.interval.end, node.id) < (ordered[-1].interval.end, ordered[-1].id):
             raise NonMonotonicTimestamp(f"node {node.id} sorts before node {ordered[-1].id}, "
                                         f"the last of level {int(node.level)} by (end, id)")
-        if node.level is Level.SEGMENT and index is not None and len(ordered) < len(index.rows):
-            index.rows[len(ordered)] = vector
-            node.embedding = index.rows[len(ordered)]
         self.ensure_user(node.user_id)
+        if node.level is Level.SEGMENT:
+            index = self._leaves[node.user_id]
+            if len(ordered) == index.capacity:
+                self.reserve_leaves(node.user_id, 1, width)
+            node.embedding = index.row(len(ordered))
+            node.embedding[:] = vector
         self._nodes[node.user_id][node.id] = node
         self._levels[node.user_id][node.level].append(node)
         if node.id >= self._next_id[node.user_id]:
@@ -261,41 +267,20 @@ class MemoryTree:
         ordered = self._ordered(user_id, level)
         return ordered[max(len(ordered) - count, 0):][::-1]
 
-    def _index(self, user_id: str) -> LeafIndex:
-        index = self._leaves.get(user_id)
-        if index is None:
-            index = self._leaves[user_id] = LeafIndex()
-        return index
-
-    def _grow(self, user_id: str, index: LeafIndex, count: int, dimension: int) -> None:
-        """Make the user's leaf matrix hold `count` rows of `dimension`
-        floats, write each segment that had no row into the new matrix
-        and point every segment at its row, so the old matrix is freed."""
-        held = len(index.rows)
-        index.reserve(count, dimension)
-        for position, node in enumerate(self._ordered(user_id, Level.SEGMENT)[:len(index.rows)]):
-            if position >= held:
-                index.rows[position] = node.embedding
-            node.embedding = index.rows[position]
-
     def reserve_leaves(self, user_id: str, count: int, dimension: int) -> None:
-        """Size the user's leaf matrix for `count` segments of `dimension`
-        floats past those the tree holds; replay passes a size hint."""
-        self._grow(user_id, self._index(user_id),
-                   len(self._ordered(user_id, Level.SEGMENT)) + count, dimension)
+        """Make room in the user's leaves for `count` segments of
+        `dimension` floats past those the tree holds: replay passes a size
+        hint, and an insert one row. Growing adds a block
+        (`LeafIndex.reserve`); no segment's row moves."""
+        self._leaves[user_id].reserve(len(self._ordered(user_id, Level.SEGMENT)) + count,
+                                      dimension)
 
     def leaf_index(self, user_id: str) -> LeafIndex:
         """The user's segments in (end, id) order as a LeafIndex, after
-        adding the segments inserted since the last call. A matrix too
-        small for them doubles until it holds them all."""
-        index = self._index(user_id)
-        segments = self._ordered(user_id, Level.SEGMENT)
-        if len(segments) > len(index.rows):
-            capacity = len(index.rows) or 1
-            while capacity < len(segments):
-                capacity *= 2
-            self._grow(user_id, index, capacity, len(segments[0].embedding))
-        for node in segments[len(index):]:
+        adding the columns of the segments inserted since the last call;
+        their rows are already written."""
+        index = self._leaves[user_id]
+        for node in self._ordered(user_id, Level.SEGMENT)[len(index):]:
             index.add(node)
         return index
 

@@ -130,7 +130,7 @@ def test_history_window_contract(engine):
 
 
 def test_consolidate_group_requires_closed_and_skips_empty(engine):
-    engine.ensure_user("alice")
+    engine.tree.ensure_user("alice")
     group = TemporalGroup(level=Level.SESSION, key="g", anchor=utc(2023, 5, 1))
     with pytest.raises(ValueError):
         engine.consolidator.consolidate_group("alice", group)

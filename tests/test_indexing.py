@@ -371,13 +371,13 @@ def per_leaf_reference(query_emb, keywords, leaves, lam, dot):
 
 
 DIM = 1024
-ROWS = 64  # an index built one leaf at a time outgrows its matrix of ROWS rows at leaf ROWS + 1
+ROWS = 64  # an index built one leaf at a time starts a new block at leaf ROWS + 1
 
 
 def dense_pool(rng: np.random.Generator, size: int) -> list[MemoryNode]:
     """Unit float32 rows in (end, id) order. Leaves ROWS and ROWS + 1
-    repeat leaf 4's text and embedding at one end, as the last row before
-    the index's matrix grows and the first row after; the last leaf
+    repeat leaf 4's text and embedding at one end, as the last row of a
+    block of the index and the first row of the next; the last leaf
     repeats it at the latest end."""
     vocab = ["kayak", "lake", "paella", "cello", "trip", "park", "dinner"]
     leaves = []
@@ -420,9 +420,7 @@ def test_vectorised_scorer_matches_per_leaf_reference(kind, cutoff):
         want = per_leaf_reference(query, keywords, pool, 0.9, dot)
         assert got == want  # ids and every float, bit for bit
     if kind == "dense":  # equal rows score equal, then the later end, then the smaller id wins
-        rows = tree.leaf_index("u").rows  # the matrix grown past ROWS rows
-        assert tree.get("u", ROWS).embedding.base is rows
-        assert tree.get("u", ROWS + 1).embedding.base is rows
+        assert ROWS in tree.leaf_index("u").starts  # the twins on both sides of a block's end
         twins = [s for s in got if s.node_id in (4, ROWS, ROWS + 1, size)]
         assert len({(s.s_sem, s.s_lex, s.fused) for s in twins}) == 1
         expected = [ROWS, ROWS + 1, 4]
@@ -466,12 +464,17 @@ def test_upto_cuts_at_the_microsecond_and_rejects_a_naive_t_q():
 
 # --- the float32 screen, bit for bit ------------------------------------------------
 
+def stacked(index: LeafIndex) -> np.ndarray:
+    """The index's rows as one matrix: a copy of its blocks, cut at its size."""
+    return np.concatenate(index.blocks)[:len(index)]
+
+
 def full_pass_reference(query_emb, keywords, index, lam, k):
     """fused_top_k without the screen: the float64 `einsum` of every row,
     then the fusion and the order over the whole pool."""
     n = len(index)
     q = np.asarray(query_emb, dtype=np.float64)
-    dots = np.einsum("ij,j->i", index.rows[:n], q)
+    dots = np.einsum("ij,j->i", stacked(index), q)
     norms, stamps, ids = index.norms[:n], index.stamps[:n], index.ids[:n]
     s_sem = (1.0 + dots / (float(np.linalg.norm(q)) * norms)) / 2.0
     raw = index.postings.scores(terms_of(keywords), n)
@@ -489,11 +492,12 @@ def unit32(vector: np.ndarray) -> np.ndarray:
 
 
 def twin_row(dim: int) -> int:
-    """The row of screened_pool's second twin: a power of two, so the
-    first row after an index built leaf by leaf grows its matrix, with
-    at least 1024 rows and 2**15 floats before it. The pool then holds
-    4k leaves at dim 16, and at dims 384 and 1024 its screen is a matrix
-    large enough for OpenBLAS to split a gemv of it across threads."""
+    """The row of screened_pool's second twin: a power of two, so at
+    dims 16 and 1024 the first row of a block of an index built leaf by
+    leaf, with at least 1024 rows and 2**15 floats before it. The pool
+    then holds 4k leaves at dim 16, and at dims 384 and 1024 its screen
+    is a matrix large enough for OpenBLAS to split a gemv of it across
+    threads."""
     rows = 1024
     while rows * dim < 1 << 15:
         rows *= 2
@@ -508,7 +512,8 @@ def screened_pool(rng: np.random.Generator, dim: int) -> tuple[list[MemoryNode],
     one direction. The query leans toward that direction, so the k-th
     score falls among scores about 5e-8 apart, closer than float32 can
     tell them. Two exact twins of the target sit on both sides of the
-    row where the index's matrix grows, at one end and with one text."""
+    end of a block of an index built leaf by leaf (`twin_row`), at one
+    end and with one text."""
     rows = twin_row(dim)
     size = 2 * rows + 30
     vocab = ["kayak", "lake", "paella", "cello", "trip", "park", "dinner"]
@@ -564,19 +569,27 @@ def test_screened_top_k_equals_the_full_pass(dim):
 
 def test_rough_dots_cover_every_row_once_across_slices():
     """The screen's gemvs over slices of SCREEN_FLOATS floats give each
-    row of the view, on either side of a slice's end, its own dot product
-    within float32's error, and nothing past the view."""
+    row of the view, on either side of a slice's or a block's end, its
+    own dot product within float32's error, and nothing past the view,
+    for an index of a list and one built leaf by leaf."""
     rng = np.random.default_rng(5)
     step = SCREEN_FLOATS // DIM
-    leaves = dense_pool(rng, 2 * step + 3)
-    index = LeafIndex.of(leaves)
+    leaves = dense_pool(rng, 3 * step + 3)
+    whole = LeafIndex.of(leaves)
+    tree = MemoryTree()
+    for leaf in leaves:
+        tree.insert_node(leaf)
+    grown = tree.leaf_index("u")
+    assert {step // 2, step, 2 * step} <= set(grown.starts)
     query = unit32(rng.standard_normal(DIM))
-    exact = np.einsum("ij,j->i", index.rows[:len(index)], query.astype(np.float64))
-    for n in (0, 1, step - 1, step, step + 1, 2 * step + 3):
-        view = index.upto(leaves[n - 1].interval.end) if n else index.upto(utc(2000, 1, 1, 0, 0))
-        rough = view.rough_dots(query)
-        assert rough.dtype == np.float32 and len(rough) == n
-        assert np.allclose(rough, exact[:n], rtol=0, atol=1e-4)  # DIM * 2**-24 bounds it
+    exact = np.einsum("ij,j->i", stacked(whole), query.astype(np.float64))
+    for index in (whole, grown):
+        for n in (0, 1, step // 2, step - 1, step, step + 1, 2 * step, 3 * step + 3):
+            view = (index.upto(leaves[n - 1].interval.end) if n
+                    else index.upto(utc(2000, 1, 1, 0, 0)))
+            rough = view.rough_dots(query)
+            assert rough.dtype == np.float32 and len(rough) == n
+            assert np.allclose(rough, exact[:n], rtol=0, atol=1e-4)  # DIM * 2**-24 bounds it
 
 
 def test_screen_keeps_the_leaves_it_cannot_bound():
@@ -609,16 +622,23 @@ def test_screen_keeps_the_leaves_it_cannot_bound():
 
 @pytest.mark.parametrize("dim", [16, 384])
 def test_dots_of_any_rows_equal_the_einsum_over_every_row(dim):
-    """Rows gathered in one take, every row or only some, give each row
-    the bits of an `einsum` over all the rows of the view."""
+    """Rows gathered in one take per block, every row or only some, give
+    each row the bits of an `einsum` over all the rows of the view, for
+    an index of a list and one built leaf by leaf."""
     rng = np.random.default_rng(dim)
     leaves, query = screened_pool(rng, dim)
-    index = LeafIndex.of(leaves)
+    whole = LeafIndex.of(leaves)
+    tree = MemoryTree()
+    for leaf in leaves:
+        tree.insert_node(leaf)
+    grown = tree.leaf_index("u")
     rows = twin_row(dim)
-    for view in (index, index.upto(leaves[rows + 5].interval.end)):
-        n = len(view)
-        full = np.einsum("ij,j->i", view.rows[:n], query)
-        for kept in (np.arange(n), np.delete(np.arange(n), [0, rows + 2]),
-                     np.r_[3, rows:n], np.sort(rng.choice(n, size=n // 3, replace=False)),
-                     np.array([n - 1])):
-            assert view.dots(query, kept).tobytes() == full[kept].tobytes()
+    assert len(grown.blocks) > 1
+    for index in (whole, grown):
+        for view in (index, index.upto(leaves[rows + 5].interval.end)):
+            n = len(view)
+            full = np.einsum("ij,j->i", stacked(view), query)
+            for kept in (np.arange(n), np.delete(np.arange(n), [0, rows + 2]),
+                         np.r_[3, rows:n], np.sort(rng.choice(n, size=n // 3, replace=False)),
+                         np.array([n - 1])):
+                assert view.dots(query, kept).tobytes() == full[kept].tobytes()

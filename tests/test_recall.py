@@ -456,7 +456,7 @@ def test_rank_final_is_permutation():
 # --- full recall -------------------------------------------------------------------------
 
 def test_recall_empty_tree(engine):
-    engine.ensure_user("alice")
+    engine.tree.ensure_user("alice")
     result = engine.recall("alice", "Where did Alice go kayaking?")
     assert result.memories == []
     assert result.counts == {"leaves": 0, "candidates": 0, "retained": 0}

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from timem import (EngineConfig, Level, LogStore, MemoryEngine, MemoryNode, MemoryTree,
                    TemporalInterval, parse_transcript)
 from timem.backends import MockEmbedder, Purpose
-from timem.bench import generate_fixture, manifold_report
+from timem.bench import generate_fixture
 from timem.errors import (BackendFailure, CorruptRecord, DuplicateId, NonMonotonicTimestamp,
                           SchemaError, StoreIoError, TimemError)
 from timem.store import ReplayResult, _encode_frame, node_record, turn_record
@@ -355,7 +355,7 @@ def test_recall_identical_after_reload(tmp_path):
 
 def test_replay_writes_each_segment_row_into_the_leaf_matrix(tmp_path):
     """A replayed tree holds one copy of each leaf row: every segment's
-    embedding is a view of one float32 matrix with a row for each frame
+    embedding is a view of one float32 block with a row for each frame
     that carries rows, and the first leaf_index adds norms, stamps and
     postings without moving it. Every other node keeps no embedding, so
     no node pins a frame."""
@@ -378,14 +378,15 @@ def test_replay_writes_each_segment_row_into_the_leaf_matrix(tmp_path):
                if node.level is not Level.SEGMENT)
     pointer = rows.__array_interface__["data"][0]
     index = fresh.tree.leaf_index("alice")
-    assert index.rows is rows and rows.__array_interface__["data"][0] == pointer
+    assert len(index.blocks) == 1 and index.blocks[0] is rows
+    assert rows.__array_interface__["data"][0] == pointer
 
 
-def test_a_log_with_rows_above_l1_replays_to_the_same_tree(tmp_path):
+def test_a_log_with_rows_above_l1_is_refused_at_its_offset(tmp_path):
     """A log written when every node kept an embedding holds a row for
-    each: it replays to the tree the engine built, the segments' rows
-    in the leaf matrix and no embedding above L1, and recalls and
-    analyzes alike."""
+    each. It does not load: its first node above L1 is refused as a node
+    of the wrong float count, at its frame's offset, and every call
+    before that frame is applied."""
     embedder = MockEmbedder(DIM)
 
     def with_row(node):
@@ -395,31 +396,25 @@ def test_a_log_with_rows_above_l1_replays_to_the_same_tree(tmp_path):
     frames = [_encode_frame([*map(with_row, engine.ingest_turn("alice", turn)),
                              turn_record(turn)])
               for turn in random_transcript(random.Random(73), "alice")]
-    frames.append(_encode_frame(list(map(with_row, engine.flush("alice")))))
-    assert engine.tree.nodes_at_level("alice", Level.PROFILE)
-    assert any(FRAME_HEADER.unpack_from(frame)[2] > 4 * DIM for frame in frames)
     (tmp_path / "alice").mkdir()
     (tmp_path / "alice" / "log.jsonl").write_bytes(b"".join(frames))
+    at = next(i for i, frame in enumerate(frames) if FRAME_HEADER.unpack_from(frame)[2] > 4 * DIM)
+    first = next(r for r in frame_records(frames[at]) if r.get("level", 0) > Level.SEGMENT)
+    offset = sum(map(len, frames[:at]))
 
-    fresh = MemoryEngine(store=LogStore(tmp_path))
-    assert fresh.load_user("alice").corrupt is None
-    assert node_rows(fresh) == node_rows(engine)
-    for node, twin in zip(fresh.tree.all_nodes("alice"), engine.tree.all_nodes("alice")):
-        if node.level is Level.SEGMENT:
-            assert node.embedding.tobytes() == twin.embedding.tobytes()
-        else:
-            assert node.embedding is None
-    query = "Where did Alice go kayaking?"
-    assert fresh.recall("alice", query) == engine.recall("alice", query)
-    assert (manifold_report(fresh.tree, embedder).to_json()
-            == manifold_report(engine.tree, embedder).to_json())
+    tree = MemoryTree()
+    with pytest.raises(CorruptRecord, match=(
+            f"node {first['id']} of 'alice' at offset {offset} in .* has {DIM} embedding "
+            f"floats, not 0$")) as refused:
+        LogStore(tmp_path).load_replay("alice", tree, DIM)
+    assert refused.value.offset == offset > 0
+    assert len(tree.nodes_at_level("alice", Level.SEGMENT)) == at
 
 
 @pytest.mark.parametrize("level, floats", [
     (Level.SESSION, 3), (Level.PROFILE, DIM + 1), (Level.SEGMENT, 0)])
 def test_a_node_of_another_float_count_is_refused_at_its_offset(tmp_path, level, floats):
-    """A segment needs `embedding_dim` floats; a node above L1 0, or
-    `embedding_dim` in a log written before it kept none."""
+    """A segment needs `embedding_dim` floats; a node above L1 0."""
     engine = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
     ingest_all(engine, "alice", ONE_SESSION)
     engine.store.close()
@@ -434,16 +429,17 @@ def test_a_node_of_another_float_count_is_refused_at_its_offset(tmp_path, level,
     offset = sum(map(len, frames[:at]))
     with pytest.raises(CorruptRecord, match=(
             f"node {node['id']} of 'alice' at offset {offset} in .* has {floats} embedding "
-            f"floats, not {DIM if floats == 0 else f'0 or {DIM}'}$")) as refused:
+            f"floats, not {DIM if level is Level.SEGMENT else 0}$")) as refused:
         LogStore(tmp_path / "data").load_replay("alice", MemoryTree(), DIM)
     assert refused.value.offset == offset > 0
 
 
 def test_a_frame_with_two_segments_loads_and_recalls(tmp_path):
     """The header count is a size hint, not a limit: a frame that the
-    engine would not write, with two segments, leaves the matrix a row
-    short. The last segment keeps its vector through replay and gets its
-    row at the first leaf_index, which grows the matrix."""
+    engine would not write, with two segments, leaves the reserved rows
+    one short. The last segment's insert adds a block as large as the
+    first, so after replay every segment is its row, and the first
+    leaf_index keeps the blocks."""
     engine = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
     ingest_all(engine, "alice", random_transcript(random.Random(73), "alice"), flush=False)
     engine.store.close()
@@ -458,16 +454,13 @@ def test_a_frame_with_two_segments_loads_and_recalls(tmp_path):
     assert node_rows(fresh) == node_rows(engine)
     segments = fresh.tree.nodes_at_level("alice", Level.SEGMENT)
     live = engine.tree.nodes_at_level("alice", Level.SEGMENT)
-    rows = segments[0].embedding.base
-    assert len(rows) == len(frames) - 1 == len(segments) - 1  # the hint
-    assert all(leaf.embedding.base is rows for leaf in segments[:-1])
-    assert not np.shares_memory(segments[-1].embedding, rows)
-    index = fresh.tree.leaf_index("alice")
-    assert len(index.rows) == 2 * len(rows)
-    for row, (leaf, twin) in enumerate(zip(segments, live, strict=True)):
-        assert leaf.embedding.base is index.rows
-        assert np.shares_memory(leaf.embedding, index.rows[row])
+    first, last = segments[0].embedding.base, segments[-1].embedding.base
+    assert len(first) == len(last) == len(frames) - 1 == len(segments) - 1  # the hint, twice
+    for position, (leaf, twin) in enumerate(zip(segments, live, strict=True)):
+        assert leaf.embedding.base is (first if position < len(first) else last)
         assert leaf.embedding.tobytes() == twin.embedding.tobytes()
+    index = fresh.tree.leaf_index("alice")
+    assert len(index.blocks) == 2 and index.blocks[0] is first and index.blocks[1] is last
     query = "Where did Alice go kayaking?"
     assert fresh.recall("alice", query) == engine.recall("alice", query)
 
@@ -486,7 +479,7 @@ def test_a_damaged_log_reserves_no_more_rows_than_it_holds(tmp_path):
         tree = MemoryTree()
         with LogStore(tmp_path) as store:
             assert store.load_replay("alice", tree, DIM).corrupt.offset == 0
-        assert tree.leaf_index("alice").rows.size == 0
+        assert tree.leaf_index("alice").capacity == 0
 
 
 def test_the_store_refuses_to_log_a_node_without_an_embedding(tmp_path):

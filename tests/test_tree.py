@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from timem import Level, MemoryNode, MemoryTree, TemporalInterval
+from timem.indexing import FIRST_BLOCK_FLOATS
 from timem.errors import (
     ContainmentViolation,
     DimensionMismatch,
@@ -464,9 +465,12 @@ def test_leaf_embedding_is_a_view_of_its_row(engine):
     segments = engine.tree.nodes_at_level("alice", Level.SEGMENT)
     index = engine.tree.leaf_index("alice")
     assert len(segments) > 1
-    for row, leaf in enumerate(segments):
-        assert leaf.embedding.base is index.rows  # no second copy of the embedding
-        assert np.shares_memory(leaf.embedding, index.rows[row])
+    for position, leaf in enumerate(segments):
+        assert any(leaf.embedding.base is block for block in index.blocks)  # no second copy
+        assert np.shares_memory(leaf.embedding, index.row(position))
+
+
+WIDE = FIRST_BLOCK_FLOATS  # so wide a row that the blocks of leaf rows double from one row
 
 
 def embedded_segment(node_id: int, dimension: int = 32) -> MemoryNode:
@@ -480,74 +484,78 @@ def embedded_segment(node_id: int, dimension: int = 32) -> MemoryNode:
 
 
 def test_a_catch_up_across_growths_points_every_segment_at_the_current_matrix():
-    """Segments inserted live and caught up in one call whose matrix
-    doubles several times: each keeps the vector it was inserted with,
-    as a view of the final matrix, and a recall scores every one."""
+    """Segments inserted live while the leaves grow by several blocks
+    between two catch-ups: each keeps the vector it was inserted with,
+    in the row it was inserted into, and a recall scores every one."""
     from timem.indexing import fused_top_k
 
     tree = MemoryTree()
-    inserted = {}
+    inserted, addresses = {}, {}
     for node_id in range(1, 41):
-        leaf = embedded_segment(node_id)
+        leaf = embedded_segment(node_id, WIDE)
         inserted[node_id] = leaf.embedding.copy()
         tree.insert_node(leaf)
+        addresses[node_id] = leaf.embedding.ctypes.data
         if node_id == 3:
-            capacity = len(tree.leaf_index("u").rows)
+            blocks = len(tree.leaf_index("u").blocks)
     index = tree.leaf_index("u")
-    assert len(index.rows) >= 8 * capacity  # three doublings or more in the second catch-up
-    for row, leaf in enumerate(tree.nodes_at_level("u", Level.SEGMENT)):
+    assert len(index.blocks) >= blocks + 3  # three growths or more between the catch-ups
+    for position, leaf in enumerate(tree.nodes_at_level("u", Level.SEGMENT)):
         assert leaf.embedding.tobytes() == inserted[leaf.id].tobytes()
-        assert leaf.embedding.base is index.rows
-        assert np.shares_memory(leaf.embedding, index.rows[row])
-    query = embedded_segment(7).embedding
+        assert leaf.embedding.ctypes.data == addresses[leaf.id]  # the row never moved
+        assert np.shares_memory(leaf.embedding, index.row(position))
+    query = embedded_segment(7, WIDE).embedding
     assert len(fused_top_k(query, ["park"], index, 0.9, 40)) == 40
 
 
-def test_segments_past_the_reserved_size_get_their_rows_at_the_next_catch_up():
-    """Replay's path: segments inserted into a reserved matrix, more of
-    them than were reserved. Each one inserted while the matrix has a
-    free row is that row from its insert on; the rest keep their vectors
-    until the catch-up grows the matrix once and writes them, and every
-    segment then follows the matrix."""
+def test_segments_past_the_reserved_size_grow_the_leaves_at_their_insert():
+    """Replay's path: segments inserted into reserved rows, more of them
+    than were reserved. The first insert past the reserved rows adds a
+    block as large as the rows held, and so on; no catch-up is needed for
+    a segment to be its row, and no row moves."""
     tree = MemoryTree()
-    tree.reserve_leaves("u", 2, 32)
-    reserved = tree.leaf_index("u").rows
-    inserted = {}
+    tree.ensure_user("u")
+    tree.reserve_leaves("u", 2, WIDE)
+    index = tree._leaves["u"]
+    reserved = index.blocks[0]
+    inserted, addresses, capacities = {}, {}, []
     for node_id in range(1, 20):
-        leaf = embedded_segment(node_id)
+        leaf = embedded_segment(node_id, WIDE)
         inserted[node_id] = leaf.embedding.astype(np.float32)
         tree.insert_node(leaf)
-    segments = tree.nodes_at_level("u", Level.SEGMENT)
-    assert len(reserved) == 2
-    assert all(leaf.embedding.base is reserved for leaf in segments[:2])
-    assert not any(np.shares_memory(leaf.embedding, reserved) for leaf in segments[2:])
-    index = tree.leaf_index("u")
-    assert len(index.rows) == 32 and len(index) == 19
-    for row, leaf in enumerate(segments):
+        addresses[node_id] = leaf.embedding.ctypes.data
+        capacities.append(index.capacity)
+        for position, segment in enumerate(tree.nodes_at_level("u", Level.SEGMENT)):
+            assert segment.embedding.ctypes.data == addresses[segment.id]
+            assert np.shares_memory(segment.embedding, index.row(position))
+    assert index.blocks[0] is reserved and len(reserved) == 2
+    assert capacities == [2, 2, 4, 4, *[8] * 4, *[16] * 8, *[32] * 3]
+    assert [len(block) for block in index.blocks] == [2, 2, 4, 8, 16]
+    assert tree.leaf_index("u") is index and len(index) == 19
+    for leaf in tree.nodes_at_level("u", Level.SEGMENT):
         assert leaf.embedding.tobytes() == inserted[leaf.id].tobytes()
-        assert leaf.embedding.base is index.rows
-        assert np.shares_memory(leaf.embedding, index.rows[row])
 
 
-def test_every_segment_below_capacity_is_its_row_through_inserts_catch_ups_and_reserves():
+def test_every_segment_is_its_row_through_inserts_catch_ups_and_reserves():
     """Inserts, catch-ups and reserves mixed across three growths: after
-    each step every segment that the matrix has room for shares memory
-    with its row and holds the bytes it was inserted with, and recall
-    over the index equals recall over an index of copies."""
+    each step every segment shares memory with its row, in the place it
+    was inserted into, and holds the bytes it was inserted with, and
+    recall over the index equals recall over an index of copies."""
     from dataclasses import replace
 
     from timem.indexing import LeafIndex, fused_top_k
 
     tree = MemoryTree()
     inserted: dict[int, np.ndarray] = {}
-    matrices = []
-    query = embedded_segment(7).embedding
+    addresses: dict[int, int] = {}
+    query = embedded_segment(7, WIDE).embedding
 
     def insert(count):
         for node_id in range(len(inserted) + 1, len(inserted) + 1 + count):
-            leaf = embedded_segment(node_id)
+            leaf = embedded_segment(node_id, WIDE)
             inserted[node_id] = leaf.embedding.copy()
             tree.insert_node(leaf)
+            addresses[node_id] = leaf.embedding.ctypes.data
 
     def catch_up():
         index = tree.leaf_index("u")
@@ -557,46 +565,82 @@ def test_every_segment_below_capacity_is_its_row_through_inserts_catch_ups_and_r
                 == fused_top_k(query, ["park"], LeafIndex.of(copies), 0.9, 5))
 
     steps = [lambda: insert(3), catch_up, lambda: insert(3),
-             lambda: tree.reserve_leaves("u", 10, 32), lambda: insert(12), catch_up,
+             lambda: tree.reserve_leaves("u", 10, WIDE), lambda: insert(12), catch_up,
              lambda: insert(5), catch_up]
     for step in steps:
         step()
-        index = tree._leaves.get("u")  # not leaf_index, which could grow it
-        rows = index.rows if index is not None else np.empty((0, 32), np.float32)
-        if len(rows) and (not matrices or matrices[-1] is not rows):
-            matrices.append(rows)
+        index = tree._leaves["u"]
         for position, leaf in enumerate(tree.nodes_at_level("u", Level.SEGMENT)):
             assert leaf.embedding.tobytes() == inserted[leaf.id].tobytes()
-            if position < len(rows):
-                assert np.shares_memory(leaf.embedding, rows[position])
-    assert len(matrices) >= 3
+            assert leaf.embedding.ctypes.data == addresses[leaf.id]
+            assert np.shares_memory(leaf.embedding, index.row(position))
+    assert len(tree._leaves["u"].blocks) >= 3
     assert len(tree.leaf_index("u")) == 23
+
+
+def test_a_catch_up_never_grows_the_leaves():
+    """Across inserts, reserves, refused inserts and catch-ups, the
+    leaves only grow at an insert or a reserve: `leaf_index` keeps the
+    blocks it finds and only adds columns."""
+    from dataclasses import replace
+
+    tree = MemoryTree()
+    tree.ensure_user("u")
+    tree.reserve_leaves("u", 1, WIDE)
+    next_id = 1
+
+    def insert(count):
+        nonlocal next_id
+        for _ in range(count):
+            tree.insert_node(embedded_segment(next_id, WIDE))
+            next_id += 1
+
+    def refuse():
+        for error, leaf in [(DimensionMismatch, embedded_segment(next_id, dimension=16)),
+                            (ValueError, replace(embedded_segment(next_id, WIDE), embedding=None)),
+                            (DuplicateId, embedded_segment(next_id - 1, WIDE))]:
+            with pytest.raises(error):
+                tree.insert_node(leaf)
+
+    steps = [lambda: insert(1), refuse, lambda: insert(2), lambda: insert(5), refuse,
+             lambda: tree.reserve_leaves("u", 7, WIDE), lambda: insert(9), refuse,
+             lambda: insert(20)]
+    for step in steps:
+        step()
+        index = tree._leaves["u"]
+        blocks = [id(block) for block in index.blocks]
+        assert tree.leaf_index("u") is index
+        assert [id(block) for block in index.blocks] == blocks
+        assert len(index) == next_id - 1
+        tree.leaf_index("u")  # a second call finds nothing to add
+        assert [id(block) for block in index.blocks] == blocks
 
 
 def test_a_refused_insert_leaves_the_matrix_and_every_row_unchanged():
     """Every refusal comes before any change: a duplicate id, a segment
     out of (end, id) order, one with a bad norm, one without an
     embedding and one of another width. The last two would leave recall
-    unable to score the user's segments. Each is refused both before
-    the matrix exists and while it has a free row."""
+    unable to score the user's segments. Each is refused while the
+    leaves have a free row, both before and after a catch-up."""
     from dataclasses import replace
 
     tree = MemoryTree()
     for node_id in (1, 2, 3):
-        tree.insert_node(embedded_segment(node_id))
+        tree.insert_node(embedded_segment(node_id, WIDE))
     refused = [
-        (DuplicateId, embedded_segment(3)),
+        (DuplicateId, embedded_segment(3, WIDE)),
         (NonMonotonicTimestamp,
-         replace(embedded_segment(10), interval=embedded_segment(1).interval)),
-        (ValueError, replace(embedded_segment(4), embedding=np.full(32, 0.5, np.float32))),
-        (ValueError, replace(embedded_segment(4), embedding=None)),
+         replace(embedded_segment(10, WIDE), interval=embedded_segment(1, WIDE).interval)),
+        (ValueError, replace(embedded_segment(4, WIDE), embedding=np.full(WIDE, 0.5, np.float32))),
+        (ValueError, replace(embedded_segment(4, WIDE), embedding=None)),
         (DimensionMismatch, embedded_segment(4, dimension=16)),
     ]
-    for stage in ("no matrix", "a free row"):
-        if stage == "a free row":
-            tree.leaf_index("u")  # four rows, the last free
-        rows = tree._leaves["u"].rows if "u" in tree._leaves else None
-        matrix = None if rows is None else rows.tobytes()
+    for stage in ("before a catch-up", "after a catch-up"):
+        if stage == "after a catch-up":
+            tree.leaf_index("u")
+        index = tree._leaves["u"]  # four rows, the last free
+        blocks = [id(block) for block in index.blocks]
+        held = [block.tobytes() for block in index.blocks]
         segments = tree.nodes_at_level("u", Level.SEGMENT)
         vectors = [leaf.embedding.tobytes() for leaf in segments]
         for error, leaf in refused:
@@ -604,11 +648,10 @@ def test_a_refused_insert_leaves_the_matrix_and_every_row_unchanged():
                 tree.insert_node(leaf)
             assert tree.nodes_at_level("u", Level.SEGMENT) == segments
             assert [leaf.embedding.tobytes() for leaf in segments] == vectors
-            if rows is not None:
-                assert tree._leaves["u"].rows is rows and len(rows) == 4
-                assert rows.tobytes() == matrix
-                assert not np.shares_memory(leaf.embedding, rows)
-    tree.insert_node(embedded_segment(4))
+            assert [id(block) for block in index.blocks] == blocks and index.capacity == 4
+            assert [block.tobytes() for block in index.blocks] == held
+            assert not any(np.shares_memory(leaf.embedding, block) for block in index.blocks)
+    tree.insert_node(embedded_segment(4, WIDE))
     assert list(tree.leaf_index("u").ids[:4]) == [1, 2, 3, 4]
 
 
@@ -638,20 +681,21 @@ def test_a_refused_insert_registers_no_user():
 def test_segments_given_another_segments_row_are_indexed_with_their_own_copies():
     """Nodes built with the embedding of an indexed segment, a view of
     that segment's row, each get a row of their own holding it, also
-    when the matrix grows while they wait to be indexed."""
+    when the leaves grow while they wait to be indexed."""
     tree = MemoryTree()
-    first = embedded_segment(1)
-    for node in (first, embedded_segment(2), embedded_segment(3)):
+    first = embedded_segment(1, WIDE)
+    for node in (first, embedded_segment(2, WIDE), embedded_segment(3, WIDE)):
         tree.insert_node(node)
     tree.leaf_index("u")  # four rows, the last unset
     twins = []
-    for node_id in range(4, 10):
-        twin = embedded_segment(node_id)
+    for node_id in range(4, 10):  # two blocks are added on the way
+        twin = embedded_segment(node_id, WIDE)
         twin.embedding = first.embedding  # a view of row 0
         tree.insert_node(twin)
         twins.append(twin)
-    index = tree.leaf_index("u")  # the matrix doubles twice on the way
+    index = tree.leaf_index("u")
     for twin in twins:
         assert twin.embedding.tobytes() == first.embedding.tobytes()
-        assert twin.embedding.base is index.rows
+        assert not np.shares_memory(twin.embedding, first.embedding)
+        assert any(twin.embedding.base is block for block in index.blocks)
     assert (index.norms[3:len(index)] == index.norms[0]).all()
