@@ -60,6 +60,17 @@ append, is not cut: the store refuses to append until it replays the
 log again. It appends only while it holds an exclusive advisory lock
 (`flock`) on its handle of the log, so one store writes a log at a
 time; closing the handle releases the lock.
+
+An open log ends in zeroed space. Each frame is written at the log's
+logical end, where the records end, not at the end of the file; a frame
+that would run past the zeroed bytes is written together with the next
+`LOG_CHUNK` bytes of zeros. So most appends write into space the file
+already holds, and their fsync commits no change of its size. Replay
+and the writer read an all-zero frame header as the clean end of the
+log when every byte from it to the end of the file is zero, and append
+there; a byte that is not zero after a zero header makes the call at
+that header corrupt. A clean `close` truncates each log back to its
+logical end, so a closed log holds its frames alone.
 """
 
 from __future__ import annotations
@@ -192,6 +203,12 @@ def parse_transcript(path: str | Path) -> Transcript:
 FRAME_MAGIC = b"\xffTM1"
 # magic, body length, row-bytes length, CRC32 of both lengths, the body and the rows
 _HEADER = struct.Struct("<4sIII")
+# Zeroed bytes an append writes past its frame when the frame runs past the
+# log's zeroed space, so about one append in 50 pays for them. Of 64 KiB,
+# 256 KiB and 1 MiB, 256 KiB gave the lowest ingest p99 on both perfbench
+# workloads, on ext4.
+LOG_CHUNK = 256 * 1024
+_ZEROS = bytes(LOG_CHUNK)  # the one zero block every extension writes
 
 
 def node_record(node: MemoryNode) -> dict:
@@ -259,7 +276,8 @@ _LEVELS = {int(level): level for level in Level}
 def _row_frames(fd: int, size: int, embedding_dim: int) -> int:
     """How many frames of a log of `size` bytes, open as `fd`, claim at
     least one row of `embedding_dim` float32s, from their headers alone,
-    up to the first header that is not a whole frame's. The engine writes
+    up to the first header that is not a whole frame's, a zero header
+    of the log's zeroed space among them. The engine writes
     at most one segment per frame, so this bounds the segments of a log
     it wrote. It is a size hint, not a limit: a frame written otherwise
     can hold more. It never exceeds the rows the log's bytes can hold, so
@@ -275,17 +293,32 @@ def _row_frames(fd: int, size: int, embedding_dim: int) -> int:
     return count
 
 
+def _zeros_to_end(f, size: int) -> bool:
+    """Whether every byte of a log of `size` bytes, open as `f`, from its
+    position on is zero."""
+    while piece := f.read(min(LOG_CHUNK, size - f.tell())):
+        if piece.count(0) != len(piece):
+            return False
+    return True
+
+
 def _read_call(f, user_id: str, offset: int, size: int,
-               stamps: _Stamps) -> tuple[list, list[DialogTurn], int]:
+               stamps: _Stamps) -> tuple[list, list[DialogTurn], int] | None:
     """Read the frame at `offset` of a log of `size` bytes, open as `f`
     and positioned there. Returns its node records as (node, child ids)
     pairs, its turn records and the offset where it ends; `stamps` parses
-    its timestamps. A torn or corrupt frame raises `ValueError` (`KeyError`
-    for a record that lacks a field, `TypeError` for a field of another
-    type)."""
+    its timestamps. Returns None at the log's clean end: a zero header
+    with nothing but zeros after it. A torn or corrupt frame, or a zero
+    header followed by a byte that is not zero, raises `ValueError`
+    (`KeyError` for a record that lacks a field, `TypeError` for a field
+    of another type)."""
     header = f.read(_HEADER.size)
     if offset == 0 and header[:1] in (b"[", b"{"):
         raise ValueError("the log predates frames: it holds JSON lines, which replay does not read")
+    if header.count(0) == len(header):
+        if _zeros_to_end(f, size):
+            return None
+        raise ValueError("a zero frame header is followed by bytes that are not zero")
     if len(header) < _HEADER.size:
         raise ValueError("torn write: the frame header is short")
     magic, body_size, rows_size, crc = _HEADER.unpack(header)
@@ -369,6 +402,11 @@ class ReplayResult:
         return {t.turn_id for t in self.turns}
 
 
+# A truncated log's new size is the one change to commit at close, which
+# `fdatasync` does; where there is none, `fsync` does.
+_sync_size = getattr(os, "fdatasync", os.fsync)
+
+
 def _fsync_dir(path: Path) -> None:
     directory = os.open(path, os.O_RDONLY)
     try:  # makes the directory's entries durable
@@ -396,12 +434,20 @@ def _cut_log(path: Path, offset: int) -> None:
                    len(cut), offset, path, sidecar)
 
 
+@dataclass
+class _OpenLog:
+    """A log a store writes: its locked descriptor and the size of the
+    file, where its zeroed space ends."""
+    fd: int
+    size: int
+
+
 class LogStore:
     """One append-only log of framed calls per user under a root directory."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self._handles: dict[str, object] = {}
+        self._handles: dict[str, _OpenLog] = {}
         # user -> offset where the records this store replayed or wrote end
         self._records_end: dict[str, int] = {}
 
@@ -419,51 +465,58 @@ class LogStore:
         return sorted(p.name for p in self.root.iterdir()
                       if (p / "log.jsonl").exists())
 
-    def _writer(self, user_id: str):
-        handle = self._handles.get(user_id)
-        if handle is None:
+    def _writer(self, user_id: str) -> _OpenLog:
+        log = self._handles.get(user_id)
+        if log is None:
             directory = self._user_dir(user_id)
             missing = [p for p in (directory, *directory.parents) if not p.exists()]
             directory.mkdir(parents=True, exist_ok=True)
             path = self.log_path(user_id)
-            handle = open(path, "ab")
-            try:  # the lock is the handle's: closing it releases the log
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+            try:  # the lock is the descriptor's: closing it releases the log
                 if fcntl is not None:
                     try:
-                        fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
                     except OSError as exc:
                         raise StoreIoError(
                             f"log for {user_id!r} is locked by another writer") from exc
-                size = handle.seek(0, os.SEEK_END)  # read under the lock
+                size = os.fstat(fd).st_size  # read under the lock
                 if size:
-                    end = self._records_end.get(user_id)
-                    if end is None or (end < size and self._holds_a_call(user_id, path, end)):
+                    rest = self._past_records(user_id, path, size)
+                    if rest == "unread":
                         raise StoreIoError(
                             f"replay the log of {user_id!r} before appending to it")
-                    if end < size:
-                        _cut_log(path, end)
-                        handle.seek(0, os.SEEK_END)  # where the next frame lands
+                    if rest == "damage":
+                        size = self._records_end[user_id]
+                        _cut_log(path, size)
                 else:  # a new log's entry, and each new directory's, must outlive a crash
                     for parent in dict.fromkeys(
                             [directory, self.root, *(p.parent for p in missing)]):
                         _fsync_dir(parent)
+                    self._records_end[user_id] = 0
             except BaseException:
-                handle.close()
+                os.close(fd)
                 raise
-            self._handles[user_id] = handle
-        return handle
+            log = self._handles[user_id] = _OpenLog(fd, size)
+        return log
 
-    @staticmethod
-    def _holds_a_call(user_id: str, path: Path, offset: int) -> bool:
-        """Whether the call at `offset` is whole and one that replay would
-        accept: another store appended it since this one replayed the log."""
+    def _past_records(self, user_id: str, path: Path, size: int) -> str:
+        """What the log of `size` bytes holds past the records this store
+        replayed or wrote: "zeros", nothing or zeroed space, where the
+        next frame goes; "damage", a torn or corrupt call, which is cut
+        first; or "unread", records this store has not replayed: it has
+        replayed none, the log is shorter than they were, or another store
+        appended a whole call since."""
+        end = self._records_end.get(user_id)
+        if end is None or end > size:
+            return "unread"
         with open(path, "rb") as f:
-            f.seek(offset)
+            f.seek(end)
             try:
-                _read_call(f, user_id, offset, os.fstat(f.fileno()).st_size, _Stamps())
+                call = _read_call(f, user_id, end, size, _Stamps())
             except (KeyError, ValueError, TypeError):
-                return False
-        return True
+                return "damage"
+        return "zeros" if call is None else "unread"
 
     def persist_append(self, user_id: str, *records: dict) -> int:
         """Durably append one call's records as one frame, with one
@@ -471,33 +524,63 @@ class LogStore:
         append to an empty log fsyncs its directory, the root and the
         parent of each directory the store created, before writing.
 
+        The frame is written at the log's logical end, into the zeroed
+        space that ends the open log, so the fsync commits no change of
+        the file's size. A frame that would run past that space is
+        written in the same `os.pwritev` with the next `LOG_CHUNK` bytes
+        of zeros after it; `close` truncates the zeros that remain.
+
         When opening the log, cutting a torn tail from it, the write or
-        the fsync fails, the store closes the user's log, forgets where
-        its records end and raises `StoreIoError`. Its next append to that
-        log then needs a replay first, which cuts whatever part of the
-        failed write reached the log torn.
+        the fsync fails, or the write is short, the store closes the
+        user's log, forgets where its records end and raises
+        `StoreIoError`. Its next append to that log then needs a replay
+        first, which cuts whatever part of the failed write reached the
+        log torn.
         """
         frame = _encode_frame(records)
         try:
-            handle = self._writer(user_id)
-            offset = handle.tell()
-            handle.write(frame)
-            handle.flush()
-            os.fsync(handle.fileno())
+            log = self._writer(user_id)
+            offset = self._records_end[user_id]
+            end = offset + len(frame)
+            buffers = [frame] if end <= log.size else [frame, _ZEROS]
+            length = sum(map(len, buffers))
+            written = os.pwritev(log.fd, buffers, offset)
+            if written != length:
+                raise OSError(f"short write: {written} of {length} bytes")
+            log.size = max(log.size, offset + length)
+            os.fsync(log.fd)
         except OSError as exc:
-            handle = self._handles.pop(user_id, None)
+            log = self._handles.pop(user_id, None)
             self._records_end.pop(user_id, None)
-            if handle is not None:
-                with contextlib.suppress(OSError):  # flushing the rest of the failed write
-                    handle.close()
+            if log is not None:
+                with contextlib.suppress(OSError):
+                    os.close(log.fd)
             raise StoreIoError(f"append to the log of {user_id!r} failed: {exc}") from exc
+        self._records_end[user_id] = end
         return offset
 
     def close(self) -> None:
-        for user_id, handle in self._handles.items():
-            self._records_end[user_id] = handle.tell()
-            handle.close()
+        """Truncate each open log to where its records end, commit its
+        size and release it. Every log is released even when one fails;
+        the first failure is then raised as `StoreIoError`, and a log
+        whose truncation failed keeps its zeroed space, which replay reads
+        as its clean end."""
+        failed: tuple[str, OSError] | None = None
+        for user_id, log in self._handles.items():
+            end = self._records_end[user_id]
+            try:
+                try:
+                    if log.size > end:
+                        os.ftruncate(log.fd, end)
+                        _sync_size(log.fd)
+                finally:
+                    os.close(log.fd)
+            except OSError as exc:
+                failed = failed or (user_id, exc)
         self._handles.clear()
+        if failed is not None:
+            user_id, exc = failed
+            raise StoreIoError(f"closing the log of {user_id!r} failed: {exc}") from exc
 
     def __enter__(self):
         return self
@@ -508,17 +591,18 @@ class LogStore:
     def load_replay(self, user_id: str, tree: MemoryTree, embedding_dim: int) -> ReplayResult:
         """Replay a user's log into the tree, one call at a time.
 
-        A frame is complete only with its final newline, the last byte of
-        each write. All of a call's records are decoded before any is
-        applied, so a torn call, or one that fails its checksum or does
-        not decode, stops the replay at its offset: every call before it
-        is loaded, nothing of it or after it, with a warning. A record the
-        tree rejects, a segment of other than `embedding_dim` floats, a
-        node above L1 of other than 0 floats, or a segment that cites no
-        logged turn raises out of the replay, leaving part of the call
-        applied; the tree's error is raised again as its own class with
-        the user, the log and the offset added. This store's next append
-        to the log follows the accepted calls.
+        A frame is complete only with its final newline. All of a call's
+        records are decoded before any is applied, so a torn call, or one
+        that fails its checksum or does not decode, stops the replay at its
+        offset: every call before it is loaded, nothing of it or after it,
+        with a warning. Zeroed space from a frame header to the end of the
+        file is the log's clean end, and stops the replay with no warning.
+        A record the tree rejects, a segment of other than `embedding_dim`
+        floats, a node above L1 of other than 0 floats, or a segment that
+        cites no logged turn raises out of the replay, leaving part of the
+        call applied; the tree's error is raised again as its own class
+        with the user, the log and the offset added. This store's next
+        append to the log follows the accepted calls.
 
         Before the main pass, the frame headers alone size the tree's leaf
         rows (`_row_frames`), into which `insert_node` writes each
@@ -540,13 +624,16 @@ class LogStore:
                                embedding_dim)
             while offset < size:
                 try:
-                    nodes, call_turns, end = _read_call(f, user_id, offset, size, stamps)
+                    call = _read_call(f, user_id, offset, size, stamps)
                 except (KeyError, ValueError, TypeError) as exc:
                     corrupt = CorruptRecord(  # str, not repr: a decode error's repr holds its bytes
                         f"corrupt record at offset {offset} in {path}: {type(exc).__name__}: {exc}",
                         offset=offset)
                     logger.warning("%s; ignoring the rest of the log", corrupt)
                     break
+                if call is None:  # zeroed space to the end: the log's clean end
+                    break
+                nodes, call_turns, end = call
                 logged.update(t.turn_id for t in call_turns)
                 for node, child_ids in nodes:
                     segment = node.level is Level.SEGMENT

@@ -5,6 +5,7 @@ import random
 import struct
 import zlib
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,14 +129,22 @@ FRAME_HEADER = struct.Struct("<4sIII")
 
 
 def log_frames(raw: bytes) -> list[bytes]:
-    """A log of frames split into its frames, one per engine call."""
+    """A log of frames split into its frames, one per engine call, up to
+    the zeroed space that ends a log its store has not closed."""
     frames, at = [], 0
     while at < len(raw):
-        _, body_size, rows_size, _ = FRAME_HEADER.unpack_from(raw, at)
+        magic, body_size, rows_size, _ = FRAME_HEADER.unpack_from(raw, at)
+        if magic == bytes(4):
+            break
         end = at + FRAME_HEADER.size + body_size + rows_size + 1
         frames.append(raw[at:end])
         at = end
     return frames
+
+
+def log_end(path) -> int:
+    """Where the frames of the log at `path` end, before any zeroed space."""
+    return sum(map(len, log_frames(Path(path).read_bytes())))
 
 
 def call_frame(*records: dict) -> bytes:

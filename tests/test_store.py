@@ -26,11 +26,11 @@ from timem.backends import MockEmbedder, Purpose
 from timem.bench import generate_fixture
 from timem.errors import (BackendFailure, CorruptRecord, DuplicateId, NonMonotonicTimestamp,
                           SchemaError, StoreIoError, TimemError)
-from timem.store import ReplayResult, _encode_frame, node_record, turn_record
+from timem.store import LOG_CHUNK, ReplayResult, _encode_frame, node_record, turn_record
 from timem.timeutil import format_ts, parse_ts
 
-from conftest import (FRAME_HEADER, FlakyChatBackend, call_frame, ingest_all, log_frames,
-                      make_turns, random_transcript)
+from conftest import (FRAME_HEADER, FlakyChatBackend, call_frame, ingest_all, log_end,
+                      log_frames, make_turns, random_transcript)
 
 import numpy as np
 
@@ -311,6 +311,30 @@ def test_a_call_another_store_appended_is_never_cut(tmp_path, order):
     assert [p.name for p in (tmp_path / "alice").iterdir()] == ["log.jsonl"]
     assert [t.turn_id for t in LogStore(tmp_path).load_replay("alice", MemoryTree(), DIM).turns] == [
         "a", "b", "c"]
+
+
+def test_a_log_shorter_than_what_the_store_replayed_needs_another_replay(tmp_path):
+    """A store writes at the end of the records it replayed, not at the
+    end of the file: when the log has shrunk below them since, it refuses
+    to append, rather than leave a gap, until it replays the log again."""
+    def record(turn_id):
+        return {"record_type": "turn", "turn_id": turn_id, "session_id": "s",
+                "timestamp": "2023-05-20T09:00:00Z", "user_text": "", "assistant_text": ""}
+
+    with LogStore(tmp_path) as store:
+        for turn_id in "ab":
+            store.persist_append("alice", record(turn_id))
+    log = tmp_path / "alice" / "log.jsonl"
+    store = LogStore(tmp_path)
+    store.load_replay("alice", MemoryTree(), DIM)
+    log.write_bytes(call_frame(record("a")))
+    with pytest.raises(StoreIoError, match="replay the log of 'alice' before appending"):
+        store.persist_append("alice", record("c"))
+    assert log.read_bytes() == call_frame(record("a"))
+    store.load_replay("alice", MemoryTree(), DIM)
+    assert store.persist_append("alice", record("c")) == len(call_frame(record("a")))
+    store.close()
+    assert log.read_bytes() == call_frame(record("a")) + call_frame(record("c"))
 
 
 def test_empty_log_replays_empty_tree(tmp_path):
@@ -851,10 +875,10 @@ def test_resume_after_the_last_turn_record_is_lost(tmp_path):
     ingest_all(reference, "alice", turns)
     engine = MemoryEngine.with_mock_backends(data_dir=tmp_path / "full")
     log = tmp_path / "full" / "alice" / "log.jsonl"
-    ends = []  # the log's size after each call
+    ends = []  # where the log's frames end after each call
     for turn in turns:
         engine.ingest_turn("alice", turn)
-        ends.append(log.stat().st_size)
+        ends.append(log_end(log))
     engine.store.close()
     raw = log.read_bytes()
 
@@ -871,36 +895,47 @@ def test_resume_after_the_last_turn_record_is_lost(tmp_path):
 
 
 @functools.cache
-def lost_turn_log() -> tuple[bytes, list[int], list[tuple]]:
-    """The log of LOST_TURN_TURNS ingested and flushed, its size after
-    each ingest call, and the node rows of that uninterrupted run."""
-    with tempfile.TemporaryDirectory() as tmp, LogStore(tmp) as store:
-        engine = MemoryEngine(store=store)
-        log = store.log_path("alice")
-        ends = []
-        for turn in LOST_TURN_TURNS:
-            engine.ingest_turn("alice", turn)
-            ends.append(log.stat().st_size)
-        engine.flush("alice")
-        return log.read_bytes(), ends, node_rows(engine)
+def lost_turn_log() -> tuple[bytes, list[int], list[tuple], int]:
+    """The log of LOST_TURN_TURNS ingested and flushed, closed; where its
+    frames end after each ingest call; the node rows of that
+    uninterrupted run; and how many zeroed bytes followed the frames
+    while the store still had the log open."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with LogStore(tmp) as store:
+            engine = MemoryEngine(store=store)
+            log = store.log_path("alice")
+            ends = []
+            for turn in LOST_TURN_TURNS:
+                engine.ingest_turn("alice", turn)
+                ends.append(log_end(log))
+            engine.flush("alice")
+            unclosed = log.read_bytes()
+        raw = log.read_bytes()
+    zeroed = len(unclosed) - len(raw)
+    assert zeroed > 0 and unclosed == raw + bytes(zeroed)
+    return raw, ends, node_rows(engine), zeroed
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=75, deadline=None)
 @given(st.data())
 def test_a_log_cut_at_any_byte_resumes_to_the_uninterrupted_tree(data):
-    """A crash at any byte of any write: every call whose line ends by the
-    cut replays, and resuming gives the tree of the uninterrupted run."""
-    raw, ends, rows = lost_turn_log()
-    cut = data.draw(st.integers(0, len(raw)), label="cut")
+    """A crash at any byte of any write, or with the log's zeroed space
+    cut anywhere: every call whose line ends by the cut replays, and
+    resuming gives the tree of the uninterrupted run. A cut in the
+    zeroed space, or at a call's end, leaves nothing to cut aside."""
+    raw, ends, rows, zeroed = lost_turn_log()
+    cut = data.draw(st.integers(0, len(raw) + zeroed), label="cut")
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "alice").mkdir()
-        (root / "alice" / "log.jsonl").write_bytes(raw[:cut])
+        (root / "alice" / "log.jsonl").write_bytes((raw + bytes(zeroed))[:cut])
         resumed, replay = resume(root, LOST_TURN_TURNS)
         logged = {t.turn_id for t in replay.turns}
         assert all(t.turn_id in logged for t, end in zip(LOST_TURN_TURNS, ends) if end <= cut)
         assert resumed.validate("alice").ok
         assert node_rows(resumed) == rows
+        torn = cut < len(raw) and cut not in (0, *ends)
+        assert bool(list((root / "alice").glob("log.corrupt.*"))) == torn
         with LogStore(root) as store:
             reloaded = MemoryEngine(store=store)
             assert reloaded.load_user("alice").corrupt is None
@@ -930,7 +965,7 @@ def test_no_changed_byte_of_a_log_ever_loads(data):
     """One byte changed anywhere in a flushed log: replay stops inside
     the call that holds it, or before, and loads exactly the calls that
     end before it."""
-    raw, ends, _ = lost_turn_log()
+    raw, ends, _, _ = lost_turn_log()
     at = data.draw(st.integers(0, len(raw) - 1), label="at")
     value = data.draw(st.integers(0, 255).filter(lambda v: v != raw[at]), label="value")
     changed = bytearray(raw)
@@ -942,6 +977,129 @@ def test_no_changed_byte_of_a_log_ever_loads(data):
     _, before_nodes, before_turns = replayed(raw[:start])
     assert nodes == before_nodes
     assert turns == before_turns
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_a_byte_that_is_not_zero_after_a_zero_header_stops_the_replay_at_that_header(data):
+    """The zeroed space of a log its store never closed replays as the
+    log's clean end; one byte that is not zero anywhere in it makes the
+    call at its zero header corrupt, and every call before it loads."""
+    raw, _, _, zeroed = lost_turn_log()
+    replay, nodes, turns = replayed(raw + bytes(zeroed))
+    assert replay.corrupt is None
+    assert (nodes, turns) == replayed(raw)[1:]
+
+    at = data.draw(st.integers(len(raw), len(raw) + zeroed - 1), label="at")
+    changed = bytearray(raw + bytes(zeroed))
+    changed[at] = data.draw(st.integers(1, 255), label="value")
+    replay, changed_nodes, changed_turns = replayed(bytes(changed))
+    assert replay.corrupt.offset == len(raw)
+    assert (changed_nodes, changed_turns) == (nodes, turns)
+
+
+@pytest.mark.parametrize("frames", [76, 0], ids=["after-frames", "zeros-only"])
+def test_a_log_its_store_never_closed_resumes_at_its_last_frame(tmp_path, caplog, frames):
+    """A store that crashed leaves its log open, ending in zeroed space:
+    replay reads the zeros as the log's end with no warning, and the next
+    store appends at the last frame's end, cutting nothing aside, so the
+    log it closes is the uninterrupted run's."""
+    raw, ends, rows, zeroed = lost_turn_log()
+    at = ends[frames - 1] if frames else 0
+    log = tmp_path / "alice" / "log.jsonl"
+    log.parent.mkdir()
+    log.write_bytes(raw[:at] + bytes(zeroed))
+
+    with caplog.at_level("WARNING", logger="timem.store"), LogStore(tmp_path) as store:
+        engine = MemoryEngine(store=store)
+        replay = engine.load_user("alice")
+        assert replay.corrupt is None and len(replay.turns) == frames
+        assert not caplog.records
+        for turn in LOST_TURN_TURNS[frames:]:
+            engine.ingest_turn("alice", turn)
+        engine.flush("alice")
+    assert [p.name for p in log.parent.iterdir()] == ["log.jsonl"]
+    assert log.read_bytes() == raw
+    assert node_rows(engine) == rows
+
+
+def test_a_frame_may_end_at_the_zeroed_end_and_the_next_one_extends_it(tmp_path, monkeypatch):
+    """A frame that ends exactly where the zeroed space does is written
+    alone; the next runs past it and is written with a new chunk of
+    zeros, in the same single write. Replay reads every state whole."""
+    pwritev = os.pwritev
+    writes = []
+
+    def counting_pwritev(fd, buffers, offset):
+        writes.append(offset)
+        return pwritev(fd, buffers, offset)
+
+    monkeypatch.setattr("timem.store.os.pwritev", counting_pwritev)
+
+    def record(turn_id, pad=0):
+        return {"record_type": "turn", "turn_id": turn_id, "session_id": "s",
+                "timestamp": "2023-05-20T09:00:00Z", "user_text": "x" * pad, "assistant_text": ""}
+
+    first = call_frame(record("a"))
+    filler = record("b", LOG_CHUNK - len(call_frame(record("b"))))
+    assert len(call_frame(filler)) == LOG_CHUNK
+    last = call_frame(record("c"))
+    log = tmp_path / "alice" / "log.jsonl"
+
+    def replayed_turns():
+        replay = LogStore(tmp_path).load_replay("alice", MemoryTree(), DIM)
+        assert replay.corrupt is None
+        return [t.turn_id for t in replay.turns]
+
+    with LogStore(tmp_path) as store:
+        assert store.persist_append("alice", record("a")) == 0
+        assert log.stat().st_size == len(first) + LOG_CHUNK
+        assert replayed_turns() == ["a"]
+        assert store.persist_append("alice", filler) == len(first)
+        assert log.stat().st_size == len(first) + LOG_CHUNK  # it ends at the zeroed end
+        assert replayed_turns() == ["a", "b"]
+        assert store.persist_append("alice", record("c")) == len(first) + LOG_CHUNK
+        assert log.stat().st_size == len(first) + LOG_CHUNK + len(last) + LOG_CHUNK
+        assert replayed_turns() == ["a", "b", "c"]
+    assert writes == [0, len(first), len(first) + LOG_CHUNK]
+    assert log.read_bytes() == first + call_frame(filler) + last
+
+
+def test_a_failed_truncation_at_close_releases_every_log(tmp_path, monkeypatch):
+    """Closing two logs when truncating the first fails: both are
+    released, `StoreIoError` names the first, and the log that kept its
+    zeroed space replays whole and takes the next append after its last
+    frame."""
+    def record(turn_id):
+        return {"record_type": "turn", "turn_id": turn_id, "session_id": "s",
+                "timestamp": "2023-05-20T09:00:00Z", "user_text": "", "assistant_text": ""}
+
+    store = LogStore(tmp_path)
+    store.persist_append("alice", record("a"))
+    store.persist_append("bob", record("a"))
+    logs = {user: store.log_path(user) for user in ("alice", "bob")}
+    ftruncate, alice = os.ftruncate, logs["alice"].stat().st_ino
+
+    def failing_ftruncate(fd, length):
+        if os.fstat(fd).st_ino == alice:
+            raise OSError(errno.EIO, "Input/output error")
+        ftruncate(fd, length)
+
+    monkeypatch.setattr("timem.store.os.ftruncate", failing_ftruncate)
+    with pytest.raises(StoreIoError, match="closing the log of 'alice' failed: .*Input/output"):
+        store.close()
+    monkeypatch.undo()
+    assert logs["alice"].stat().st_size > log_end(logs["alice"])  # its zeroed space stays
+    assert logs["bob"].stat().st_size == log_end(logs["bob"])
+
+    with LogStore(tmp_path) as other:  # both logs were released
+        for user, log in logs.items():
+            replay = other.load_replay(user, MemoryTree(), DIM)
+            assert replay.corrupt is None and [t.turn_id for t in replay.turns] == ["a"]
+            assert other.persist_append(user, record("b")) == len(call_frame(record("a")))
+    for user, log in logs.items():
+        assert log.read_bytes() == call_frame(record("a")) + call_frame(record("b"))
+        assert [p.name for p in log.parent.iterdir()] == ["log.jsonl"]
 
 
 FUZZ_CONFIG = EngineConfig(embedding_dim=16)
@@ -1160,7 +1318,7 @@ def test_a_one_turn_call_parses_its_timestamp_once(tmp_path, monkeypatch):
 
 
 def test_replayed_times_equal_the_live_ones_and_each_string_is_parsed_once(monkeypatch):
-    raw, _, _ = lost_turn_log()
+    raw, _, _, _ = lost_turn_log()
     parsed = counting_parse_ts(monkeypatch)
     replay, nodes, turns = replayed(raw)
     assert replay.corrupt is None and len(parsed) == len(set(parsed))
@@ -1247,7 +1405,7 @@ def test_failed_cut_of_a_torn_tail_resumes_after_another_replay(tmp_path, monkey
     for turn in turns[:5]:
         engine.ingest_turn("alice", turn)
     log = tmp_path / "data" / "alice" / "log.jsonl"
-    accepted = log.stat().st_size
+    accepted = log_end(log)
     failures.append(OSError(errno.EIO, "Input/output error"))
     with pytest.raises(StoreIoError, match="Input/output error"):
         engine.ingest_turn("alice", turns[5])
