@@ -42,11 +42,12 @@ such node is refused as a node of the wrong float count.
 Replay first walks the frame headers alone, one `os.pread` each, and
 counts the frames that carry rows: the engine writes at most one
 segment per frame, so the count sizes one block of the tree's leaf rows
-before any row arrives. Inserting a segment then writes its float32 row
-from its frame into its row of that block, which becomes the segment's
-`embedding`; a restarted tree holds one copy of each leaf row, and no
-node keeps a view of its frame. A segment past the hint, in a frame
-the engine would not write, adds a block at its insert.
+(`tree.leaf_index(user_id).reserve`) before any row arrives. Inserting a
+segment then writes its float32 row from its frame into its row of that
+block, which becomes the segment's `embedding`; a restarted tree holds
+one copy of each leaf row, and no node keeps a view of its frame. A
+segment past the hint, in a frame the engine would not write, adds a
+block at its insert.
 
 A node's start and end and its turn's timestamp are often one string,
 so replay parses each distinct timestamp string once. The file keeps
@@ -76,6 +77,7 @@ logical end, so a closed log holds its frames alone.
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import json
 import logging
 import os
@@ -85,11 +87,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-try:
-    import fcntl
-except ImportError:  # non-POSIX: advisory locking disabled
-    fcntl = None
 
 from .consolidation import DialogTurn
 from .errors import CorruptRecord, NonMonotonicTimestamp, SchemaError, StoreIoError, TimemError
@@ -474,12 +471,10 @@ class LogStore:
             path = self.log_path(user_id)
             fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
             try:  # the lock is the descriptor's: closing it releases the log
-                if fcntl is not None:
-                    try:
-                        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                    except OSError as exc:
-                        raise StoreIoError(
-                            f"log for {user_id!r} is locked by another writer") from exc
+                try:
+                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                except OSError as exc:
+                    raise StoreIoError(f"log for {user_id!r} is locked by another writer") from exc
                 size = os.fstat(fd).st_size  # read under the lock
                 if size:
                     rest = self._past_records(user_id, path, size)
@@ -605,8 +600,8 @@ class LogStore:
         append to the log follows the accepted calls.
 
         Before the main pass, the frame headers alone size the tree's leaf
-        rows (`_row_frames`), into which `insert_node` writes each
-        segment's row, so no node pins a frame.
+        rows (`_row_frames`, then `LeafIndex.reserve`), into which
+        `insert_node` writes each segment's row, so no node pins a frame.
         """
         path = self.log_path(user_id)
         tree.ensure_user(user_id)  # register user even when the log is empty
@@ -620,8 +615,8 @@ class LogStore:
         offset = 0
         with open(path, "rb") as f:
             size = os.fstat(f.fileno()).st_size
-            tree.reserve_leaves(user_id, _row_frames(f.fileno(), size, embedding_dim),
-                               embedding_dim)
+            tree.leaf_index(user_id).reserve(_row_frames(f.fileno(), size, embedding_dim),
+                                             embedding_dim)
             while offset < size:
                 try:
                     call = _read_call(f, user_id, offset, size, stamps)

@@ -7,7 +7,8 @@ a node is inserted without any, and `adopt` links a parent, consolidated
 once its group closed, to all its children at once. Each user owns a
 fully isolated tree; node ids are monotonically increasing per user.
 
-Besides the nodes by id, a tree keeps two indexes per user:
+A tree keeps one record per user (`_UserTree`): the nodes by id, the
+id the next node takes, and two indexes:
 
 - one list per level in (interval end, id) order. Each level is
   append-only, as consolidation writes forward in time: an insert that
@@ -21,11 +22,16 @@ Besides the nodes by id, a tree keeps two indexes per user:
   it into the next row, adding a block first when the rows are full,
   and its `embedding` is a view of that row. A row never moves: a new
   block holds the rows past the old ones, so growing copies no row and
-  frees no memory. Storage grows only in `reserve_leaves`, which replay
-  calls with a size hint from the frame headers, and an insert for one
-  more row. Norms, stamps and postings wait for `leaf_index`, which
-  adds those of the segments inserted since its last call: ingest and
-  replay never pay for them, and recall never allocates rows.
+  frees no memory. Rows grow only through `LeafIndex.reserve`, which
+  replay calls with a size hint from the frame headers, and an insert
+  for one more row. Norms, stamps and postings wait for `leaf_index`,
+  which adds those of the segments inserted since its last call: ingest
+  and replay never pay for them, and recall never allocates rows.
+
+A user exists from `ensure_user` (replay) or its first accepted
+`insert_node`, from nothing else: a refused insert leaves no user and
+uses up no id. An unknown user's reads find no nodes; its `leaf_index`
+raises `UnknownUser`.
 
 A user's tree can be dropped (`drop_user`) when it may have diverged
 from its log, after a failed append; a replay rebuilds it.
@@ -49,6 +55,7 @@ from .errors import (
     NonMonotonicTimestamp,
     ParentConflict,
     UnknownNode,
+    UnknownUser,
 )
 from .indexing import LeafIndex
 from .timeutil import format_ts
@@ -144,6 +151,19 @@ def _broken_edge(parent: MemoryNode | None, child: MemoryNode) -> Violation | No
     return None
 
 
+@dataclass
+class _UserTree:
+    """One user's record: nodes by id, levels, leaves and next id."""
+
+    nodes: dict[int, MemoryNode] = field(default_factory=dict)
+    levels: dict[Level, list[MemoryNode]] = field(default_factory=lambda: {lv: [] for lv in Level})
+    leaves: LeafIndex = field(default_factory=LeafIndex)  # caught up by leaf_index
+    next_id: int = 1
+
+
+_NO_USER = _UserTree()  # what reads of an unknown user see; nothing writes it
+
+
 class MemoryTree:
     """Per-user node store enforcing the structural rules on every edge.
 
@@ -152,85 +172,75 @@ class MemoryTree:
     """
 
     def __init__(self):
-        self._nodes: dict[str, dict[int, MemoryNode]] = {}
-        self._next_id: dict[str, int] = {}
-        # user -> level -> nodes in (interval end, id) order
-        self._levels: dict[str, dict[Level, list[MemoryNode]]] = {}
-        self._leaves: dict[str, LeafIndex] = {}  # user -> segment rows, caught up by leaf_index
+        self._users: dict[str, _UserTree] = {}
 
     def ensure_user(self, user_id: str) -> None:
         """Register a user namespace (idempotent)."""
-        if user_id not in self._nodes:
-            self._next_id[user_id] = 1
-            self._levels[user_id] = {level: [] for level in Level}
-            self._nodes[user_id] = {}
-            self._leaves[user_id] = LeafIndex()
+        self._users.setdefault(user_id, _UserTree())
 
     def drop_user(self, user_id: str) -> None:
         """Forget a user's nodes and indexes; a replay can rebuild them."""
-        for table in (self._nodes, self._next_id, self._levels, self._leaves):
-            table.pop(user_id, None)
+        self._users.pop(user_id, None)
 
     def users(self) -> list[str]:
-        return sorted(self._nodes)
+        return sorted(self._users)
 
     def has_user(self, user_id: str) -> bool:
-        return user_id in self._nodes
+        return user_id in self._users
 
     def allocate_id(self, user_id: str) -> int:
-        self.ensure_user(user_id)
-        node_id = self._next_id[user_id]
-        self._next_id[user_id] = node_id + 1
-        return node_id
+        """The id the user's next node takes; only its insert takes it."""
+        return self._users.get(user_id, _NO_USER).next_id
 
     def get(self, user_id: str, node_id: int) -> MemoryNode:
-        node = self._nodes.get(user_id, {}).get(node_id)
+        node = self._users.get(user_id, _NO_USER).nodes.get(node_id)
         if node is None:
             raise UnknownNode(f"user {user_id!r} has no node {node_id}")
         return node
 
     def insert_node(self, node: MemoryNode) -> int:
         """Index a node that has no edge yet; `adopt` links it later. The
-        node must sort last on its level by (interval end, id), and a
-        segment needs an embedding as wide as the user's leaf rows, or
-        the insert raises and changes nothing, not even the users it
-        knows. A segment is written into the next row of the user's
-        leaves, which `reserve_leaves` grows first when they are full,
-        and its `embedding` becomes that row."""
+        node must sort last on its level by (interval end, id), a segment
+        needs a unit embedding as wide as the user's leaf rows, and a node
+        above L1 none, or the insert raises and changes nothing, not even
+        the users the tree knows. A segment is written into the next row
+        of the user's leaves, which `LeafIndex.reserve` grows first when
+        they are full, and its `embedding` becomes that row."""
         if node.parent_id is not None or node.child_ids:
             raise ValueError(f"node {node.id} arrives with edges; link it with adopt")
-        if node.id in self._nodes.get(node.user_id, ()):
+        user = self._users.get(node.user_id, _NO_USER)
+        if node.id in user.nodes:
             raise DuplicateId(f"node id {node.id} already used for {node.user_id!r}")
         vector = node.embedding
-        ordered = self._ordered(node.user_id, node.level)
+        ordered = user.levels[node.level]
         if node.level is Level.SEGMENT:
             if vector is None:
                 raise ValueError(f"segment {node.id} has no embedding to score")
-            index = self._leaves.get(node.user_id)
-            width = (index.dimension if index is not None else 0) or vector.size
+            width = user.leaves.dimension or vector.size
             if vector.shape != (width,):
                 raise DimensionMismatch(f"segment {node.id} has embedding shape "
                                         f"{vector.shape}, the user's segments ({width},)")
-        if vector is not None:
             # np.linalg.norm of a 1-D vector, without its dispatch: the
             # same float, float32 for a float32 vector
             norm = float(np.sqrt(vector.dot(vector)))
             if not abs(norm - 1.0) <= _EMBED_NORM_TOL:  # a NaN norm fails too
                 raise ValueError(f"embedding norm {norm} not within {_EMBED_NORM_TOL} of 1")
+        elif vector is not None:
+            raise ValueError(f"node {node.id} of level {int(node.level)} carries an embedding; "
+                             f"only segments keep one")
         if ordered and (node.interval.end, node.id) < (ordered[-1].interval.end, ordered[-1].id):
             raise NonMonotonicTimestamp(f"node {node.id} sorts before node {ordered[-1].id}, "
                                         f"the last of level {int(node.level)} by (end, id)")
-        self.ensure_user(node.user_id)
+        if user is _NO_USER:
+            user = self._users[node.user_id] = _UserTree()
+            ordered = user.levels[node.level]
         if node.level is Level.SEGMENT:
-            index = self._leaves[node.user_id]
-            if len(ordered) == index.capacity:
-                self.reserve_leaves(node.user_id, 1, width)
-            node.embedding = index.row(len(ordered))
+            user.leaves.reserve(len(ordered) + 1, width)
+            node.embedding = user.leaves.row(len(ordered))
             node.embedding[:] = vector
-        self._nodes[node.user_id][node.id] = node
-        self._levels[node.user_id][node.level].append(node)
-        if node.id >= self._next_id[node.user_id]:
-            self._next_id[node.user_id] = node.id + 1
+        user.nodes[node.id] = node
+        ordered.append(node)
+        user.next_id = max(user.next_id, node.id + 1)
         return node.id
 
     def adopt(self, user_id: str, parent_id: int, child_ids: list[int]) -> None:
@@ -254,38 +264,30 @@ class MemoryTree:
             child.parent_id = parent_id
         parent.child_ids = [child.id for child in children]
 
-    def _ordered(self, user_id: str, level: Level) -> list[MemoryNode]:
-        levels = self._levels.get(user_id)
-        return levels[level] if levels else []
-
     def nodes_at_level(self, user_id: str, level: Level) -> list[MemoryNode]:
         """A copy of the nodes of one level, ordered by interval end (ties by id)."""
-        return list(self._ordered(user_id, level))
+        return list(self._users.get(user_id, _NO_USER).levels[level])
 
     def recent_at_level(self, user_id: str, level: Level, count: int) -> list[MemoryNode]:
         """Up to `count` nodes of a level, the latest (end, id) first."""
-        ordered = self._ordered(user_id, level)
+        ordered = self._users.get(user_id, _NO_USER).levels[level]
         return ordered[max(len(ordered) - count, 0):][::-1]
-
-    def reserve_leaves(self, user_id: str, count: int, dimension: int) -> None:
-        """Make room in the user's leaves for `count` segments of
-        `dimension` floats past those the tree holds: replay passes a size
-        hint, and an insert one row. Growing adds a block
-        (`LeafIndex.reserve`); no segment's row moves."""
-        self._leaves[user_id].reserve(len(self._ordered(user_id, Level.SEGMENT)) + count,
-                                      dimension)
 
     def leaf_index(self, user_id: str) -> LeafIndex:
         """The user's segments in (end, id) order as a LeafIndex, after
         adding the columns of the segments inserted since the last call;
-        their rows are already written."""
-        index = self._leaves[user_id]
-        for node in self._ordered(user_id, Level.SEGMENT)[len(index):]:
+        their rows are already written. An unknown user raises
+        `UnknownUser`."""
+        user = self._users.get(user_id)
+        if user is None:
+            raise UnknownUser(f"no memory tree for user {user_id!r}")
+        index = user.leaves
+        for node in user.levels[Level.SEGMENT][len(index):]:
             index.add(node)
         return index
 
     def all_nodes(self, user_id: str) -> list[MemoryNode]:
-        return sorted(self._nodes.get(user_id, {}).values(), key=lambda n: n.id)
+        return sorted(self._users.get(user_id, _NO_USER).nodes.values(), key=lambda n: n.id)
 
     def ancestors(self, user_id: str, node_id: int, levels: set[Level]) -> list[MemoryNode]:
         """Walk the parent chain, returning ancestors at the given levels."""
@@ -302,7 +304,7 @@ class MemoryTree:
                         t_q: datetime | None = None) -> MemoryNode | None:
         """The node of a level with the latest (end, id), among those
         ending at or before `t_q` when it is given."""
-        ordered = self._ordered(user_id, level)
+        ordered = self._users.get(user_id, _NO_USER).levels[level]
         end = len(ordered) if t_q is None else bisect_right(
             ordered, t_q, key=lambda node: node.interval.end)
         return ordered[end - 1] if end else None
@@ -310,7 +312,7 @@ class MemoryTree:
     def validate_tree(self, user_id: str) -> TreeReport:
         """Check every rule of the user's tree: each edge from both ends,
         each segment's turns, and the node count per level."""
-        nodes = self._nodes.get(user_id, {})
+        nodes = self._users.get(user_id, _NO_USER).nodes
         counts = {level: 0 for level in Level}
         violations: list[Violation] = []
         for node in nodes.values():

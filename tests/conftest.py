@@ -147,12 +147,19 @@ def log_end(path) -> int:
     return sum(map(len, log_frames(Path(path).read_bytes())))
 
 
+def frame_of(body, rows: bytes = b"") -> bytes:
+    """A frame of any JSON `body` and any `rows` bytes under a valid
+    CRC32 of both lengths, the body and the rows."""
+    body = json.dumps(body, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    crc = zlib.crc32(struct.pack("<II", len(body), len(rows)) + body + rows)
+    return FRAME_HEADER.pack(b"\xffTM1", len(body), len(rows), crc) + body + rows + b"\n"
+
+
 def call_frame(*records: dict) -> bytes:
     """The frame of one call: its records as one JSON array, each
     embedding replaced by its float count, then the embeddings' float32
-    rows, under a CRC32 of both lengths, the body and the rows. Unlike
-    the store's writer, it frames any record, a node without an
-    embedding included, so a test can log what the engine never writes."""
+    rows. Unlike the store's writer, it frames any record, a node without
+    an embedding included, so a test can log what the engine never writes."""
     body, rows = [], b""
     for record in records:
         if record.get("embedding") is not None:
@@ -160,6 +167,4 @@ def call_frame(*records: dict) -> bytes:
             rows += vector.tobytes()
             record = {**record, "embedding": len(vector)}
         body.append(record)
-    body = json.dumps(body, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
-    crc = zlib.crc32(struct.pack("<II", len(body), len(rows)) + body + rows)
-    return FRAME_HEADER.pack(b"\xffTM1", len(body), len(rows), crc) + body + rows + b"\n"
+    return frame_of(body, rows)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from timem import EngineConfig, Level, LogStore, MemoryEngine
-from timem.backends import CONSOLIDATE_PURPOSES, MockChatBackend
+from timem.backends import CONSOLIDATE_PURPOSES, MockChatBackend, MockEmbedder
 from timem.consolidation import TemporalGroup
-from timem.errors import BackendFailure, NonMonotonicTimestamp, ProviderError
+from timem.errors import BackendFailure, NonMonotonicTimestamp, ProviderError, UnknownUser
 from timem.timeutil import parse_ts
 from timem.tree import TemporalInterval
 
@@ -367,6 +367,22 @@ def test_an_embedding_of_another_shape_is_refused_before_it_is_inserted_or_logge
     assert engine.tree.nodes_at_level("alice", Level.SEGMENT) == []
     engine.store.close()
     assert not engine.store.log_path("alice").exists()
+
+
+def test_a_refused_first_ingest_registers_no_user():
+    """A first turn whose segment the tree refuses, for an embedding of
+    norm 2, leaves no user behind: recall knows no such user."""
+    class DoublingEmbedder(MockEmbedder):
+        def embed_text(self, text):
+            return 2 * super().embed_text(text)
+
+    engine = MemoryEngine(embedder=DoublingEmbedder(EngineConfig().embedding_dim))
+    turn = make_turns([turn_row("s1", "2023-05-20T09:00:00Z")])[0]
+    with pytest.raises(ValueError, match="embedding norm"):
+        engine.ingest_turn("zed", turn)
+    assert not engine.tree.has_user("zed")
+    with pytest.raises(UnknownUser):
+        engine.recall("zed", "Where did I go kayaking?")
 
 
 def test_same_transcript_twice_identical(config):

@@ -136,7 +136,7 @@ def build_fanout_tree(n_leaves: int = 25, n_parents: int = 10):
         tree.insert_node(MemoryNode(
             id=100 + p, user_id="u", level=Level.SESSION,
             interval=TemporalInterval(utc(2023, 5, 1 + p), utc(2023, 5, 1 + p, 23)),
-            text=f"session {p}", embedding=unit(dim, p)))
+            text=f"session {p}"))
     for i in sorted(range(n_leaves), key=lambda i: (i % n_parents, i)):  # in end order
         p = i % n_parents
         ts = utc(2023, 5, 1 + p, 1 + i // n_parents)
@@ -253,7 +253,7 @@ def test_propagate_empty_leaves_injects_latest_profile():
         tree.insert_node(MemoryNode(
             id=1 + i, user_id="u", level=Level.PROFILE,
             interval=TemporalInterval(utc(2023, month, 1), utc(2023, month, 28)),
-            text=f"profile {month}", embedding=unit(8, i)))
+            text=f"profile {month}"))
     pipe = pipeline_for(tree)
     cand = pipe.propagate_ancestors("u", [], Complexity.SIMPLE)
     assert [c.node.id for c in cand.entries] == [2]  # latest profile only
@@ -268,7 +268,7 @@ def test_propagate_injects_the_latest_profile_ending_by_t_q():
         tree.insert_node(MemoryNode(
             id=1 + i, user_id="u", level=Level.PROFILE,
             interval=TemporalInterval(utc(2023, month, 1), utc(2023, month, 28)),
-            text=f"profile {month}", embedding=unit(8, i)))
+            text=f"profile {month}"))
     pipe = pipeline_for(tree)
     for t_q, want in ((utc(2023, 6, 28), [2]), (utc(2023, 6, 27), [1]),
                       (utc(2023, 5, 28), [1]), (utc(2023, 5, 27), [])):
@@ -422,7 +422,8 @@ def mem(tree, node_id, level, day, user="u"):
     node = MemoryNode(
         id=node_id, user_id=user, level=Level(level),
         interval=TemporalInterval(utc(2023, 5, day), utc(2023, 5, day)),
-        text=f"m{node_id}", embedding=unit(8, node_id))
+        text=f"m{node_id}",
+        embedding=unit(8, node_id) if level == Level.SEGMENT else None)
     tree.insert_node(node)
     return Candidate(node=node)
 

@@ -29,8 +29,8 @@ from timem.errors import (BackendFailure, CorruptRecord, DuplicateId, NonMonoton
 from timem.store import LOG_CHUNK, ReplayResult, _encode_frame, node_record, turn_record
 from timem.timeutil import format_ts, parse_ts
 
-from conftest import (FRAME_HEADER, FlakyChatBackend, call_frame, ingest_all, log_end,
-                      log_frames, make_turns, random_transcript)
+from conftest import (FRAME_HEADER, FlakyChatBackend, call_frame, frame_of, ingest_all,
+                      log_end, log_frames, make_turns, random_transcript)
 
 import numpy as np
 
@@ -76,6 +76,20 @@ def test_parse_trailing_user_message(tmp_path):
     transcript = parse_transcript(write_transcript(tmp_path, data))
     assert len(transcript.turns) == 3
     assert transcript.turns[-1].assistant_text == ""
+
+    # a user message followed by another is a turn without assistant text,
+    # and an assistant message without a user message before it one
+    # without user text, whether it leads its session or follows a turn
+    messages = [("assistant", "Welcome back."), ("user", "Hi."), ("user", "Me again."),
+                ("assistant", "Hello!"), ("assistant", "Anything else?")]
+    data["sessions"].append({"session_id": "s2", "turns": [
+        {"speaker": speaker, "text": text, "timestamp": f"2023-05-21T09:0{i}:00Z"}
+        for i, (speaker, text) in enumerate(messages)]})
+    turns = parse_transcript(write_transcript(tmp_path, data, "two.json")).turns
+    assert [(t.turn_id, t.user_text, t.assistant_text) for t in turns[3:]] == [
+        ("s2/0", "", "Welcome back."), ("s2/1", "Hi.", ""), ("s2/2", "Me again.", "Hello!"),
+        ("s2/3", "", "Anything else?")]
+    assert [t.timestamp.minute for t in turns[3:]] == [0, 1, 2, 4]  # each its first message's
 
 
 def test_parse_out_of_order_timestamp(tmp_path):
@@ -215,6 +229,24 @@ def test_append_without_replay_errors(tmp_path):
     store.close()
     assert path.read_bytes().startswith(before)
     assert len(LogStore(tmp_path).load_replay("alice", MemoryTree(), DIM).turns) == 2
+
+
+@pytest.mark.parametrize("user_id", ["", ".", "..", "a/b", "a\\b"])
+def test_a_path_like_user_id_is_refused_before_anything_is_made(tmp_path, user_id):
+    """A user id that is no single directory name is refused by every
+    call that would reach the disk, and nothing is made under the root
+    or beside it."""
+    root = tmp_path / "data"
+    store, tree = LogStore(root), MemoryTree()
+    record = {"record_type": "turn", "turn_id": "a", "session_id": "s",
+              "timestamp": "2023-05-20T09:00:00Z", "user_text": "", "assistant_text": ""}
+    for call in (lambda: store.persist_append(user_id, record),
+                 lambda: store.load_replay(user_id, tree, DIM),
+                 lambda: store.log_path(user_id)):
+        with pytest.raises(StoreIoError, match="invalid user id for storage"):
+            call()
+    store.close()
+    assert list(tmp_path.iterdir()) == [] and tree.users() == []
 
 
 def test_the_first_append_after_a_cut_returns_where_it_wrote(tmp_path):
@@ -693,21 +725,34 @@ TURN_WITHOUT_SESSION = {"record_type": "turn", "turn_id": "x",
                         "timestamp": "2023-05-20T09:00:00Z", "user_text": "", "assistant_text": ""}
 
 
-@pytest.mark.parametrize("bad", [{"record_type": "node"}, TURN_WITHOUT_SESSION],
-                         ids=["node-without-id", "turn-without-session-id"])
+FOUR_FLOATS = np.full(4, 0.5, dtype="<f4").tobytes()
+
+
+@pytest.mark.parametrize("bad, reason", [
+    (lambda turn: ([turn, {"record_type": "node"}], b""), "KeyError: 'embedding'"),
+    (lambda turn: ([turn, TURN_WITHOUT_SESSION], b""), "KeyError: 'session_id'"),
+    (lambda turn: ({"records": [turn]}, b""), "not an array of records"),
+    (lambda turn: ([turn, [turn]], b""), "not an array of records"),
+    (lambda turn: ([turn, {"record_type": "node", "embedding": 5}], FOUR_FLOATS),
+     "an embedding of 5 floats overruns the frame's rows"),
+    (lambda turn: ([turn], FOUR_FLOATS), "4 floats of the frame's rows belong to no node"),
+], ids=["node-without-id", "turn-without-session-id", "body-not-an-array",
+        "a-record-that-is-not-an-object", "embedding-past-the-rows", "rows-no-node-takes"])
 @pytest.mark.parametrize("form", ["in-a-frame"])
-def test_a_line_with_a_record_that_does_not_decode_is_corrupt(tmp_path, bad, form):
-    """A frame whose checksum holds, with a valid record and then one
-    that lacks a field it needs."""
+def test_a_line_with_a_record_that_does_not_decode_is_corrupt(tmp_path, bad, reason, form):
+    """A frame whose checksum holds, with a valid turn record and then
+    what does not decode: a record that lacks a field it needs, a body
+    that is not an array of records, a node whose float count runs past
+    the frame's rows, or rows that no node takes."""
     engine, turns = log_of_three_turns(tmp_path)
     log = tmp_path / "data" / "alice" / "log.jsonl"
     good = log.read_bytes()
-    line = call_frame(turn_record(turns[3]), bad)
+    line = frame_of(*bad(turn_record(turns[3])))
     log.write_bytes(good + line)
 
     resumed = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
     replay = resumed.load_user("alice")
-    assert replay.corrupt.offset == len(good)
+    assert replay.corrupt.offset == len(good) and reason in str(replay.corrupt)
     # nothing of the line is applied, not even its valid turn record
     assert [t.turn_id for t in replay.turns] == [t.turn_id for t in turns[:3]]
     assert node_rows(resumed) == node_rows(engine)
@@ -1346,44 +1391,60 @@ def test_a_timestamp_that_is_not_a_string_is_a_schema_error_or_a_corrupt_call(tm
     assert node_rows(resumed) == node_rows(engine)
 
 def test_failed_fsync_resumes_as_after_a_crash(tmp_path, monkeypatch):
+    """The sixth turn's append fails, at its fsync or by a short write
+    that put only the first half of its frame in the log; the engine
+    drops the user, and a replay resumes as after a crash."""
     turns = fixture_turns(tmp_path, 30)
-    fsync = os.fsync
-    calls = []
+    fsync, pwritev = os.fsync, os.pwritev
 
-    def failing_fsync(fd):
-        if is_file(fd):
+    for failure, error in [("fsync", "Input/output error"), ("short-write", "short write")]:
+        calls = []
+
+        def failing_fsync(fd):
+            if is_file(fd):
+                calls.append(fd)
+            if len(calls) == 6:  # the sixth turn's append
+                raise OSError(errno.EIO, "Input/output error")
+            fsync(fd)
+
+        def short_pwritev(fd, buffers, offset):
             calls.append(fd)
-        if len(calls) == 6:  # the sixth turn's append
-            raise OSError(errno.EIO, "Input/output error")
-        fsync(fd)
+            if len(calls) == 6:  # the sixth turn's append
+                return pwritev(fd, [buffers[0][:len(buffers[0]) // 2]], offset)
+            return pwritev(fd, buffers, offset)
 
-    monkeypatch.setattr("timem.store.os.fsync", failing_fsync)
-    engine = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
-    for turn in turns[:5]:
-        engine.ingest_turn("alice", turn)
-    with pytest.raises(StoreIoError, match="Input/output error"):
-        engine.ingest_turn("alice", turns[5])
-    assert not engine.tree.has_user("alice")  # dropped, not diverged from the log
-    with pytest.raises(StoreIoError, match="replay"):
-        engine.ingest_turn("alice", turns[6])  # the store needs a replay first
+        data = tmp_path / failure
+        with monkeypatch.context() as patch:
+            if failure == "fsync":
+                patch.setattr("timem.store.os.fsync", failing_fsync)
+            else:
+                patch.setattr("timem.store.os.pwritev", short_pwritev)
+            engine = MemoryEngine.with_mock_backends(data_dir=data)
+            for turn in turns[:5]:
+                engine.ingest_turn("alice", turn)
+            with pytest.raises(StoreIoError, match=error):
+                engine.ingest_turn("alice", turns[5])
+            assert not engine.tree.has_user("alice")  # dropped, not diverged from the log
+            with pytest.raises(StoreIoError, match="replay"):
+                engine.ingest_turn("alice", turns[6])  # the store needs a replay first
 
-    replay = engine.load_user("alice")
-    logged = {t.turn_id for t in replay.turns}
-    for turn in turns:
-        if turn.turn_id not in logged:
-            engine.ingest_turn("alice", turn)
-    engine.flush("alice")
-    engine.store.close()
+            replay = engine.load_user("alice")
+            logged = {t.turn_id for t in replay.turns}
+            for turn in turns:
+                if turn.turn_id not in logged:
+                    engine.ingest_turn("alice", turn)
+            engine.flush("alice")
+            engine.store.close()
 
-    records = log_records(tmp_path / "data" / "alice" / "log.jsonl")
-    turn_ids = [r["turn_id"] for r in records if r["record_type"] == "turn"]
-    assert turn_ids == [t.turn_id for t in turns]  # each logged once, in order
-    segments = engine.tree.nodes_at_level("alice", Level.SEGMENT)
-    assert sorted(n.source_turn_ids[0] for n in segments) == sorted(turn_ids)
-    assert engine.validate("alice").ok
-    reloaded = MemoryEngine.with_mock_backends(data_dir=tmp_path / "data")
-    reloaded.load_user("alice")
-    assert node_rows(reloaded) == node_rows(engine)
+        records = log_records(data / "alice" / "log.jsonl")
+        turn_ids = [r["turn_id"] for r in records if r["record_type"] == "turn"]
+        assert turn_ids == [t.turn_id for t in turns]  # each logged once, in order
+        segments = engine.tree.nodes_at_level("alice", Level.SEGMENT)
+        assert sorted(n.source_turn_ids[0] for n in segments) == sorted(turn_ids)
+        assert engine.validate("alice").ok
+        reloaded = MemoryEngine.with_mock_backends(data_dir=data)
+        reloaded.load_user("alice")
+        assert node_rows(reloaded) == node_rows(engine)
 
 
 def test_failed_cut_of_a_torn_tail_resumes_after_another_replay(tmp_path, monkeypatch):

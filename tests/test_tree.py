@@ -16,6 +16,7 @@ from timem.errors import (
     NonMonotonicTimestamp,
     ParentConflict,
     UnknownNode,
+    UnknownUser,
 )
 
 from conftest import ingest_all, random_transcript, utc
@@ -28,11 +29,12 @@ def unit_vec(dim: int = 8, index: int = 0) -> np.ndarray:
 
 
 def node(tree: MemoryTree, node_id: int, level: int, start, end, user="u") -> MemoryNode:
-    """A node without edges; a segment cites one turn, as ingest's do."""
+    """A node without edges; a segment has an embedding and cites one
+    turn, as ingest's do."""
     return MemoryNode(
         id=node_id, user_id=user, level=Level(level),
         interval=TemporalInterval(start, end),
-        text=f"node {node_id}", embedding=unit_vec(),
+        text=f"node {node_id}", embedding=unit_vec() if level == Level.SEGMENT else None,
         source_turn_ids=[f"s/{node_id}"] if level == Level.SEGMENT else [])
 
 
@@ -515,8 +517,8 @@ def test_segments_past_the_reserved_size_grow_the_leaves_at_their_insert():
     a segment to be its row, and no row moves."""
     tree = MemoryTree()
     tree.ensure_user("u")
-    tree.reserve_leaves("u", 2, WIDE)
-    index = tree._leaves["u"]
+    tree.leaf_index("u").reserve(2, WIDE)
+    index = tree._users["u"].leaves
     reserved = index.blocks[0]
     inserted, addresses, capacities = {}, {}, []
     for node_id in range(1, 20):
@@ -565,16 +567,17 @@ def test_every_segment_is_its_row_through_inserts_catch_ups_and_reserves():
                 == fused_top_k(query, ["park"], LeafIndex.of(copies), 0.9, 5))
 
     steps = [lambda: insert(3), catch_up, lambda: insert(3),
-             lambda: tree.reserve_leaves("u", 10, WIDE), lambda: insert(12), catch_up,
+             lambda: tree._users["u"].leaves.reserve(len(inserted) + 10, WIDE),
+             lambda: insert(12), catch_up,
              lambda: insert(5), catch_up]
     for step in steps:
         step()
-        index = tree._leaves["u"]
+        index = tree._users["u"].leaves
         for position, leaf in enumerate(tree.nodes_at_level("u", Level.SEGMENT)):
             assert leaf.embedding.tobytes() == inserted[leaf.id].tobytes()
             assert leaf.embedding.ctypes.data == addresses[leaf.id]
             assert np.shares_memory(leaf.embedding, index.row(position))
-    assert len(tree._leaves["u"].blocks) >= 3
+    assert len(tree._users["u"].leaves.blocks) >= 3
     assert len(tree.leaf_index("u")) == 23
 
 
@@ -586,7 +589,7 @@ def test_a_catch_up_never_grows_the_leaves():
 
     tree = MemoryTree()
     tree.ensure_user("u")
-    tree.reserve_leaves("u", 1, WIDE)
+    tree.leaf_index("u").reserve(1, WIDE)
     next_id = 1
 
     def insert(count):
@@ -603,11 +606,12 @@ def test_a_catch_up_never_grows_the_leaves():
                 tree.insert_node(leaf)
 
     steps = [lambda: insert(1), refuse, lambda: insert(2), lambda: insert(5), refuse,
-             lambda: tree.reserve_leaves("u", 7, WIDE), lambda: insert(9), refuse,
+             lambda: tree._users["u"].leaves.reserve(next_id - 1 + 7, WIDE),
+             lambda: insert(9), refuse,
              lambda: insert(20)]
     for step in steps:
         step()
-        index = tree._leaves["u"]
+        index = tree._users["u"].leaves
         blocks = [id(block) for block in index.blocks]
         assert tree.leaf_index("u") is index
         assert [id(block) for block in index.blocks] == blocks
@@ -619,8 +623,10 @@ def test_a_catch_up_never_grows_the_leaves():
 def test_a_refused_insert_leaves_the_matrix_and_every_row_unchanged():
     """Every refusal comes before any change: a duplicate id, a segment
     out of (end, id) order, one with a bad norm, one without an
-    embedding and one of another width. The last two would leave recall
-    unable to score the user's segments. Each is refused while the
+    embedding and one of another width, and a session that carries a
+    vector. The segments without an embedding or of another width would
+    leave recall unable to score the user's segments, and the session's
+    vector would make its log refuse to replay. Each is refused while the
     leaves have a free row, both before and after a catch-up."""
     from dataclasses import replace
 
@@ -634,11 +640,12 @@ def test_a_refused_insert_leaves_the_matrix_and_every_row_unchanged():
         (ValueError, replace(embedded_segment(4, WIDE), embedding=np.full(WIDE, 0.5, np.float32))),
         (ValueError, replace(embedded_segment(4, WIDE), embedding=None)),
         (DimensionMismatch, embedded_segment(4, dimension=16)),
+        (ValueError, replace(embedded_segment(4, WIDE), level=Level.SESSION)),
     ]
     for stage in ("before a catch-up", "after a catch-up"):
         if stage == "after a catch-up":
             tree.leaf_index("u")
-        index = tree._leaves["u"]  # four rows, the last free
+        index = tree._users["u"].leaves  # four rows, the last free
         blocks = [id(block) for block in index.blocks]
         held = [block.tobytes() for block in index.blocks]
         segments = tree.nodes_at_level("u", Level.SEGMENT)
@@ -657,8 +664,9 @@ def test_a_refused_insert_leaves_the_matrix_and_every_row_unchanged():
 
 def test_a_refused_insert_registers_no_user():
     """An insert for a user the tree does not know yet, refused for
-    edges, a missing embedding, a vector of another shape or a bad norm,
-    leaves the tree without that user."""
+    edges, a missing embedding, a vector of another shape, a bad norm or
+    a vector above L1, leaves the tree without that user and takes no
+    id."""
     from dataclasses import replace
 
     leaf = embedded_segment(1)
@@ -669,11 +677,16 @@ def test_a_refused_insert_registers_no_user():
         (DimensionMismatch, replace(leaf, embedding=leaf.embedding.reshape(4, 8))),
         (ValueError, replace(leaf, embedding=np.full(32, 0.5, np.float32))),
         (ValueError, replace(leaf, level=Level.SESSION, embedding=2 * leaf.embedding)),
+        (ValueError, replace(leaf, level=Level.SESSION)),
     ]:
         tree = MemoryTree()
         with pytest.raises(error):
             tree.insert_node(node)
         assert tree.users() == [] and not tree.has_user("u")
+        assert tree.allocate_id("u") == 1
+        assert tree.all_nodes("u") == [] and tree.latest_at_level("u", node.level) is None
+        with pytest.raises(UnknownUser):
+            tree.leaf_index("u")
     tree.insert_node(leaf)
     assert tree.users() == ["u"]
 
