@@ -63,6 +63,9 @@ class _UserState:
     created: list[MemoryNode] = field(default_factory=list)  # inserted, not yet handed out
 
 
+_NO_STATE = _UserState()  # what an unknown user's reads see; nothing writes it
+
+
 class Consolidator:
     """Online segment creation plus scheduled multi-level consolidation."""
 
@@ -76,10 +79,17 @@ class Consolidator:
         self._state: dict[str, _UserState] = {}
 
     def state(self, user_id: str) -> _UserState:
-        state = self._state.get(user_id)
-        if state is None:
-            state = self._state[user_id] = _UserState()
-        return state
+        """The user's group table; `_NO_STATE` for a user without one.
+        Only `_join`, once the tree has accepted a node, registers one."""
+        return self._state.get(user_id, _NO_STATE)
+
+    def _hand_out(self, user_id: str) -> list[MemoryNode]:
+        """The nodes inserted since the last call that returned."""
+        st = self._state.get(user_id)
+        if st is None:
+            return []
+        created, st.created = st.created, []
+        return created
 
     def drop_user(self, user_id: str) -> None:
         """Forget a user's group table and unreturned nodes."""
@@ -95,24 +105,19 @@ class Consolidator:
         On BackendFailure the turn is not recorded; re-ingesting the same
         turn resumes where the failure happened.
         """
-        st = self.state(user_id)
         latest = self.tree.latest_at_level(user_id, Level.SEGMENT)
         if latest is not None and turn.timestamp < latest.interval.end:
             raise NonMonotonicTimestamp(
                 f"turn {turn.turn_id} at {turn.timestamp} precedes {latest.interval.end}")
         self._close_due(user_id, turn)
         node = self._make_segment(user_id, turn)
-        st.created.append(node)
-        self._join(user_id, node, turn.session_id)
-        created, st.created = st.created, []
-        return created
+        self._join(user_id, node, turn.session_id)  # a new user's table is made here
+        return [*self._hand_out(user_id), node]
 
     def flush(self, user_id: str) -> list[MemoryNode]:
         """Close and consolidate every open group, bottom-up."""
         self._close_due(user_id, None)
-        st = self.state(user_id)
-        created, st.created = st.created, []
-        return created
+        return self._hand_out(user_id)
 
     def collect_children(self, user_id: str, group: TemporalGroup) -> list[MemoryNode]:
         """The group's members, ordered by (interval start, id)."""
@@ -208,7 +213,10 @@ class Consolidator:
         key, base_end = session_id, None
         if level > Level.SESSION:
             key, base_end = _WINDOWS[level](start)
-        groups = self.state(user_id).open[level]
+        st = self._state.get(user_id)
+        if st is None:  # the user's first accepted node
+            st = self._state[user_id] = _UserState()
+        groups = st.open[level]
         if key not in groups:
             groups[key] = TemporalGroup(level=level, key=key, anchor=start, base_end=base_end)
         groups[key].member_ids.append(node.id)

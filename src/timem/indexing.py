@@ -12,6 +12,11 @@ each term the ascending rows that hold it with its count in each, and a
 running sum of token lengths. The tree keeps one index per user, in
 (end, id) order, so a recall scores the prefix ending by t_q in one
 vectorised pass, and BM25 touches only the leaves that hold a keyword.
+BM25 is array arithmetic too: per query term, one evaluation of the
+Okapi expression over int64 arrays of the term's rows, counts and
+lengths, kept beside the postings' lists and brought in step only for
+a term that gained rows, gives each leaf the float a per-document loop
+gives.
 
 The semantic channel is scored in two passes. A float32 screen takes
 every row's dot product with the unit query, one gemv per slice of at
@@ -25,7 +30,6 @@ is the same, bit for bit.
 
 from __future__ import annotations
 
-import copy
 import math
 import re
 from bisect import bisect_left, bisect_right
@@ -61,20 +65,35 @@ class Bm25Params:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
 
 
+def _in_step(held: np.ndarray, values: list[int]) -> np.ndarray:
+    """`held`, an int64 array of a prefix of `values`, extended by the rest."""
+    if len(held) == len(values):
+        return held
+    return np.concatenate((held, np.array(values[len(held):], dtype=np.int64)))
+
+
+_NO_ROWS = np.empty(0, dtype=np.int64)
+
+
 class Postings:
     """BM25's inputs for a list of documents that only grows: for each
     term, the ascending rows that hold it and its count in each, and the
     running sum of token lengths, `length_sums[n]` over the first n.
 
     `scores` reads any prefix of the rows, so an index can score the
-    leaves ending by t_q while it keeps growing.
+    leaves ending by t_q while it keeps growing. `add` appends to the
+    lists, and `scores` reads int64 arrays of them, which it brings in
+    step only for the query's terms that gained rows since it last read
+    them.
     """
 
-    __slots__ = ("terms", "length_sums")
+    __slots__ = ("terms", "length_sums", "_arrays", "_sums")
 
     def __init__(self):
         self.terms: dict[str, tuple[list[int], list[int]]] = {}
         self.length_sums = [0]
+        self._arrays: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # term -> rows, counts
+        self._sums = np.zeros(1, dtype=np.int64)  # length_sums as last read
 
     @classmethod
     def of(cls, corpus: list[list[str]]) -> Postings:
@@ -101,29 +120,32 @@ class Postings:
         """Okapi BM25 of each of the first `n` rows, summed over the query
         terms in order, once per occurrence.
 
-        Only the rows that hold a term are visited. Each contribution is
-        the expression a per-document loop computes, in Python floats
-        from the same int counts and lengths, and is added to its row in
-        the same order, so every score is the same float.
+        Only the rows that hold a term are read. Each term's contributions
+        are the expression a per-document loop computes, evaluated once
+        over the arrays of its rows' counts and lengths in the same
+        operation order: IEEE doubles give each element the float the
+        loop's Python floats give. They are added to their rows term by
+        term in query order, so every score is the same float.
         """
         params = params or Bm25Params()
         k1, b = params.k1, params.b
         scores = np.zeros(n)
-        sums = self.length_sums
         for term in terms:
-            rows, counts = self.terms.get(term, ((), ()))
-            containing = bisect_left(rows, n)
+            lists = self.terms.get(term, ((), ()))
+            containing = bisect_left(lists[0], n)
             if not containing:
                 continue
-            rows, counts = rows[:containing], counts[:containing]
-            avgdl = sums[n] / n
+            held_rows, held_counts = self._arrays.get(term, (_NO_ROWS, _NO_ROWS))
+            if len(held_rows) < len(lists[0]):
+                held_rows, held_counts = self._arrays[term] = (
+                    _in_step(held_rows, lists[0]), _in_step(held_counts, lists[1]))
+            rows, f = held_rows[:containing], held_counts[:containing]
+            sums = self._sums = _in_step(self._sums, self.length_sums)
+            dl = sums[rows + 1] - sums[rows]
+            avgdl = self.length_sums[n] / n
             # idf = ln((N - n_t + 0.5) / (n_t + 0.5) + 1)
             idf = math.log((n - containing + 0.5) / (containing + 0.5) + 1.0)
-            contributions = []
-            for row, f in zip(rows, counts):
-                dl = sums[row + 1] - sums[row]
-                contributions.append(idf * f * (k1 + 1) / (f + k1 * (1 - b + b * dl / avgdl)))
-            scores[rows] += contributions
+            scores[rows] += idf * f * (k1 + 1) / (f + k1 * (1 - b + b * dl / avgdl))
         return scores
 
 
@@ -273,7 +295,8 @@ class LeafIndex:
         in (end, id) order, as a tree's are: each level is append-only.
         `t_q`'s stamp is the float of `t_q.timestamp()`, and distinct
         microseconds stay distinct floats until the year 2242."""
-        view = copy.copy(self)
+        view = object.__new__(LeafIndex)  # shares every column; a grown one is a new array
+        view.__dict__.update(self.__dict__)
         if t_q is not None:
             stamp = (t_q - _EPOCH).total_seconds()  # a naive t_q raises TypeError
             view._size = int(np.searchsorted(self.stamps[:self._size], stamp, side="right"))
@@ -396,7 +419,7 @@ def fused_top_k(
         raise DimensionMismatch(f"shapes {query.shape} and {(index.dimension,)} differ")
     n = len(index)
     norms = index.norms[:n]
-    query_norm = float(np.linalg.norm(query))
+    query_norm = math.sqrt(query.dot(query))  # np.linalg.norm's float, without its dispatch
     if query_norm == 0.0 or not norms.all():
         raise ZeroVector("cosine similarity undefined for zero vectors")
 
@@ -413,5 +436,5 @@ def fused_top_k(
     fused = fusion_weight * s_sem + (1.0 - fusion_weight) * s_lex
     # fused descending, then recency descending, then id ascending
     top = np.lexsort((ids, -stamps, -fused))[:k]
-    return [ScoredLeaf(int(ids[i]), float(s_sem[i]), float(s_lex[i]), float(fused[i]))
-            for i in top]
+    return [ScoredLeaf(*leaf) for leaf in zip(
+        ids[top].tolist(), s_sem[top].tolist(), s_lex[top].tolist(), fused[top].tolist())]

@@ -381,8 +381,29 @@ def test_a_refused_first_ingest_registers_no_user():
     with pytest.raises(ValueError, match="embedding norm"):
         engine.ingest_turn("zed", turn)
     assert not engine.tree.has_user("zed")
+    assert "zed" not in engine.consolidator._state  # no group table either
     with pytest.raises(UnknownUser):
         engine.recall("zed", "Where did I go kayaking?")
+    assert engine.flush("zed") == []
+    assert engine.tree.users() == [] and engine.consolidator._state == {}
+
+
+def test_calls_for_unknown_users_make_no_lock(engine):
+    """1000 recalls of 1000 ids the engine never ingested or loaded raise
+    UnknownUser and leave no lock; validate and flush of them, the
+    consolidator's flush too, answer as for an empty tree and register
+    nothing either."""
+    for i in range(1000):
+        with pytest.raises(UnknownUser):
+            engine.recall(f"ghost-{i}", "Where did I go kayaking?")
+    assert len(engine._locks) == 0
+    report = engine.validate("ghost-0")
+    assert report == engine.tree.validate_tree("ghost-0") and report.ok
+    assert engine.flush("ghost-0") == [] and engine.consolidator.flush("ghost-1") == []
+    assert engine._locks == {} and engine.consolidator._state == {}
+    assert engine.tree.users() == []
+    engine.ingest_turn("alice", make_turns([turn_row("s1", "2023-05-20T09:00:00Z")])[0])
+    assert list(engine._locks) == ["alice"]
 
 
 def test_same_transcript_twice_identical(config):

@@ -25,7 +25,8 @@ from timem import (
 )
 from timem.backends import MockEmbedder
 from timem.errors import DimensionMismatch, IndexOutOfRange, ZeroVector
-from timem.indexing import SCREEN_FLOATS, LeafIndex, Postings, _screen, bm25_scores
+from timem.indexing import (FIRST_BLOCK_FLOATS, SCREEN_FLOATS, LeafIndex, Postings, _screen,
+                            bm25_scores)
 
 from conftest import utc
 
@@ -162,6 +163,44 @@ def test_postings_grown_in_catch_ups_equal_one_pass(corpus, steps, keywords, dat
     terms = terms_of(keywords)
     assert (grown.postings.scores(terms, cut).tolist() == whole.scores(terms, cut).tolist()
             == per_document_bm25(corpus[:cut], terms, Bm25Params()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpora.filter(bool), st.lists(st.tuples(st.integers(1, 8), keyword_lists),
+                                      min_size=1, max_size=6), st.data())
+def test_postings_arrays_stay_in_step_through_catch_ups(corpus, steps, data):
+    """Catch-ups grow the postings' lists between reads of their arrays:
+    each score of a prefix equals one pass over the whole corpus and the
+    per-document loop, bit for bit, a read with no growth since the last
+    converts no term again, and a view taken before a catch-up ranks as
+    it did before it. The rows are so wide that every block doubles the
+    capacity, so a catch-up also grows every column."""
+    rng = np.random.default_rng(len(corpus))
+    rows = rng.standard_normal((len(corpus), FIRST_BLOCK_FLOATS))
+    rows = (rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype(np.float32)
+    leaves = [make_leaf(i + 1, " ".join(doc), row, i) for i, (doc, row) in enumerate(zip(corpus, rows))]
+    whole = Postings.of(corpus)
+    tree = MemoryTree()
+    inserted = 0
+    views = []  # (view, query, keywords, its ranking when taken)
+    for step, keywords in steps:
+        for leaf in leaves[inserted:inserted + step]:
+            tree.insert_node(leaf)
+        inserted = min(inserted + step, len(leaves))
+        index = tree.leaf_index("u")
+        terms = terms_of(keywords)
+        for cut in data.draw(st.lists(st.integers(0, inserted), min_size=1, max_size=3), label="cuts"):
+            want = per_document_bm25(corpus[:cut], terms, Bm25Params())
+            assert index.postings.scores(terms, cut).tolist() == want
+            assert whole.scores(terms, cut).tolist() == want
+            held = dict(index.postings._arrays)
+            assert index.postings.scores(terms, cut).tolist() == want
+            assert all(index.postings._arrays[term] is arrays for term, arrays in held.items())
+        for view, query, words, ranked in views:
+            assert fused_top_k(query, words, view, 0.9, 5) == ranked
+        query = rows[inserted - 1].astype(np.float64) + rows[0]
+        views.append((view := index.upto(leaves[inserted - 1].interval.end), query, keywords,
+                      fused_top_k(query, keywords, view, 0.9, 5)))
 
 
 @settings(max_examples=60, deadline=None)
