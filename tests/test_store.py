@@ -13,17 +13,18 @@ import tempfile
 import threading
 import tracemalloc
 import zlib
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timem import (EngineConfig, Level, LogStore, MemoryEngine, MemoryNode, MemoryTree,
-                   TemporalInterval, parse_transcript)
+from timem import (DialogTurn, EngineConfig, Level, LogStore, MemoryEngine, MemoryNode,
+                   MemoryTree, TemporalInterval, parse_transcript)
 from timem.backends import MockEmbedder, Purpose
 from timem.bench import generate_fixture
+from timem.indexing import LeafIndex
 from timem.errors import (BackendFailure, CorruptRecord, DuplicateId, NonMonotonicTimestamp,
                           SchemaError, StoreIoError, TimemError)
 from timem.store import LOG_CHUNK, ReplayResult, _encode_frame, node_record, turn_record
@@ -180,18 +181,11 @@ def test_append_survives_reopen(tmp_path):
 _DELETE = object()
 
 
-@pytest.mark.parametrize("kind, key, value", [
-    ("node", "text", 5), ("node", "id", True), ("node", "id", "1"), ("node", "level", 9),
-    ("node", "start", 0), ("node", "embedding", None), ("node", "child_ids", [True]),
-    ("node", "source_turn_ids", [1]), ("node", "source_turn_ids", "s/0"),
-    ("node", "text", _DELETE), ("turn", "turn_id", 1), ("turn", "session_id", None),
-    ("turn", "timestamp", 0), ("turn", "user_text", 5), ("turn", "assistant_text", _DELETE),
-    ("turn", "record_type", "note"),
-])
-def test_a_record_unlike_the_engines_does_not_decode(tmp_path, kind, key, value):
-    """Every field that node_record and turn_record write must be there
-    with its JSON type (an id is no bool); an unknown record type makes
-    the call corrupt too."""
+def _refusal(tmp_path, edits) -> str:
+    """Why replay refuses a log of one call, a segment and its turn, once
+    `edits`, (record kind, key, value) triples, are made to its body; a
+    value of `_DELETE` deletes the key. The unedited call loads; the
+    edited one is refused at offset 0 and loads nothing."""
     turn = make_turns([("s", "2023-05-20T09:00:00Z", "I went kayaking.", "Fun!")])[0]
     segment = MemoryNode(id=1, user_id="alice", level=Level.SEGMENT, text="Alice kayaked.",
                          interval=TemporalInterval(turn.timestamp, turn.timestamp),
@@ -202,14 +196,79 @@ def test_a_record_unlike_the_engines_does_not_decode(tmp_path, kind, key, value)
         store.persist_append("alice", *records.values())
     assert len(LogStore(tmp_path).load_replay("alice", MemoryTree(), DIM).turns) == 1
 
-    if value is _DELETE:
-        del records[kind][key]
-    else:
-        records[kind][key] = value
-    (tmp_path / "alice" / "log.jsonl").write_bytes(call_frame(*records.values()))
+    records["node"]["embedding"] = DIM  # the body holds the float count, the rows the floats
+    for kind, key, value in edits:
+        if value is _DELETE:
+            del records[kind][key]
+        else:
+            records[kind][key] = value
+    log = tmp_path / "alice" / "log.jsonl"
+    log.write_bytes(frame_of(list(records.values()), segment.embedding.astype("<f4").tobytes()))
     tree = MemoryTree()
     replay = LogStore(tmp_path).load_replay("alice", tree, DIM)
     assert replay.corrupt.offset == 0 and replay.turns == [] and tree.all_nodes("alice") == []
+    prefix = f"corrupt record at offset 0 in {log}: "
+    assert str(replay.corrupt).startswith(prefix)
+    return str(replay.corrupt).removeprefix(prefix)
+
+
+@pytest.mark.parametrize("kind, key, value, reason", [
+    ("node", "text", 5, "TypeError: the record's 'text' is not str"),
+    ("node", "id", True, "TypeError: the record's 'id' is not int"),
+    ("node", "id", "1", "TypeError: the record's 'id' is not int"),
+    ("node", "level", 9, "KeyError: 9"),
+    ("node", "start", 0, "TypeError: the record's 'start' is not str"),
+    ("node", "embedding", None, "TypeError: the record's 'embedding' is not int"),
+    ("node", "child_ids", [True], "TypeError: the record's 'child_ids' is not list of int"),
+    ("node", "source_turn_ids", [1],
+     "TypeError: the record's 'source_turn_ids' is not list of str"),
+    ("node", "source_turn_ids", "s/0",
+     "TypeError: the record's 'source_turn_ids' is not list of str"),
+    ("node", "text", _DELETE, "KeyError: 'text'"),
+    ("turn", "turn_id", 1, "TypeError: the record's 'turn_id' is not str"),
+    ("turn", "session_id", None, "TypeError: the record's 'session_id' is not str"),
+    ("turn", "timestamp", 0, "TypeError: the record's 'timestamp' is not str"),
+    ("turn", "user_text", 5, "TypeError: the record's 'user_text' is not str"),
+    ("turn", "assistant_text", _DELETE, "KeyError: 'assistant_text'"),
+    ("turn", "record_type", "note", "ValueError: unknown record type 'note'"),
+], ids=["node-text-5", "node-id-True", "node-id-1", "node-level-9", "node-start-0",
+        "node-embedding-None", "node-child_ids-value6", "node-source_turn_ids-value7",
+        "node-source_turn_ids-s/0", "node-text-value9", "turn-turn_id-1", "turn-session_id-None",
+        "turn-timestamp-0", "turn-user_text-5", "turn-assistant_text-value14",
+        "turn-record_type-note"])
+def test_a_record_unlike_the_engines_does_not_decode(tmp_path, kind, key, value, reason):
+    """Every field that node_record and turn_record write must be there
+    with its JSON type (an id is no bool); an unknown record type makes
+    the call corrupt too. The refusal names the field and why."""
+    assert _refusal(tmp_path, [(kind, key, value)]) == reason
+
+
+@pytest.mark.parametrize("edits, reason", [
+    ([("node", "level", 9), ("node", "text", 5)], "KeyError: 9"),
+    ([("node", "embedding", DIM + 1), ("node", "id", _DELETE)],
+     f"ValueError: an embedding of {DIM + 1} floats overruns the frame's rows"),
+    ([("node", "id", True), ("node", "level", _DELETE)], "TypeError: the record's 'id' is not int"),
+    ([("node", "start", "May"), ("node", "end", 0)],
+     "ValueError: Invalid isoformat string: 'May'"),
+    ([("node", "start", "2023-05-21T00:00:00Z"), ("node", "text", 5)],
+     "ValueError: interval start 2023-05-21 00:00:00+00:00 after end 2023-05-20 09:00:00+00:00"),
+    ([("node", "child_ids", [True]), ("node", "source_turn_ids", "s/0")],
+     "TypeError: the record's 'source_turn_ids' is not list of str"),
+    ([("node", "embedding", -1), ("turn", "turn_id", 1)],
+     "ValueError: an embedding of -1 floats overruns the frame's rows"),
+    ([("turn", "turn_id", _DELETE), ("turn", "session_id", 5)], "KeyError: 'turn_id'"),
+    ([("turn", "timestamp", "May"), ("turn", "user_text", 5)],
+     "ValueError: Invalid isoformat string: 'May'"),
+], ids=["level-before-text", "embedding-before-id", "id-before-level", "start-before-end",
+        "interval-before-text", "sources-before-children", "node-before-turn",
+        "turn_id-before-session_id", "timestamp-before-user_text"])
+def test_a_record_broken_twice_is_refused_for_its_first_field(tmp_path, edits, reason):
+    """A record with two faults is refused for the first of them in the
+    order replay checks a record's fields: a node's embedding, id, level,
+    start, end, their interval, text, source turn ids and child ids; a
+    turn's id, session id, timestamp, user text and assistant text; each
+    record before the next."""
+    assert _refusal(tmp_path, edits) == reason
 
 
 def test_append_without_replay_errors(tmp_path):
@@ -1108,6 +1167,88 @@ def test_a_frame_may_end_at_the_zeroed_end_and_the_next_one_extends_it(tmp_path,
         assert replayed_turns() == ["a", "b", "c"]
     assert writes == [0, len(first), len(first) + LOG_CHUNK]
     assert log.read_bytes() == first + call_frame(filler) + last
+
+
+def _row_frames_by_pread(path, embedding_dim: int) -> int:
+    """The frames of a log that claim a row, counted as replay first
+    counted them, one `os.pread` per header: up to the first header
+    that is not a whole frame's."""
+    count = offset = 0
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        while offset + FRAME_HEADER.size <= size:
+            magic, body_size, rows_size, _ = FRAME_HEADER.unpack(
+                os.pread(f.fileno(), FRAME_HEADER.size, offset))
+            offset += FRAME_HEADER.size + body_size + rows_size + 1
+            if magic != b"\xffTM1" or offset > size:
+                break
+            count += rows_size >= 4 * embedding_dim
+    return count
+
+
+def test_frames_across_the_read_buffer_and_longer_than_it_replay_whole(tmp_path, monkeypatch):
+    """Replay reads a log through a buffer of `LOG_CHUNK` bytes. Frame
+    headers that straddle its boundaries, and a frame longer than it (a
+    turn text of twice its size), replay the same turns and reserve the
+    same leaf rows as a header walk by `pread`; the log cut one byte
+    before the long frame's newline stops at that frame's offset."""
+    reserved = []
+    reserve = LeafIndex.reserve
+
+    def recording_reserve(index, count, dimension):
+        reserved.append(count)
+        return reserve(index, count, dimension)
+
+    monkeypatch.setattr(LeafIndex, "reserve", recording_reserve)
+    row = MockEmbedder(DIM).embed_text("kayak")
+    frames, turn_ids = [], []
+
+    def next_turn(text):
+        stamp = datetime(2023, 5, 20, 9, tzinfo=timezone.utc) + timedelta(minutes=len(frames))
+        return DialogTurn(f"s/{len(turn_ids)}", "s", stamp, text, "")
+
+    def add_turn(text):
+        turn = next_turn(text)
+        turn_ids.append(turn.turn_id)
+        frames.append(call_frame(turn_record(turn)))
+        return turn
+
+    def add_turn_ending_at(end):
+        """A turn whose frame ends at offset `end` of the log."""
+        return add_turn("x" * (end - sum(map(len, frames)) - len(call_frame(turn_record(
+            next_turn(""))))))
+
+    def add_segment(turn):
+        frames.append(call_frame(node_record(MemoryNode(
+            id=len(frames), user_id="alice", level=Level.SEGMENT, text=turn.user_text[:20],
+            interval=TemporalInterval(turn.timestamp, turn.timestamp), embedding=row,
+            source_turn_ids=[turn.turn_id]))))
+
+    add_segment(add_turn_ending_at(LOG_CHUNK - 8))  # the segment's header straddles the boundary
+    long_at = sum(map(len, frames))
+    add_segment(add_turn("y" * (2 * LOG_CHUNK)))
+    long_end = sum(map(len, frames[:-1]))
+    assert long_end - long_at > 2 * LOG_CHUNK
+    add_segment(add_turn_ending_at((long_end // LOG_CHUNK + 2) * LOG_CHUNK - 3))
+    for _ in range(40):
+        add_segment(add_turn("z" * 5000))
+    raw = b"".join(frames)
+    headers = [sum(map(len, frames[:i])) for i in range(len(frames))]
+    assert {h // LOG_CHUNK for h in headers if h % LOG_CHUNK > LOG_CHUNK - FRAME_HEADER.size} \
+        == {0, long_end // LOG_CHUNK + 1}  # two headers straddle a boundary
+    log = tmp_path / "alice" / "log.jsonl"
+    log.parent.mkdir()
+
+    for data, turns, corrupt in ((raw, turn_ids, None),
+                                 (raw[:long_end - 1], turn_ids[:1], long_at)):
+        log.write_bytes(data)
+        reserved.clear()
+        tree = MemoryTree()
+        replay = LogStore(tmp_path).load_replay("alice", tree, DIM)
+        assert [t.turn_id for t in replay.turns] == turns
+        assert (replay.corrupt and replay.corrupt.offset) == corrupt
+        assert reserved[0] == _row_frames_by_pread(log, DIM) == len(turns)  # before any insert
+        assert [n.id for n in tree.all_nodes("alice")] == [2 * i + 1 for i in range(len(turns))]
 
 
 def test_a_failed_truncation_at_close_releases_every_log(tmp_path, monkeypatch):
