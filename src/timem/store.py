@@ -14,10 +14,16 @@ per engine call, the node and turn records the call created:
     last byte     b"\n"
 
 The log is append-only and tombstone-free (nodes are never deleted), so
-replaying it rebuilds the exact tree. Replay reads one call at a time,
-its 16-byte header first, and checks a frame's lengths against the
-file's size before reading it and its checksum before decoding it.
-What replay refuses:
+replaying it rebuilds the exact tree. Replay opens the log once,
+through a read buffer of `LOG_CHUNK` bytes, and reads each call's
+frame through it: the 16-byte header, then the body, rows and newline
+in one read. It checks the frame's lengths against the file's size
+before reading the rest and one checksum over the body and rows
+before decoding them. It takes a record's fields at once and checks
+their types in one comparison; a record that fails it is decoded
+again one field at a time, so its first faulty field, in the order
+`_NODE_FIELDS` and `_TURN_FIELDS` name them, decides the error. What
+replay refuses:
 
 - stops the replay at the call (every call before it loads): a short,
   torn or changed frame; a log that starts with `[` or `{`, which
@@ -39,15 +45,16 @@ never by similarity, and carries 0 floats. A log written when every
 node kept one holds a row above L1 too, and does not load: its first
 such node is refused as a node of the wrong float count.
 
-Replay first walks the frame headers alone, one `os.pread` each, and
-counts the frames that carry rows: the engine writes at most one
-segment per frame, so the count sizes one block of the tree's leaf rows
-(`tree.leaf_index(user_id).reserve`) before any row arrives. Inserting a
-segment then writes its float32 row from its frame into its row of that
-block, which becomes the segment's `embedding`; a restarted tree holds
-one copy of each leaf row, and no node keeps a view of its frame. A
-segment past the hint, in a frame the engine would not write, adds a
-block at its insert.
+Replay first walks the frame headers alone, seeking from header to
+header through the same buffered handle, so a buffer's worth of frames
+costs one read, and counts the frames that carry rows: the engine
+writes at most one segment per frame, so the count sizes one block of
+the tree's leaf rows (`tree.leaf_index(user_id).reserve`) before any
+row arrives. Inserting a segment then writes its float32 row from its
+frame into its row of that block, which becomes the segment's
+`embedding`; a restarted tree holds one copy of each leaf row, and no
+node keeps a view of its frame. A segment past the hint, in a frame
+the engine would not write, adds a block at its insert.
 
 A node's start and end and its turn's timestamp are often one string,
 so replay parses each distinct timestamp string once. The file keeps
@@ -80,6 +87,7 @@ import contextlib
 import fcntl
 import json
 import logging
+import operator
 import os
 import struct
 import zlib
@@ -270,11 +278,13 @@ class _Stamps(dict):
 _LEVELS = {int(level): level for level in Level}
 
 
-def _row_frames(fd: int, size: int, embedding_dim: int) -> int:
-    """How many frames of a log of `size` bytes, open as `fd`, claim at
-    least one row of `embedding_dim` float32s, from their headers alone,
-    up to the first header that is not a whole frame's, a zero header
-    of the log's zeroed space among them. The engine writes
+def _row_frames(f, size: int, embedding_dim: int) -> int:
+    """How many frames of a log of `size` bytes, open as the buffered
+    `f`, claim at least one row of `embedding_dim` float32s, from their
+    headers alone, up to the first header that is not a whole frame's, a
+    zero header of the log's zeroed space among them. It seeks from
+    header to header through `f`'s buffer, so a buffer's worth of frames
+    costs one read, and leaves `f` at the log's start. The engine writes
     at most one segment per frame, so this bounds the segments of a log
     it wrote. It is a size hint, not a limit: a frame written otherwise
     can hold more. It never exceeds the rows the log's bytes can hold, so
@@ -282,11 +292,13 @@ def _row_frames(fd: int, size: int, embedding_dim: int) -> int:
     count = offset = 0
     row_bytes = 4 * embedding_dim
     while offset + _HEADER.size <= size:
-        magic, body_size, rows_size, _ = _HEADER.unpack(os.pread(fd, _HEADER.size, offset))
+        f.seek(offset)
+        magic, body_size, rows_size, _ = _HEADER.unpack(f.read(_HEADER.size))
         offset += _HEADER.size + body_size + rows_size + 1
         if magic != FRAME_MAGIC or offset > size:
             break
         count += rows_size >= row_bytes
+    f.seek(0)
     return count
 
 
@@ -302,7 +314,8 @@ def _zeros_to_end(f, size: int) -> bool:
 def _read_call(f, user_id: str, offset: int, size: int,
                stamps: _Stamps) -> tuple[list, list[DialogTurn], int] | None:
     """Read the frame at `offset` of a log of `size` bytes, open as `f`
-    and positioned there. Returns its node records as (node, child ids)
+    and positioned there: its 16-byte header, then its body, rows and
+    newline in one read. Returns its node records as (node, child ids)
     pairs, its turn records and the offset where it ends; `stamps` parses
     its timestamps. Returns None at the log's clean end: a zero header
     with nothing but zeros after it. A torn or corrupt frame, or a zero
@@ -324,14 +337,16 @@ def _read_call(f, user_id: str, offset: int, size: int,
     end = offset + _HEADER.size + body_size + rows_size + 1
     if end > size:  # checked before reading, so a wrong length allocates nothing
         raise ValueError(f"torn write: the frame ends at {end}, past the log's {size} bytes")
-    body, rows = f.read(body_size), f.read(rows_size)
-    if f.read(1) != b"\n":
+    frame = f.read(body_size + rows_size + 1)
+    if len(frame) != body_size + rows_size + 1 or frame[-1] != 10:  # 10 is b"\n"
         raise ValueError("the frame does not end with a newline")
-    if zlib.crc32(rows, zlib.crc32(body, zlib.crc32(header[4:12]))) != crc:
+    if zlib.crc32(memoryview(frame)[:-1], zlib.crc32(header[4:12])) != crc:  # body and rows
         raise ValueError("the frame's checksum does not match")
-    # a str skips `json.loads`'s sniffing of a byte encoding: the body is UTF-8
-    nodes, turns = _decode_records(user_id, json.loads(body.decode("utf-8")), stamps,
-                                   np.frombuffer(rows, dtype="<f4"))
+    # a str skips `json.loads`'s sniffing of a byte encoding: the body is UTF-8. The rows
+    # are copied out of the frame: in place they would start at any byte, and an unaligned
+    # float32 row makes the dot product of its norm check take twice as long
+    nodes, turns = _decode_records(user_id, json.loads(frame[:body_size].decode("utf-8")), stamps,
+                                   np.frombuffer(frame[body_size:-1], dtype="<f4"))
     return nodes, turns, end
 
 
@@ -345,46 +360,100 @@ def _field(record: dict, key: str, kind: type, item: type | None = None):
     return value
 
 
+# The fields that `node_record` and `turn_record` write, in the order that
+# `_node_by_field` and `_turn_by_field` check them.
+_NODE_FIELDS = operator.itemgetter("embedding", "id", "level", "start", "end", "text",
+                                   "source_turn_ids", "child_ids")
+_TURN_FIELDS = operator.itemgetter("turn_id", "session_id", "timestamp", "user_text",
+                                   "assistant_text")
+_STR, _INT, _DICT = frozenset((str,)), frozenset((int,)), frozenset((dict,))
+
+
 def _decode_records(user_id: str, records, stamps: _Stamps,
                     floats: np.ndarray) -> tuple[list, list[DialogTurn]]:
     """A frame's node records as (node, child ids) pairs, and its turn
     records; each node record's embedding is its float count, taken from
     `floats`, the frame's rows, in record order, as a view of them. Every
     field that `node_record` and `turn_record` write must be there with
-    its type."""
-    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+    its type.
+
+    A record's fields are taken at once and their types checked in one
+    comparison; a record that fails it is decoded again one field at a
+    time, so the first fault in field order decides what it raises."""
+    # `json.loads` makes each JSON object a dict, no subclass of it
+    if not isinstance(records, list) or not _DICT.issuperset(map(type, records)):
         raise ValueError("the frame's body is not an array of records")
     nodes, turns, taken = [], [], 0
     for record in records:
         kind = record.get("record_type")
         if kind == "node":
-            count = _field(record, "embedding", int)
-            if not 0 <= count <= floats.size - taken:
-                raise ValueError(f"an embedding of {count} floats overruns the frame's rows")
-            embedding = floats[taken:taken + count]
-            taken += count
-            nodes.append((MemoryNode(
-                id=_field(record, "id", int),
-                user_id=user_id,
-                level=_LEVELS[_field(record, "level", int)],
-                interval=TemporalInterval(stamps[_field(record, "start", str)],
-                                          stamps[_field(record, "end", str)]),
-                text=_field(record, "text", str),
-                embedding=embedding,
-                source_turn_ids=_field(record, "source_turn_ids", list, str),
-            ), _field(record, "child_ids", list, int)))
+            try:
+                count, node_id, level, start, end, text, sources, children = _NODE_FIELDS(record)
+                typed = (type(count) is type(node_id) is type(level) is int
+                         and type(start) is type(end) is type(text) is str
+                         and type(sources) is type(children) is list
+                         and (not sources or _STR.issuperset(map(type, sources)))
+                         and (not children or _INT.issuperset(map(type, children))))
+            except KeyError:
+                typed = False
+            if typed:
+                embedding = _rows(floats, taken, count)
+                node = MemoryNode(id=node_id, user_id=user_id, level=_LEVELS[level],
+                                  interval=TemporalInterval(stamps[start], stamps[end]),
+                                  text=text, embedding=embedding, source_turn_ids=sources)
+            else:
+                node, children = _node_by_field(user_id, record, stamps, floats, taken)
+            nodes.append((node, children))
+            taken += node.embedding.size
         elif kind == "turn":
-            turns.append(DialogTurn(
-                turn_id=_field(record, "turn_id", str),
-                session_id=_field(record, "session_id", str),
-                timestamp=stamps[_field(record, "timestamp", str)],
-                user_text=_field(record, "user_text", str),
-                assistant_text=_field(record, "assistant_text", str)))
+            try:
+                turn_id, session_id, timestamp, user_text, assistant_text = _TURN_FIELDS(record)
+                typed = (type(turn_id) is type(session_id) is type(timestamp) is type(user_text)
+                         is type(assistant_text) is str)
+            except KeyError:
+                typed = False
+            turns.append(DialogTurn(turn_id, session_id, stamps[timestamp], user_text,
+                                    assistant_text) if typed else _turn_by_field(record, stamps))
         else:
             raise ValueError(f"unknown record type {kind!r}")
     if taken != floats.size:
         raise ValueError(f"{floats.size - taken} floats of the frame's rows belong to no node")
     return nodes, turns
+
+
+def _rows(floats: np.ndarray, taken: int, count: int) -> np.ndarray:
+    """The `count` floats of `floats` past its `taken` first, as a view."""
+    if not 0 <= count <= floats.size - taken:
+        raise ValueError(f"an embedding of {count} floats overruns the frame's rows")
+    return floats[taken:taken + count]
+
+
+def _node_by_field(user_id: str, record: dict, stamps: _Stamps, floats: np.ndarray,
+                   taken: int) -> tuple[MemoryNode, list]:
+    """A node record and its child ids, decoded one field at a time, each
+    checked as it is taken, so its first field that is missing, of
+    another type or of a value that does not decode raises."""
+    embedding = _rows(floats, taken, _field(record, "embedding", int))
+    return MemoryNode(
+        id=_field(record, "id", int),
+        user_id=user_id,
+        level=_LEVELS[_field(record, "level", int)],
+        interval=TemporalInterval(stamps[_field(record, "start", str)],
+                                  stamps[_field(record, "end", str)]),
+        text=_field(record, "text", str),
+        embedding=embedding,
+        source_turn_ids=_field(record, "source_turn_ids", list, str),
+    ), _field(record, "child_ids", list, int)
+
+
+def _turn_by_field(record: dict, stamps: _Stamps) -> DialogTurn:
+    """A turn record decoded as `_node_by_field` decodes a node record."""
+    return DialogTurn(
+        turn_id=_field(record, "turn_id", str),
+        session_id=_field(record, "session_id", str),
+        timestamp=stamps[_field(record, "timestamp", str)],
+        user_text=_field(record, "user_text", str),
+        assistant_text=_field(record, "assistant_text", str))
 
 
 @dataclass
@@ -599,9 +668,13 @@ class LogStore:
         with the user, the log and the offset added. This store's next
         append to the log follows the accepted calls.
 
-        Before the main pass, the frame headers alone size the tree's leaf
-        rows (`_row_frames`, then `LeafIndex.reserve`), into which
-        `insert_node` writes each segment's row, so no node pins a frame.
+        The log is read through one handle with a `LOG_CHUNK` read
+        buffer. Before the main pass, the frame headers alone, walked
+        through that handle, size the tree's leaf rows (`_row_frames`,
+        then `LeafIndex.reserve`), into which `insert_node` writes each
+        segment's row, so no node pins a frame. The main pass then reads
+        each frame through the same handle: its header, then the rest
+        in one read.
         """
         path = self.log_path(user_id)
         tree.ensure_user(user_id)  # register user even when the log is empty
@@ -613,10 +686,9 @@ class LogStore:
         corrupt: CorruptRecord | None = None
         stamps = _Stamps()
         offset = 0
-        with open(path, "rb") as f:
+        with open(path, "rb", buffering=LOG_CHUNK) as f:
             size = os.fstat(f.fileno()).st_size
-            tree.leaf_index(user_id).reserve(_row_frames(f.fileno(), size, embedding_dim),
-                                             embedding_dim)
+            tree.leaf_index(user_id).reserve(_row_frames(f, size, embedding_dim), embedding_dim)
             while offset < size:
                 try:
                     call = _read_call(f, user_id, offset, size, stamps)
