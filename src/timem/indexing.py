@@ -35,7 +35,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -180,8 +180,12 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
-@dataclass(frozen=True)
-class ScoredLeaf:
+class ScoredLeaf(NamedTuple):
+    """A leaf's two channel scores and their fusion. A named tuple is
+    immutable at about a third of the construction cost of a frozen
+    dataclass, whose `__init__` sets each field by `object.__setattr__`;
+    `fused_top_k` builds one per leaf it returns."""
+
     node_id: int
     s_sem: float
     s_lex: float
@@ -436,5 +440,5 @@ def fused_top_k(
     fused = fusion_weight * s_sem + (1.0 - fusion_weight) * s_lex
     # fused descending, then recency descending, then id ascending
     top = np.lexsort((ids, -stamps, -fused))[:k]
-    return [ScoredLeaf(*leaf) for leaf in zip(
-        ids[top].tolist(), s_sem[top].tolist(), s_lex[top].tolist(), fused[top].tolist())]
+    return list(map(ScoredLeaf._make, zip(
+        ids[top].tolist(), s_sem[top].tolist(), s_lex[top].tolist(), fused[top].tolist())))

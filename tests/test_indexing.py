@@ -341,6 +341,18 @@ def test_fused_lambda_zero_single_keyword_leaf_first():
     assert got[0].s_lex == 1.0
 
 
+def test_a_scored_leaf_is_immutable_and_built_by_position_or_keyword():
+    embedder = MockEmbedder(dimension=16)
+    leaves = random_pool(random.Random(3), 10, embedder)
+    got = fused_top_k(embedder.embed_text("cello"), ["cello"], leaves, 0.5, 3)
+    assert all(type(leaf) is ScoredLeaf for leaf in got)
+    leaf = got[0]
+    assert leaf == ScoredLeaf(leaf.node_id, leaf.s_sem, leaf.s_lex, leaf.fused) == ScoredLeaf(
+        node_id=leaf.node_id, s_sem=leaf.s_sem, s_lex=leaf.s_lex, fused=leaf.fused)
+    with pytest.raises(AttributeError):
+        leaf.fused = 1.0
+
+
 def test_fused_empty_pool_returns_empty():
     embedder = MockEmbedder(dimension=16)
     assert fused_top_k(embedder.embed_text("x"), ["x"], [], 0.9, 20) == []
