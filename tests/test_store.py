@@ -247,7 +247,10 @@ def test_a_record_unlike_the_engines_does_not_decode(tmp_path, kind, key, value,
     ([("node", "level", 9), ("node", "text", 5)], "KeyError: 9"),
     ([("node", "embedding", DIM + 1), ("node", "id", _DELETE)],
      f"ValueError: an embedding of {DIM + 1} floats overruns the frame's rows"),
+    ([("node", "level", 9), ("node", "embedding", DIM + 1)],
+     f"ValueError: an embedding of {DIM + 1} floats overruns the frame's rows"),
     ([("node", "id", True), ("node", "level", _DELETE)], "TypeError: the record's 'id' is not int"),
+    ([("node", "level", 9), ("node", "start", "May")], "KeyError: 9"),
     ([("node", "start", "May"), ("node", "end", 0)],
      "ValueError: Invalid isoformat string: 'May'"),
     ([("node", "start", "2023-05-21T00:00:00Z"), ("node", "text", 5)],
@@ -259,9 +262,10 @@ def test_a_record_unlike_the_engines_does_not_decode(tmp_path, kind, key, value,
     ([("turn", "turn_id", _DELETE), ("turn", "session_id", 5)], "KeyError: 'turn_id'"),
     ([("turn", "timestamp", "May"), ("turn", "user_text", 5)],
      "ValueError: Invalid isoformat string: 'May'"),
-], ids=["level-before-text", "embedding-before-id", "id-before-level", "start-before-end",
-        "interval-before-text", "sources-before-children", "node-before-turn",
-        "turn_id-before-session_id", "timestamp-before-user_text"])
+], ids=["level-before-text", "embedding-before-id", "embedding-before-level", "id-before-level",
+        "level-before-start", "start-before-end", "interval-before-text",
+        "sources-before-children", "node-before-turn", "turn_id-before-session_id",
+        "timestamp-before-user_text"])
 def test_a_record_broken_twice_is_refused_for_its_first_field(tmp_path, edits, reason):
     """A record with two faults is refused for the first of them in the
     order replay checks a record's fields: a node's embedding, id, level,
