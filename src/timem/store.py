@@ -396,11 +396,11 @@ def _decode_records(user_id: str, records, stamps: _Stamps,
                          and (not children or _INT.issuperset(map(type, children))))
             except KeyError:
                 typed = False
-            if typed:
+            if typed:  # every field by position: a call by keyword costs twice as much
                 embedding = _rows(floats, taken, count)
-                node = MemoryNode(id=node_id, user_id=user_id, level=_LEVELS[level],
-                                  interval=TemporalInterval(stamps[start], stamps[end]),
-                                  text=text, embedding=embedding, source_turn_ids=sources)
+                node = MemoryNode(node_id, user_id, _LEVELS[level],
+                                  TemporalInterval(stamps[start], stamps[end]), text, embedding,
+                                  None, [], sources)
             else:
                 node, children = _node_by_field(user_id, record, stamps, floats, taken)
             nodes.append((node, children))
