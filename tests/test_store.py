@@ -24,9 +24,9 @@ from timem import (DialogTurn, EngineConfig, Level, LogStore, MemoryEngine, Memo
                    MemoryTree, TemporalInterval, parse_transcript)
 from timem.backends import MockEmbedder, Purpose
 from timem.bench import generate_fixture
-from timem.indexing import LeafIndex
 from timem.errors import (BackendFailure, CorruptRecord, DuplicateId, NonMonotonicTimestamp,
                           SchemaError, StoreIoError, TimemError)
+from timem.indexing import LeafIndex
 from timem.store import LOG_CHUNK, ReplayResult, _encode_frame, node_record, turn_record
 from timem.timeutil import format_ts, parse_ts
 
@@ -231,11 +231,12 @@ def _refusal(tmp_path, edits) -> str:
     ("turn", "user_text", 5, "TypeError: the record's 'user_text' is not str"),
     ("turn", "assistant_text", _DELETE, "KeyError: 'assistant_text'"),
     ("turn", "record_type", "note", "ValueError: unknown record type 'note'"),
-], ids=["node-text-5", "node-id-True", "node-id-1", "node-level-9", "node-start-0",
-        "node-embedding-None", "node-child_ids-value6", "node-source_turn_ids-value7",
-        "node-source_turn_ids-s/0", "node-text-value9", "turn-turn_id-1", "turn-session_id-None",
-        "turn-timestamp-0", "turn-user_text-5", "turn-assistant_text-value14",
-        "turn-record_type-note"])
+], ids=[  # the ids pytest gave the cases before they carried their reasons
+    "node-text-5", "node-id-True", "node-id-1", "node-level-9", "node-start-0",
+    "node-embedding-None", "node-child_ids-value6", "node-source_turn_ids-value7",
+    "node-source_turn_ids-s/0", "node-text-value9", "turn-turn_id-1", "turn-session_id-None",
+    "turn-timestamp-0", "turn-user_text-5", "turn-assistant_text-value14",
+    "turn-record_type-note"])
 def test_a_record_unlike_the_engines_does_not_decode(tmp_path, kind, key, value, reason):
     """Every field that node_record and turn_record write must be there
     with its JSON type (an id is no bool); an unknown record type makes
