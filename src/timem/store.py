@@ -45,16 +45,17 @@ never by similarity, and carries 0 floats. A log written when every
 node kept one holds a row above L1 too, and does not load: its first
 such node is refused as a node of the wrong float count.
 
-Replay first walks the frame headers alone, seeking from header to
-header through the same buffered handle, so a buffer's worth of frames
-costs one read, and counts the frames that carry rows: the engine
-writes at most one segment per frame, so the count sizes one block of
-the tree's leaf rows (`tree.leaf_index(user_id).reserve`) before any
-row arrives. Inserting a segment then writes its float32 row from its
-frame into its row of that block, which becomes the segment's
-`embedding`; a restarted tree holds one copy of each leaf row, and no
-node keeps a view of its frame. A segment past the hint, in a frame
-the engine would not write, adds a block at its insert.
+Replay first walks the frame headers alone, with one `os.pread` of
+16 bytes per frame on the log's descriptor, so the walk does not copy
+the log through the read buffer, and counts the frames that carry
+rows: the engine writes at most one segment per frame, so the count
+sizes one block of the tree's leaf rows
+(`tree.leaf_index(user_id).reserve`) before any row arrives. Inserting
+a segment then writes its float32 row from its frame into its row of
+that block, which becomes the segment's `embedding`; a restarted tree
+holds one copy of each leaf row, and no node keeps a view of its
+frame. A segment past the hint, in a frame the engine would not write,
+adds a block at its insert.
 
 A node's start and end and its turn's timestamp are often one string,
 so replay parses each distinct timestamp string once. The file keeps
@@ -278,27 +279,26 @@ class _Stamps(dict):
 _LEVELS = {int(level): level for level in Level}
 
 
-def _row_frames(f, size: int, embedding_dim: int) -> int:
-    """How many frames of a log of `size` bytes, open as the buffered
-    `f`, claim at least one row of `embedding_dim` float32s, from their
+def _row_frames(fd: int, size: int, embedding_dim: int) -> int:
+    """How many frames of a log of `size` bytes, open as the descriptor
+    `fd`, claim at least one row of `embedding_dim` float32s, from their
     headers alone, up to the first header that is not a whole frame's, a
-    zero header of the log's zeroed space among them. It seeks from
-    header to header through `f`'s buffer, so a buffer's worth of frames
-    costs one read, and leaves `f` at the log's start. The engine writes
-    at most one segment per frame, so this bounds the segments of a log
-    it wrote. It is a size hint, not a limit: a frame written otherwise
-    can hold more. It never exceeds the rows the log's bytes can hold, so
-    a damaged log makes replay reserve no more than it could read."""
+    zero header of the log's zeroed space among them. It reads each
+    16-byte header with one `os.pread`, which leaves the descriptor's
+    position, and so a buffered handle of it, where it was. The engine
+    writes at most one segment per frame, so this bounds the segments of
+    a log it wrote. It is a size hint, not a limit: a frame written
+    otherwise can hold more. It never exceeds the rows the log's bytes
+    can hold, so a damaged log makes replay reserve no more than it
+    could read."""
     count = offset = 0
     row_bytes = 4 * embedding_dim
     while offset + _HEADER.size <= size:
-        f.seek(offset)
-        magic, body_size, rows_size, _ = _HEADER.unpack(f.read(_HEADER.size))
+        magic, body_size, rows_size, _ = _HEADER.unpack(os.pread(fd, _HEADER.size, offset))
         offset += _HEADER.size + body_size + rows_size + 1
         if magic != FRAME_MAGIC or offset > size:
             break
         count += rows_size >= row_bytes
-    f.seek(0)
     return count
 
 
@@ -518,7 +518,7 @@ class LogStore:
         self._records_end: dict[str, int] = {}
 
     def _user_dir(self, user_id: str) -> Path:
-        if "/" in user_id or "\\" in user_id or user_id in ("", ".", ".."):
+        if any(c in user_id for c in "/\\\x00") or user_id in ("", ".", ".."):
             raise StoreIoError(f"invalid user id for storage: {user_id!r}")
         return self.root / user_id
 
@@ -669,12 +669,12 @@ class LogStore:
         append to the log follows the accepted calls.
 
         The log is read through one handle with a `LOG_CHUNK` read
-        buffer. Before the main pass, the frame headers alone, walked
-        through that handle, size the tree's leaf rows (`_row_frames`,
-        then `LeafIndex.reserve`), into which `insert_node` writes each
-        segment's row, so no node pins a frame. The main pass then reads
-        each frame through the same handle: its header, then the rest
-        in one read.
+        buffer. Before the main pass, the frame headers alone, each read
+        with one `os.pread` of the handle's descriptor, size the tree's
+        leaf rows (`_row_frames`, then `LeafIndex.reserve`), into which
+        `insert_node` writes each segment's row, so no node pins a
+        frame. The main pass then reads each frame through the buffered
+        handle: its header, then the rest in one read.
         """
         path = self.log_path(user_id)
         tree.ensure_user(user_id)  # register user even when the log is empty
@@ -688,7 +688,8 @@ class LogStore:
         offset = 0
         with open(path, "rb", buffering=LOG_CHUNK) as f:
             size = os.fstat(f.fileno()).st_size
-            tree.leaf_index(user_id).reserve(_row_frames(f, size, embedding_dim), embedding_dim)
+            tree.leaf_index(user_id).reserve(_row_frames(f.fileno(), size, embedding_dim),
+                                             embedding_dim)
             while offset < size:
                 try:
                     call = _read_call(f, user_id, offset, size, stamps)

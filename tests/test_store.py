@@ -295,11 +295,12 @@ def test_append_without_replay_errors(tmp_path):
     assert len(LogStore(tmp_path).load_replay("alice", MemoryTree(), DIM).turns) == 2
 
 
-@pytest.mark.parametrize("user_id", ["", ".", "..", "a/b", "a\\b"])
+@pytest.mark.parametrize("user_id", ["", ".", "..", "a/b", "a\\b", "a\x00b"])
 def test_a_path_like_user_id_is_refused_before_anything_is_made(tmp_path, user_id):
     """A user id that is no single directory name is refused by every
     call that would reach the disk, and nothing is made under the root
-    or beside it."""
+    or beside it. An engine's ingest under it raises `StoreIoError`, so
+    the engine drops the user: no tree keeps a segment no log holds."""
     root = tmp_path / "data"
     store, tree = LogStore(root), MemoryTree()
     record = {"record_type": "turn", "turn_id": "a", "session_id": "s",
@@ -310,6 +311,11 @@ def test_a_path_like_user_id_is_refused_before_anything_is_made(tmp_path, user_i
         with pytest.raises(StoreIoError, match="invalid user id for storage"):
             call()
     store.close()
+    engine = MemoryEngine.with_mock_backends(data_dir=root)
+    turn = DialogTurn("s/0", "s", parse_ts("2023-05-20T09:00:00Z"), "hello", "hi")
+    with pytest.raises(StoreIoError, match="invalid user id for storage"):
+        engine.ingest_turn(user_id, turn)
+    assert not engine.tree.has_user(user_id)
     assert list(tmp_path.iterdir()) == [] and tree.users() == []
 
 
