@@ -12,11 +12,10 @@ each term the ascending rows that hold it with its count in each, and a
 running sum of token lengths. The tree keeps one index per user, in
 (end, id) order, so a recall scores the prefix ending by t_q in one
 vectorised pass, and BM25 touches only the leaves that hold a keyword.
-BM25 is array arithmetic too: per query term, one evaluation of the
-Okapi expression over int64 arrays of the term's rows, counts and
-lengths, kept beside the postings' lists and brought in step only for
-a term that gained rows, gives each leaf the float a per-document loop
-gives.
+BM25 is array arithmetic too: the postings are int64 `array`s that
+grow by appends, and per query term one evaluation of the Okapi
+expression over copies of the term's rows and counts, and of the
+lengths, gives each leaf the float a per-document loop gives.
 
 The semantic channel is scored in two passes. A float32 screen takes
 every row's dot product with the unit query, one gemv per slice of at
@@ -32,6 +31,7 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -65,35 +65,24 @@ class Bm25Params:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
 
 
-def _in_step(held: np.ndarray, values: list[int]) -> np.ndarray:
-    """`held`, an int64 array of a prefix of `values`, extended by the rest."""
-    if len(held) == len(values):
-        return held
-    return np.concatenate((held, np.array(values[len(held):], dtype=np.int64)))
-
-
-_NO_ROWS = np.empty(0, dtype=np.int64)
-
-
 class Postings:
     """BM25's inputs for a list of documents that only grows: for each
     term, the ascending rows that hold it and its count in each, and the
-    running sum of token lengths, `length_sums[n]` over the first n.
+    running sum of token lengths, `length_sums[n]` over the first n, all
+    int64 `array`s that `add` appends to.
 
     `scores` reads any prefix of the rows, so an index can score the
-    leaves ending by t_q while it keeps growing. `add` appends to the
-    lists, and `scores` reads int64 arrays of them, which it brings in
-    step only for the query's terms that gained rows since it last read
-    them.
+    leaves ending by t_q while it keeps growing. It reads a copy of the
+    prefix, never a view of an `array`: an `array` with a live view
+    refuses to grow, and a view held by a stored traceback would stop
+    the next `add`.
     """
 
-    __slots__ = ("terms", "length_sums", "_arrays", "_sums")
+    __slots__ = ("terms", "length_sums")
 
     def __init__(self):
-        self.terms: dict[str, tuple[list[int], list[int]]] = {}
-        self.length_sums = [0]
-        self._arrays: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # term -> rows, counts
-        self._sums = np.zeros(1, dtype=np.int64)  # length_sums as last read
+        self.terms: dict[str, tuple[array, array]] = {}  # term -> rows, counts
+        self.length_sums = array("q", [0])
 
     @classmethod
     def of(cls, corpus: list[list[str]]) -> Postings:
@@ -111,7 +100,7 @@ class Postings:
         for term, count in counts.items():
             posting = self.terms.get(term)
             if posting is None:
-                posting = self.terms[term] = ([], [])
+                posting = self.terms[term] = (array("q"), array("q"))
             posting[0].append(row)
             posting[1].append(count)
         self.length_sums.append(self.length_sums[-1] + len(tokens))
@@ -130,17 +119,14 @@ class Postings:
         params = params or Bm25Params()
         k1, b = params.k1, params.b
         scores = np.zeros(n)
+        sums = np.frombuffer(self.length_sums[:n + 1], dtype=np.int64)
         for term in terms:
-            lists = self.terms.get(term, ((), ()))
-            containing = bisect_left(lists[0], n)
+            rows, f = self.terms.get(term, ((), ()))
+            containing = bisect_left(rows, n)
             if not containing:
                 continue
-            held_rows, held_counts = self._arrays.get(term, (_NO_ROWS, _NO_ROWS))
-            if len(held_rows) < len(lists[0]):
-                held_rows, held_counts = self._arrays[term] = (
-                    _in_step(held_rows, lists[0]), _in_step(held_counts, lists[1]))
-            rows, f = held_rows[:containing], held_counts[:containing]
-            sums = self._sums = _in_step(self._sums, self.length_sums)
+            rows = np.frombuffer(rows[:containing], dtype=np.int64)
+            f = np.frombuffer(f[:containing], dtype=np.int64)
             dl = sums[rows + 1] - sums[rows]
             avgdl = self.length_sums[n] / n
             # idf = ln((N - n_t + 0.5) / (n_t + 0.5) + 1)

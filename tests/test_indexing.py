@@ -168,13 +168,12 @@ def test_postings_grown_in_catch_ups_equal_one_pass(corpus, steps, keywords, dat
 @settings(max_examples=100, deadline=None)
 @given(corpora.filter(bool), st.lists(st.tuples(st.integers(1, 8), keyword_lists),
                                       min_size=1, max_size=6), st.data())
-def test_postings_arrays_stay_in_step_through_catch_ups(corpus, steps, data):
-    """Catch-ups grow the postings' lists between reads of their arrays:
-    each score of a prefix equals one pass over the whole corpus and the
-    per-document loop, bit for bit, a read with no growth since the last
-    converts no term again, and a view taken before a catch-up ranks as
-    it did before it. The rows are so wide that every block doubles the
-    capacity, so a catch-up also grows every column."""
+def test_postings_read_between_catch_ups_equal_one_pass(corpus, steps, data):
+    """Catch-ups grow the postings between reads: each score of a prefix
+    equals one pass over the whole corpus and the per-document loop, bit
+    for bit, a second read gives the same floats, and a view taken before
+    a catch-up ranks as it did before it. The rows are so wide that every
+    block doubles the capacity, so a catch-up also grows every column."""
     rng = np.random.default_rng(len(corpus))
     rows = rng.standard_normal((len(corpus), FIRST_BLOCK_FLOATS))
     rows = (rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype(np.float32)
@@ -193,14 +192,26 @@ def test_postings_arrays_stay_in_step_through_catch_ups(corpus, steps, data):
             want = per_document_bm25(corpus[:cut], terms, Bm25Params())
             assert index.postings.scores(terms, cut).tolist() == want
             assert whole.scores(terms, cut).tolist() == want
-            held = dict(index.postings._arrays)
             assert index.postings.scores(terms, cut).tolist() == want
-            assert all(index.postings._arrays[term] is arrays for term, arrays in held.items())
         for view, query, words, ranked in views:
             assert fused_top_k(query, words, view, 0.9, 5) == ranked
         query = rows[inserted - 1].astype(np.float64) + rows[0]
         views.append((view := index.upto(leaves[inserted - 1].interval.end), query, keywords,
                       fused_top_k(query, keywords, view, 0.9, 5)))
+
+
+def test_a_traceback_held_from_scores_does_not_stop_the_next_add():
+    """`scores` reads copies of the postings, never views of them: an
+    `array` with a live view refuses to grow, and an exception raised in
+    `scores` and kept with its traceback keeps the frame's locals."""
+    corpus = [["lake", "kayak"], ["lake"], ["paella", "lake", "lake"]]
+    postings = Postings.of(corpus[:2])
+    with pytest.raises(IndexError) as raised:
+        postings.scores(["lake"], 3)  # past the rows posted
+    assert raised.value.__traceback__ is not None  # held to the end of the test
+    postings.add(corpus[2])
+    terms = ["lake", "paella", "kayak"]
+    assert postings.scores(terms, 3).tolist() == per_document_bm25(corpus, terms, Bm25Params())
 
 
 @settings(max_examples=60, deadline=None)
@@ -221,8 +232,9 @@ def test_leaf_columns_equal_numpy_norms_and_counter_postings(corpus, dim, seed):
             posting = terms.setdefault(term, ([], []))
             posting[0].append(row)
             posting[1].append(count)
-    assert list(index.postings.terms.items()) == list(terms.items())
-    assert index.postings.length_sums == list(itertools.accumulate(
+    assert [(term, (rows.tolist(), counts.tolist()))
+            for term, (rows, counts) in index.postings.terms.items()] == list(terms.items())
+    assert index.postings.length_sums.tolist() == list(itertools.accumulate(
         (len(tokenize(" ".join(doc))) for doc in corpus), initial=0))
 
 
