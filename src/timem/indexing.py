@@ -19,7 +19,8 @@ lengths, gives each leaf the float a per-document loop gives.
 
 The semantic channel is scored in two passes. A float32 screen takes
 every row's dot product with the unit query, one gemv per slice of at
-most 1 MiB of a block, and forms a rough fused score. Its error has a
+most 1 MiB of a block (of the query's nonzero columns alone, for a
+sparse query), and forms a rough fused score. Its error has a
 proven bound, delta, so only the leaves whose rough score is within
 2 * delta of the k-th largest can be in the top k (see `_screen`). The
 exact pass runs the float64 `einsum` on those leaves alone and orders
@@ -182,8 +183,17 @@ class ScoredLeaf(NamedTuple):
 # gemv of 460,800 floats or more (450 rows at d = 1024) across threads,
 # and a process can fall into a regime where each split gemv waits about
 # 8 ms for the second CPU. Slices below that size are never split, and
-# at 1k rows their gemvs cost what one single-threaded gemv does.
+# at 1k rows their gemvs cost what one single-threaded gemv does. A slice
+# holds SCREEN_FLOATS // width rows: width is d for a dense query, and
+# the support size for a sparse one, whose slices gather only the
+# query's nonzero columns.
 SCREEN_FLOATS = 1 << 18
+# A query with at most d / _SPARSE_RATIO nonzero columns (12 of 1024) is
+# sparse. Gathering its columns reads a few cache lines of each row where
+# the gemv streams all of it, but costs more per float read once the rows
+# leave the cache. With 12 columns or fewer the gather beat the gemv at
+# 250, 1k, 4k and 16k rows; with 24 it lost at 250 and barely won at 16k.
+_SPARSE_RATIO = 80
 # The floats of a leaf index's first block at least, 64 KiB: a small
 # pool has few blocks, so the screen and the exact pass make few calls.
 FIRST_BLOCK_FLOATS = SCREEN_FLOATS // 16
@@ -295,15 +305,33 @@ class LeafIndex:
     def rough_dots(self, unit_query: np.ndarray) -> np.ndarray:
         """Each leaf's float32 dot product with a float32 `unit_query`,
         one matrix-vector product per slice of at most `SCREEN_FLOATS`
-        floats of a block, each slice a view of its rows."""
+        floats of a block.
+
+        A sparse query, one with at most d / `_SPARSE_RATIO` nonzero
+        columns, is dotted with those columns alone: each slice gathers
+        them from its rows, a few floats per row where a dense query
+        reads all d (4 KiB at d = 1024), and the gemv multiplies the
+        gathered matrix by the query's nonzero entries. The terms left
+        out are exact zeros, so the sum has fewer rounded terms and
+        `_screen`'s bound holds. The support is the float32 query's, so
+        an entry that underflowed to 0 is not read. A dense query's
+        slices are views of its rows.
+        """
         approx = np.empty(self._size, dtype=np.float32)
-        step = max(1, SCREEN_FLOATS // max(1, self.dimension))
+        width = self.dimension
+        support = None
+        if np.count_nonzero(unit_query) * _SPARSE_RATIO <= width:
+            support = np.flatnonzero(unit_query)
+            unit_query, width = unit_query[support], len(support)
+        step = max(1, SCREEN_FLOATS // max(1, width))
         for start, block in zip(self.starts, self.blocks):
             if start >= self._size:
                 break
             rows = block[:self._size - start]
             for first in range(0, len(rows), step):
                 part = rows[first:first + step]
+                if support is not None:
+                    part = part.take(support, axis=1)
                 np.dot(part, unit_query, out=approx[start + first:start + first + len(part)])
         return approx
 
@@ -348,7 +376,8 @@ def _screen(index: LeafIndex, query: np.ndarray, query_norm: float, s_lex: np.nd
     below theta - 2*delta has a fused score below that: it cannot be in
     the top k under any tie rule. Leaves whose rough score or norm is not
     finite, or whose norm is tiny, are always kept, and every leaf is kept
-    for a query whose norm is not finite.
+    for a query whose norm is not finite. A NaN or inf outside a sparse
+    query's columns is never read into the rough score; the norm shows it.
     """
     n = len(index)
     if n <= k or not math.isfinite(query_norm):

@@ -23,9 +23,10 @@ from timem import (
     fused_top_k,
     tokenize,
 )
+from timem import indexing
 from timem.backends import MockEmbedder
 from timem.errors import DimensionMismatch, IndexOutOfRange, ZeroVector
-from timem.indexing import (FIRST_BLOCK_FLOATS, SCREEN_FLOATS, LeafIndex, Postings, _screen,
+from timem.indexing import (_SPARSE_RATIO, FIRST_BLOCK_FLOATS, LeafIndex, Postings, _screen,
                             bm25_scores)
 
 from conftest import utc
@@ -608,6 +609,10 @@ def screened_pool(rng: np.random.Generator, dim: int) -> tuple[list[MemoryNode],
 
 @pytest.mark.parametrize("dim", [16, 384, 1024])
 def test_screened_top_k_equals_the_full_pass(dim):
+    """At dims 384 and 1024, sparse queries too: the leaning query cut to
+    the columns where the target is largest, so the leaves near it stay
+    near ties there, with as many columns as the screen gathers and one
+    more, which it screens by the gemv."""
     rng = np.random.default_rng(dim)
     leaves, leaning = screened_pool(rng, dim)
     index = LeafIndex.of(leaves)
@@ -615,50 +620,84 @@ def test_screened_top_k_equals_the_full_pass(dim):
     target = leaves[rows].embedding.astype(np.float64)
     queries = [leaning, target, target + 1e-3 * rng.standard_normal(dim),
                rng.standard_normal(dim)]
+    gathered = dim // _SPARSE_RATIO
+    heavy = np.argsort(-np.abs(target))
+    for width in (gathered, gathered + 1) if gathered else ():
+        sparse = np.zeros(dim)
+        sparse[heavy[:width]] = leaning[heavy[:width]]
+        queries.append(sparse)
     cutoffs = [None, leaves[rows].interval.end,
                leaves[len(leaves) // 2].interval.end - timedelta(microseconds=1)]
-    screened = 0
-    for query, t_q in itertools.product(queries, cutoffs):
+    screened = set()
+    for (i, query), t_q in itertools.product(enumerate(queries), cutoffs):
         view = index.upto(t_q)
         for lam, k, keywords in itertools.product(
                 [0.0, 0.5, 0.9, 1.0], [1, 20], ([], ["lake"], ["kayak", "lake paella"])):
             got = fused_top_k(query, keywords, view, lam, k)
-            assert got == full_pass_reference(query, keywords, view, lam, k), (t_q, lam, k)
+            assert got == full_pass_reference(query, keywords, view, lam, k), (i, t_q, lam, k)
         no_lex = np.zeros(len(view))  # the screen on the semantic channel alone
         kept = _screen(view, query, float(np.linalg.norm(query)), no_lex, 1.0, 20)
-        screened += len(kept) < len(view)
-    assert screened  # the screen dropped leaves, so the comparison tested it
+        if len(kept) < len(view):
+            screened.add(i)
+    # the screen dropped leaves, so the comparison tested it, on every sparse query
+    assert screened & {0, 1, 2, 3} and set(range(4, len(queries))) <= screened
 
 
-def test_rough_dots_cover_every_row_once_across_slices():
+def test_rough_dots_cover_every_row_once_across_slices(monkeypatch):
     """The screen's gemvs over slices of SCREEN_FLOATS floats give each
     row of the view, on either side of a slice's or a block's end, its
     own dot product within float32's error, and nothing past the view,
-    for an index of a list and one built leaf by leaf."""
+    for an index of a list and one built leaf by leaf. A sparse query's
+    slices gather its nonzero columns, so they hold more rows, and no
+    gemv on either path reads more than SCREEN_FLOATS floats: with 2**12
+    of them, a block of the list's index holds more gathered floats than
+    one slice."""
+    monkeypatch.setattr(indexing, "SCREEN_FLOATS", 1 << 12)
     rng = np.random.default_rng(5)
-    step = SCREEN_FLOATS // DIM
-    leaves = dense_pool(rng, 3 * step + 3)
+    size = 3 * 256 + 3
+    leaves = dense_pool(rng, size)
     whole = LeafIndex.of(leaves)
     tree = MemoryTree()
     for leaf in leaves:
         tree.insert_node(leaf)
     grown = tree.leaf_index("u")
-    assert {step // 2, step, 2 * step} <= set(grown.starts)
-    query = unit32(rng.standard_normal(DIM))
-    exact = np.einsum("ij,j->i", stacked(whole), query.astype(np.float64))
-    for index in (whole, grown):
-        for n in (0, 1, step // 2, step - 1, step, step + 1, 2 * step, 3 * step + 3):
-            view = (index.upto(leaves[n - 1].interval.end) if n
-                    else index.upto(utc(2000, 1, 1, 0, 0)))
-            rough = view.rough_dots(query)
-            assert rough.dtype == np.float32 and len(rough) == n
-            assert np.allclose(rough, exact[:n], rtol=0, atol=1e-4)  # DIM * 2**-24 bounds it
+    shapes = []
+    dot = np.dot
+
+    def spy(a, b, out=None):
+        shapes.append(a.shape)
+        return dot(a, b, out=out)
+
+    for width in (DIM, DIM // _SPARSE_RATIO):  # a dense query, then a sparse one
+        query = unit32(rng.standard_normal(DIM))
+        query[rng.choice(DIM, DIM - width, replace=False)] = 0
+        step = indexing.SCREEN_FLOATS // width
+        ends = {step, 2 * step, *grown.starts[1:]}
+        assert {16, 256, 512} <= ends and size > 2 * step  # a block holds slices
+        exact = np.einsum("ij,j->i", stacked(whole), query.astype(np.float64))
+        shapes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "dot", spy)
+            for index in (whole, grown):
+                counts = {0, 1, size} | {e + j for e in ends for j in (-1, 0, 1) if e + j <= size}
+                for n in sorted(counts - {ROWS}):  # no view ends between the twins at one end
+                    view = (index.upto(leaves[n - 1].interval.end) if n
+                            else index.upto(utc(2000, 1, 1, 0, 0)))
+                    rough = view.rough_dots(query)
+                    assert rough.dtype == np.float32 and len(rough) == n
+                    # DIM * 2**-24 bounds the error
+                    assert np.allclose(rough, exact[:n], rtol=0, atol=1e-4)
+        assert {columns for _, columns in shapes} == {width}
+        assert max(rows * columns for rows, columns in shapes) <= indexing.SCREEN_FLOATS
 
 
 def test_screen_keeps_the_leaves_it_cannot_bound():
     """A row holding NaN, a row of float32 subnormals (below the relative
     error bound's range) and every leaf for a NaN query or a query whose
-    norm overflows are kept, and scored as the full pass scores them."""
+    norm overflows are kept, and scored as the full pass scores them.
+    At d = 1024 a mock query is sparse: NaN and inf entries outside its
+    columns reach no rough score, and only their rows' norms keep those
+    rows, also for a query whose entry there is 0 in float32 alone."""
     embedder = MockEmbedder(dimension=32)
     leaves = random_pool(random.Random(3), 60, embedder)
     leaves.sort(key=lambda leaf: (leaf.interval.end, leaf.id))
@@ -676,7 +715,27 @@ def test_screen_keeps_the_leaves_it_cannot_bound():
     leaves[30].text = "lake lake lake"
     # in six leaves, two NaN rows must fill the top five
     pools = [LeafIndex.of(leaves), LeafIndex.of(leaves[8:14])]
-    cases = itertools.product(pools, [query, nan_query, huge_query], [0.0, 0.5, 0.9], [1, 5])
+    cases = [*itertools.product(pools, [query, nan_query, huge_query], [0.0, 0.5, 0.9], [1, 5])]
+
+    wide = MockEmbedder(dimension=1024)
+    leaves = random_pool(random.Random(3), 60, wide)
+    leaves.sort(key=lambda leaf: (leaf.interval.end, leaf.id))
+    query = wide.embed_text("kayak trip to the lake").astype(np.float64)
+    outside = int(np.flatnonzero(query == 0)[0])
+    for i, value in ((10, np.nan), (11, np.inf), (12, -np.inf)):
+        leaves[i].embedding = leaves[i].embedding.copy()
+        leaves[i].embedding[outside] = value
+    faint_query = query.copy()
+    faint_query[outside] = 1e-50
+    pools = [LeafIndex.of(leaves), LeafIndex.of(leaves[8:14])]
+    for q in (query, faint_query):
+        unit = (q / np.linalg.norm(q)).astype(np.float32)
+        assert np.count_nonzero(unit) * _SPARSE_RATIO <= 1024
+        assert np.isfinite(pools[0].rough_dots(unit)).all()
+        kept = _screen(pools[0], q, float(np.linalg.norm(q)), np.zeros(60), 1.0, 5)
+        assert {10, 11, 12} <= set(kept.tolist()) and len(kept) < 60
+    cases += itertools.product(pools, [query, faint_query], [0.0, 0.5, 0.9], [1, 5])
+
     with np.errstate(over="ignore", invalid="ignore"):
         for index, q, lam, k in cases:
             got = fused_top_k(q, ["lake"], index, lam, k)
