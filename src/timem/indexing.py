@@ -5,6 +5,12 @@ Lexical channel: Okapi BM25 of the query's keyword terms, min-max
 normalized per query across the leaf pool. The two are fused with a
 configurable weight and the top-k leaves are activated.
 
+`tokenize` makes the terms of the lexical channel, and the mock
+providers share it. A token is a maximal run of ASCII letters and
+digits in the lowered text; every other character separates tokens.
+Lowered text that is all ASCII is tokenized by one byte translate and
+one `split`, any other text by the regex `[a-z0-9]+`.
+
 Leaves are scored from a `LeafIndex`, the columns of a leaf pool that
 scoring reads: float32 embedding rows in blocks that never move, flat
 arrays of float64 norms, end times and ids, plus BM25's `Postings`: for
@@ -46,12 +52,25 @@ if TYPE_CHECKING:
     from .tree import MemoryNode
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Every byte but a-z and 0-9 becomes a space, so that splitting the
+# translated text on whitespace yields exactly `_TOKEN_RE`'s matches.
+_NON_TOKEN_TO_SPACE = bytes(c if 97 <= c <= 122 or 48 <= c <= 57 else 32 for c in range(256))
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on runs of non-alphanumeric characters."""
-    return _TOKEN_RE.findall(text.lower())
+    """Lowercase, then return the maximal runs of ASCII letters and digits.
+
+    Only `a-z` and `0-9` are token characters: any other character,
+    accented letters and non-ASCII digits included, separates tokens, so
+    `tokenize("café")` is `["caf"]`. Lowered text that is all ASCII goes
+    through a byte table and one `split`; any other text through the
+    regex `[a-z0-9]+`. Both give the same list for every string.
+    """
+    low = text.lower()
+    if low.isascii():
+        return low.encode().translate(_NON_TOKEN_TO_SPACE).decode().split()
+    return _TOKEN_RE.findall(low)
 
 
 @dataclass(frozen=True)

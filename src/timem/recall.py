@@ -112,6 +112,19 @@ def _fallback_keywords(query: str, limit: int = 3) -> list[str]:
     return [tok for tok, _ in ranked[:limit]]
 
 
+def _whole_number(value) -> int | None:
+    """A reply field read as an integer: an int, a float equal to its
+    `int()`, or a numeric string; None for anything else, `true` and
+    `2.7` included."""
+    if isinstance(value, bool):
+        return None
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return None if isinstance(value, float) and number != value else number
+
+
 _JSON_BLOCK = re.compile(r"\{.*\}", re.DOTALL)
 
 
@@ -164,13 +177,11 @@ class RecallPipeline:
             reply = None
         data = _parse_json_reply(reply)
         if data is not None:
-            try:
-                complexity = WIRE_CODES[int(data["complexity"])]
-                raw = data.get("keywords", [])
+            complexity = WIRE_CODES.get(_whole_number(data.get("complexity")))
+            raw = data.get("keywords", [])
+            if complexity is not None and isinstance(raw, list):
                 keywords = [str(k).strip().lower() for k in raw if str(k).strip()][:3]
                 return RecallPlan(complexity=complexity, keywords=keywords)
-            except (KeyError, ValueError, TypeError):
-                pass
         return RecallPlan(complexity=Complexity.HYBRID,
                           keywords=_fallback_keywords(query),
                           planner_fallback_used=True)
@@ -249,12 +260,9 @@ class RecallPipeline:
             return list(candidates.entries), True
         keep: set[int] = set()
         for value in data["relevant_ids"]:
-            try:
-                ordinal = int(value)
-            except (TypeError, ValueError):
-                continue
-            if 1 <= ordinal <= len(ordered):  # out-of-range ordinals ignored
-                keep.add(ordinal)
+            ordinal = _whole_number(value)
+            if ordinal is not None and 1 <= ordinal <= len(ordered):
+                keep.add(ordinal)  # other values and out-of-range ordinals are ignored
         return [cand for i, cand in enumerate(ordered, start=1) if i in keep], False
 
     # -- full pipeline ----------------------------------------------------------

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
+import re
 from collections import Counter
 from datetime import timedelta
 
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from timem import (
     Bm25Params,
     Level,
+    MemoryEngine,
     MemoryNode,
     MemoryTree,
     ScoredLeaf,
@@ -21,15 +24,17 @@ from timem import (
     bm25_score,
     cosine_similarity,
     fused_top_k,
+    parse_transcript,
     tokenize,
 )
 from timem import indexing
 from timem.backends import MockEmbedder
+from timem.bench import write_fixture
 from timem.errors import DimensionMismatch, IndexOutOfRange, ZeroVector
 from timem.indexing import (_SPARSE_RATIO, FIRST_BLOCK_FLOATS, LeafIndex, Postings, _screen,
                             bm25_scores)
 
-from conftest import utc
+from conftest import ingest_all, utc
 
 
 # --- tokenize ---------------------------------------------------------------
@@ -45,6 +50,47 @@ def test_tokenize_lowercase_alnum(text):
     for tok in tokenize(text):
         assert tok and tok == tok.lower()
         assert all(c.isascii() and (c.isalpha() or c.isdigit()) for c in tok)
+
+
+def regex_tokens(text: str) -> list[str]:
+    """The reference tokenizer: every maximal [a-z0-9] run of the lowered text."""
+    return re.findall(r"[a-z0-9]+", text.lower())
+
+
+@given(st.one_of(st.text(), st.text(st.characters(max_codepoint=0x7f))))
+def test_tokenize_equals_the_regex(text):
+    assert tokenize(text) == regex_tokens(text)
+
+
+@pytest.mark.parametrize("text, tokens", [
+    ("5\u212a run", ["5k", "run"]),  # the Kelvin sign lowers to ASCII k
+    ("\u0130stanbul", ["i", "stanbul"]),  # İ lowers to i and a combining dot
+    ("Stra\u00dfe", ["stra", "e"]),
+    ("\u1e9e", []),  # capital sharp s lowers to ß
+    ("caf\u00e9", ["caf"]),
+    ("\uff11\uff12 km", ["km"]),  # full-width digits are not token characters
+    ("a\xa0b\x85c\td\ne\r\nf", ["a", "b", "c", "d", "e", "f"]),
+    ("a\x1cb\x1dc\x1ed\x1fe", ["a", "b", "c", "d", "e"]),
+    ("\x1c\x1d\x1e\x1f", []),
+    ("", []),
+    ("?!., -- ...;", []),
+    ("\x00A\x7fB\x80", ["a", "b"]),
+])
+def test_tokenize_edge_cases(text, tokens):
+    assert tokenize(text) == tokens == regex_tokens(text)
+
+
+def test_tokenize_equals_the_regex_on_a_fixture(tmp_path):
+    paths = write_fixture(tmp_path, seed=42)
+    engine = MemoryEngine()
+    texts = [json.loads(line)["question"] for line in paths[-1].read_text().splitlines()]
+    for path in paths[:-1]:
+        transcript = parse_transcript(path)
+        ingest_all(engine, transcript.user_id, transcript.turns)
+        texts += [node.text for node in engine.tree.all_nodes(transcript.user_id)]
+    assert len(texts) > 100 and all(text.lower().isascii() for text in texts)
+    for text in texts:
+        assert tokenize(text) == regex_tokens(text), text
 
 
 # --- BM25 --------------------------------------------------------------------

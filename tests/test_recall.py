@@ -75,6 +75,41 @@ def test_plan_query_fallback_on_malformed():
     assert plan.keywords == ["erin", "go", "kayaking"]
 
 
+@pytest.mark.parametrize("reply", [
+    '{"complexity": 0, "keywords": "kayaking"}',  # a string, not an array
+    '{"complexity": 0, "keywords": null}',
+    '{"complexity": 0, "keywords": {"k": "kayaking"}}',
+    '{"complexity": true, "keywords": ["kayaking"]}',
+    '{"complexity": false, "keywords": ["kayaking"]}',
+    '{"complexity": 1.9, "keywords": ["kayaking"]}',
+    '{"complexity": 0.5, "keywords": ["kayaking"]}',
+    '{"complexity": "1.0", "keywords": ["kayaking"]}',
+    '{"complexity": 1e400, "keywords": ["kayaking"]}',  # inf, too large for int()
+    '{"complexity": NaN, "keywords": ["kayaking"]}',
+    '{"complexity": [0], "keywords": ["kayaking"]}',
+    '{"complexity": 3, "keywords": ["kayaking"]}',
+])
+def test_plan_query_reply_of_the_wrong_type_falls_back(reply):
+    pipe = pipeline_for(MemoryTree(), chat=ScriptedChat({Purpose.PLAN: reply}))
+    plan = pipe.plan_query("Where did Erin go kayaking last summer?")
+    assert plan.planner_fallback_used
+    assert plan.complexity is Complexity.HYBRID
+    assert plan.keywords == ["erin", "go", "kayaking"]
+
+
+@pytest.mark.parametrize("reply, complexity, keywords", [
+    ('{"complexity": 0, "keywords": ["Kayaking"]}', Complexity.SIMPLE, ["kayaking"]),
+    ('{"complexity": 2.0, "keywords": ["beach"]}', Complexity.COMPLEX, ["beach"]),
+    ('{"complexity": "1", "keywords": ["a", "b"]}', Complexity.HYBRID, ["a", "b"]),
+    ('{"complexity": 2}', Complexity.COMPLEX, []),  # no keywords is an empty list
+])
+def test_plan_query_whole_number_complexity_is_read(reply, complexity, keywords):
+    pipe = pipeline_for(MemoryTree(), chat=ScriptedChat({Purpose.PLAN: reply}))
+    plan = pipe.plan_query("Where did Erin go kayaking last summer?")
+    assert not plan.planner_fallback_used
+    assert plan.complexity is complexity and plan.keywords == keywords
+
+
 def test_plan_query_fallback_on_backend_error():
     class Boom:
         def chat_complete(self, req):
@@ -332,6 +367,19 @@ def test_gate_ignores_out_of_range_ordinals():
         {Purpose.GATE: json.dumps({"relevant_ids": [0, 2, 7, "x"]})}))
     kept, _ = pipe.gate_candidates("q", Complexity.SIMPLE, cand)
     assert [c.node.id for c in kept] == [2]
+
+
+def test_gate_ignores_ordinals_that_are_not_whole_numbers():
+    tree = build_fanout_tree(3, 1)
+    from timem.recall import CandidateSet
+    cand = CandidateSet(entries=candidates_from(tree, [1, 2, 3]))
+    for ids, kept_ids in (([True, 2.7, 3.0], [3]),
+                          ([False, 1.5, "2.0", None, [1], {"id": 1}], []),
+                          (["2", 1.0, float("inf")], [1, 2])):  # inf is sent as Infinity
+        pipe = pipeline_for(tree, chat=ScriptedChat(
+            {Purpose.GATE: '{"relevant_ids": [%s]}' % ", ".join(map(json.dumps, ids))}))
+        kept, fallback = pipe.gate_candidates("q", Complexity.SIMPLE, cand)
+        assert [c.node.id for c in kept] == kept_ids and not fallback, ids
 
 
 def test_gate_empty_candidates_no_call():
