@@ -8,8 +8,8 @@ configurable weight and the top-k leaves are activated.
 `tokenize` makes the terms of the lexical channel, and the mock
 providers share it. A token is a maximal run of ASCII letters and
 digits in the lowered text; every other character separates tokens.
-Lowered text that is all ASCII is tokenized by one byte translate and
-one `split`, any other text by the regex `[a-z0-9]+`.
+The lowered text's UTF-8 bytes go through one byte translate and one
+`split`.
 
 Leaves are scored from a `LeafIndex`, the columns of a leaf pool that
 scoring reads: float32 embedding rows in blocks that never move, flat
@@ -37,7 +37,6 @@ is the same, bit for bit.
 from __future__ import annotations
 
 import math
-import re
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -51,9 +50,10 @@ from .errors import DimensionMismatch, IndexOutOfRange, ZeroVector
 if TYPE_CHECKING:
     from .tree import MemoryNode
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
 # Every byte but a-z and 0-9 becomes a space, so that splitting the
-# translated text on whitespace yields exactly `_TOKEN_RE`'s matches.
+# translated text on whitespace yields exactly the maximal [a-z0-9] runs.
+# Each UTF-8 byte of a non-ASCII code point is >= 0x80, so it becomes a
+# space too.
 _NON_TOKEN_TO_SPACE = bytes(c if 97 <= c <= 122 or 48 <= c <= 57 else 32 for c in range(256))
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
@@ -63,14 +63,13 @@ def tokenize(text: str) -> list[str]:
 
     Only `a-z` and `0-9` are token characters: any other character,
     accented letters and non-ASCII digits included, separates tokens, so
-    `tokenize("café")` is `["caf"]`. Lowered text that is all ASCII goes
-    through a byte table and one `split`; any other text through the
-    regex `[a-z0-9]+`. Both give the same list for every string.
+    `tokenize("café")` is `["caf"]`, the list `re.findall(r"[a-z0-9]+",
+    text.lower())` gives. The lowered text's UTF-8 bytes go through a
+    byte table and one `split`; `surrogatepass` encodes a lone surrogate
+    as bytes >= 0x80 like any other non-ASCII character.
     """
-    low = text.lower()
-    if low.isascii():
-        return low.encode().translate(_NON_TOKEN_TO_SPACE).decode().split()
-    return _TOKEN_RE.findall(low)
+    return (text.lower().encode("utf-8", "surrogatepass").translate(_NON_TOKEN_TO_SPACE)
+            .decode("ascii").split())
 
 
 @dataclass(frozen=True)

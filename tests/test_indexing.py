@@ -75,6 +75,7 @@ def test_tokenize_equals_the_regex(text):
     ("", []),
     ("?!., -- ...;", []),
     ("\x00A\x7fB\x80", ["a", "b"]),
+    ("a\ud800b\udfffc", ["a", "b", "c"]),  # lone surrogates separate tokens
 ])
 def test_tokenize_edge_cases(text, tokens):
     assert tokenize(text) == tokens == regex_tokens(text)
@@ -88,7 +89,7 @@ def test_tokenize_equals_the_regex_on_a_fixture(tmp_path):
         transcript = parse_transcript(path)
         ingest_all(engine, transcript.user_id, transcript.turns)
         texts += [node.text for node in engine.tree.all_nodes(transcript.user_id)]
-    assert len(texts) > 100 and all(text.lower().isascii() for text in texts)
+    assert len(texts) > 100
     for text in texts:
         assert tokenize(text) == regex_tokens(text), text
 
