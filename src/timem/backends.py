@@ -23,7 +23,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import ProviderError, ProviderTimeout, RateLimited
-from .indexing import tokenize
+from .indexing import token_text, tokenize
 
 
 class Purpose(str, Enum):
@@ -215,11 +215,26 @@ _GATE_CAPS = {0: 8, 1: 15, 2: 25}
 
 
 def _mock_gate(req: ChatRequest) -> str:
-    keywords = set(extract_keywords(req.inputs["question"]))
+    """Keep the candidates that share a keyword with the question: the
+    most distinct shared keywords first, then the lower ordinal, at most
+    `_GATE_CAPS[complexity]` of them, replied in ordinal order.
+
+    A candidate's overlap is the number of the question's keywords found
+    as whole tokens of its text, which is `len(set(keywords) &
+    set(tokenize(text)))`. One scan per keyword looks for `" kw "` in the
+    candidate's `token_text` with a space added at each end: a keyword is
+    a run of `[a-z0-9]` and that text holds only such runs and spaces,
+    so a match is a whole token, and every token has a space on each side.
+    """
+    needles = [f" {kw} " for kw in extract_keywords(req.inputs["question"])]  # distinct
     cap = _GATE_CAPS[req.inputs["complexity"]]
     matches: list[tuple[int, int]] = []  # (-overlap, ordinal)
     for ordinal, text in enumerate(req.inputs["candidates"], start=1):
-        overlap = len(keywords & set(tokenize(text)))
+        line = f" {token_text(text)} "
+        overlap = 0  # a plain loop costs less than sum() over a generator of 3
+        for needle in needles:
+            if needle in line:
+                overlap += 1
         if overlap:
             matches.append((-overlap, ordinal))
     matches.sort()
@@ -343,9 +358,12 @@ class HttpChatBackend(_HttpBase):
             "max_tokens": req.max_output,
         })
         try:
-            return data["choices"][0]["message"]["content"]
+            content = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed chat response: {exc}") from exc
+        if not isinstance(content, str):
+            raise ProviderError(f"chat response content is {type(content).__name__}, not str")
+        return content
 
 
 class HttpEmbedder(_HttpBase):

@@ -8,6 +8,7 @@ and consolidation constants the engine was calibrated with.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -32,9 +33,10 @@ DEFAULT_CAPS = {
 _FIXED = {"segment_turns": 1, "level_count": 5, "profile_period": "month"}
 
 # The accepted values of each numeric setting, as a named rule; a setting
-# declared `int`, and every cap, takes integers only, and none takes a bool.
-_RULES = {"in [0, 1]": lambda v: 0 <= v <= 1, ">= 0": lambda v: v >= 0,
-          ">= 1": lambda v: v >= 1, "> 0": lambda v: v > 0}
+# declared `int`, and every cap, takes integers only, none takes a bool, and
+# none takes inf or nan (which `json.load` reads from Infinity and NaN).
+_RULES = {"in [0, 1]": lambda v: 0 <= v <= 1, ">= 0": lambda v: 0 <= v < math.inf,
+          ">= 1": lambda v: 1 <= v < math.inf, "> 0": lambda v: 0 < v < math.inf}
 _RANGES = {
     **dict.fromkeys(("fusion_weight", "bm25_b"), "in [0, 1]"),
     **dict.fromkeys(("bm25_k1", "history_window", "max_retries", "temperature_consolidate",
@@ -90,7 +92,7 @@ class EngineConfig:
             numeric = numbers.Integral if name in integers else numbers.Real
             if rule and (isinstance(value, bool) or not isinstance(value, numeric)
                          or not _RULES[rule](value)):
-                kind = "an integer" if numeric is numbers.Integral else "a number"
+                kind = "an integer" if numeric is numbers.Integral else "a finite number"
                 raise ValueError(f"{name}={value!r} is not {kind} {rule}")
 
     def to_dict(self) -> dict:

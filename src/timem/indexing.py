@@ -8,8 +8,11 @@ configurable weight and the top-k leaves are activated.
 `tokenize` makes the terms of the lexical channel, and the mock
 providers share it. A token is a maximal run of ASCII letters and
 digits in the lowered text; every other character separates tokens.
-The lowered text's UTF-8 bytes go through one byte translate and one
-`split`.
+`token_text` puts the lowered text's UTF-8 bytes through one byte
+translate that turns every other byte into a space, and `tokenize`
+splits its result. The mock gate searches that same text for its
+keywords, each with a space at both ends, so it finds whole tokens
+without making a token list.
 
 Leaves are scored from a `LeafIndex`, the columns of a leaf pool that
 scoring reads: float32 embedding rows in blocks that never move, flat
@@ -58,18 +61,25 @@ _NON_TOKEN_TO_SPACE = bytes(c if 97 <= c <= 122 or 48 <= c <= 57 else 32 for c i
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
+def token_text(text: str) -> str:
+    """The lowered text's UTF-8 bytes with every byte but `a-z` and `0-9`
+    turned into a space, as an ASCII string: its tokens, in order,
+    separated by one or more spaces. `surrogatepass` encodes a lone
+    surrogate as bytes >= 0x80 like any other non-ASCII character.
+    """
+    return (text.lower().encode("utf-8", "surrogatepass").translate(_NON_TOKEN_TO_SPACE)
+            .decode("ascii"))
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase, then return the maximal runs of ASCII letters and digits.
 
     Only `a-z` and `0-9` are token characters: any other character,
     accented letters and non-ASCII digits included, separates tokens, so
     `tokenize("café")` is `["caf"]`, the list `re.findall(r"[a-z0-9]+",
-    text.lower())` gives. The lowered text's UTF-8 bytes go through a
-    byte table and one `split`; `surrogatepass` encodes a lone surrogate
-    as bytes >= 0x80 like any other non-ASCII character.
+    text.lower())` gives. It is `token_text(text).split()`.
     """
-    return (text.lower().encode("utf-8", "surrogatepass").translate(_NON_TOKEN_TO_SPACE)
-            .decode("ascii").split())
+    return token_text(text).split()
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timem import Level, LogStore, MemoryEngine, parse_transcript
 from timem.backends import (
     ChatRequest,
     HttpChatBackend,
@@ -25,10 +26,14 @@ from timem.backends import (
     extract_keywords,
     mock_dispatch,
 )
-from timem.errors import ProviderError, ProviderTimeout, RateLimited
+from timem.bench import write_fixture
+from timem.errors import BackendFailure, ProviderError, ProviderTimeout, RateLimited
+from timem.indexing import tokenize
 from timem.prompts import PromptLibrary
+from timem.recall import Complexity
+from timem.timeutil import parse_ts
 
-from conftest import RecordingChat
+from conftest import RecordingChat, make_turns
 
 
 def chat(purpose: Purpose, **inputs) -> str:
@@ -150,6 +155,88 @@ def test_mock_gate_cap_by_complexity():
     complex_ = gate("Where did Alice go kayaking?", memories, complexity=2)
     assert len(simple["relevant_ids"]) == 8
     assert len(complex_["relevant_ids"]) == 25
+
+
+GATE_CAPS = {0: 8, 1: 15, 2: 25}
+
+
+def reference_gate(question: str, candidates: list[str], complexity: int) -> dict:
+    """The gate rule over token sets: the most distinct shared keywords
+    first, then the lower ordinal, capped, replied in ordinal order."""
+    keywords = set(extract_keywords(question))
+    overlaps = [(len(keywords & set(tokenize(text))), ordinal)
+                for ordinal, text in enumerate(candidates, start=1)]
+    matches = sorted((-overlap, ordinal) for overlap, ordinal in overlaps if overlap)
+    return {"relevant_ids": sorted(ordinal for _, ordinal in matches[:GATE_CAPS[complexity]])}
+
+
+# tokens that hold one another as prefix, suffix or infix, an upper-case
+# form, one with a Kelvin sign (lowered to an ASCII k) and digit runs
+GATE_TOKENS = ["kayak", "kayaking", "kayaks", "akayak", "ayak", "kayak2", "2kayak", "KAYAK",
+               "\u212aayak", "lake", "lakes", "flake", "verano", "veranos", "2023", "20234",
+               "k2", "cello"]
+# separators: none (so tokens run together), spaces, new lines, digits,
+# non-ASCII letters and spaces, punctuation
+GATE_JOINS = ["", " ", "  ", "\n", "\t", "7", "42", "é", "ß", "\u0130", "\u00a0", "\u2028",
+              "\ud800", "-", ".", "'", "_"]
+gate_text = st.builds("".join, st.lists(st.sampled_from(GATE_TOKENS + GATE_JOINS), max_size=12))
+gate_question = st.builds(
+    lambda tokens: "Where did Alice go " + " ".join(tokens) + "?",
+    st.lists(st.sampled_from(GATE_TOKENS + ["and", "Alice", "x"]), max_size=5))
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(), gate_question),
+       st.lists(st.one_of(st.text(), gate_text), max_size=40),
+       st.sampled_from([0, 1, 2]))
+def test_mock_gate_equals_the_token_set_reference(question, candidates, complexity):
+    assert gate(question, candidates, complexity) == \
+        reference_gate(question, candidates, complexity)
+
+
+def test_mock_gate_finds_whole_tokens_only():
+    question = "Where did Alice go kayaking at the lake?"  # keywords: go, kayaking, lake
+    candidates = ["", "kayak", "kayakinglake", "kayaking7lake", "Kayaking\nlake", "lake-KAYAKING",
+                  "kayaking kayaking kayaking", "flake kayakings", "kayaking\u00e9lake",
+                  "\u212aayaking", "kayaking", ""]
+    expected = {"relevant_ids": [5, 6, 7, 9, 10, 11]}
+    assert gate(question, candidates) == reference_gate(question, candidates, 0) == expected
+
+
+def test_mock_gate_duplicates_and_more_matches_than_the_cap():
+    question = "Did Alice go kayaking at the lake?"
+    both, one = "The user went kayaking at the lake.", "The user went kayaking."
+    candidates = [one] * 6 + [both] * 5 + ["", one, both, both, both]
+    # 7 one-keyword and 8 two-keyword candidates: the cap of 8 keeps the latter
+    assert gate(question, candidates) == reference_gate(question, candidates, 0) == \
+        {"relevant_ids": [7, 8, 9, 10, 11, 14, 15, 16]}
+    assert gate(question, candidates, 1) == reference_gate(question, candidates, 1)
+    assert len(gate(question, candidates, 1)["relevant_ids"]) == 15
+
+
+def test_mock_gate_equals_the_reference_on_a_fixture(tmp_path):
+    paths = write_fixture(tmp_path, seed=42)
+    chat = RecordingChat()
+    engine = MemoryEngine(chat=chat)
+    for path in paths[:-1]:
+        transcript = parse_transcript(path)
+        for turn in transcript.turns:
+            engine.ingest_turn(transcript.user_id, turn)
+        engine.flush(transcript.user_id)
+    questions = [json.loads(line) for line in paths[-1].read_text().splitlines()]
+    for q in questions:
+        for complexity in Complexity:
+            engine.recall(q["user_id"], q["question"], parse_ts(q["timestamp"]),
+                          complexity_override=complexity)
+    requests = [req for req in chat.calls if req.purpose == Purpose.GATE]
+    assert len(requests) == 3 * len(questions) == 90
+    kept = 0
+    for req in requests:
+        args = req.inputs["question"], req.inputs["candidates"], req.inputs["complexity"]
+        reply = json.loads(mock_dispatch(req))
+        assert reply == reference_gate(*args), args[0]
+        kept += len(reply["relevant_ids"])
+    assert kept > 0
 
 
 # --- mock embedder --------------------------------------------------------------------
@@ -367,3 +454,93 @@ def test_timem_imports_without_requests():
     src = os.path.dirname(os.path.dirname(os.path.abspath(__import__("timem").__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+class _StubPostChat(HttpChatBackend):
+    """The HTTP chat client with `_post` stubbed, no network: each reply's
+    `content` is the mock's reply, or `bad[purpose]` once for a purpose
+    in `bad`."""
+
+    def __init__(self, bad: dict):
+        super().__init__("http://127.0.0.1:9/v1/chat/completions", "m")
+        self.bad = dict(bad)
+        self.mock = MockChatBackend()
+        self.req = None
+
+    def chat_complete(self, req):
+        self.req = req  # what `_post` answers; the payload holds only the prompt
+        return super().chat_complete(req)
+
+    def _post(self, payload):
+        purpose = self.req.purpose
+        content = self.bad.pop(purpose) if purpose in self.bad else self.mock.chat_complete(self.req)
+        return {"choices": [{"message": {"content": content}}]}
+
+
+NOT_STR = [None, 5, 2.5, True, ["The user went kayaking."],
+           [{"type": "text", "text": "The user went kayaking."}], {"text": "kayaking"}]
+
+
+@pytest.mark.parametrize("content", NOT_STR)
+def test_http_chat_content_that_is_not_str_is_provider_error(content):
+    backend = _StubPostChat({Purpose.PLAN: content})
+    with pytest.raises(ProviderError, match="not str") as info:
+        backend.chat_complete(ChatRequest(prompt="hello", purpose=Purpose.PLAN))
+    assert type(info.value) is ProviderError
+    assert backend.chat_complete(ChatRequest(prompt="hello", purpose=Purpose.PLAN,
+                                             inputs={"question": "Where?"})) == \
+        mock_dispatch(ChatRequest(prompt="hello", purpose=Purpose.PLAN,
+                                  inputs={"question": "Where?"}))
+
+
+def _kayak_turns():
+    text = "I went kayaking at Lake Verano."
+    return make_turns([("s1", "2023-05-20T09:00:00Z", text, "Nice."),
+                       ("s1", "2023-05-20T09:05:00Z", text, "Nice."),
+                       ("s2", "2023-05-20T15:00:00Z", text, "Nice.")])
+
+
+@pytest.mark.parametrize("content", NOT_STR)
+def test_a_plan_or_gate_reply_that_is_not_str_falls_back(content):
+    query = "Where did Alice go kayaking?"
+    clean = MemoryEngine(chat=_StubPostChat({}))
+    for turn in _kayak_turns():
+        clean.ingest_turn("alice", turn)
+    expected = clean.recall("alice", query)
+    assert not expected.plan.planner_fallback_used and not expected.gate_fallback_used
+
+    engine = MemoryEngine(chat=_StubPostChat({Purpose.PLAN: content}))
+    for turn in _kayak_turns():
+        engine.ingest_turn("alice", turn)
+    result = engine.recall("alice", query)  # the planner falls back
+    assert result.plan.planner_fallback_used and not result.gate_fallback_used
+
+    engine.chat.bad = {Purpose.GATE: content}
+    result = engine.recall("alice", query)  # the gate fails open
+    assert result.gate_fallback_used and not result.plan.planner_fallback_used
+    assert result.counts["retained"] == result.counts["candidates"] > 0
+
+
+@pytest.mark.parametrize("content", NOT_STR)
+def test_a_consolidation_reply_that_is_not_str_is_a_backend_failure(tmp_path, content):
+    def rows(engine):
+        return [(n.id, int(n.level), n.text, n.interval, n.parent_id, tuple(n.child_ids))
+                for n in engine.tree.all_nodes("alice")]
+
+    first, second, third = _kayak_turns()
+    engine = MemoryEngine(chat=_StubPostChat({Purpose.CONSOLIDATE_L2: content}),
+                          store=LogStore(tmp_path))
+    engine.ingest_turn("alice", first)
+    engine.ingest_turn("alice", second)
+    with pytest.raises(BackendFailure, match="not str"):
+        engine.ingest_turn("alice", third)  # closing s1 asks for its session text
+    assert all(isinstance(n.text, str) for n in engine.tree.all_nodes("alice"))
+    assert engine.tree.nodes_at_level("alice", Level.SESSION) == []
+    created = engine.ingest_turn("alice", third)  # the retry gets a good reply
+    assert [int(n.level) for n in created] == [2, 1]
+    engine.store.close()
+
+    fresh = MemoryEngine(store=LogStore(tmp_path))
+    fresh.load_user("alice")
+    fresh.store.close()
+    assert rows(fresh) == rows(engine)

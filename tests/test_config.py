@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from timem import EngineConfig
 from timem.cli import EXIT_DATA, EXIT_OK, main
-from timem.config import DEFAULT_CAPS
+from timem.config import _RANGES, DEFAULT_CAPS
 
 
 @pytest.mark.parametrize("key,value", [
@@ -76,3 +77,26 @@ def test_boundary_values_accepted():
     EngineConfig(fusion_weight=0, bm25_b=1, bm25_k1=0, history_window=0, max_retries=0,
                  temperature_consolidate=0, leaf_budget=1, embedding_dim=1,
                  max_concurrency=1, max_output_tokens=1, request_timeout=0.01)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("key", sorted(_RANGES))  # every numeric setting and cap
+def test_non_finite_settings_rejected(key, value, tmp_path, capsys):
+    """inf used to pass wherever a rule has no upper end: it broke every HTTP
+    call (request_timeout), sent Infinity to the provider (temperature_*)
+    or zeroed every s_lex (bm25_k1)."""
+    kwargs = {"caps": {key: value}} if key in DEFAULT_CAPS else {key: value}
+    with pytest.raises(ValueError, match=key):
+        EngineConfig(**kwargs)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: value}), encoding="utf-8")  # Infinity, -Infinity, NaN
+    assert main(["config-dump", "--config", str(path)]) == EXIT_DATA
+    assert f"{key}={value!r} is not " in capsys.readouterr().err
+
+
+def test_non_finite_message_names_the_rule():
+    with pytest.raises(ValueError, match=r"^bm25_k1=inf is not a finite number >= 0$"):
+        EngineConfig(bm25_k1=math.inf)
+    with pytest.raises(ValueError, match=r"^request_timeout=nan is not a finite number > 0$"):
+        EngineConfig(request_timeout=math.nan)
+    EngineConfig(leaf_budget=10 ** 400)  # an int beyond float range still compares below inf

@@ -32,7 +32,7 @@ from timem.backends import MockEmbedder
 from timem.bench import write_fixture
 from timem.errors import DimensionMismatch, IndexOutOfRange, ZeroVector
 from timem.indexing import (_SPARSE_RATIO, FIRST_BLOCK_FLOATS, LeafIndex, Postings, _screen,
-                            bm25_scores)
+                            bm25_scores, token_text)
 
 from conftest import ingest_all, utc
 
@@ -43,6 +43,7 @@ def test_tokenize_examples():
     assert tokenize("Went to India, last year!") == ["went", "to", "india", "last", "year"]
     assert tokenize("") == []
     assert tokenize("GPT-4o 2024") == ["gpt", "4o", "2024"]
+    assert token_text("GPT-4o, café!") == "gpt 4o  caf   "  # one space per other byte
 
 
 @given(st.text())
