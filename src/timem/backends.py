@@ -138,19 +138,23 @@ _ASSISTANT_PRONOUNS = {
 _WORD_RE = re.compile(r"[A-Za-z']+")
 
 
+def _top_keywords(tokens: list[str], limit: int) -> list[str]:
+    """The `limit` most frequent of `tokens`: by count, descending, then
+    alphabetically."""
+    counts: dict[str, int] = {}
+    for tok in tokens:
+        counts[tok] = counts.get(tok, 0) + 1
+    return sorted(counts, key=lambda tok: (-counts[tok], tok))[:limit]
+
+
 def extract_keywords(question: str, limit: int = 3) -> list[str]:
     """Top-`limit` TF keywords, stopwords and name tokens excluded.
 
     Order: term frequency descending, then alphabetical. Single-letter
     tokens are dropped (they are placeholders or noise).
     """
-    counts: dict[str, int] = {}
-    for tok in tokenize(question):
-        if len(tok) < 2 or tok in STOPWORDS or tok in NAME_TOKENS:
-            continue
-        counts[tok] = counts.get(tok, 0) + 1
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [tok for tok, _ in ranked[:limit]]
+    return _top_keywords([tok for tok in tokenize(question) if len(tok) > 1
+                          and tok not in STOPWORDS and tok not in NAME_TOKENS], limit)
 
 
 def classify_question(question: str) -> int:

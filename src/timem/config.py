@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import threading
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -94,6 +95,9 @@ class EngineConfig:
                          or not _RULES[rule](value)):
                 kind = "an integer" if numeric is numbers.Integral else "a finite number"
                 raise ValueError(f"{name}={value!r} is not {kind} {rule}")
+        if self.request_timeout > threading.TIMEOUT_MAX:  # a socket raises OverflowError for it
+            raise ValueError(f"request_timeout={self.request_timeout!r} is above "
+                             f"{threading.TIMEOUT_MAX}, the longest timeout a socket takes")
 
     def to_dict(self) -> dict:
         d = asdict(self)

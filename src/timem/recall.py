@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime
 from enum import Enum
 
-from .backends import STOPWORDS, ChatBackend, ChatRequest, Embedder, Purpose
+from .backends import STOPWORDS, ChatBackend, ChatRequest, Embedder, Purpose, _top_keywords
 from .config import EngineConfig
 from .errors import BackendFailure, UnknownUser
 from .indexing import Bm25Params, ScoredLeaf, fused_top_k, tokenize
@@ -102,16 +102,6 @@ class RecallResult:
     gate_fallback_used: bool = False
 
 
-def _fallback_keywords(query: str, limit: int = 3) -> list[str]:
-    counts: dict[str, int] = {}
-    for tok in tokenize(query):
-        if tok in STOPWORDS:
-            continue
-        counts[tok] = counts.get(tok, 0) + 1
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [tok for tok, _ in ranked[:limit]]
-
-
 def _whole_number(value) -> int | None:
     """A reply field read as an integer: an int, a float equal to its
     `int()`, or a numeric string; None for anything else, `true` and
@@ -182,8 +172,8 @@ class RecallPipeline:
             if complexity is not None and isinstance(raw, list):
                 keywords = [str(k).strip().lower() for k in raw if str(k).strip()][:3]
                 return RecallPlan(complexity=complexity, keywords=keywords)
-        return RecallPlan(complexity=Complexity.HYBRID,
-                          keywords=_fallback_keywords(query),
+        keywords = _top_keywords([tok for tok in tokenize(query) if tok not in STOPWORDS], 3)
+        return RecallPlan(complexity=Complexity.HYBRID, keywords=keywords,
                           planner_fallback_used=True)
 
     # -- stage 2: hierarchical retrieval --------------------------------------

@@ -19,11 +19,11 @@ through a read buffer of `LOG_CHUNK` bytes, and reads each call's
 frame through it: the 16-byte header, then the body, rows and newline
 in one read. It checks the frame's lengths against the file's size
 before reading the rest and one checksum over the body and rows
-before decoding them. It takes a record's fields at once and checks
-their types in one comparison; a record that fails it is decoded
-again one field at a time, so its first faulty field, in the order
-`_NODE_FIELDS` and `_TURN_FIELDS` name them, decides the error. What
-replay refuses:
+before decoding them. Each record kind's fields are written down once,
+in `_NODE_TABLE` and `_TURN_TABLE`: replay takes a record's fields at
+once and checks their types in one comparison with its table; for a
+record that fails it, one walk of the table, which builds nothing,
+names the first faulty field in the table's order. What replay refuses:
 
 - stops the replay at the call (every call before it loads): a short,
   torn or changed frame; a log that starts with `[` or `{`, which
@@ -93,7 +93,9 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -360,12 +362,16 @@ def _field(record: dict, key: str, kind: type, item: type | None = None):
     return value
 
 
-# The fields that `node_record` and `turn_record` write, in the order that
-# `_node_by_field` and `_turn_by_field` check them.
-_NODE_FIELDS = operator.itemgetter("embedding", "id", "level", "start", "end", "text",
-                                   "source_turn_ids", "child_ids")
-_TURN_FIELDS = operator.itemgetter("turn_id", "session_id", "timestamp", "user_text",
-                                   "assistant_text")
+# (key, JSON type, list item type) of each field that `node_record` or `turn_record` writes
+_NODE_TABLE = (("embedding", int, None), ("id", int, None), ("level", int, None),
+               ("start", str, None), ("end", str, None), ("text", str, None),
+               ("source_turn_ids", list, str), ("child_ids", list, int))
+_TURN_TABLE = (("turn_id", str, None), ("session_id", str, None), ("timestamp", str, None),
+               ("user_text", str, None), ("assistant_text", str, None))
+_NODE_FIELDS = operator.itemgetter(*(key for key, _, _ in _NODE_TABLE))
+_TURN_FIELDS = operator.itemgetter(*(key for key, _, _ in _TURN_TABLE))
+_NODE_TYPES = tuple(kind for _, kind, _ in _NODE_TABLE)
+_TURN_TYPES = tuple(kind for _, kind, _ in _TURN_TABLE)
 _STR, _INT, _DICT = frozenset((str,)), frozenset((int,)), frozenset((dict,))
 
 
@@ -373,13 +379,12 @@ def _decode_records(user_id: str, records, stamps: _Stamps,
                     floats: np.ndarray) -> tuple[list, list[DialogTurn]]:
     """A frame's node records as (node, child ids) pairs, and its turn
     records; each node record's embedding is its float count, taken from
-    `floats`, the frame's rows, in record order, as a view of them. Every
-    field that `node_record` and `turn_record` write must be there with
-    its type.
+    `floats`, the frame's rows, in record order, as a view of them.
 
-    A record's fields are taken at once and their types checked in one
-    comparison; a record that fails it is decoded again one field at a
-    time, so the first fault in field order decides what it raises."""
+    A record must hold each field of its kind's table with its type: its
+    fields are taken at once and their types checked in one comparison;
+    `_refuse` walks the table for a record that fails it, so its first
+    fault in field order decides what it raises."""
     # `json.loads` makes each JSON object a dict, no subclass of it
     if not isinstance(records, list) or not _DICT.issuperset(map(type, records)):
         raise ValueError("the frame's body is not an array of records")
@@ -389,31 +394,31 @@ def _decode_records(user_id: str, records, stamps: _Stamps,
         if kind == "node":
             try:
                 count, node_id, level, start, end, text, sources, children = _NODE_FIELDS(record)
-                typed = (type(count) is type(node_id) is type(level) is int
-                         and type(start) is type(end) is type(text) is str
-                         and type(sources) is type(children) is list
+                typed = ((type(count), type(node_id), type(level), type(start), type(end),
+                          type(text), type(sources), type(children)) == _NODE_TYPES
                          and (not sources or _STR.issuperset(map(type, sources)))
                          and (not children or _INT.issuperset(map(type, children))))
             except KeyError:
                 typed = False
-            if typed:  # every field by position: a call by keyword costs twice as much
-                embedding = _rows(floats, taken, count)
-                node = MemoryNode(node_id, user_id, _LEVELS[level],
-                                  TemporalInterval(stamps[start], stamps[end]), text, embedding,
-                                  None, [], sources)
-            else:
-                node, children = _node_by_field(user_id, record, stamps, floats, taken)
-            nodes.append((node, children))
-            taken += node.embedding.size
+            if not typed:
+                _refuse(record, _NODE_TABLE, partial(_decode_field, record, stamps, floats, taken))
+            embedding = _rows(floats, taken, count)
+            # every field by position: a call by keyword costs twice as much
+            nodes.append((MemoryNode(node_id, user_id, _LEVELS[level],
+                                     TemporalInterval(stamps[start], stamps[end]), text,
+                                     embedding, None, [], sources), children))
+            taken += count
         elif kind == "turn":
             try:
                 turn_id, session_id, timestamp, user_text, assistant_text = _TURN_FIELDS(record)
-                typed = (type(turn_id) is type(session_id) is type(timestamp) is type(user_text)
-                         is type(assistant_text) is str)
+                typed = (type(turn_id), type(session_id), type(timestamp), type(user_text),
+                         type(assistant_text)) == _TURN_TYPES
             except KeyError:
                 typed = False
+            if not typed:
+                _refuse(record, _TURN_TABLE, partial(_decode_field, record, stamps, floats, taken))
             turns.append(DialogTurn(turn_id, session_id, stamps[timestamp], user_text,
-                                    assistant_text) if typed else _turn_by_field(record, stamps))
+                                    assistant_text))
         else:
             raise ValueError(f"unknown record type {kind!r}")
     if taken != floats.size:
@@ -428,32 +433,26 @@ def _rows(floats: np.ndarray, taken: int, count: int) -> np.ndarray:
     return floats[taken:taken + count]
 
 
-def _node_by_field(user_id: str, record: dict, stamps: _Stamps, floats: np.ndarray,
-                   taken: int) -> tuple[MemoryNode, list]:
-    """A node record and its child ids, decoded one field at a time, each
-    checked as it is taken, so its first field that is missing, of
-    another type or of a value that does not decode raises."""
-    embedding = _rows(floats, taken, _field(record, "embedding", int))
-    return MemoryNode(
-        id=_field(record, "id", int),
-        user_id=user_id,
-        level=_LEVELS[_field(record, "level", int)],
-        interval=TemporalInterval(stamps[_field(record, "start", str)],
-                                  stamps[_field(record, "end", str)]),
-        text=_field(record, "text", str),
-        embedding=embedding,
-        source_turn_ids=_field(record, "source_turn_ids", list, str),
-    ), _field(record, "child_ids", list, int)
+def _decode_field(record: dict, stamps: _Stamps, floats, taken: int, key: str, value) -> None:
+    """Raise for a field of the right type whose value does not decode."""
+    if key == "embedding":
+        _rows(floats, taken, value)
+    elif key == "level":
+        _LEVELS[value]
+    elif key == "end":  # parsed, then its interval with the start
+        TemporalInterval(stamps[record["start"]], stamps[value])
+    elif key in ("start", "timestamp"):
+        stamps[value]
 
 
-def _turn_by_field(record: dict, stamps: _Stamps) -> DialogTurn:
-    """A turn record decoded as `_node_by_field` decodes a node record."""
-    return DialogTurn(
-        turn_id=_field(record, "turn_id", str),
-        session_id=_field(record, "session_id", str),
-        timestamp=stamps[_field(record, "timestamp", str)],
-        user_text=_field(record, "user_text", str),
-        assistant_text=_field(record, "assistant_text", str))
+def _refuse(record: dict, table: tuple, decode) -> NoReturn:
+    """Raise for the first field of `record`, in `table`'s order, that is
+    missing, of another type or, by `decode(key, value)`, of a value that
+    does not decode. It builds nothing: a record that failed its kind's
+    type check always has such a field."""
+    for key, kind, item in table:
+        decode(key, _field(record, key, kind, item))
+    raise AssertionError("a record that failed its type check passed every field")
 
 
 @dataclass

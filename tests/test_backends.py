@@ -449,6 +449,20 @@ def test_http_embedder_rejects_a_non_finite_embedding(stub_server, value):
         embedder.embed_text("hi")
 
 
+@pytest.mark.parametrize("body, reason", [
+    (b'{"data": []}', "malformed embedding response"),
+    (b'{"data": [{"embedding": [1, 0, 0, 0]}]}', r"embedding dimension \(4,\) != \(8,\)"),
+    (b'{"data": [{"embedding": [0, 0, 0, 0, 0, 0, 0, 0]}]}', "zero embedding"),
+], ids=["malformed", "wrong-width", "all-zero"])
+def test_http_embedder_rejects_a_reply_it_cannot_use(stub_server, body, reason):
+    _StubHandler.reply = (200, body)
+    embedder = HttpEmbedder(f"{stub_server}/v1/embeddings", "m", dimension=8)
+    with pytest.raises(ProviderError, match=reason) as info:
+        embedder.embed_text("hi")
+    assert type(info.value) is ProviderError
+    assert len(_StubHandler.seen_auth) == 1  # a reply it cannot use is not asked for again
+
+
 def test_timem_imports_without_requests():
     code = "import sys; sys.modules['requests'] = None; import timem, timem.backends, timem.cli"
     src = os.path.dirname(os.path.dirname(os.path.abspath(__import__("timem").__file__)))

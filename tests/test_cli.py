@@ -13,7 +13,7 @@ from timem import DialogTurn, Level, MemoryEngine, MemoryNode, TemporalInterval,
 from timem.backends import MockEmbedder
 from timem.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from timem.store import node_record, turn_record
-from timem.timeutil import parse_ts
+from timem.timeutil import format_ts, parse_ts
 
 from conftest import FRAME_HEADER, call_frame, log_frames
 
@@ -139,6 +139,36 @@ def test_ingest_validate_recall_roundtrip(fixture_dir, tmp_path, capsys):
             assert m["via_leaf"] is None
         else:
             assert m["via_leaf"] in leaf_ids
+
+
+def test_recall_at_a_time_returns_no_memory_ending_after_it(fixture_dir, tmp_path, capsys):
+    transcript = fixture_dir / "transcript_alice.json"
+    turns = parse_transcript(transcript).turns
+    t_q = turns[len(turns) // 2].timestamp
+    assert turns[-1].timestamp > t_q  # turns after the query time are in the tree
+    data_dir = str(tmp_path / "data")
+    assert main(["ingest", "--data-dir", data_dir, str(transcript)]) == EXIT_OK
+    query = ["recall", "--data-dir", data_dir, "--user", "alice", "--no-gate",
+             "--output", "json", "Where did Alice go kayaking?"]
+    capsys.readouterr()
+    assert main(query) == EXIT_OK
+    ends = [parse_ts(m["end"]) for m in json.loads(capsys.readouterr().out)["memories"]]
+    assert max(ends) > t_q  # without --time, later memories are recalled
+    assert main([*query, "--time", format_ts(t_q)]) == EXIT_OK
+    ends = [parse_ts(m["end"]) for m in json.loads(capsys.readouterr().out)["memories"]]
+    assert ends and max(ends) <= t_q
+
+
+def test_ingest_no_flush_leaves_groups_open_and_validates(fixture_dir, tmp_path, capsys):
+    transcript = str(fixture_dir / "transcript_alice.json")
+    nodes = []
+    for data_dir, flags in (("flushed", []), ("open", ["--no-flush"])):
+        data_dir = str(tmp_path / data_dir)
+        assert main(["ingest", "--data-dir", data_dir, *flags, transcript]) == EXIT_OK
+        assert main(["validate", "--data-dir", data_dir]) == EXIT_OK
+        nodes.append(len(stored_rows(data_dir)))
+    flushed, open_groups = nodes
+    assert 0 < open_groups < flushed
 
 
 def test_recall_json_shows_gate_fallback(fixture_dir, tmp_path, capsys, monkeypatch):

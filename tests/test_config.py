@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import socket
+import threading
 
 import pytest
 
@@ -20,7 +22,7 @@ from timem.config import _RANGES, DEFAULT_CAPS
     ("leaf_budget", 2.5), ("leaf_budget", 20.0), ("leaf_budget", True),
     ("history_window", 3.0), ("history_window", False), ("embedding_dim", 1024.0),
     ("max_retries", 1.5), ("max_concurrency", 4.0), ("max_output_tokens", 512.0),
-    ("fusion_weight", True), ("request_timeout", True),
+    ("fusion_weight", True), ("request_timeout", True), ("request_timeout", 1e10),
 ])
 def test_unsupported_settings_rejected(key, value, tmp_path):
     with pytest.raises(ValueError, match=key):
@@ -92,6 +94,15 @@ def test_non_finite_settings_rejected(key, value, tmp_path, capsys):
     path.write_text(json.dumps({key: value}), encoding="utf-8")  # Infinity, -Infinity, NaN
     assert main(["config-dump", "--config", str(path)]) == EXIT_DATA
     assert f"{key}={value!r} is not " in capsys.readouterr().err
+
+
+def test_the_longest_request_timeout_a_socket_takes_is_accepted():
+    config = EngineConfig(request_timeout=threading.TIMEOUT_MAX)
+    with socket.socket() as sock:
+        sock.settimeout(config.request_timeout)
+    with pytest.raises(ValueError, match=rf"^request_timeout=10000000000 is above "
+                                         rf"{threading.TIMEOUT_MAX}, the longest timeout"):
+        EngineConfig(request_timeout=10 ** 10)  # an int is refused too, as a float is
 
 
 def test_non_finite_message_names_the_rule():

@@ -263,10 +263,21 @@ def test_a_record_unlike_the_engines_does_not_decode(tmp_path, kind, key, value,
     ([("turn", "turn_id", _DELETE), ("turn", "session_id", 5)], "KeyError: 'turn_id'"),
     ([("turn", "timestamp", "May"), ("turn", "user_text", 5)],
      "ValueError: Invalid isoformat string: 'May'"),
+    ([("node", "end", "May"), ("node", "text", 5)], "ValueError: Invalid isoformat string: 'May'"),
+    ([("node", "text", 5), ("node", "source_turn_ids", [1])],
+     "TypeError: the record's 'text' is not str"),
+    ([("node", "source_turn_ids", [1]), ("node", "child_ids", _DELETE)],
+     "TypeError: the record's 'source_turn_ids' is not list of str"),
+    ([("turn", "session_id", None), ("turn", "timestamp", 0)],
+     "TypeError: the record's 'session_id' is not str"),
+    ([("turn", "user_text", 5), ("turn", "assistant_text", _DELETE)],
+     "TypeError: the record's 'user_text' is not str"),
 ], ids=["level-before-text", "embedding-before-id", "embedding-before-level", "id-before-level",
         "level-before-start", "start-before-end", "interval-before-text",
         "sources-before-children", "node-before-turn", "turn_id-before-session_id",
-        "timestamp-before-user_text"])
+        "timestamp-before-user_text", "end-before-text", "text-before-sources",
+        "sources-before-missing-children", "session_id-before-timestamp",
+        "user_text-before-missing-assistant_text"])
 def test_a_record_broken_twice_is_refused_for_its_first_field(tmp_path, edits, reason):
     """A record with two faults is refused for the first of them in the
     order replay checks a record's fields: a node's embedding, id, level,
