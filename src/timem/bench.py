@@ -278,8 +278,17 @@ def generate_fixture(seed: int = 42, n_users: int = 3, total_turns: int = 120,
     """Deterministic transcripts plus questions with known evidence.
 
     Sessions step across day, ISO-week, and month boundaries so every
-    consolidation level gets exercised.
+    consolidation level gets exercised. A fixture has 1 to 8 users (the
+    names it knows), at least one turn per user and no negative question
+    count; other sizes raise ValueError.
     """
+    if not 1 <= n_users <= len(_USERS):
+        raise ValueError(f"a fixture has 1 to {len(_USERS)} users, not {n_users}")
+    if total_turns < n_users:
+        raise ValueError(f"{total_turns} turns for {n_users} users: "
+                         f"a fixture needs at least one turn per user")
+    if n_questions < 0:
+        raise ValueError(f"a fixture has 0 questions or more, not {n_questions}")
     rng = random.Random(seed)
     users = _USERS[:n_users]
     per_user = total_turns // n_users
@@ -341,9 +350,9 @@ def generate_fixture(seed: int = 42, n_users: int = 3, total_turns: int = 120,
 def write_fixture(out_dir: str | Path, seed: int = 42, n_users: int = 3,
                   total_turns: int = 120, n_questions: int = 30) -> list[Path]:
     """Write fixture transcripts and questions; returns created paths."""
+    transcripts, questions = generate_fixture(seed, n_users, total_turns, n_questions)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    transcripts, questions = generate_fixture(seed, n_users, total_turns, n_questions)
     paths = []
     for t in transcripts:
         path = out / f"transcript_{t['user_id']}.json"

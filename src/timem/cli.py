@@ -16,15 +16,7 @@ from .backends import HttpChatBackend, HttpEmbedder, MockChatBackend, MockEmbedd
 from .bench import manifold_report, run_bench, write_fixture
 from .config import EngineConfig
 from .engine import MemoryEngine
-from .errors import (
-    BackendFailure,
-    NonMonotonicTimestamp,
-    ProviderError,
-    SchemaError,
-    StoreIoError,
-    TimemError,
-    UnknownUser,
-)
+from .errors import BackendFailure, ProviderError, SchemaError, StoreIoError, TimemError, UnknownUser
 from .recall import Complexity
 from .store import DATA_DIR_ENV, LogStore, ReplayResult, parse_transcript
 from .timeutil import format_ts, parse_ts
@@ -34,7 +26,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_BACKEND = 3
 
-_DATA_ERRORS = (SchemaError, NonMonotonicTimestamp, StoreIoError, UnknownUser)
 _BACKEND_ERRORS = (BackendFailure, ProviderError)
 
 
@@ -239,11 +230,8 @@ def main(argv: list[str] | None = None) -> int:
     except _BACKEND_ERRORS as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except _DATA_ERRORS as exc:
+    except (TimemError, OSError, KeyError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (OSError, KeyError, ValueError, TimemError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -83,6 +83,9 @@ class EngineConfig:
             value = getattr(self, name)
             if value != supported:
                 raise ValueError(f"{name}={value!r} is not supported; only {supported!r} is")
+        for name in (f.name for f in fields(self) if f.type == "str"):
+            if not isinstance(getattr(self, name), str):  # Path(5) would raise TypeError later
+                raise ValueError(f"{name}={getattr(self, name)!r} is not a string")
         unknown = sorted(set(self.caps) - set(DEFAULT_CAPS))
         if unknown:
             raise KeyError(f"unknown budget key: {', '.join(unknown)}")
@@ -107,6 +110,9 @@ class EngineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EngineConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"a config must be a JSON object, not "
+                             f"{json.dumps(data, default=repr)[:60]}")
         known = {f.name for f in fields(cls)} - {"caps"}
         kwargs = {}
         caps = {}

@@ -178,6 +178,23 @@ class RecallPipeline:
 
     # -- stage 2: hierarchical retrieval --------------------------------------
 
+    def _watermark(self, user_id: str, t_q: datetime | None) -> int | None:
+        """The largest id of a node that existed at `t_q`: the id of the
+        last segment ending by `t_q`, or 0 when none does. Turns arrive
+        in time order and ids in call order, and a call makes its
+        closures before its turn's segment, so the nodes that existed
+        once that turn was ingested are exactly those up to its id. None,
+        every node visible, for no `t_q` or one at or after the user's
+        last segment: a question asked after the history sees the nodes
+        a flush made, too."""
+        if t_q is None:
+            return None
+        index = self.tree.leaf_index(user_id)
+        seen = len(index.upto(t_q))
+        if seen == len(index):
+            return None
+        return int(index.ids[seen - 1]) if seen else 0
+
     def propagate_ancestors(self, user_id: str, leaves: list[ScoredLeaf],
                             complexity: Complexity,
                             t_q: datetime | None = None) -> CandidateSet:
@@ -187,11 +204,12 @@ class RecallPipeline:
         budget of its cap, spent on the ancestors reached via the
         higher-scoring leaves first; a cap of 0 admits nothing. The
         latest profile is injected when the profile budget is positive
-        and no leaf reached one. With `t_q`, only memories ending at or
-        before it are visible: an ancestor ending later is skipped, and
-        the profile injected is the latest one ending by `t_q`.
+        and no leaf reached one. With `t_q`, only the nodes that existed
+        at `t_q` are visible (`_watermark`): a later ancestor is skipped,
+        and the profile injected is the latest one that existed.
         """
         _, budget = strategy_levels(complexity, self.config)
+        watermark = self._watermark(user_id, t_q)
         leaves = leaves[:budget.caps.get(Level.SEGMENT, len(leaves))]
         entries = [Candidate(node=self.tree.get(user_id, leaf.node_id), fused=leaf.fused,
                              s_sem=leaf.s_sem, s_lex=leaf.s_lex) for leaf in leaves]
@@ -203,14 +221,14 @@ class RecallPipeline:
             for ancestor in self.tree.ancestors(user_id, leaf.node_id, left.keys()):
                 if not left[ancestor.level] or ancestor.id in seen:
                     continue
-                if t_q is not None and ancestor.interval.end > t_q:
-                    continue  # it summarises turns after t_q
+                if watermark is not None and ancestor.id > watermark:
+                    continue  # it was made after t_q
                 entries.append(Candidate(node=ancestor, via_leaf=leaf.node_id))
                 seen.add(ancestor.id)
                 left[ancestor.level] -= 1
 
         if 0 < left.get(Level.PROFILE, 0) == budget.caps[Level.PROFILE]:  # none reached
-            profile = self.tree.latest_at_level(user_id, Level.PROFILE, t_q)
+            profile = self.tree.latest_at_level(user_id, Level.PROFILE, watermark)
             if profile is not None:
                 entries.append(Candidate(node=profile))
         return CandidateSet(entries=entries)

@@ -301,12 +301,14 @@ class MemoryTree:
         return found
 
     def latest_at_level(self, user_id: str, level: Level,
-                        t_q: datetime | None = None) -> MemoryNode | None:
+                        max_id: int | None = None) -> MemoryNode | None:
         """The node of a level with the latest (end, id), among those
-        ending at or before `t_q` when it is given."""
+        whose id is at most `max_id` when it is given. Ids are handed out
+        in call order and each level is appended in (end, id) order, so
+        its ids ascend and one bisect finds the bound."""
         ordered = self._users.get(user_id, _NO_USER).levels[level]
-        end = len(ordered) if t_q is None else bisect_right(
-            ordered, t_q, key=lambda node: node.interval.end)
+        end = len(ordered) if max_id is None else bisect_right(
+            ordered, max_id, key=lambda node: node.id)
         return ordered[end - 1] if end else None
 
     def validate_tree(self, user_id: str) -> TreeReport:

@@ -20,7 +20,7 @@ from timem.bench import (
     run_bench,
     write_fixture,
 )
-from timem.errors import BackendFailure, SchemaError
+from timem.errors import BackendFailure, SchemaError, UnknownUser
 from timem.metrics import separation_ratio, silhouette, spread_metrics
 from timem.prompts import TEMPLATE_NAMES, PromptLibrary
 from timem.store import parse_transcript
@@ -89,6 +89,43 @@ def test_questions_take_absent_or_null_evidence(tmp_path):
     lines = [GOOD_QUESTION, absent, {**GOOD_QUESTION, "evidence_turn_ids": None}]
     path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
     assert [q.evidence_turn_ids for q in load_questions(path)] == [["alice-s00/1"], None, None]
+
+
+def test_bench_names_the_query_whose_user_has_no_tree(tmp_path, fixture_dir):
+    """A recall that fails names its question: the second line asks about
+    a user no transcript holds."""
+    path = tmp_path / "q.jsonl"
+    lines = [GOOD_QUESTION, {**GOOD_QUESTION, "user_id": "nobody"}]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(UnknownUser, match=r"^query q001: no memory tree for user 'nobody'$"):
+        run_bench(fixture_transcripts(fixture_dir)[:1], path)
+
+
+@pytest.mark.parametrize("sizes, message", [
+    (dict(n_users=0), "a fixture has 1 to 8 users, not 0"),
+    (dict(n_users=-1), "a fixture has 1 to 8 users, not -1"),
+    (dict(n_users=20, total_turns=40), "a fixture has 1 to 8 users, not 20"),
+    (dict(total_turns=0), "0 turns for 3 users"),
+    (dict(n_users=3, total_turns=2), "2 turns for 3 users"),
+    (dict(n_questions=-3), "a fixture has 0 questions or more, not -3"),
+])
+def test_fixture_sizes_it_cannot_honour_are_refused_before_any_file(sizes, message, tmp_path):
+    """These sizes used to raise ZeroDivisionError or IndexError, or to
+    write 8 users of 2 turns for 20 users of 40 turns, or no question for
+    -3; now they raise ValueError and leave no directory behind."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        generate_fixture(**sizes)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        write_fixture(tmp_path / "fx", **sizes)
+    assert not (tmp_path / "fx").exists()
+
+
+def test_fixture_smallest_sizes_are_written():
+    transcripts, questions = generate_fixture(n_users=8, total_turns=8, n_questions=0)
+    assert [len(t["sessions"]) for t in transcripts] == [1] * 8 and questions == []
+    transcripts, questions = generate_fixture(n_users=1, total_turns=1, n_questions=1)
+    assert [len(s["turns"]) for s in transcripts[0]["sessions"]] == [2]  # one user, one assistant
+    assert len(questions) == 1
 
 
 def test_bench_no_questions(tmp_path, fixture_dir):

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from timem import DialogTurn, Level, MemoryEngine, MemoryNode, TemporalInterval, parse_transcript
+from timem import cli
 from timem.backends import MockEmbedder
 from timem.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from timem.errors import BackendFailure, CorruptRecord, ProviderError, TimemError
 from timem.store import node_record, turn_record
 from timem.timeutil import format_ts, parse_ts
 
@@ -370,6 +372,31 @@ def test_validate_refuses_a_log_it_cannot_replay_without_a_traceback(case, tmp_p
     if stopped:
         assert "replay stopped at offset 0" in captured.out
 
+
+
+def _subclasses(cls: type) -> list[type]:
+    return [cls, *(sub for direct in cls.__subclasses__() for sub in _subclasses(direct))]
+
+
+DATA_ERRORS = [cls for cls in _subclasses(TimemError)
+               if not issubclass(cls, (BackendFailure, ProviderError))] + [
+    OSError, KeyError, ValueError]
+
+
+@pytest.mark.parametrize("error", DATA_ERRORS, ids=lambda cls: cls.__name__)
+def test_every_refused_input_is_one_data_error(error, tmp_path, monkeypatch, capsys):
+    """Every engine error but a backend's, and every OSError, KeyError and
+    ValueError, leaves a command as exit 2 with the one `data error:`
+    prefix: no error class has to be listed to be reported alike."""
+    def refuse(args, engine):
+        raise error("refused input", 7) if error is CorruptRecord else error("refused input")
+
+    monkeypatch.setitem(cli._ENGINE_COMMANDS, "analyze", refuse)
+    assert main(["analyze", "--data-dir", str(tmp_path / "data")]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("data error: ") and "refused input" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("command", [["recall", "kayaking"], ["validate"]])

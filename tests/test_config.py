@@ -23,6 +23,8 @@ from timem.config import _RANGES, DEFAULT_CAPS
     ("history_window", 3.0), ("history_window", False), ("embedding_dim", 1024.0),
     ("max_retries", 1.5), ("max_concurrency", 4.0), ("max_output_tokens", 512.0),
     ("fusion_weight", True), ("request_timeout", True), ("request_timeout", 1e10),
+    ("chat_endpoint", 5), ("embed_endpoint", None), ("chat_model", None), ("embed_model", ["x"]),
+    ("prompt_dir", 5), ("prompt_dir", True),  # Path(5) raised TypeError in every engine command
 ])
 def test_unsupported_settings_rejected(key, value, tmp_path):
     with pytest.raises(ValueError, match=key):
@@ -111,3 +113,17 @@ def test_non_finite_message_names_the_rule():
     with pytest.raises(ValueError, match=r"^request_timeout=nan is not a finite number > 0$"):
         EngineConfig(request_timeout=math.nan)
     EngineConfig(leaf_budget=10 ** 400)  # an int beyond float range still compares below inf
+
+
+@pytest.mark.parametrize("text", ["[]", '"x"', "null", "5", '[{"leaf_budget": 5}]'])
+def test_a_config_file_that_is_not_an_object_is_a_data_error(text, tmp_path, capsys):
+    """`from_dict` used to call `.items()` on whatever the file held, so
+    an array, a string or null left the CLI as an AttributeError."""
+    with pytest.raises(ValueError, match=r"^a config must be a JSON object, not "):
+        EngineConfig.from_dict(json.loads(text))
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["config-dump", "--config", str(path)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == f"data error: a config must be a JSON object, not {text}\n"

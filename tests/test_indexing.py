@@ -419,6 +419,25 @@ def test_fused_empty_pool_returns_empty():
     assert fused_top_k(embedder.embed_text("x"), ["x"], [], 0.9, 20) == []
 
 
+@pytest.mark.parametrize("change, error, match", [
+    (dict(fusion_weight=-0.1), ValueError, r"^fusion weight must be in \[0, 1\], got -0.1$"),
+    (dict(fusion_weight=1.1), ValueError, r"^fusion weight must be in \[0, 1\], got 1.1$"),
+    (dict(k=0), ValueError, r"^k must be >= 1, got 0$"),
+    (dict(query_embedding=np.ones(8)), DimensionMismatch, r"^shapes \(8,\) and \(16,\) differ$"),
+    (dict(query_embedding=np.zeros(16)), ZeroVector, "undefined for zero vectors"),
+    (dict(leaves="a zero row"), ZeroVector, "undefined for zero vectors"),
+])
+def test_fused_top_k_refuses_arguments_it_cannot_score(change, error, match):
+    embedder = MockEmbedder(dimension=16)
+    leaves = [make_leaf(i, f"leaf {i}", embedder.embed_text(f"leaf {i}"), i) for i in range(3)]
+    if change.get("leaves"):  # one leaf of the pool has norm 0
+        leaves[1].embedding = np.zeros(16)
+    args = dict(query_embedding=embedder.embed_text("leaf"), keywords=["leaf"],
+                fusion_weight=0.9, k=2)
+    with pytest.raises(error, match=match):
+        fused_top_k(**{**args, **change, "leaves": leaves})
+
+
 def test_fused_scores_in_unit_range_and_sorted():
     embedder = MockEmbedder(dimension=64)
     leaves = random_pool(random.Random(5), 80, embedder)

@@ -1,17 +1,23 @@
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import random
 import sys
+import tempfile
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timem import (
     Complexity,
     EngineConfig,
     Level,
+    LogStore,
     MemoryEngine,
     MemoryNode,
     MemoryTree,
@@ -297,16 +303,27 @@ def test_propagate_empty_leaves_injects_latest_profile():
     assert pipeline_for(tree2).propagate_ancestors("u", [], Complexity.SIMPLE).entries == []
 
 
-def test_propagate_injects_the_latest_profile_ending_by_t_q():
+def test_propagate_injects_the_latest_profile_that_existed_at_t_q():
+    """The ids an engine hands out: May's profile (2) is made when June's
+    first turn arrives, before that turn's segment (3), and June's (5)
+    by a flush after the last segment (4). As of t_q a recall sees the
+    nodes up to the last segment ending by t_q, and every node from the
+    last segment on."""
     tree = MemoryTree()
-    for i, month in enumerate((5, 6)):
+    for node_id, level, start, end in (
+            (1, Level.SEGMENT, utc(2023, 5, 10), utc(2023, 5, 10)),
+            (2, Level.PROFILE, utc(2023, 5, 10), utc(2023, 5, 10)),
+            (3, Level.SEGMENT, utc(2023, 6, 2), utc(2023, 6, 2)),
+            (4, Level.SEGMENT, utc(2023, 6, 3), utc(2023, 6, 3)),
+            (5, Level.PROFILE, utc(2023, 6, 2), utc(2023, 6, 3))):
         tree.insert_node(MemoryNode(
-            id=1 + i, user_id="u", level=Level.PROFILE,
-            interval=TemporalInterval(utc(2023, month, 1), utc(2023, month, 28)),
-            text=f"profile {month}"))
+            id=node_id, user_id="u", level=level, interval=TemporalInterval(start, end),
+            text=f"node {node_id}", embedding=unit(64, node_id) if level == 1 else None))
     pipe = pipeline_for(tree)
-    for t_q, want in ((utc(2023, 6, 28), [2]), (utc(2023, 6, 27), [1]),
-                      (utc(2023, 5, 28), [1]), (utc(2023, 5, 27), [])):
+    for t_q, want in ((None, [5]), (utc(2023, 6, 4), [5]), (utc(2023, 6, 3), [5]),
+                      (utc(2023, 6, 2, 23), [2]), (utc(2023, 6, 2), [2]),
+                      (utc(2023, 6, 1), []),  # May's profile ends by t_q, but did not exist
+                      (utc(2023, 5, 10), []), (utc(2023, 5, 9), [])):
         cand = pipe.propagate_ancestors("u", [], Complexity.SIMPLE, t_q)
         assert [c.node.id for c in cand.entries] == want, t_q
 
@@ -582,6 +599,47 @@ def test_as_of_recall_returns_nothing_ending_after_t_q(engine):
     # the tree does hold memories ending after most of these t_q, and
     # the recalls still reach ancestors that end before it
     assert later > 5 and ancestors > 5
+
+
+AS_OF_QUERIES = ["Where did Alice go kayaking at Lake Verano?",
+                 "What activities did Alice take part in?",
+                 "Would Alice enjoy a pottery retreat?"]
+
+
+@settings(max_examples=12, deadline=timedelta(seconds=20))
+@given(seed=st.integers(0, 2**16),
+       instants=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**12)),
+                         min_size=1, max_size=4))
+def test_as_of_recall_equals_recall_on_the_engine_that_stopped_at_t_q(seed, instants):
+    """Recall as of an instant between two turns, on an engine that
+    ingested and flushed the whole transcript, gives the memories, scores
+    and order that recall gives on an engine that ingested only the turns
+    up to that instant: with the gate on and off, planned and forced
+    complex, live and after a replay of the log."""
+    turns = random_transcript(random.Random(seed), "alice", n_sessions=5)
+    with tempfile.TemporaryDirectory() as tmp, LogStore(tmp) as store:
+        full = MemoryEngine(store=store)
+        ingest_all(full, "alice", turns)
+        replayed = MemoryEngine(store=store)
+        replayed.load_user("alice")
+        prefix = MemoryEngine()
+        ingested = 0
+        for i, offset in sorted((place % (len(turns) - 1), offset)
+                                for place, offset in instants):
+            gap = (turns[i + 1].timestamp - turns[i].timestamp) // timedelta(microseconds=1)
+            t_q = turns[i].timestamp + timedelta(microseconds=offset % gap)  # before turn i + 1
+            for turn in turns[ingested:i + 1]:
+                prefix.ingest_turn("alice", turn)
+            ingested = max(ingested, i + 1)
+            for query, gate, complexity in itertools.product(
+                    AS_OF_QUERIES, (True, False), (None, Complexity.COMPLEX)):
+                want = prefix.recall("alice", query, t_q=t_q, gate=gate,
+                                     complexity_override=complexity)
+                for engine in (full, replayed):
+                    got = engine.recall("alice", query, t_q=t_q, gate=gate,
+                                        complexity_override=complexity)
+                    assert (got.memories, got.counts) == (want.memories, want.counts), (
+                        seed, t_q, query, gate, complexity)
 
 
 def test_recall_deterministic(engine):
